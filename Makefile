@@ -13,10 +13,16 @@ test:
 	$(DUNE) runtest
 
 # End-to-end smoke of the plan/engine/report pipeline: a quick
-# experiment on a 2-domain pool with JSON output.
+# experiment on a 2-domain pool with JSON output, then every
+# JSON-emitting subcommand writing to stdout ('-'), which must parse as
+# one clean JSON document.
 smoke:
 	$(DUNE) exec bin/conrat_cli.exe -- experiment --quick E1 --jobs 2 --json
 	@test -s BENCH_E1.json && echo "smoke: BENCH_E1.json written"
+	$(DUNE) exec bin/conrat_cli.exe -- sweep -t 2 --json - | python3 -m json.tool >/dev/null
+	$(DUNE) exec bin/conrat_cli.exe -- telemetry binary_ratifier_n2 --out - \
+	  | python3 -m json.tool >/dev/null
+	@echo "smoke: sweep and telemetry JSON on stdout parse"
 
 # Exhaustive safety verification of every registered checker config
 # under the POR engine, within a wall-clock budget (seconds).  The
@@ -169,8 +175,11 @@ bench-gates: perf-verify obs-bench telemetry-bench perf-step
 
 check: build test smoke verify
 
+# The paper-claim experiments (quick sweeps), then the Bechamel
+# micro-benchmarks of the simulator's building blocks.
 bench:
-	$(DUNE) exec bench/main.exe -- quick
+	$(DUNE) exec bin/conrat_cli.exe -- experiment --quick all
+	$(DUNE) exec bench/main.exe
 
 clean:
 	$(DUNE) clean

@@ -1,58 +1,13 @@
-(* The benchmark harness.
+(* Bechamel micro-benchmarks of the simulator's building blocks (one
+   Test.make per component), a performance regression suite for the
+   simulator itself.  The paper-claim experiments (E1..E10) are run by
+   `conrat experiment`; `make bench` runs both.
 
-   Part 1 regenerates the paper's quantitative claims: one experiment
-   per theorem/claim (E1..E10, defined in Conrat_harness.Experiments;
-   the experiment index lives in DESIGN.md §5, the recorded output in
-   EXPERIMENTS.md).  There is no table or figure in the paper that is
-   not covered by one of these experiments — it is a theory paper, so
-   the "tables" are the bounds its theorems assert.
-
-   Part 2 runs Bechamel micro-benchmarks of the building blocks (one
-   Test.make per component) so the harness doubles as a performance
-   regression suite for the simulator itself.
-
-     dune exec bench/main.exe              # full experiments + micro
-     dune exec bench/main.exe -- quick     # CI-sized sweeps
-     dune exec bench/main.exe -- micro     # micro-benchmarks only
-     dune exec bench/main.exe -- paper     # experiments only
-     dune exec bench/main.exe -- --jobs 8  # experiment trials on 8 domains
-     dune exec bench/main.exe -- --json    # also write BENCH_E<k>.json
+     dune exec bench/main.exe
 *)
 
 open Bechamel
 open Toolkit
-
-let mode_of_args () =
-  let args = Array.to_list Sys.argv |> List.tl in
-  let quick = List.mem "quick" args in
-  let micro_only = List.mem "micro" args in
-  let paper_only = List.mem "paper" args in
-  let json = List.mem "--json" args in
-  let jobs =
-    let rec find = function
-      | ("--jobs" | "-j") :: v :: _ ->
-        (match int_of_string_opt v with
-         | Some k when k >= 0 -> k
-         | _ -> failwith "bench: --jobs expects a non-negative integer")
-      | _ :: rest -> find rest
-      | [] -> 1
-    in
-    find args
-  in
-  (quick, micro_only, paper_only, jobs, json)
-
-(* ------------------------------------------------------------------ *)
-(* Part 1: the paper-claim experiments                                 *)
-(* ------------------------------------------------------------------ *)
-
-let run_experiments ~quick ~jobs ~json =
-  let mode = if quick then Conrat_harness.Experiments.Quick else Conrat_harness.Experiments.Full in
-  Conrat_harness.Experiments.run_all ~mode ~jobs ~json ()
-
-(* ------------------------------------------------------------------ *)
-(* Part 2: Bechamel micro-benchmarks                                   *)
-(* ------------------------------------------------------------------ *)
-
 open Conrat_sim
 
 let bench_scheduler_step =
@@ -149,7 +104,4 @@ let run_micro () =
     results;
   flush stdout
 
-let () =
-  let quick, micro_only, paper_only, jobs, json = mode_of_args () in
-  if not micro_only then run_experiments ~quick ~jobs ~json;
-  if not paper_only then run_micro ()
+let () = run_micro ()

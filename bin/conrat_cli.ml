@@ -9,6 +9,11 @@
      trace       — record one execution as a Chrome/Perfetto trace
      list        — list protocols, adversaries, workloads, experiments
 
+   Every option shared between subcommands is one Cmdliner term below,
+   parsed and validated once: a bad value (an unknown name, a count
+   below 1, an unwritable output path) exits 2 with a one-line
+   "conrat: ..." message before any run starts.
+
    Output discipline: stdout carries results (tables, JSON documents);
    all human-facing progress and timing chatter goes to stderr via
    Report.info, so `--json -` output can be piped straight into a JSON
@@ -17,19 +22,25 @@
 open Cmdliner
 open Conrat_sim
 open Conrat_harness
+open Conrat_verify
+module Telemetry = Conrat_obs.Telemetry
+module Progress = Conrat_obs.Progress
+module Chrome_trace = Conrat_obs.Chrome_trace
 
-let protocol_of_name ~m name =
-  match name with
-  | "standard" -> Conrat_core.Consensus.standard ~m
-  | "bounded" -> Conrat_core.Consensus.standard_bounded ~m ~rounds:8
-  | "constant_rate" -> Conrat_baselines.Baseline.constant_rate_consensus ~m
-  | "cil_racing" -> Conrat_baselines.Baseline.cil_racing ~m
-  | "coin_voting" ->
-    Conrat_core.Consensus.coin_based ~m ~coin:(Conrat_coin.Shared_coin.voting ())
-  | other -> failwith (Printf.sprintf "unknown protocol %S (try `conrat list`)" other)
+(* A usage error: one line on stderr, exit 2. *)
+let die fmt =
+  Printf.ksprintf (fun msg -> prerr_endline ("conrat: " ^ msg); exit 2) fmt
 
-let protocol_names =
-  [ "standard"; "bounded"; "constant_rate"; "cil_racing"; "coin_voting" ]
+let protocols =
+  [ ("standard", fun ~m -> Conrat_core.Consensus.standard ~m);
+    ("bounded", fun ~m -> Conrat_core.Consensus.standard_bounded ~m ~rounds:8);
+    ("constant_rate", fun ~m -> Conrat_baselines.Baseline.constant_rate_consensus ~m);
+    ("cil_racing", fun ~m -> Conrat_baselines.Baseline.cil_racing ~m);
+    ( "coin_voting",
+      fun ~m ->
+        Conrat_core.Consensus.coin_based ~m ~coin:(Conrat_coin.Shared_coin.voting ()) ) ]
+
+let protocol_names = List.map fst protocols
 
 let adversary_names =
   [ "round_robin"; "random_uniform"; "fixed_permutation"; "write_stalker";
@@ -37,69 +48,151 @@ let adversary_names =
 
 let workload_names = [ "all_same"; "split_half"; "alternating"; "uniform"; "zipf" ]
 
-(* Common options *)
+(* The one checker-name resolver: every registered config — passing,
+   expected-fail demo and extended frontier — under one candidate list. *)
+let checker_names = Checks.names @ Checks.demo_names @ Checks.extended_names
 
-let n_arg =
-  Arg.(value & opt int 8 & info [ "n"; "processes" ] ~docv:"N" ~doc:"Number of processes.")
+let checker ?(all = false) name =
+  match Checks.find name with
+  | Some config -> config
+  | None ->
+    die "unknown checker %s (expected %s%s)" name (String.concat ", " checker_names)
+      (if all then " or 'all'" else "")
 
-let m_arg =
-  Arg.(value & opt int 2 & info [ "m"; "values" ] ~docv:"M" ~doc:"Number of possible input values.")
+let checker_arg ~doc =
+  Term.(const (fun name -> checker name)
+        $ Arg.(required & pos 0 (some string) None & info [] ~docv:"CHECKER" ~doc))
+
+(* Shared option terms *)
+
+let count flags ~docv ~doc default =
+  let check v =
+    if v < 1 then
+      die "bad %s %d (expected at least 1)"
+        (String.concat "/"
+           (List.map (fun f -> (if String.length f = 1 then "-" else "--") ^ f) flags))
+        v
+    else v
+  in
+  Term.(const check $ Arg.(value & opt int default & info flags ~docv ~doc))
+
+(* A name option resolved through [by_name]; an unknown name exits 2. *)
+let named ~what names by_name default flags ~docv =
+  let resolve s =
+    try by_name s
+    with Not_found ->
+      die "unknown %s %S (expected %s)" what s (String.concat ", " names)
+  in
+  let doc =
+    Printf.sprintf "%s: %s." (String.capitalize_ascii what) (String.concat ", " names)
+  in
+  Term.(const resolve $ Arg.(value & opt string default & info flags ~docv ~doc))
+
+let n_arg = count [ "n"; "processes" ] ~docv:"N" ~doc:"Number of processes." 8
+
+let m_arg = count [ "m"; "values" ] ~docv:"M" ~doc:"Number of possible input values." 2
+
+let trials_arg = count [ "t"; "trials" ] ~docv:"T" ~doc:"Monte-Carlo trials." 200
 
 let seed_arg =
   Arg.(value & opt int 2026 & info [ "seed" ] ~docv:"SEED" ~doc:"Master random seed.")
 
+(* (name, factory constructor) *)
 let protocol_arg =
-  Arg.(value & opt string "standard"
-       & info [ "p"; "protocol" ] ~docv:"PROTO"
-           ~doc:(Printf.sprintf "Protocol: %s." (String.concat ", " protocol_names)))
+  named ~what:"protocol" protocol_names
+    (fun s -> (s, List.assoc s protocols))
+    "standard" [ "p"; "protocol" ] ~docv:"PROTO"
 
-let adversary_arg =
-  Arg.(value & opt string "overwrite_attacker"
-       & info [ "a"; "adversary" ] ~docv:"ADV"
-           ~doc:(Printf.sprintf "Adversary: %s." (String.concat ", " adversary_names)))
+let adversary_arg default =
+  named ~what:"adversary" adversary_names Adversary.by_name default
+    [ "a"; "adversary" ] ~docv:"ADV"
 
 let workload_arg =
-  Arg.(value & opt string "split_half"
-       & info [ "w"; "workload" ] ~docv:"WL"
-           ~doc:(Printf.sprintf "Workload: %s." (String.concat ", " workload_names)))
+  named ~what:"workload" workload_names Workload.by_name "split_half"
+    [ "w"; "workload" ] ~docv:"WL"
 
-let trials_arg =
-  Arg.(value & opt int 200 & info [ "t"; "trials" ] ~docv:"T" ~doc:"Monte-Carlo trials.")
-
+(* Resolved domain count: 0 means every core. *)
 let jobs_arg =
-  Arg.(value & opt int 1
-       & info [ "j"; "jobs" ] ~docv:"JOBS"
-           ~doc:"Domains to run trials on (0 = all cores). Results are \
-                 byte-identical for every value; timing is reported on stderr.")
+  let resolve j =
+    if j < 0 then die "bad --jobs %d (expected 0 for all cores, or a positive count)" j
+    else if j = 0 then Engine.default_jobs ()
+    else j
+  in
+  Term.(const resolve
+        $ Arg.(value & opt int 1
+               & info [ "j"; "jobs" ] ~docv:"JOBS"
+                   ~doc:"Domains to run trials on (0 = all cores). Results are \
+                         byte-identical for every value; timing is reported on stderr."))
+
+let faults_arg ~doc =
+  let parse s =
+    match Fault.of_string s with
+    | Ok model -> model
+    | Error msg -> die "bad --faults %S: %s" s msg
+  in
+  Term.(const (Option.map parse)
+        $ Arg.(value & opt (some string) None & info [ "faults" ] ~docv:"SPEC" ~doc))
+
+let progress_arg ~doc = Arg.(value & flag & info [ "progress" ] ~doc)
+
+(* Output targets: FILE, or '-' for stdout.  A file is probed at parse
+   time (created, then removed again if it did not exist), so an
+   unwritable path fails before any run starts instead of after it. *)
+let writable file =
+  if file <> "-" then begin
+    let existed = Sys.file_exists file in
+    (try close_out (open_out_gen [ Open_wronly; Open_creat ] 0o666 file)
+     with Sys_error msg -> die "cannot write %s" msg);
+    if not existed then Sys.remove file
+  end;
+  file
+
+let output flags ~default ~doc =
+  Term.(const writable $ Arg.(value & opt string default & info flags ~docv:"FILE" ~doc))
+
+let output_opt flags ~doc =
+  Term.(const (Option.map writable)
+        $ Arg.(value & opt (some string) None & info flags ~docv:"FILE" ~doc))
+
+(* Write one output document to [file] ('-' = stdout); [wrote] tags the
+   stderr note for a file target. *)
+let write_doc ?wrote file write =
+  if file = "-" then (write stdout; flush stdout)
+  else begin
+    Out_channel.with_open_text file write;
+    Option.iter (fun tag -> Report.info "[%s] wrote %s" tag file) wrote
+  end
+
+(* SIGINT flips the returned flag, which the run polls between units of
+   work; the caller flushes its partial results and exits 130. *)
+let on_sigint () =
+  let flag = Atomic.make false in
+  ignore (Sys.signal Sys.sigint (Sys.Signal_handle (fun _ -> Atomic.set flag true)));
+  flag
+
+let exit_if_interrupted tag flag =
+  if Atomic.get flag then begin
+    Report.info "[%s] interrupted (SIGINT); partial results flushed" tag;
+    exit 130
+  end
 
 (* run *)
 
-let write_chrome_trace ct file =
-  if file = "-" then Conrat_obs.Chrome_trace.write ct stdout
-  else begin
-    let oc = open_out file in
-    Conrat_obs.Chrome_trace.write ct oc;
-    close_out oc
-  end
-
 let run_cmd =
-  let action n m seed protocol adversary workload trace obs =
-    let protocol = protocol_of_name ~m protocol in
-    let adversary = Adversary.by_name adversary in
-    let workload = Workload.by_name workload in
-    let inputs = workload.Workload.generate ~n ~m (Montecarlo.workload_rng seed) in
+  let action n m seed (_, protocol) adversary workload trace obs =
+    let inputs = workload.Workload.generate ~n ~m (Plan.workload_rng seed) in
     let rng = Rng.create seed in
     let memory = Memory.create () in
-    let instance = protocol.instantiate ~n memory in
-    let chrome = Option.map (fun _ -> Conrat_obs.Chrome_trace.create ~n) obs in
-    let sink = Option.map Conrat_obs.Chrome_trace.sink chrome in
+    let instance = (protocol ~m).Conrat_core.Consensus.instantiate ~n memory in
+    let chrome = Option.map (fun _ -> Chrome_trace.create ~n) obs in
+    let sink = Option.map Chrome_trace.sink chrome in
     let result =
       Scheduler.run ~n ~adversary ~rng ~memory ~record:trace ?sink
         (fun ~pid ~rng -> instance.Conrat_core.Consensus.decide ~pid ~rng inputs.(pid))
     in
     (match (obs, chrome) with
      | Some file, Some ct ->
-       write_chrome_trace ct file;
+       write_doc file (Chrome_trace.write ct);
        if file <> "-" then
          Report.info "[run] wrote Chrome trace to %s (open in ui.perfetto.dev)" file
      | _ -> ());
@@ -129,60 +222,40 @@ let run_cmd =
     Arg.(value & flag & info [ "trace" ] ~doc:"Print the full execution trace.")
   in
   let obs_arg =
-    Arg.(value & opt (some string) None
-         & info [ "obs" ] ~docv:"FILE"
-             ~doc:"Also record the execution as a Chrome trace-event JSON file \
-                   ('-' = stdout), loadable in ui.perfetto.dev.")
+    output_opt [ "obs" ]
+      ~doc:"Also record the execution as a Chrome trace-event JSON file \
+            ('-' = stdout), loadable in ui.perfetto.dev."
   in
   Cmd.v (Cmd.info "run" ~doc:"Run one consensus execution")
-    Term.(const action $ n_arg $ m_arg $ seed_arg $ protocol_arg $ adversary_arg
-          $ workload_arg $ trace_arg $ obs_arg)
+    Term.(const action $ n_arg $ m_arg $ seed_arg $ protocol_arg
+          $ adversary_arg "overwrite_attacker" $ workload_arg $ trace_arg $ obs_arg)
 
 (* sweep *)
 
 let sweep_cmd =
-  let action n m seed protocol adversary workload trials jobs stages faults
-      json progress =
+  let action n m seed (protocol, make) adversary workload trials jobs stages
+      faults json progress =
     (* SIGINT stops the engine between trials: the aggregates of the
        trials that did finish are flushed (tables, and a well-formed
        partial JSON document when --json was given), then exit 130.
        Installed before anything sized by [trials] so the window in
        which the inherited disposition (often SIG_IGN under a
        backgrounding shell) still applies is negligible. *)
-    let interrupted = Atomic.make false in
-    ignore
-      (Sys.signal Sys.sigint
-         (Sys.Signal_handle (fun _ -> Atomic.set interrupted true)));
-    let fault_model =
-      match faults with
-      | None -> None
-      | Some s ->
-        (match Fault.of_string s with
-         | Ok model -> Some model
-         | Error msg ->
-           Printf.eprintf "conrat: bad --faults %S: %s\n" s msg;
-           exit 2)
-    in
-    let factory = protocol_of_name ~m protocol in
-    let adversary = Adversary.by_name adversary in
-    let workload = Workload.by_name workload in
+    let interrupted = on_sigint () in
     let spec =
-      Plan.spec ?faults:fault_model ~stages ~sid:"sweep"
-        ~runner:(Plan.Consensus factory) ~adversary ~workload ~n ~m
-        ~seeds:(Plan.seeds ~base:seed trials) ()
+      Plan.spec ?faults ~stages ~sid:"sweep" ~runner:(Plan.Consensus (make ~m))
+        ~adversary ~workload ~n ~m ~seeds:(Plan.seeds ~base:seed trials) ()
     in
     let plan = Plan.make ~name:"sweep" [ spec ] in
     let json_stdout = json = Some "-" in
     let reporter =
-      if progress then
-        Some (Conrat_obs.Progress.create ~expected:trials ~label:"sweep" ())
+      if progress then Some (Progress.create ~expected:trials ~label:"sweep" ())
       else None
     in
     let on_progress =
       Option.map
         (fun r ~done_ ~total ->
-          Conrat_obs.Progress.tick r ~done_
-            ~detail:(fun () -> Printf.sprintf "of %d trials" total))
+          Progress.tick r ~done_ ~detail:(fun () -> Printf.sprintf "of %d trials" total))
         reporter
     in
     let t0 = Unix.gettimeofday () in
@@ -192,122 +265,97 @@ let sweep_cmd =
         ~quarantine:true plan
     in
     let elapsed = Unix.gettimeofday () -. t0 in
-    Option.iter Conrat_obs.Progress.finish reporter;
-    let agg = Engine.get results "sweep" in
-    if not json_stdout && agg.Engine.trials > 0 then begin
-      let indiv = Stats.of_ints (Engine.individual_works agg) in
-      let total = Stats.of_ints (Engine.total_works agg) in
-      Table.print
-        ~header:[ "metric"; "mean"; "sd"; "median"; "p95"; "max" ]
-        [ [ "individual work"; Table.fl indiv.mean; Table.fl indiv.stddev;
-            Table.fl indiv.median; Table.fl indiv.p95; Table.fl indiv.maximum ];
-          [ "total work"; Table.fl total.mean; Table.fl total.stddev;
-            Table.fl total.median; Table.fl total.p95; Table.fl total.maximum ] ];
-      (match agg.Engine.stage_work with
-       | [] -> ()
-       | stage_rows ->
-         print_newline ();
-         Table.print
-           ~header:[ "stage"; "total work"; "max individual" ]
-           (List.map
-              (fun (stage, (tot, ind)) ->
-                [ stage; string_of_int tot; string_of_int ind ])
-              stage_rows))
-    end;
-    if not json_stdout then begin
-      Printf.printf
-        "agreement: %d/%d trials; registers: %d; safety violations: %d\n"
-        agg.Engine.agreements agg.Engine.trials agg.Engine.space
-        (List.length agg.Engine.failures);
-      if agg.Engine.crash_total > 0 || agg.Engine.quarantined <> [] then
+    Option.iter Progress.finish reporter;
+    let (agg : Engine.aggregate) = Engine.get results "sweep" in
+    let summary =
+      Printf.sprintf "agreement: %d/%d trials; registers: %d; safety violations: %d"
+        agg.agreements agg.trials agg.space (List.length agg.failures)
+    in
+    if json_stdout then Report.info "[sweep] %s" summary
+    else begin
+      let row label samples =
+        let s = Stats.of_ints samples in
+        label :: List.map Table.fl [ s.mean; s.stddev; s.median; s.p95; s.maximum ]
+      in
+      if agg.trials > 0 then begin
+        Table.print
+          ~header:[ "metric"; "mean"; "sd"; "median"; "p95"; "max" ]
+          [ row "individual work" (Engine.individual_works agg);
+            row "total work" (Engine.total_works agg) ];
+        if agg.stage_work <> [] then begin
+          print_newline ();
+          Table.print
+            ~header:[ "stage"; "total work"; "max individual" ]
+            (List.map
+               (fun (stage, (tot, ind)) -> [ stage; string_of_int tot; string_of_int ind ])
+               agg.stage_work)
+        end
+      end;
+      print_endline summary;
+      if agg.crash_total > 0 || agg.quarantined <> [] then
         Printf.printf
-          "faults:    crashes=%d recoveries=%d overrides_ignored=%d \
-           quarantined=%d\n"
-          agg.Engine.crash_total agg.Engine.recover_total
-          agg.Engine.plan_ignored_total
-          (List.length agg.Engine.quarantined);
+          "faults:    crashes=%d recoveries=%d overrides_ignored=%d quarantined=%d\n"
+          agg.crash_total agg.recover_total agg.plan_ignored_total
+          (List.length agg.quarantined);
       List.iteri
         (fun i (seed, reason) ->
           if i < 3 then Printf.printf "  violation (seed %d): %s\n" seed reason)
-        agg.Engine.failures;
+        agg.failures;
       flush stdout
-    end
-    else
-      Report.info
-        "[sweep] agreement: %d/%d trials; registers: %d; safety violations: %d"
-        agg.Engine.agreements agg.Engine.trials agg.Engine.space
-        (List.length agg.Engine.failures);
-    (match json with
-     | None -> ()
-     | Some file ->
-       let pairs_obj field_name pairs =
-         Printf.sprintf "\"%s\": [%s]" field_name
-           (String.concat ", "
-              (List.map
-                 (fun (seed, text) ->
-                   Printf.sprintf "{\"seed\":%d,\"detail\":%S}" seed text)
-                 pairs))
-       in
-       let works field_name samples =
-         if samples = [] then Printf.sprintf "\"%s\": null" field_name
-         else
-           let s = Stats.of_ints samples in
-           Printf.sprintf
-             "\"%s\": {\"mean\":%.3f,\"stddev\":%.3f,\"median\":%.3f,\
-              \"p95\":%.3f,\"max\":%.3f}"
-             field_name s.Stats.mean s.Stats.stddev s.Stats.median s.Stats.p95
-             s.Stats.maximum
-       in
-       (* Fold the fault totals into a counter registry under the same
-          names check --json uses ([recovers],
-          [plan_overrides_ignored]), so degraded plan overrides surface
-          in the shared telemetry vocabulary, not only as sweep-local
-          fields. *)
-       let telem = Conrat_obs.Telemetry.create ~domains:1 () in
-       let tp = Conrat_obs.Telemetry.probe telem ~domain:0 in
-       Conrat_obs.Telemetry.add tp Conrat_obs.Telemetry.recovers
-         agg.Engine.recover_total;
-       Conrat_obs.Telemetry.add tp Conrat_obs.Telemetry.plan_overrides_ignored
-         agg.Engine.plan_ignored_total;
-       Conrat_obs.Telemetry.finalize telem;
-       let doc =
-         Printf.sprintf
-           "{\n  \"schema_version\": 1,\n  \"kind\": \"sweep\",\n  \
-            \"protocol\": %S,\n  \"adversary\": %S,\n  \"workload\": %S,\n  \
-            \"n\": %d,\n  \"m\": %d,\n  \"seed\": %d,\n  \
-            \"faults\": %S,\n  \"trials_requested\": %d,\n  \
-            \"trials_completed\": %d,\n  \"agreements\": %d,\n  \
-            \"registers\": %d,\n  \"crash_total\": %d,\n  \
-            \"recover_total\": %d,\n  \"plan_overrides_ignored\": %d,\n  \
-            \"interrupted\": %b,\n  %s,\n  %s,\n  %s,\n  %s,\n  \
-            \"telemetry\": %s\n}\n"
-           protocol adversary.Adversary.name workload.Workload.wname n m seed
-           (Fault.to_string
-              (Option.value fault_model ~default:Fault.none))
-           trials agg.Engine.trials agg.Engine.agreements agg.Engine.space
-           agg.Engine.crash_total agg.Engine.recover_total
-           agg.Engine.plan_ignored_total
-           (Atomic.get interrupted)
-           (pairs_obj "violations" agg.Engine.failures)
-           (pairs_obj "quarantined" agg.Engine.quarantined)
-           (works "total_work" (Engine.total_works agg))
-           (works "individual_work" (Engine.individual_works agg))
-           (Conrat_obs.Telemetry.to_json telem)
-       in
-       if json_stdout then (print_string doc; flush stdout)
-       else begin
-         let oc = open_out file in
-         output_string oc doc;
-         close_out oc;
-         Report.info "[sweep] wrote %s" file
-       end);
-    Report.info "[sweep] %d/%d trials in %.2fs (jobs=%d)" agg.Engine.trials
-      trials elapsed
-      (if jobs = 0 then Engine.default_jobs () else max 1 jobs);
-    if Atomic.get interrupted then begin
-      Report.info "[sweep] interrupted (SIGINT); partial results flushed";
-      exit 130
-    end
+    end;
+    Option.iter
+      (fun file ->
+        let pairs_obj field_name pairs =
+          Printf.sprintf "\"%s\": [%s]" field_name
+            (String.concat ", "
+               (List.map
+                  (fun (seed, text) -> Printf.sprintf "{\"seed\":%d,\"detail\":%S}" seed text)
+                  pairs))
+        in
+        let works field_name samples =
+          if samples = [] then Printf.sprintf "\"%s\": null" field_name
+          else
+            let s = Stats.of_ints samples in
+            Printf.sprintf
+              "\"%s\": {\"mean\":%.3f,\"stddev\":%.3f,\"median\":%.3f,\
+               \"p95\":%.3f,\"max\":%.3f}"
+              field_name s.mean s.stddev s.median s.p95 s.maximum
+        in
+        (* Fold the fault totals into a counter registry under the same
+           names check --json uses ([recovers],
+           [plan_overrides_ignored]), so degraded plan overrides surface
+           in the shared telemetry vocabulary, not only as sweep-local
+           fields. *)
+        let telem = Telemetry.create ~domains:1 () in
+        let tp = Telemetry.probe telem ~domain:0 in
+        Telemetry.add tp Telemetry.recovers agg.recover_total;
+        Telemetry.add tp Telemetry.plan_overrides_ignored agg.plan_ignored_total;
+        Telemetry.finalize telem;
+        let doc =
+          Printf.sprintf
+            "{\n  \"schema_version\": 1,\n  \"kind\": \"sweep\",\n  \
+             \"protocol\": %S,\n  \"adversary\": %S,\n  \"workload\": %S,\n  \
+             \"n\": %d,\n  \"m\": %d,\n  \"seed\": %d,\n  \
+             \"faults\": %S,\n  \"trials_requested\": %d,\n  \
+             \"trials_completed\": %d,\n  \"agreements\": %d,\n  \
+             \"registers\": %d,\n  \"crash_total\": %d,\n  \
+             \"recover_total\": %d,\n  \"plan_overrides_ignored\": %d,\n  \
+             \"interrupted\": %b,\n  %s,\n  %s,\n  %s,\n  %s,\n  \
+             \"telemetry\": %s\n}\n"
+            protocol adversary.Adversary.name workload.Workload.wname n m seed
+            (Fault.to_string (Option.value faults ~default:Fault.none))
+            trials agg.trials agg.agreements agg.space agg.crash_total
+            agg.recover_total agg.plan_ignored_total (Atomic.get interrupted)
+            (pairs_obj "violations" agg.failures)
+            (pairs_obj "quarantined" agg.quarantined)
+            (works "total_work" (Engine.total_works agg))
+            (works "individual_work" (Engine.individual_works agg))
+            (Telemetry.to_json telem)
+        in
+        write_doc ~wrote:"sweep" file (fun oc -> output_string oc doc))
+      json;
+    Report.info "[sweep] %d/%d trials in %.2fs (jobs=%d)" agg.trials trials elapsed jobs;
+    exit_if_interrupted "sweep" interrupted
   in
   let stages_arg =
     Arg.(value & flag
@@ -316,32 +364,27 @@ let sweep_cmd =
                    (where in the composed protocol the operations happen).")
   in
   let faults_arg =
-    Arg.(value & opt (some string) None
-         & info [ "faults" ] ~docv:"SPEC"
-             ~doc:"Inject faults into every trial: 'crash:f=K' (up to K \
-                   random crash-stops), 'weak' (stale reads on weakened \
-                   registers), 'recover[:r=R]' (restart up to R crashed \
-                   processes with volatile registers wiped; needs a crash \
-                   budget), combinations like 'crash:f=1,recover,weak', or \
-                   'none'.  Safety is still checked on the survivors; crashed \
-                   processes are excused.")
+    faults_arg
+      ~doc:"Inject faults into every trial: 'crash:f=K' (up to K \
+            random crash-stops), 'weak' (stale reads on weakened \
+            registers), 'recover[:r=R]' (restart up to R crashed \
+            processes with volatile registers wiped; needs a crash \
+            budget), combinations like 'crash:f=1,recover,weak', or \
+            'none'.  Safety is still checked on the survivors; crashed \
+            processes are excused."
   in
   let json_arg =
-    Arg.(value & opt (some string) None
-         & info [ "json" ] ~docv:"FILE"
-             ~doc:"Write the sweep's aggregate as a JSON document (schema v1, \
-                   kind \"sweep\"); '-' writes it to stdout and moves the \
-                   human-facing tables to stderr.  On SIGINT the document \
-                   still lands, well-formed, with \"interrupted\": true.")
+    output_opt [ "json" ]
+      ~doc:"Write the sweep's aggregate as a JSON document (schema v1, \
+            kind \"sweep\"); '-' writes it to stdout and moves the \
+            human-facing tables to stderr.  On SIGINT the document \
+            still lands, well-formed, with \"interrupted\": true."
   in
-  let progress_arg =
-    Arg.(value & flag
-         & info [ "progress" ] ~doc:"Show a progress line on stderr while sweeping.")
-  in
+  let progress_arg = progress_arg ~doc:"Show a progress line on stderr while sweeping." in
   Cmd.v (Cmd.info "sweep" ~doc:"Monte-Carlo sweep at one configuration")
-    Term.(const action $ n_arg $ m_arg $ seed_arg $ protocol_arg $ adversary_arg
-          $ workload_arg $ trials_arg $ jobs_arg $ stages_arg $ faults_arg
-          $ json_arg $ progress_arg)
+    Term.(const action $ n_arg $ m_arg $ seed_arg $ protocol_arg
+          $ adversary_arg "overwrite_attacker" $ workload_arg $ trials_arg $ jobs_arg
+          $ stages_arg $ faults_arg $ json_arg $ progress_arg)
 
 (* experiment *)
 
@@ -351,9 +394,8 @@ let experiment_cmd =
     let names = if names = [] || names = [ "all" ] then Experiments.all_names else names in
     (match List.find_opt (fun n -> not (List.mem n Experiments.all_names)) names with
      | Some bad ->
-       Printf.eprintf "conrat: unknown experiment %s (expected %s or 'all')\n"
-         bad (String.concat ", " Experiments.all_names);
-       exit 2
+       die "unknown experiment %s (expected %s or 'all')" bad
+         (String.concat ", " Experiments.all_names)
      | None -> ());
     List.iter (Experiments.run ~mode ~jobs ~json ~progress) names
   in
@@ -361,9 +403,7 @@ let experiment_cmd =
     Arg.(value & flag & info [ "quick" ] ~doc:"Small sweeps (seconds instead of minutes).")
   in
   let progress_arg =
-    Arg.(value & flag
-         & info [ "progress" ]
-             ~doc:"Show a per-trial progress line on stderr while an experiment runs.")
+    progress_arg ~doc:"Show a per-trial progress line on stderr while an experiment runs."
   in
   let json_arg =
     Arg.(value & flag
@@ -377,848 +417,582 @@ let experiment_cmd =
   Cmd.v (Cmd.info "experiment" ~doc:"Run the paper-claim reproductions (E1..E10)")
     Term.(const action $ quick_arg $ jobs_arg $ json_arg $ progress_arg $ names_arg)
 
-(* check *)
+(* Exploration: the run options check and telemetry share, and the one
+   dispatch over the four exploration algorithms. *)
 
-let check_cmd =
-  let open Conrat_verify in
-  let action naive cross dpor engine_s budget timeout max_runs artifact_dir
-      replay json faults checkpoint resume jobs dedup no_telemetry progress
-      progress_interval quiet names =
-    let jobs = if jobs = 0 then Domain.recommended_domain_count () else max 1 jobs in
-    (* The program engine (VM vs tree interpreter) is orthogonal to the
-       exploration algorithm (--naive / --cross): every algorithm runs
-       on either engine with bit-identical results. *)
-    let exec_engine : Machine.engine =
-      match engine_s with
+type run_opts = {
+  engine : Machine.engine;  (* program engine: VM or tree interpreter *)
+  jobs : int;
+  dedup : bool;
+  max_runs : int option;    (* overrides each config's budget *)
+}
+
+let engine_name = function `Vm -> "vm" | `Tree -> "tree"
+
+let run_opts_arg ~dedup_doc =
+  let make engine jobs dedup max_runs =
+    if dedup && engine = `Tree then
+      die "--dedup needs the VM engine's state hash (drop --engine tree)";
+    { engine; jobs; dedup; max_runs }
+  in
+  let engine_arg =
+    let parse = function
       | "vm" -> `Vm
       | "tree" -> `Tree
-      | other ->
-        Printf.eprintf "conrat: bad --engine %S (expected 'vm' or 'tree')\n"
-          other;
-        exit 2
+      | other -> die "bad --engine %S (expected 'vm' or 'tree')" other
     in
+    Term.(const parse
+          $ Arg.(value & opt string "vm"
+                 & info [ "engine" ] ~docv:"ENGINE"
+                     ~doc:"Program engine: 'vm' (compiled flat-instruction VM, the \
+                           default) or 'tree' (the direct Program.t interpreter, kept \
+                           as the differential oracle).  Results are bit-identical \
+                           under either."))
+  in
+  let max_runs_arg =
+    Arg.(value & opt (some int) None
+         & info [ "max-runs" ] ~docv:"RUNS" ~doc:"Override each config's execution budget.")
+  in
+  Term.(const make $ engine_arg $ jobs_arg
+        $ Arg.(value & flag & info [ "dedup" ] ~doc:dedup_doc)
+        $ max_runs_arg)
+
+type algo = [ `Por | `Naive | `Dpor | `Cross ]
+
+let algo_name = function
+  | `Por -> "por" | `Naive -> "naive" | `Dpor -> "dpor" | `Cross -> "cross"
+
+(* One algorithm's statistics in the shape every renderer consumes:
+   check's report line and JSON row, telemetry's summary. *)
+type row = {
+  algo : string;         (* the JSON "engine" key: por | naive | dpor *)
+  complete : int;
+  truncated : int;
+  pruned : int option;   (* None for the unreduced naive enumerator *)
+  dedup_hits : int;
+  steps : int;
+  exhausted : bool;
+}
+
+let por_row algo (s : Por.stats) =
+  { algo; complete = s.complete; truncated = s.truncated; pruned = Some s.pruned;
+    dedup_hits = s.dedup_hits; steps = s.steps; exhausted = s.exhausted }
+
+let naive_row (s : Naive.stats) =
+  { algo = "naive"; complete = s.complete; truncated = s.truncated; pruned = None;
+    dedup_hits = 0; steps = s.steps; exhausted = s.exhausted }
+
+type verdict =
+  | Pass
+  | Violation of string           (* naive/dpor, or either side of --cross *)
+  | Shrunk of Checks.failure      (* POR: a shrunk, replayable counterexample *)
+  | Compared of Checks.cross      (* --cross ran both algorithms to the end *)
+
+let verdict_ok = function
+  | Pass -> true
+  | Compared x -> x.Checks.outcomes_agree && x.Checks.engines_agree
+  | Violation _ | Shrunk _ -> false
+
+(* Explore [config] under [algo]; [reporter label] is the progress
+   heartbeat for the algorithm named [label], if any.  [resume] and
+   [on_checkpoint] reach the sequential naive and POR searches, [sink]
+   the POR search. *)
+let explore opts ~(algo : algo) ?stop ?(reporter = fun _ -> None) ?telemetry ?sink
+    ?resume ?on_checkpoint (config : Checks.t) =
+  let { engine; jobs; dedup; _ } = opts in
+  let n = config.n and max_depth = config.max_depth in
+  let cheap_collect = config.cheap_collect and faults = config.faults in
+  let max_runs = Option.value opts.max_runs ~default:config.max_runs in
+  let setup = Checks.setup_of config ~n and check = Checks.check_of config ~n in
+  let probe = Option.map (fun t -> Telemetry.probe t ~domain:0) telemetry in
+  (* Heartbeat details: the base counts always; when a telemetry
+     registry is live, the fleet extras — steal count and shards still
+     in flight under --jobs, dedup hit-rate under --dedup — read racily
+     off the registry ([Telemetry.live]). *)
+  let fleet_detail () =
+    match telemetry with
+    | None -> ""
+    | Some t ->
+      let live = Telemetry.live t in
+      let steals = live Telemetry.steals in
+      let hits = live Telemetry.dedup_hits and misses = live Telemetry.dedup_misses in
+      (if jobs > 1 then
+         Printf.sprintf ", steals %d (%d live)" steals (steals - live Telemetry.shards_done)
+       else "")
+      ^ (if dedup && hits + misses > 0 then
+           Printf.sprintf ", dedup %.0f%%"
+             (100. *. float_of_int hits /. float_of_int (hits + misses))
+         else "")
+  in
+  let started = ref [] in
+  let rep label =
+    let r = reporter label in
+    Option.iter (fun r -> started := r :: !started) r;
+    r
+  in
+  let por_heartbeat label =
+    Option.map
+      (fun r ~runs ~pruned ~steps ~depth:_ ->
+        Progress.tick r ~done_:runs ~detail:(fun () ->
+            Printf.sprintf "pruned %d, %d steps%s" pruned steps (fleet_detail ())))
+      (rep label)
+  in
+  let naive_heartbeat label =
+    Option.map
+      (fun r ~runs ~steps ~depth:_ ->
+        Progress.tick r ~done_:runs ~detail:(fun () ->
+            Printf.sprintf "%d steps%s" steps (fleet_detail ())))
+      (rep label)
+  in
+  let naive_result = function
+    | Ok s -> ([ naive_row s ], Pass)
+    | Error (reason, s) -> ([ naive_row s ], Violation reason)
+  in
+  let result =
+    match algo with
+    | `Cross ->
+      (match
+         Checks.cross_check ~engine ?stop ~max_runs ~jobs
+           ?naive_heartbeat:(naive_heartbeat "naive")
+           ?por_heartbeat:(por_heartbeat "por") config
+       with
+       | Ok x -> ([ naive_row x.naive; por_row "por" x.por ], Compared x)
+       | Error reason -> ([], Violation reason))
+    | `Naive when jobs > 1 ->
+      naive_result
+        (Parallel.explore_naive ~jobs ~engine ~max_depth ~max_runs ~cheap_collect
+           ~faults ?stop ?heartbeat:(naive_heartbeat "naive") ?telemetry ~n ~setup
+           ~check ())
+    | `Naive ->
+      naive_result
+        (Naive.explore ~engine ~max_depth ~max_runs ~cheap_collect ~faults ?stop
+           ?heartbeat:(naive_heartbeat "naive") ?probe ?resume ?on_checkpoint ~n
+           ~setup ~check ())
+    | `Dpor ->
+      (match
+         Por.explore_source ~engine ~max_depth ~max_runs ~cheap_collect ~faults ?stop
+           ?heartbeat:(por_heartbeat "dpor") ?probe ~n ~setup ~check ()
+       with
+       | Ok s -> ([ por_row "dpor" s ], Pass)
+       | Error (reason, _path, s) -> ([ por_row "dpor" s ], Violation reason))
+    | `Por ->
+      (match
+         Checks.run ~engine ?stop ~max_runs ?sink ?heartbeat:(por_heartbeat "por")
+           ?resume ?on_checkpoint ~jobs ~dedup ?telemetry config
+       with
+       | Ok s -> ([ por_row "por" s ], Pass)
+       | Error f -> ([ por_row "por" f.stats ], Shrunk f))
+  in
+  List.iter Progress.finish (List.rev !started);
+  result
+
+(* check *)
+
+let replay_artifact engine file =
+  (* A replay must never die with a backtrace on operator input: any
+     escape from artifact parsing or re-execution (torn file, stale
+     register indices, n larger than the config's inputs, …) is a
+     diagnosable bad-artifact condition, exit 2. *)
+  try
+    match Artifact.load file with
+    | Error msg -> die "cannot load artifact %s: %s" file msg
+    | Ok artifact ->
+      (match Checks.find artifact.checker with
+       | None -> die "artifact names unknown checker %s" artifact.checker
+       | Some config ->
+         (match Checks.replay ~engine config artifact with
+          | Error reason -> Printf.printf "%s: reproduced: %s\n" artifact.checker reason
+          | Ok () ->
+            Printf.printf "%s: did NOT reproduce (checker passed)\n" artifact.checker;
+            exit 1))
+  with e -> die "artifact %s is not replayable: %s" file (Printexc.to_string e)
+
+let check_cmd =
+  let action algo opts faults budget timeout artifact_dir replay json checkpoint
+      resume no_telemetry progress progress_interval quiet names =
+    let { engine; jobs; dedup; _ } = opts in
     match replay with
-    | Some file ->
-      (* A replay must never die with a backtrace on operator input: any
-         escape from artifact parsing or re-execution (torn file, stale
-         register indices, n larger than the config's inputs, …) is a
-         diagnosable bad-artifact condition, exit 2. *)
-      (try
-         match Artifact.load file with
-         | Error msg ->
-           Printf.eprintf "conrat: cannot load artifact %s: %s\n" file msg;
-           exit 2
-         | Ok artifact ->
-           (match Checks.find artifact.Artifact.checker with
-            | None ->
-              Printf.eprintf "conrat: artifact names unknown checker %s\n"
-                artifact.Artifact.checker;
-              exit 2
-            | Some config ->
-              (match Checks.replay ~engine:exec_engine config artifact with
-               | Error reason ->
-                 Printf.printf "%s: reproduced: %s\n" artifact.Artifact.checker
-                   reason
-               | Ok () ->
-                 Printf.printf "%s: did NOT reproduce (checker passed)\n"
-                   artifact.Artifact.checker;
-                 exit 1))
-       with e ->
-         Printf.eprintf "conrat: artifact %s is not replayable: %s\n" file
-           (Printexc.to_string e);
-         exit 2)
+    | Some file -> replay_artifact engine file
     | None ->
-      let names = if names = [] || names = [ "all" ] then Checks.names else names in
-      (match List.find_opt (fun n -> Checks.find n = None) names with
-       | Some bad ->
-         Printf.eprintf "conrat: unknown checker %s (expected %s or 'all')\n" bad
-           (String.concat ", "
-              (Checks.names @ Checks.demo_names @ Checks.extended_names));
-         exit 2
-       | None -> ());
-      let fault_override =
-        match faults with
-        | None -> None
-        | Some s ->
-          (match Fault.of_string s with
-           | Ok m -> Some m
-           | Error msg ->
-             Printf.eprintf "conrat: bad --faults %S: %s\n" s msg;
-             exit 2)
+      let configs =
+        List.map (checker ~all:true)
+          (if names = [] || names = [ "all" ] then Checks.names else names)
       in
-      let engine_name =
-        if cross then "cross"
-        else if naive then "naive"
-        else if dpor then "dpor"
-        else "por"
-      in
-      if dpor && (naive || cross) then begin
-        Printf.eprintf "conrat: --dpor excludes --naive/--cross\n";
-        exit 2
-      end;
-      if dpor && (jobs > 1 || dedup || checkpoint <> None || resume <> None)
-      then begin
-        Printf.eprintf
-          "conrat: --dpor is the sequential reduction oracle; it supports \
-           neither --jobs, --dedup nor checkpointing\n";
-        exit 2
-      end;
-      if dedup && (naive || cross) then begin
-        Printf.eprintf "conrat: --dedup applies to the POR engine only\n";
-        exit 2
-      end;
-      if dedup && engine_s = "tree" then begin
-        Printf.eprintf
-          "conrat: --dedup needs the VM engine's state hash (drop \
-           --engine tree)\n";
-        exit 2
-      end;
-      if dedup && (checkpoint <> None || resume <> None) then begin
-        Printf.eprintf
-          "conrat: --dedup does not combine with --checkpoint/--resume (the \
-           visited-state table is not serialized)\n";
-        exit 2
-      end;
-      if jobs > 1 && (checkpoint <> None || resume <> None) then begin
-        Printf.eprintf
-          "conrat: --checkpoint/--resume apply to sequential runs only (drop \
-           --jobs)\n";
-        exit 2
-      end;
-      if (checkpoint <> None || resume <> None) && cross then begin
-        Printf.eprintf "conrat: --checkpoint/--resume do not apply to --cross\n";
-        exit 2
-      end;
-      if (checkpoint <> None || resume <> None) && List.length names <> 1 then begin
-        Printf.eprintf
-          "conrat: --checkpoint/--resume need exactly one checker name\n";
-        exit 2
-      end;
-      let resume_counts =
-        match resume with
-        | None -> None
-        | Some file ->
-          (match Checkpoint.load file with
-           | Error msg ->
-             Printf.eprintf "conrat: cannot load checkpoint %s: %s\n" file msg;
-             exit 2
-           | Ok ck ->
-             if ck.Checkpoint.engine <> engine_name then begin
-               Printf.eprintf
-                 "conrat: checkpoint %s was written by the %s engine (this run \
-                  uses %s)\n"
-                 file ck.Checkpoint.engine engine_name;
-               exit 2
-             end;
-             if not (List.mem ck.Checkpoint.checker names) then begin
-               Printf.eprintf "conrat: checkpoint %s is for checker %s\n" file
-                 ck.Checkpoint.checker;
-               exit 2
-             end;
-             Some ck.Checkpoint.counts)
+      let checkpointing = checkpoint <> None || resume <> None in
+      if algo = `Dpor && (jobs > 1 || dedup || checkpointing) then
+        die "--dpor is the sequential reduction oracle; it supports neither \
+             --jobs, --dedup nor checkpointing";
+      if dedup && (algo = `Naive || algo = `Cross) then
+        die "--dedup applies to the POR engine only";
+      if dedup && checkpointing then
+        die "--dedup does not combine with --checkpoint/--resume (the \
+             visited-state table is not serialized)";
+      if jobs > 1 && checkpointing then
+        die "--checkpoint/--resume apply to sequential runs only (drop --jobs)";
+      if checkpointing && algo = `Cross then
+        die "--checkpoint/--resume do not apply to --cross";
+      if checkpointing && List.length configs <> 1 then
+        die "--checkpoint/--resume need exactly one checker name";
+      let resume =
+        Option.map
+          (fun file ->
+            match Checkpoint.load file with
+            | Error msg -> die "cannot load checkpoint %s: %s" file msg
+            | Ok ck ->
+              if ck.Checkpoint.engine <> algo_name algo then
+                die "checkpoint %s was written by the %s engine (this run uses %s)"
+                  file ck.Checkpoint.engine (algo_name algo);
+              if not (List.exists (fun c -> c.Checks.name = ck.checker) configs) then
+                die "checkpoint %s is for checker %s" file ck.checker;
+              ck.counts)
+          resume
       in
       let on_checkpoint ~name =
         Option.map
           (fun file counts ->
-            Checkpoint.save file
-              { Checkpoint.engine = engine_name; checker = name; counts })
+            Checkpoint.save file { Checkpoint.engine = algo_name algo; checker = name; counts })
           checkpoint
       in
       (* SIGINT flips a flag the exploration polls; the explorer saves a
          final checkpoint (when asked), the partial JSON document is
-         still written, and the process exits 130 like an interrupted
-         shell command. *)
-      let interrupted = Atomic.make false in
-      ignore
-        (Sys.signal Sys.sigint
-           (Sys.Signal_handle (fun _ -> Atomic.set interrupted true)));
+         still written, and the process exits 130. *)
+      let interrupted = on_sigint () in
       (* With `--json -` the JSON document owns stdout, so every human
          line is rerouted to stderr via Report.info. *)
       let json_stdout = json = Some "-" in
       let say fmt =
         Printf.ksprintf
-          (fun s ->
-            if json_stdout then Report.info "%s" s
-            else begin
-              print_string s;
-              print_newline ();
-              flush stdout
-            end)
+          (fun s -> if json_stdout then Report.info "%s" s else print_endline s)
           fmt
       in
       (* Progress heartbeats: on by default only on an interactive
          non-CI stderr; --progress forces them on, --quiet off. *)
-      let progress_on =
-        (progress || Conrat_obs.Progress.default_enabled ()) && not quiet
-      in
+      let progress_on = (progress || Progress.default_enabled ()) && not quiet in
       let baselines =
         if progress_on then Conrat_obs.Baseline.load Conrat_obs.Baseline.default_path
         else []
       in
-      let reporter ~engine name =
+      let reporter name engine =
         if not progress_on then None
         else begin
           let b = Conrat_obs.Baseline.find baselines ~name ~engine in
-          let expected =
-            Option.map (fun e -> e.Conrat_obs.Baseline.executions) b
-          in
-          let baseline_seconds =
-            Option.map (fun e -> e.Conrat_obs.Baseline.wall_clock_seconds) b
-          in
           (* A fleet's heartbeat arrives pre-batched (one call per
              worker flush, not one per leaf), so the tick countdown
-             that amortises clock reads on the sequential per-leaf
-             path would starve emission — check the clock every
-             call instead. *)
-          let check_every = if jobs > 1 then Some 1 else None in
+             that amortises clock reads on the sequential per-leaf path
+             would starve emission — check the clock every call. *)
           Some
-            (Conrat_obs.Progress.create ?interval:progress_interval ?expected
-               ?baseline_seconds ?check_every
+            (Progress.create ?interval:progress_interval
+               ?expected:(Option.map (fun e -> e.Conrat_obs.Baseline.executions) b)
+               ?baseline_seconds:
+                 (Option.map (fun e -> e.Conrat_obs.Baseline.wall_clock_seconds) b)
+               ?check_every:(if jobs > 1 then Some 1 else None)
                ~label:
-                 (if jobs > 1 then
-                    Printf.sprintf "%s/%s (j%d)" name engine jobs
+                 (if jobs > 1 then Printf.sprintf "%s/%s (j%d)" name engine jobs
                   else Printf.sprintf "%s/%s" name engine)
                ())
         end
       in
-      (* Heartbeat details: the base counts always; when a telemetry
-         registry is live, the fleet extras — steal count and shards
-         still in flight under --jobs, dedup hit-rate under --dedup —
-         read racily off the registry ([Telemetry.live]). *)
-      let fleet_detail telemetry =
-        match telemetry with
-        | None -> ""
-        | Some t ->
-          let module T = Conrat_obs.Telemetry in
-          let parts = ref [] in
-          if dedup then begin
-            let h = T.live t T.dedup_hits and m = T.live t T.dedup_misses in
-            if h + m > 0 then
-              parts :=
-                Printf.sprintf "dedup %.0f%%"
-                  (100. *. float_of_int h /. float_of_int (h + m))
-                :: !parts
-          end;
-          if jobs > 1 then begin
-            let steals = T.live t T.steals in
-            parts :=
-              Printf.sprintf "steals %d (%d live)" steals
-                (steals - T.live t T.shards_done)
-              :: !parts
-          end;
-          String.concat "" (List.map (fun s -> ", " ^ s) !parts)
-      in
-      let por_heartbeat ?telemetry rep =
-        Option.map
-          (fun r ~runs ~pruned ~steps ~depth:_ ->
-            Conrat_obs.Progress.tick r ~done_:runs
-              ~detail:(fun () ->
-                Printf.sprintf "pruned %d, %d steps%s" pruned steps
-                  (fleet_detail telemetry)))
-          rep
-      in
-      let naive_heartbeat ?telemetry rep =
-        Option.map
-          (fun r ~runs ~steps ~depth:_ ->
-            Conrat_obs.Progress.tick r ~done_:runs
-              ~detail:(fun () ->
-                Printf.sprintf "%d steps%s" steps (fleet_detail telemetry)))
-          rep
-      in
-      let finish rep = Option.iter Conrat_obs.Progress.finish rep in
       let t0 = Unix.gettimeofday () in
-      let stop_global () =
-        Atomic.get interrupted
-        || (match budget with
-            | None -> false
-            | Some s -> Unix.gettimeofday () -. t0 > s)
-      in
-      let max_runs_of config =
-        match max_runs with Some r -> r | None -> config.Checks.max_runs
+      let past limit since =
+        match limit with None -> false | Some s -> Unix.gettimeofday () -. since > s
       in
       let failed = ref false in
-      (* BENCH_VERIFY records: one JSON object per (config, engine) run
-         — executions explored, machine steps executed, wall clock, and
-         (unless --no-telemetry) the schema-v3 telemetry block as the
+      (* BENCH_VERIFY records: one JSON object per (config, algorithm)
+         run — executions explored, machine steps executed, wall clock,
+         and (unless --no-telemetry) the schema-v3 telemetry block as the
          row's LAST field: [Baseline.raw_field] takes the first
          occurrence of a key in a row, so the nested block's own
-         "steps"/"executions" keys must come after the row's.  Written
-         at the end when --json is given. *)
+         "steps"/"executions" keys must come after the row's.  "engine"
+         stays the exploration algorithm, the key the baseline reader
+         has always parsed; "exec_engine" is the program engine. *)
       let telemetry_json_on = json <> None && not no_telemetry in
       let any_telemetry = ref false in
-      let json_results = ref [] in
-      let note ~name ~engine ~complete ~truncated ?pruned ~steps ~exhausted ~ok
-          ?telemetry elapsed =
-        let pruned_field =
-          match pruned with
-          | Some p -> Printf.sprintf ",\"pruned\":%d" p
-          | None -> ""
-        in
-        let telemetry_field =
-          match telemetry with
-          | Some doc ->
-            any_telemetry := true;
-            Printf.sprintf ",\"telemetry\":%s" doc
-          | None -> ""
-        in
-        (* "engine" stays the exploration algorithm (por/naive), the key
-           the BENCH_VERIFY baseline reader has always parsed;
-           "exec_engine" is the program engine (vm/tree). *)
-        json_results :=
-          Printf.sprintf
-            "{\"name\":%S,\"engine\":%S,\"exec_engine\":%S,\"jobs\":%d,\
-             \"executions\":%d,\"complete\":%d,\
-             \"truncated\":%d%s,\"steps\":%d,\"wall_clock_seconds\":%.3f,\
-             \"exhausted\":%b,\"ok\":%b%s}"
-            name engine engine_s jobs (complete + truncated) complete truncated
-            pruned_field steps elapsed exhausted ok telemetry_field
-          :: !json_results
-      in
-      let note_por ~name ~ok ?telemetry (s : Por.stats) elapsed =
-        note ~name ~engine:"por" ~complete:s.Por.complete ~truncated:s.Por.truncated
-          ~pruned:s.Por.pruned ~steps:s.Por.steps ~exhausted:s.Por.exhausted ~ok
-          ?telemetry elapsed
-      in
-      let note_naive ~name ~ok ?telemetry (s : Naive.stats) elapsed =
-        note ~name ~engine:"naive" ~complete:s.Naive.complete
-          ~truncated:s.Naive.truncated ~steps:s.Naive.steps
-          ~exhausted:s.Naive.exhausted ~ok ?telemetry elapsed
-      in
-      let report_por ~stop name (s : Por.stats) elapsed =
-        if not quiet then
-          say
-            "%-26s explored=%d (complete=%d truncated=%d) pruned=%d%s steps=%d %s (%.1fs)"
-            name (Por.explored s) s.complete s.truncated s.pruned
-            (if s.dedup_hits > 0 then
-               Printf.sprintf " (dedup_hits=%d)" s.dedup_hits
-             else "")
-            s.steps
-            (if s.exhausted then "exhausted"
-             else if stop () then "BUDGET EXCEEDED"
-             else "run budget exceeded")
-            elapsed
-      in
+      let json_rows = ref [] in
       List.iter
-        (fun name ->
-          let config = Option.get (Checks.find name) in
-          let config =
-            match fault_override with
-            | None -> config
-            | Some m -> { config with Checks.faults = m }
-          in
+        (fun (config : Checks.t) ->
+          let name = config.name in
+          let config = match faults with None -> config | Some m -> { config with faults = m } in
           let t1 = Unix.gettimeofday () in
-          let elapsed () = Unix.gettimeofday () -. t1 in
+          (* [--timeout] bounds each config separately, on top of the
+             global [--budget]; either way the explorer stops cleanly
+             and its partial statistics are still reported. *)
+          let stop () = Atomic.get interrupted || past budget t0 || past timeout t1 in
           (* One registry per config run: coverage (the per-leaf work)
              only when the block lands in --json; counters alone when a
              progress heartbeat wants the fleet extras.  --cross runs
              two engines over the same config and gets none. *)
-          let telem =
-            if cross then None
+          let telemetry =
+            if algo = `Cross then None
             else if telemetry_json_on then
-              Some (Conrat_obs.Telemetry.create ~coverage:true ~domains:jobs ())
+              Some (Telemetry.create ~coverage:true ~domains:jobs ())
             else if progress_on && (jobs > 1 || dedup) then
-              Some (Conrat_obs.Telemetry.create ~domains:jobs ())
+              Some (Telemetry.create ~domains:jobs ())
             else None
           in
-          let probe0 =
-            Option.map (fun t -> Conrat_obs.Telemetry.probe t ~domain:0) telem
+          let rows, verdict =
+            explore opts ~algo ~stop ~reporter:(reporter name) ?telemetry ?resume
+              ?on_checkpoint:(on_checkpoint ~name) config
           in
-          let telem_json () =
-            if not telemetry_json_on then None
-            else
-              Option.map
-                (fun t ->
-                  Conrat_obs.Telemetry.finalize t;
-                  Conrat_obs.Telemetry.to_json t)
-                telem
+          let elapsed = Unix.gettimeofday () -. t1 in
+          (match verdict with
+           | Pass ->
+             let line r =
+               say "%-26s explored=%d (complete=%d truncated=%d)%s steps=%d %s (%.1fs)"
+                 name (r.complete + r.truncated) r.complete r.truncated
+                 (match r.pruned with
+                  | None -> ""
+                  | Some p when r.dedup_hits > 0 ->
+                    Printf.sprintf " pruned=%d (dedup_hits=%d)" p r.dedup_hits
+                  | Some p -> Printf.sprintf " pruned=%d" p)
+                 r.steps
+                 (if r.exhausted then "exhausted"
+                  else if r.pruned = None then "budget exceeded"
+                  else if stop () then "BUDGET EXCEEDED"
+                  else "run budget exceeded")
+                 elapsed
+             in
+             if not quiet then List.iter line rows
+           | Compared x ->
+             (* AGREE requires both differentials: naive vs POR outcome
+                sets, and the POR search repeated under the other
+                program engine (vm vs tree). *)
+             if not quiet then
+               say
+                 "%-26s naive=%d/%d por=%d/%d pruned=%d outcomes=%d engines=%s %s \
+                  (%.1fs)"
+                 name x.naive.complete x.naive.truncated x.por.complete
+                 x.por.truncated x.por.pruned x.outcome_count
+                 (if x.engines_agree then "ok" else "MISMATCH")
+                 (if verdict_ok verdict then "AGREE" else "MISMATCH")
+                 elapsed
+           | Shrunk f ->
+             let file = Filename.concat artifact_dir (name ^ ".counterexample.sexp") in
+             Artifact.save file f.artifact;
+             say "%-26s VIOLATION: %s" name f.reason;
+             say "  after %d executions; shrunk to n=%d, %d choices (%d shrink replays)"
+               (Por.explored f.stats) f.artifact.n (List.length f.artifact.path)
+               f.shrink_replays;
+             say "  counterexample written to %s" file
+           | Violation reason -> say "%-26s VIOLATION: %s" name reason);
+          let ok = verdict_ok verdict in
+          if not ok then failed := true;
+          let telemetry_field =
+            match telemetry with
+            | Some t when telemetry_json_on ->
+              any_telemetry := true;
+              Telemetry.finalize t;
+              ",\"telemetry\":" ^ Telemetry.to_json t
+            | _ -> ""
           in
-          (* [--timeout] bounds each config separately, on top of the
-             global [--budget]; either way the explorer stops cleanly
-             and its partial statistics are still reported/noted. *)
-          let stop () =
-            stop_global ()
-            || (match timeout with
-                | None -> false
-                | Some s -> Unix.gettimeofday () -. t1 > s)
-          in
-          if cross then begin
-            let naive_rep = reporter ~engine:"naive" name in
-            let por_rep = reporter ~engine:"por" name in
-            let result =
-              Checks.cross_check ~engine:exec_engine ~stop
-                ~max_runs:(max_runs_of config) ~jobs
-                ?naive_heartbeat:(naive_heartbeat naive_rep)
-                ?por_heartbeat:(por_heartbeat por_rep) config
-            in
-            finish naive_rep;
-            finish por_rep;
-            match result with
-            | Ok x ->
-              (* AGREE requires both differentials: naive vs POR outcome
-                 sets, and the POR search repeated under the other
-                 program engine (vm vs tree). *)
-              let ok = x.Checks.outcomes_agree && x.Checks.engines_agree in
-              if not quiet then
-                say
-                  "%-26s naive=%d/%d por=%d/%d pruned=%d outcomes=%d \
-                   engines=%s %s (%.1fs)"
-                  name x.Checks.naive.Naive.complete x.naive.truncated
-                  x.por.Por.complete x.por.truncated x.por.pruned x.outcome_count
-                  (if x.engines_agree then "ok" else "MISMATCH")
-                  (if ok then "AGREE" else "MISMATCH")
-                  (elapsed ());
-              note_naive ~name ~ok x.Checks.naive (elapsed ());
-              note_por ~name ~ok x.Checks.por (elapsed ());
-              if not ok then failed := true
-            | Error reason ->
-              say "%-26s VIOLATION: %s" name reason;
-              failed := true
-          end
-          else if naive then begin
-            let rep = reporter ~engine:"naive" name in
-            let result =
-              if jobs > 1 then
-                Parallel.explore_naive ~jobs ~engine:exec_engine
-                  ~max_depth:config.Checks.max_depth
-                  ~max_runs:(max_runs_of config)
-                  ~cheap_collect:config.Checks.cheap_collect
-                  ~faults:config.Checks.faults ~stop
-                  ?heartbeat:(naive_heartbeat ?telemetry:telem rep)
-                  ?telemetry:telem
-                  ~n:config.Checks.n
-                  ~setup:(Checks.setup_of config ~n:config.Checks.n)
-                  ~check:(Checks.check_of config ~n:config.Checks.n)
-                  ()
-              else
-                Naive.explore ~engine:exec_engine ~max_depth:config.Checks.max_depth
-                  ~max_runs:(max_runs_of config)
-                  ~cheap_collect:config.Checks.cheap_collect
-                  ~faults:config.Checks.faults ~stop
-                  ?heartbeat:(naive_heartbeat rep)
-                  ?probe:probe0
-                  ?resume:resume_counts
-                  ?on_checkpoint:(on_checkpoint ~name)
-                  ~n:config.Checks.n
-                  ~setup:(Checks.setup_of config ~n:config.Checks.n)
-                  ~check:(Checks.check_of config ~n:config.Checks.n)
-                  ()
-            in
-            finish rep;
-            match result with
-            | Ok s ->
-              if not quiet then
-                say "%-26s explored=%d (complete=%d truncated=%d) steps=%d %s (%.1fs)"
-                  name (s.Naive.complete + s.truncated) s.complete s.truncated
-                  s.steps
-                  (if s.exhausted then "exhausted" else "budget exceeded")
-                  (elapsed ());
-              note_naive ~name ~ok:true ?telemetry:(telem_json ()) s (elapsed ())
-            | Error (reason, s) ->
-              (* The naive engine reports but cannot shrink (it does not
-                 return the failing path); re-run without --naive for an
-                 artifact. *)
-              say "%-26s VIOLATION: %s" name reason;
-              note_naive ~name ~ok:false ?telemetry:(telem_json ()) s (elapsed ());
-              failed := true
-          end
-          else if dpor then begin
-            (* The dynamic-DPOR oracle: sequential, no artifacts — a
-               violation here reports and fails; re-run with the default
-               engine for a shrunk counterexample. *)
-            let rep = reporter ~engine:"dpor" name in
-            let result =
-              Por.explore_source ~engine:exec_engine
-                ~max_depth:config.Checks.max_depth
-                ~max_runs:(max_runs_of config)
-                ~cheap_collect:config.Checks.cheap_collect
-                ~faults:config.Checks.faults ~stop
-                ?heartbeat:(por_heartbeat rep)
-                ?probe:probe0
-                ~n:config.Checks.n
-                ~setup:(Checks.setup_of config ~n:config.Checks.n)
-                ~check:(Checks.check_of config ~n:config.Checks.n)
-                ()
-            in
-            finish rep;
-            match result with
-            | Ok s ->
-              report_por ~stop name s (elapsed ());
-              note ~name ~engine:"dpor" ~complete:s.Por.complete
-                ~truncated:s.Por.truncated ~pruned:s.Por.pruned
-                ~steps:s.Por.steps ~exhausted:s.Por.exhausted ~ok:true
-                ?telemetry:(telem_json ()) (elapsed ())
-            | Error (reason, _path, s) ->
-              say "%-26s VIOLATION: %s" name reason;
-              note ~name ~engine:"dpor" ~complete:s.Por.complete
-                ~truncated:s.Por.truncated ~pruned:s.Por.pruned
-                ~steps:s.Por.steps ~exhausted:s.Por.exhausted ~ok:false
-                ?telemetry:(telem_json ()) (elapsed ());
-              failed := true
-          end
-          else begin
-            let rep = reporter ~engine:"por" name in
-            let result =
-              Checks.run ~engine:exec_engine ~stop ~max_runs:(max_runs_of config)
-                ?heartbeat:(por_heartbeat ?telemetry:telem rep)
-                ?resume:resume_counts
-                ?on_checkpoint:(on_checkpoint ~name) ~jobs ~dedup
-                ?telemetry:telem config
-            in
-            finish rep;
-            match result with
-            | Ok s ->
-              report_por ~stop name s (elapsed ());
-              note_por ~name ~ok:true ?telemetry:(telem_json ()) s (elapsed ())
-            | Error f ->
-              let file =
-                Filename.concat artifact_dir (name ^ ".counterexample.sexp")
-              in
-              Artifact.save file f.Checks.artifact;
-              say "%-26s VIOLATION: %s" name f.Checks.reason;
-              say
-                "  after %d executions; shrunk to n=%d, %d choices \
-                 (%d shrink replays)"
-                (Por.explored f.Checks.stats) f.Checks.artifact.Artifact.n
-                (List.length f.Checks.artifact.Artifact.path)
-                f.Checks.shrink_replays;
-              say "  counterexample written to %s" file;
-              note_por ~name ~ok:false ?telemetry:(telem_json ())
-                f.Checks.stats (elapsed ());
-              failed := true
-          end)
-        names;
-      (match json with
-       | None -> ()
-       | Some file ->
-         (* Rows without telemetry are the historical schema v1; the
-            nested per-row telemetry/coverage block is schema v3 (v2 was
-            the fault-plane artifact schema). *)
-         let doc =
-           Printf.sprintf
-             "{\n  \"schema_version\": %d,\n  \"kind\": \"verify-bench\",\n  \
-              \"results\": [\n    %s\n  ]\n}\n"
-             (if !any_telemetry then 3 else 1)
-             (String.concat ",\n    " (List.rev !json_results))
-         in
-         if json_stdout then (print_string doc; flush stdout)
-         else begin
-           let oc = open_out file in
-           output_string oc doc;
-           close_out oc;
-           Report.info "[check] wrote %s" file
-         end);
-      if Atomic.get interrupted then begin
-        Report.info "[check] interrupted (SIGINT); partial results flushed";
-        exit 130
-      end;
+          List.iter
+            (fun r ->
+              json_rows :=
+                Printf.sprintf
+                  "{\"name\":%S,\"engine\":%S,\"exec_engine\":%S,\"jobs\":%d,\
+                   \"executions\":%d,\"complete\":%d,\"truncated\":%d%s,\"steps\":%d,\
+                   \"wall_clock_seconds\":%.3f,\"exhausted\":%b,\"ok\":%b%s}"
+                  name r.algo (engine_name engine) jobs (r.complete + r.truncated)
+                  r.complete r.truncated
+                  (match r.pruned with
+                   | Some p -> Printf.sprintf ",\"pruned\":%d" p
+                   | None -> "")
+                  r.steps elapsed r.exhausted ok telemetry_field
+                :: !json_rows)
+            rows)
+        configs;
+      (* Rows without telemetry are the historical schema v1; the nested
+         per-row telemetry/coverage block is schema v3 (v2 was the
+         fault-plane artifact schema). *)
+      Option.iter
+        (fun file ->
+          write_doc ~wrote:"check" file (fun oc ->
+              Printf.fprintf oc
+                "{\n  \"schema_version\": %d,\n  \"kind\": \"verify-bench\",\n  \
+                 \"results\": [\n    %s\n  ]\n}\n"
+                (if !any_telemetry then 3 else 1)
+                (String.concat ",\n    " (List.rev !json_rows))))
+        json;
+      exit_if_interrupted "check" interrupted;
       if !failed then exit 1
   in
-  let naive_arg =
-    Arg.(value & flag
-         & info [ "naive" ]
-             ~doc:"Use the unreduced enumerator instead of the POR engine.")
+  let flag names doc = Arg.(value & flag & info names ~doc) in
+  let algo_arg =
+    let pick naive cross dpor : algo =
+      if dpor && (naive || cross) then die "--dpor excludes --naive/--cross";
+      if cross then `Cross else if naive then `Naive else if dpor then `Dpor else `Por
+    in
+    Term.(const pick
+          $ flag [ "naive" ] "Use the unreduced enumerator instead of the POR engine."
+          $ flag [ "cross" ]
+              "Run both exploration algorithms (naive and POR) and compare \
+               complete-execution outcome sets; also repeats the POR search \
+               under the other program engine (vm vs tree) and compares."
+          $ flag [ "dpor" ]
+              "Use the dynamic (source-set-style) partial-order-reduction \
+               engine: backtracking points are added only where executed \
+               transitions race, so it explores fewer executions than the \
+               sleep-set engine while preserving the complete-execution \
+               outcome set.  Sequential oracle only — excludes --jobs, \
+               --dedup, --naive, --cross and checkpointing.")
   in
-  let cross_arg =
-    Arg.(value & flag
-         & info [ "cross" ]
-             ~doc:"Run both exploration algorithms (naive and POR) and compare \
-                   complete-execution outcome sets; also repeats the POR search \
-                   under the other program engine (vm vs tree) and compares.")
+  let seconds names doc =
+    Arg.(value & opt (some float) None & info names ~docv:"SECONDS" ~doc)
   in
-  let dpor_arg =
-    Arg.(value & flag
-         & info [ "dpor" ]
-             ~doc:"Use the dynamic (source-set-style) partial-order-reduction \
-                   engine: backtracking points are added only where executed \
-                   transitions race, so it explores fewer executions than the \
-                   sleep-set engine while preserving the complete-execution \
-                   outcome set.  Sequential oracle only — excludes --jobs, \
-                   --dedup, --naive, --cross and checkpointing.")
-  in
-  let check_dedup_arg =
-    Arg.(value & flag
-         & info [ "dedup" ]
-             ~doc:"Prune scheduling states already visited at the same depth \
-                   and crash budget (hashed VM snapshots: program counters, \
-                   memory, fault bits).  Preserves the complete-execution \
-                   outcome set; execution counts shrink.  VM engine only; \
-                   excludes --naive/--cross/--dpor and checkpointing.")
-  in
-  let engine_arg =
-    Arg.(value & opt string "vm"
-         & info [ "engine" ] ~docv:"ENGINE"
-             ~doc:"Program engine: 'vm' (compiled flat-instruction VM, the \
-                   default) or 'tree' (the direct Program.t interpreter, kept \
-                   as the differential oracle).  Results are bit-identical \
-                   under either.")
-  in
-  let budget_arg =
-    Arg.(value & opt (some float) None
-         & info [ "budget" ] ~docv:"SECONDS"
-             ~doc:"Wall-clock budget across all requested checkers; exploration \
-                   stops cleanly (reported as not exhausted) when exceeded.")
-  in
-  let timeout_arg =
-    Arg.(value & opt (some float) None
-         & info [ "timeout" ] ~docv:"SECONDS"
-             ~doc:"Per-config wall-clock budget (on top of the global \
-                   $(b,--budget)); a config that exceeds it stops cleanly and \
-                   its partial statistics still land in the report and the \
-                   $(b,--json) document.")
-  in
-  let faults_arg =
-    Arg.(value & opt (some string) None
-         & info [ "faults" ] ~docv:"SPEC"
-             ~doc:"Override every requested config's fault model: 'none', \
-                   'crash:f=K' (crash-closed exploration of up to K \
-                   crash-stops), 'weak' (regular-register read forks), \
-                   'recover[:r=R]' (crash-recovery closure: restart up to R \
-                   crashed processes, volatile registers wiped; needs a crash \
-                   budget), or combinations like 'crash:f=1,recover'.")
-  in
-  let checkpoint_arg =
-    Arg.(value & opt (some string) None
-         & info [ "checkpoint" ] ~docv:"FILE"
-             ~doc:"Periodically save the explorer's DFS frontier to FILE \
-                   (atomically), and once more on SIGINT or budget exhaustion; \
-                   requires exactly one checker name.  Resume with \
-                   $(b,--resume) for bit-identical totals.")
-  in
-  let resume_arg =
-    Arg.(value & opt (some string) None
-         & info [ "resume" ] ~docv:"FILE"
-             ~doc:"Resume exploration from a checkpoint written by \
-                   $(b,--checkpoint) (the engine and checker name must match); \
-                   the completed run's statistics are bit-identical to an \
-                   uninterrupted one.")
-  in
-  let max_runs_arg =
-    Arg.(value & opt (some int) None
-         & info [ "max-runs" ] ~docv:"RUNS"
-             ~doc:"Override each config's execution budget.")
-  in
-  let artifact_dir_arg =
-    Arg.(value & opt string "."
-         & info [ "artifact-dir" ] ~docv:"DIR"
-             ~doc:"Where to write <name>.counterexample.sexp on failure.")
-  in
-  let replay_arg =
-    Arg.(value & opt (some string) None
-         & info [ "replay" ] ~docv:"FILE"
-             ~doc:"Replay a counterexample artifact instead of exploring; exits 0 \
-                   iff the violation reproduces.")
-  in
-  let json_arg =
-    Arg.(value & opt (some string) None
-         & info [ "json" ] ~docv:"FILE"
-             ~doc:"Write per-config exploration statistics (executions, machine \
-                   steps, wall clock) as JSON, schema v1; see `make perf-verify` \
-                   and BENCH_VERIFY.json.  FILE '-' writes the document to \
-                   stdout and moves all human-facing lines to stderr.")
-  in
-  let no_telemetry_arg =
-    Arg.(value & flag
-         & info [ "no-telemetry" ]
-             ~doc:"Skip the per-run telemetry/coverage block that $(b,--json) \
-                   includes by default (schema v3); rows revert to the plain \
-                   schema-v1 shape and the run pays no per-leaf coverage \
-                   cost — used by `make perf-verify` to keep \
-                   BENCH_VERIFY.json timings comparable across releases.")
-  in
-  let progress_arg =
-    Arg.(value & flag
-         & info [ "progress" ]
-             ~doc:"Force progress heartbeats on stderr (executions/sec, ETA \
-                   against the committed BENCH_VERIFY baseline).  Default: on \
-                   only when stderr is a TTY and \\$(b,CI) is unset.")
-  in
-  let progress_interval_arg =
-    Arg.(value & opt (some float) None
-         & info [ "progress-interval" ] ~docv:"SECONDS"
-             ~doc:"Seconds between progress lines (default 1.0).")
-  in
-  let quiet_arg =
-    Arg.(value & flag
-         & info [ "q"; "quiet" ]
-             ~doc:"Suppress per-config success lines and progress; violations \
-                   and the exit status still report failures.")
-  in
-  let names_arg =
-    Arg.(value & pos_all string []
-         & info [] ~docv:"CHECKER" ~doc:"Checker config names, or 'all'.")
-  in
+  let file_in names doc = Arg.(value & opt (some string) None & info names ~docv:"FILE" ~doc) in
   Cmd.v
     (Cmd.info "check"
        ~doc:"Exhaustively verify named checker configs (POR engine by default)")
-    Term.(const action $ naive_arg $ cross_arg $ dpor_arg $ engine_arg
-          $ budget_arg $ timeout_arg
-          $ max_runs_arg $ artifact_dir_arg $ replay_arg $ json_arg
-          $ faults_arg $ checkpoint_arg $ resume_arg $ jobs_arg
-          $ check_dedup_arg $ no_telemetry_arg $ progress_arg
-          $ progress_interval_arg $ quiet_arg $ names_arg)
+    Term.(const action $ algo_arg
+          $ run_opts_arg
+              ~dedup_doc:"Prune scheduling states already visited at the same depth \
+                          and crash budget (hashed VM snapshots: program counters, \
+                          memory, fault bits).  Preserves the complete-execution \
+                          outcome set; execution counts shrink.  VM engine only; \
+                          excludes --naive/--cross/--dpor and checkpointing."
+          $ faults_arg
+              ~doc:"Override every requested config's fault model: 'none', \
+                    'crash:f=K' (crash-closed exploration of up to K \
+                    crash-stops), 'weak' (regular-register read forks), \
+                    'recover[:r=R]' (crash-recovery closure: restart up to R \
+                    crashed processes, volatile registers wiped; needs a crash \
+                    budget), or combinations like 'crash:f=1,recover'."
+          $ seconds [ "budget" ]
+              "Wall-clock budget across all requested checkers; exploration \
+               stops cleanly (reported as not exhausted) when exceeded."
+          $ seconds [ "timeout" ]
+              "Per-config wall-clock budget (on top of the global \
+               $(b,--budget)); a config that exceeds it stops cleanly and \
+               its partial statistics still land in the report and the \
+               $(b,--json) document."
+          $ Arg.(value & opt string "."
+                 & info [ "artifact-dir" ] ~docv:"DIR"
+                     ~doc:"Where to write <name>.counterexample.sexp on failure.")
+          $ file_in [ "replay" ]
+              "Replay a counterexample artifact instead of exploring; exits 0 \
+               iff the violation reproduces."
+          $ output_opt [ "json" ]
+              ~doc:"Write per-config exploration statistics (executions, machine \
+                    steps, wall clock) as JSON, schema v1; see `make perf-verify` \
+                    and BENCH_VERIFY.json.  FILE '-' writes the document to \
+                    stdout and moves all human-facing lines to stderr."
+          $ output_opt [ "checkpoint" ]
+              ~doc:"Periodically save the explorer's DFS frontier to FILE \
+                    (atomically), and once more on SIGINT or budget exhaustion; \
+                    requires exactly one checker name.  Resume with \
+                    $(b,--resume) for bit-identical totals."
+          $ file_in [ "resume" ]
+              "Resume exploration from a checkpoint written by \
+               $(b,--checkpoint) (the engine and checker name must match); \
+               the completed run's statistics are bit-identical to an \
+               uninterrupted one."
+          $ flag [ "no-telemetry" ]
+              "Skip the per-run telemetry/coverage block that $(b,--json) \
+               includes by default (schema v3); rows revert to the plain \
+               schema-v1 shape and the run pays no per-leaf coverage \
+               cost — used by `make perf-verify` to keep \
+               BENCH_VERIFY.json timings comparable across releases."
+          $ progress_arg
+              ~doc:"Force progress heartbeats on stderr (executions/sec, ETA \
+                    against the committed BENCH_VERIFY baseline).  Default: on \
+                    only when stderr is a TTY and \\$(b,CI) is unset."
+          $ Arg.(value & opt (some float) None
+                 & info [ "progress-interval" ] ~docv:"SECONDS"
+                     ~doc:"Seconds between progress lines (default 1.0).")
+          $ flag [ "q"; "quiet" ]
+              "Suppress per-config success lines and progress; violations \
+               and the exit status still report failures."
+          $ Arg.(value & pos_all string []
+                 & info [] ~docv:"CHECKER" ~doc:"Checker config names, or 'all'."))
 
 (* telemetry *)
 
 let telemetry_cmd =
-  let open Conrat_verify in
-  let action name jobs dedup engine_s max_runs out trace =
-    let jobs = if jobs = 0 then Domain.recommended_domain_count () else max 1 jobs in
-    match Checks.find name with
-    | None ->
-      Printf.eprintf "conrat: unknown checker %s (expected %s)\n" name
-        (String.concat ", "
-           (Checks.names @ Checks.demo_names @ Checks.extended_names));
-      exit 2
-    | Some config ->
-      let exec_engine : Conrat_sim.Machine.engine =
-        match engine_s with
-        | "vm" -> `Vm
-        | "tree" -> `Tree
-        | other ->
-          Printf.eprintf "conrat: bad --engine %S (expected 'vm' or 'tree')\n"
-            other;
-          exit 2
-      in
-      if dedup && engine_s = "tree" then begin
-        Printf.eprintf
-          "conrat: --dedup needs the VM engine's state hash (drop \
-           --engine tree)\n";
-        exit 2
-      end;
-      let telem = Conrat_obs.Telemetry.create ~coverage:true ~domains:jobs () in
-      let chrome =
-        Option.map
-          (fun _ -> Conrat_obs.Chrome_trace.create_fleet ~workers:jobs)
-          trace
-      in
-      let sink = Option.map Conrat_obs.Chrome_trace.fleet_sink chrome in
-      let t0 = Unix.gettimeofday () in
-      let result =
-        Checks.run ~engine:exec_engine ?max_runs ~jobs ~dedup ~telemetry:telem
-          ?sink config
-      in
-      let elapsed = Unix.gettimeofday () -. t0 in
-      Conrat_obs.Telemetry.finalize telem;
-      let doc = Conrat_obs.Telemetry.to_json telem ^ "\n" in
-      if out = "-" then (print_string doc; flush stdout)
-      else begin
-        let oc = open_out out in
-        output_string oc doc;
-        close_out oc;
-        Report.info "[telemetry] wrote %s" out
-      end;
-      (match (trace, chrome) with
-       | Some file, Some ct ->
-         write_chrome_trace ct file;
-         if file <> "-" then
-           Report.info
-             "[telemetry] wrote fleet trace to %s (one track per worker \
-              domain; open in ui.perfetto.dev)"
-             file
-       | _ -> ());
-      (match result with
-       | Ok s ->
+  let action (config : Checks.t) opts out trace =
+    let { jobs; dedup; _ } = opts in
+    let telemetry = Telemetry.create ~coverage:true ~domains:jobs () in
+    let chrome = Option.map (fun _ -> Chrome_trace.create_fleet ~workers:jobs) trace in
+    let t0 = Unix.gettimeofday () in
+    let rows, verdict =
+      explore opts ~algo:`Por ~telemetry ?sink:(Option.map Chrome_trace.fleet_sink chrome)
+        config
+    in
+    let elapsed = Unix.gettimeofday () -. t0 in
+    Telemetry.finalize telemetry;
+    write_doc ~wrote:"telemetry" out (fun oc ->
+        output_string oc (Telemetry.to_json telemetry ^ "\n"));
+    (match (trace, chrome) with
+     | Some file, Some ct ->
+       write_doc file (Chrome_trace.write ct);
+       if file <> "-" then
          Report.info
-           "[telemetry] %s: explored=%d pruned=%d steps=%d %s (%.1fs, jobs=%d%s)"
-           name (Por.explored s) s.Por.pruned s.Por.steps
-           (if s.Por.exhausted then "exhausted" else "budget exceeded")
-           elapsed jobs
-           (if dedup then ", dedup" else "")
-       | Error f ->
-         Report.info "[telemetry] %s: VIOLATION: %s" name f.Checks.reason;
-         exit 1)
-  in
-  let name_arg =
-    Arg.(required & pos 0 (some string) None
-         & info [] ~docv:"CHECKER"
-             ~doc:"Checker config name to profile (see `conrat list`).")
-  in
-  let telemetry_dedup_arg =
-    Arg.(value & flag
-         & info [ "dedup" ]
-             ~doc:"Enable duplicate-state suppression (VM engine only), so the \
-                   dedup hit/miss/saturation telemetry is populated.")
-  in
-  let engine_arg =
-    Arg.(value & opt string "vm"
-         & info [ "engine" ] ~docv:"ENGINE"
-             ~doc:"Program engine: 'vm' (default) or 'tree'.")
-  in
-  let max_runs_arg =
-    Arg.(value & opt (some int) None
-         & info [ "max-runs" ] ~docv:"RUNS"
-             ~doc:"Override the config's execution budget.")
-  in
-  let out_arg =
-    Arg.(value & opt string "-"
-         & info [ "o"; "out" ] ~docv:"FILE"
-             ~doc:"Where to write the schema-v3 telemetry document (fleet-total \
-                   counters, per-domain rows, per-shard records, coverage \
-                   signatures); '-' = stdout (the default).")
-  in
-  let fleet_trace_arg =
-    Arg.(value & opt (some string) None
-         & info [ "trace" ] ~docv:"FILE"
-             ~doc:"Also record the fleet as a Chrome trace-event JSON file with \
-                   one track per worker domain: a span per explored shard \
-                   (shard id, prefix depth) and instant markers at steals and \
-                   checkpoint saves.  Meaningful with --jobs > 1; loadable in \
-                   ui.perfetto.dev.")
+           "[telemetry] wrote fleet trace to %s (one track per worker \
+            domain; open in ui.perfetto.dev)"
+           file
+     | _ -> ());
+    match verdict with
+    | Shrunk f ->
+      Report.info "[telemetry] %s: VIOLATION: %s" config.name f.reason;
+      exit 1
+    | _ ->
+      List.iter
+        (fun r ->
+          Report.info
+            "[telemetry] %s: explored=%d pruned=%d steps=%d %s (%.1fs, jobs=%d%s)"
+            config.name (r.complete + r.truncated)
+            (Option.value r.pruned ~default:0)
+            r.steps
+            (if r.exhausted then "exhausted" else "budget exceeded")
+            elapsed jobs
+            (if dedup then ", dedup" else ""))
+        rows
   in
   Cmd.v
     (Cmd.info "telemetry"
        ~doc:"Exhaustively verify one checker config with the full telemetry \
              plane on, and dump the counters/coverage document")
-    Term.(const action $ name_arg $ jobs_arg $ telemetry_dedup_arg $ engine_arg
-          $ max_runs_arg $ out_arg $ fleet_trace_arg)
+    Term.(const action
+          $ checker_arg ~doc:"Checker config name to profile (see `conrat list`)."
+          $ run_opts_arg
+              ~dedup_doc:"Enable duplicate-state suppression (VM engine only), so the \
+                          dedup hit/miss/saturation telemetry is populated."
+          $ output [ "o"; "out" ] ~default:"-"
+              ~doc:"Where to write the schema-v3 telemetry document (fleet-total \
+                    counters, per-domain rows, per-shard records, coverage \
+                    signatures); '-' = stdout (the default)."
+          $ output_opt [ "trace" ]
+              ~doc:"Also record the fleet as a Chrome trace-event JSON file with \
+                    one track per worker domain: a span per explored shard \
+                    (shard id, prefix depth) and instant markers at steals and \
+                    checkpoint saves.  Meaningful with --jobs > 1; loadable in \
+                    ui.perfetto.dev.")
 
 (* trace *)
 
 let trace_cmd =
-  let open Conrat_verify in
-  let action name out seed adversary =
-    match Checks.find name with
-    | None ->
-      Printf.eprintf "conrat: unknown checker %s (expected %s)\n" name
-        (String.concat ", " (Checks.names @ Checks.demo_names));
-      exit 2
-    | Some config ->
-      let n = config.Checks.n in
-      let adversary = Adversary.by_name adversary in
-      let memory, body = Checks.setup_of config ~n () in
-      let ct = Conrat_obs.Chrome_trace.create ~n in
-      let result =
-        Scheduler.run ~cheap_collect:config.Checks.cheap_collect
-          ~sink:(Conrat_obs.Chrome_trace.sink ct) ~n ~adversary
-          ~rng:(Rng.create seed) ~memory
-          (fun ~pid ~rng:_ -> body ~pid)
-      in
-      write_chrome_trace ct out;
-      Report.info "[trace] %s under %s: %d steps, %d trace events%s" name
-        adversary.Adversary.name result.Scheduler.steps
-        (Conrat_obs.Chrome_trace.events ct)
-        (if out = "-" then "" else Printf.sprintf ", wrote %s" out);
-      Report.info "[trace] load the file at https://ui.perfetto.dev"
-  in
-  let name_arg =
-    Arg.(required & pos 0 (some string) None
-         & info [] ~docv:"CHECKER"
-             ~doc:"Checker config name to trace one execution of (see `conrat list`).")
-  in
-  let out_arg =
-    Arg.(value & opt string "trace.json"
-         & info [ "o"; "out" ] ~docv:"FILE"
-             ~doc:"Output file for the Chrome trace-event JSON ('-' = stdout).")
-  in
-  let trace_adversary_arg =
-    Arg.(value & opt string "round_robin"
-         & info [ "a"; "adversary" ] ~docv:"ADV"
-             ~doc:(Printf.sprintf "Adversary: %s." (String.concat ", " adversary_names)))
+  let action (config : Checks.t) out seed adversary =
+    let n = config.n in
+    let memory, body = Checks.setup_of config ~n () in
+    let ct = Chrome_trace.create ~n in
+    let result =
+      Scheduler.run ~cheap_collect:config.cheap_collect ~sink:(Chrome_trace.sink ct) ~n
+        ~adversary ~rng:(Rng.create seed) ~memory
+        (fun ~pid ~rng:_ -> body ~pid)
+    in
+    write_doc out (Chrome_trace.write ct);
+    Report.info "[trace] %s under %s: %d steps, %d trace events%s" config.name
+      adversary.Adversary.name result.Scheduler.steps (Chrome_trace.events ct)
+      (if out = "-" then "" else Printf.sprintf ", wrote %s" out);
+    Report.info "[trace] load the file at https://ui.perfetto.dev"
   in
   Cmd.v
     (Cmd.info "trace"
        ~doc:"Record one execution of a checker config as a Chrome/Perfetto trace")
-    Term.(const action $ name_arg $ out_arg $ seed_arg $ trace_adversary_arg)
+    Term.(const action
+          $ checker_arg
+              ~doc:"Checker config name to trace one execution of (see `conrat list`)."
+          $ output [ "o"; "out" ] ~default:"trace.json"
+              ~doc:"Output file for the Chrome trace-event JSON ('-' = stdout)."
+          $ seed_arg $ adversary_arg "round_robin")
 
 (* list *)
 
@@ -1228,9 +1002,11 @@ let list_cmd =
     Printf.printf "adversaries: %s\n" (String.concat ", " adversary_names);
     Printf.printf "workloads:   %s\n" (String.concat ", " workload_names);
     Printf.printf "experiments: %s\n" (String.concat ", " Experiments.all_names);
-    Printf.printf "checkers:    %s\n" (String.concat ", " Conrat_verify.Checks.names);
+    Printf.printf "checkers:    %s\n" (String.concat ", " Checks.names);
     Printf.printf "checker demos (expected-fail): %s\n"
-      (String.concat ", " Conrat_verify.Checks.demo_names)
+      (String.concat ", " Checks.demo_names);
+    Printf.printf "checkers (extended, by name): %s\n"
+      (String.concat ", " Checks.extended_names)
   in
   Cmd.v (Cmd.info "list" ~doc:"List available components") Term.(const action $ const ())
 

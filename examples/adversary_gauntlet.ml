@@ -34,8 +34,9 @@ let () =
     List.map
       (fun (adversary, klass) ->
         let agg =
-          Montecarlo.trials_deciding ~n ~m:n ~adversary
-            ~workload:Workload.alternating ~seeds:(Montecarlo.seeds trials) factory
+          Engine.run_spec
+            (Plan.spec ~sid:"gauntlet" ~runner:(Plan.Deciding factory) ~adversary
+               ~workload:Workload.alternating ~n ~m:n ~seeds:(Plan.seeds trials) ())
         in
         let p = float_of_int agg.agreements /. float_of_int agg.trials in
         let lo, hi = Stats.binomial_ci95 ~successes:agg.agreements ~trials:agg.trials in
@@ -43,7 +44,7 @@ let () =
           klass;
           Printf.sprintf "%.3f" p;
           Printf.sprintf "[%.3f, %.3f]" lo hi;
-          string_of_int (List.fold_left max 0 agg.individual_works);
+          string_of_int (List.fold_left max 0 (Engine.individual_works agg));
           string_of_int (List.length agg.failures) ])
       [ (Adversary.round_robin, "oblivious");
         (Adversary.random_uniform, "oblivious");

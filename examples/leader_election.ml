@@ -19,7 +19,7 @@ open Conrat_harness
 let elect ~n ~adversary ~seed =
   let protocol = Consensus.standard ~m:n in
   let inputs = Array.init n Fun.id in
-  let outcome = Montecarlo.run_consensus ~n ~adversary ~inputs ~seed protocol in
+  let outcome = Engine.run_consensus ~n ~adversary ~inputs ~seed protocol in
   (match outcome.safety with
    | Ok () -> ()
    | Error reason -> failwith ("consensus violated: " ^ reason));

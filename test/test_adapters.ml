@@ -69,7 +69,7 @@ let test_one_round_consensus () =
     let n = 4 in
     let inputs = Array.init n (fun pid -> pid mod 3) in
     let o =
-      Conrat_harness.Montecarlo.run_consensus ~n
+      Conrat_harness.Engine.run_consensus ~n
         ~adversary:Adversary.write_stalker ~inputs ~seed
         (Adapters.consensus_in_one_round ~m:3 ())
     in

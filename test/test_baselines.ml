@@ -9,7 +9,7 @@ let expect_ok label = function
   | Error reason -> Alcotest.failf "%s: %s" label reason
 
 let run ?(adversary = Adversary.random_uniform) ?max_steps ~n ~inputs ~seed protocol =
-  Montecarlo.run_consensus ?max_steps ~n ~adversary ~inputs ~seed protocol
+  Engine.run_consensus ?max_steps ~n ~adversary ~inputs ~seed protocol
 
 let test_cil_racing_contract () =
   List.iter
@@ -83,14 +83,16 @@ let test_baselines_cost_more_individually () =
      impatient protocol must beat the constant-rate baseline on
      individual work by at least 2x on average. *)
   let n = 64 in
-  let seeds = Montecarlo.seeds 40 in
+  let seeds = Plan.seeds 40 in
   let mean_indiv protocol =
     let agg =
-      Montecarlo.trials_consensus ~n ~m:2 ~adversary:Adversary.random_uniform
-        ~workload:Workload.split_half ~seeds protocol
+      Engine.run_spec
+        (Plan.spec ~sid:"trials" ~runner:(Plan.Consensus protocol)
+           ~adversary:Adversary.random_uniform ~workload:Workload.split_half ~n ~m:2
+           ~seeds ())
     in
     List.iter (fun (seed, reason) -> Alcotest.failf "seed %d: %s" seed reason) agg.failures;
-    Stats.mean (List.map float_of_int agg.individual_works)
+    Stats.mean (List.map float_of_int (Engine.individual_works agg))
   in
   let ours = mean_indiv (Conrat_core.Consensus.standard ~m:2) in
   let cil = mean_indiv (Conrat_baselines.Baseline.cil_racing ~m:2) in

@@ -481,6 +481,59 @@ let () =
   expect "check --timeout" ~code:0 ~stdout_has:"BUDGET EXCEEDED"
     (run "check --timeout 0.01 fallback_n2_d34");
 
+  (* ---- shared option terms: bad input is a one-line exit 2 -------- *)
+
+  let one_line name (code, out, err) =
+    if List.length (String.split_on_char '\n' (String.trim err)) <> 1 then
+      failf "%s: diagnostic is not one line (got: %s)" name err;
+    (code, out, err)
+  in
+  expect "run -n 1" ~code:0 ~stdout_has:"spec:      ok" (run "run -n 1");
+  expect "run -m 1" ~code:0 ~stdout_has:"spec:      ok" (run "run -m 1");
+  expect "sweep --trials=1" ~code:0 ~stdout_has:"agreement: 1/1"
+    (run "sweep -n 3 --trials=1");
+  List.iter
+    (fun (args, needle) ->
+      expect args ~code:2 ~stderr_has:needle ~stderr_lacks:"uncaught"
+        (one_line args (run args)))
+    [ ("run -n 0", "bad -n/--processes 0");
+      ("run -m 0", "bad -m/--values 0");
+      ("run -p bogus", "unknown protocol");
+      ("run -a bogus", "unknown adversary");
+      ("run -w bogus", "unknown workload");
+      ("sweep -n 0 -t 2", "bad -n/--processes 0");
+      ("sweep --trials=0", "bad -t/--trials 0");
+      ("sweep --trials=-1", "bad -t/--trials -1");
+      ("trace conciliator_n2 --out - -a bogus", "unknown adversary");
+      ("sweep -t 2 --jobs=-3", "bad --jobs -3");
+      ("check --jobs=-3 binary_ratifier_n2", "bad --jobs -3") ];
+
+  (* ---- unwritable outputs fail before any run starts -------------- *)
+
+  let missing = Filename.concat tmpdir "no/such/dir/out.json" in
+  List.iter
+    (fun args ->
+      expect args ~code:2 ~stderr_has:"cannot write" ~stderr_lacks:"uncaught"
+        (one_line args (run args)))
+    [ (* would explore for minutes before writing, were it not probed *)
+      Printf.sprintf "check fallback_n2_d40 --timeout 5 --json %s" missing;
+      Printf.sprintf "sweep -t 2 --json %s" missing;
+      Printf.sprintf "telemetry binary_ratifier_n2 --out %s" missing;
+      Printf.sprintf "trace conciliator_n2 --out %s" missing;
+      Printf.sprintf "run --obs %s" missing ];
+  (* the probe leaves nothing behind when the run itself is refused *)
+  let probed = Filename.concat tmpdir "probed.json" in
+  expect "probe then unknown checker" ~code:2 ~stderr_has:"unknown checker"
+    (run (Printf.sprintf "check --json %s definitely_not_a_checker" (Filename.quote probed)));
+  if Sys.file_exists probed then failf "output probe left %s behind" probed;
+
+  (* ---- one checker resolver: extended configs listed everywhere --- *)
+
+  expect "list shows extended checkers" ~code:0 ~stdout_has:"fallback_n2_d46"
+    (run "list");
+  expect "trace unknown name lists extended checkers" ~code:2
+    ~stderr_has:"fallback_n2_d46" (run "trace definitely_not_a_checker --out -");
+
   if !failures > 0 then begin
     Printf.eprintf "%d CLI test(s) failed\n%!" !failures;
     exit 1

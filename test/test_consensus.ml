@@ -15,7 +15,7 @@ let expect_ok label = function
   | Error reason -> Alcotest.failf "%s: %s" label reason
 
 let run ?(adversary = Adversary.random_uniform) ?max_steps ~n ~inputs ~seed protocol =
-  Montecarlo.run_consensus ?max_steps ~n ~adversary ~inputs ~seed protocol
+  Engine.run_consensus ?max_steps ~n ~adversary ~inputs ~seed protocol
 
 (* ------------------------------------------------------------------ *)
 (* The standard protocol: full contract under every adversary          *)
@@ -52,7 +52,7 @@ let test_standard_cheap_collect_contract () =
         let n = 6 in
         let inputs = Array.init n (fun pid -> pid mod m) in
         let o =
-          Montecarlo.run_consensus ~cheap_collect:true ~n
+          Engine.run_consensus ~cheap_collect:true ~n
             ~adversary:Adversary.random_uniform ~inputs ~seed
             (Consensus.standard_cheap_collect ~m)
         in
@@ -65,7 +65,7 @@ let test_standard_cheap_collect_requires_model () =
   checkb "raises Collect_disallowed" true
     (try
        ignore
-         (Montecarlo.run_consensus ~n:3 ~adversary:Adversary.round_robin
+         (Engine.run_consensus ~n:3 ~adversary:Adversary.round_robin
             ~inputs:[| 0; 1; 2 |] ~seed:0 (Consensus.standard_cheap_collect ~m:3));
        false
      with Scheduler.Collect_disallowed -> true)

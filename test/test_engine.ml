@@ -1,6 +1,6 @@
 (* Tests for the plan/engine layers: the aggregate merge monoid, the
    parallel == sequential determinism contract, mergeable moments, and
-   the Montecarlo shim. *)
+   one-spec runs. *)
 
 open Conrat_harness
 
@@ -188,42 +188,40 @@ let test_moments_basics () =
     (fun () -> ignore (Stats.moments_mean Stats.empty_moments))
 
 (* ------------------------------------------------------------------ *)
-(* The Montecarlo shim                                                 *)
+(* One-spec runs: Engine.run_spec                                      *)
 (* ------------------------------------------------------------------ *)
 
-let test_shim_jobs_identical () =
-  let run jobs =
-    Montecarlo.trials_consensus ~jobs ~n:4 ~m:2
-      ~adversary:Conrat_sim.Adversary.random_uniform ~workload:Workload.split_half
-      ~seeds:(Montecarlo.seeds 30) (Conrat_core.Consensus.standard ~m:2)
-  in
-  checkb "jobs 1 = jobs 3" true (run 1 = run 3)
+let trials ?jobs seeds =
+  Engine.run_spec ?jobs
+    (Plan.spec ~sid:"trials" ~runner:(Plan.Consensus (Conrat_core.Consensus.standard ~m:2))
+       ~adversary:Conrat_sim.Adversary.random_uniform ~workload:Workload.split_half ~n:4
+       ~m:2 ~seeds ())
 
-let test_shim_legacy_order () =
-  (* The legacy aggregate listed work samples most-recent-seed first. *)
-  let agg =
-    Montecarlo.trials_consensus ~n:4 ~m:2
-      ~adversary:Conrat_sim.Adversary.random_uniform ~workload:Workload.split_half
-      ~seeds:[ 10; 11; 12 ] (Conrat_core.Consensus.standard ~m:2)
-  in
-  checki "trials" 3 agg.Montecarlo.trials;
+let test_run_spec_jobs_identical () =
+  checkb "jobs 1 = jobs 3" true (trials ~jobs:1 (Plan.seeds 30) = trials ~jobs:3 (Plan.seeds 30))
+
+let test_run_spec_sample_order () =
+  (* Work samples come back seed-ascending, each equal to a standalone
+     run of that seed with the spec's derived inputs. *)
+  let agg = trials [ 12; 10; 11 ] in
+  checki "trials" 3 agg.Engine.trials;
   let per_seed =
     List.map
       (fun seed ->
         let inputs =
-          Workload.split_half.Workload.generate ~n:4 ~m:2 (Montecarlo.workload_rng seed)
+          Workload.split_half.Workload.generate ~n:4 ~m:2 (Plan.workload_rng seed)
         in
-        (Montecarlo.run_consensus ~n:4 ~adversary:Conrat_sim.Adversary.random_uniform
-           ~inputs ~seed (Conrat_core.Consensus.standard ~m:2)).Montecarlo.total_work)
-      [ 12; 11; 10 ]
+        (Engine.run_consensus ~n:4 ~adversary:Conrat_sim.Adversary.random_uniform
+           ~inputs ~seed (Conrat_core.Consensus.standard ~m:2)).Engine.total_work)
+      [ 10; 11; 12 ]
   in
-  Alcotest.check Alcotest.(list int) "seed-descending totals" per_seed
-    agg.Montecarlo.total_works
+  Alcotest.check Alcotest.(list int) "seed-ascending totals" per_seed
+    (Engine.total_works agg)
 
 let test_workload_rng_derivation () =
   (* The CLI and the harness must derive workload inputs identically. *)
   checkb "state matches lxor derivation" true
-    (Conrat_sim.Rng.state (Montecarlo.workload_rng 99)
+    (Conrat_sim.Rng.state (Plan.workload_rng 99)
      = Conrat_sim.Rng.state (Conrat_sim.Rng.create (99 lxor 0x5eed)))
 
 (* ------------------------------------------------------------------ *)
@@ -271,9 +269,9 @@ let () =
       ( "moments",
         [ qt moments_match_closed_forms;
           tc "basics" `Quick test_moments_basics ] );
-      ( "montecarlo shim",
-        [ tc "jobs identical" `Quick test_shim_jobs_identical;
-          tc "legacy sample order" `Quick test_shim_legacy_order;
+      ( "run_spec",
+        [ tc "jobs identical" `Quick test_run_spec_jobs_identical;
+          tc "sample order" `Quick test_run_spec_sample_order;
           tc "workload rng" `Quick test_workload_rng_derivation ] );
       ( "plan",
         [ tc "validation" `Quick test_plan_validation;

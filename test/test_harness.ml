@@ -118,7 +118,7 @@ let test_workload_by_name () =
 let test_run_consensus_outcome_fields () =
   let inputs = [| 0; 1; 0; 1 |] in
   let o =
-    Montecarlo.run_consensus ~n:4 ~adversary:Conrat_sim.Adversary.random_uniform ~inputs
+    Engine.run_consensus ~n:4 ~adversary:Conrat_sim.Adversary.random_uniform ~inputs
       ~seed:11 (Conrat_core.Consensus.standard ~m:2)
   in
   checkb "completed" true o.completed;
@@ -131,7 +131,7 @@ let test_run_consensus_outcome_fields () =
 
 let test_run_consensus_deterministic () =
   let run () =
-    Montecarlo.run_consensus ~n:4 ~adversary:Conrat_sim.Adversary.random_uniform
+    Engine.run_consensus ~n:4 ~adversary:Conrat_sim.Adversary.random_uniform
       ~inputs:[| 0; 1; 0; 1 |] ~seed:42 (Conrat_core.Consensus.standard ~m:2)
   in
   let a = run () in
@@ -141,24 +141,27 @@ let test_run_consensus_deterministic () =
 
 let test_trials_aggregate () =
   let agg =
-    Montecarlo.trials_consensus ~n:4 ~m:2 ~adversary:Conrat_sim.Adversary.random_uniform
-      ~workload:Workload.split_half ~seeds:(Montecarlo.seeds 25)
-      (Conrat_core.Consensus.standard ~m:2)
+    Engine.run_spec
+      (Plan.spec ~sid:"trials"
+         ~runner:(Plan.Consensus (Conrat_core.Consensus.standard ~m:2))
+         ~adversary:Conrat_sim.Adversary.random_uniform ~workload:Workload.split_half
+         ~n:4 ~m:2 ~seeds:(Plan.seeds 25) ())
   in
   checki "trials" 25 agg.trials;
   checki "all agreed (consensus)" 25 agg.agreements;
   checki "no failures" 0 (List.length agg.failures);
-  checki "work samples" 25 (List.length agg.total_works);
+  checki "work samples" 25 (List.length (Engine.total_works agg));
   checkb "space recorded" true (agg.space > 0)
 
 let test_trials_deciding_conciliator () =
   (* A conciliator sometimes disagrees: agreements < trials, but no
      safety failures (validity/coherence hold). *)
   let agg =
-    Montecarlo.trials_deciding ~n:8 ~m:8
-      ~adversary:Conrat_sim.Adversary.write_stalker ~workload:Workload.alternating
-      ~seeds:(Montecarlo.seeds 60)
-      (Conrat_core.Conciliator.impatient_first_mover ())
+    Engine.run_spec
+      (Plan.spec ~sid:"trials"
+         ~runner:(Plan.Deciding (Conrat_core.Conciliator.impatient_first_mover ()))
+         ~adversary:Conrat_sim.Adversary.write_stalker ~workload:Workload.alternating
+         ~n:8 ~m:8 ~seeds:(Plan.seeds 60) ())
   in
   checki "no safety failures" 0 (List.length agg.failures);
   checkb "some disagreement happens" true (agg.agreements < agg.trials);
@@ -166,8 +169,8 @@ let test_trials_deciding_conciliator () =
 
 let test_seeds_generator () =
   Alcotest.check Alcotest.(list int) "default base" [ 424242; 424243; 424244 ]
-    (Montecarlo.seeds 3);
-  Alcotest.check Alcotest.(list int) "custom base" [ 7; 8 ] (Montecarlo.seeds ~base:7 2)
+    (Plan.seeds 3);
+  Alcotest.check Alcotest.(list int) "custom base" [ 7; 8 ] (Plan.seeds ~base:7 2)
 
 (* ------------------------------------------------------------------ *)
 (* Table printer                                                       *)
