@@ -12,13 +12,26 @@ build:
 test:
 	$(DUNE) runtest
 
-# End-to-end smoke of the plan/engine/report pipeline: a quick
-# experiment on a 2-domain pool with JSON output, then every
+# End-to-end smoke of the plan/engine/report pipeline.  First the lock
+# on the Monte-Carlo outputs: every quick experiment on a 2-domain pool,
+# with JSON written to a temporary directory (never over the committed
+# files), and each BENCH_E<k>.json must equal the committed one apart
+# from its "elapsed_seconds" and "jobs" fields.  Then every
 # JSON-emitting subcommand writing to stdout ('-'), which must parse as
 # one clean JSON document.
+SMOKE_MASK = sed -E 's/"elapsed_seconds": *[-+.eE0-9]+/"elapsed_seconds": _/; s/"jobs": *[0-9]+/"jobs": _/'
 smoke:
-	$(DUNE) exec bin/conrat_cli.exe -- experiment --quick E1 --jobs 2 --json
-	@test -s BENCH_E1.json && echo "smoke: BENCH_E1.json written"
+	$(DUNE) build bin/conrat_cli.exe
+	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
+	(cd "$$tmp" && $(CURDIR)/_build/default/bin/conrat_cli.exe \
+	   experiment --quick all --jobs 2 --json >/dev/null) && \
+	for k in 1 2 3 4 5 6 7 8 9 10; do \
+	  f=BENCH_E$$k.json; \
+	  $(SMOKE_MASK) "$$tmp/$$f" > "$$tmp/$$f.fresh" && \
+	  $(SMOKE_MASK) "$$f" > "$$tmp/$$f.committed" && \
+	  diff -u "$$tmp/$$f.committed" "$$tmp/$$f.fresh" \
+	    || { echo "smoke: $$f differs from the committed results"; exit 1; }; \
+	done && echo "smoke: BENCH_E1..E10.json match the committed results"
 	$(DUNE) exec bin/conrat_cli.exe -- sweep -t 2 --json - | python3 -m json.tool >/dev/null
 	$(DUNE) exec bin/conrat_cli.exe -- telemetry binary_ratifier_n2 --out - \
 	  | python3 -m json.tool >/dev/null

@@ -60,8 +60,10 @@ let e1 mode : built =
         let trials = min trials_base (max 300 (50_000 / n)) in
         List.concat_map
           (fun (adversary : Adversary.t) ->
-            (* The value/location-oblivious view projections cost O(n)
-               per step, so those adversaries sweep a smaller range. *)
+            (* The stalker and the overwrite attacker scan every
+               pending process (and, for the attacker, every register)
+               on each choice, O(n) per step, so they sweep a smaller
+               range. *)
             if adversary.name = "round_robin" || n <= 256 then
               List.map
                 (fun detect ->
@@ -212,9 +214,9 @@ let e3 mode : built =
       (fun n ->
         List.filter_map
           (fun (adversary : Adversary.t) ->
-            (* The value-oblivious projection costs O(n) per step and the
-               stalker forces the most conciliator rounds, so it sweeps a
-               smaller range. *)
+            (* The stalker scans every pending process on each choice,
+               O(n) per step, and forces the most conciliator rounds, so
+               it sweeps a smaller range. *)
             if adversary.name <> "write_stalker" || n <= 128 then begin
               let trials = if n >= 256 then max 100 (trials / 2) else trials in
               Some (Printf.sprintf "n%d/%s" n adversary.name, n, adversary, trials)

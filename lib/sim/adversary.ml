@@ -23,96 +23,139 @@ let location_oblivious name fresh =
       let f = fresh ~n rng in
       fun view -> f (View.to_location_oblivious view)) }
 
-(* Pick the first enabled pid at or cyclically after [start]. *)
+(* The choice functions below run once per scheduled step, so they
+   allocate nothing: scans are loops over the live view, never lists or
+   copies, and helpers are top-level functions rather than closures. *)
+
+(* The first enabled pid at or cyclically after [start]: [enabled] is
+   ascending, so that is its first entry >= [start mod n], or its first
+   entry when there is none. *)
 let next_enabled_from enabled n start =
-  let is_enabled = Array.make n false in
-  Array.iter (fun p -> is_enabled.(p) <- true) enabled;
-  let rec go i remaining =
-    if remaining = 0 then enabled.(0)
-    else if is_enabled.(i mod n) then i mod n
-    else go (i + 1) (remaining - 1)
-  in
-  go start n
+  let s = start mod n in
+  let i = ref 0 in
+  while !i < Array.length enabled && enabled.(!i) < s do incr i done;
+  if !i < Array.length enabled then enabled.(!i) else enabled.(0)
+
+(* Membership in an ascending pid array, by binary search. *)
+let mem_sorted enabled pid =
+  let lo = ref 0 and hi = ref (Array.length enabled) in
+  while !lo < !hi do
+    let mid = (!lo + !hi) lsr 1 in
+    if enabled.(mid) < pid then lo := mid + 1 else hi := mid
+  done;
+  !lo < Array.length enabled && enabled.(!lo) = pid
+
+(* The next pid of a plain rotation over [enabled]. *)
+let rotate cursor enabled =
+  let pid = enabled.(!cursor mod Array.length enabled) in
+  incr cursor;
+  pid
 
 let round_robin =
   oblivious "round_robin" (fun ~n:_ _rng ->
     let cursor = ref 0 in
-    fun (v : View.oblivious) ->
-      let pid = next_enabled_from v.ob_enabled v.ob_n !cursor in
+    fun v ->
+      let pid = next_enabled_from (View.ob_enabled v) (View.ob_n v) !cursor in
       cursor := pid + 1;
       pid)
 
 let random_uniform =
   oblivious "random_uniform" (fun ~n:_ rng ->
-    fun (v : View.oblivious) ->
-      v.ob_enabled.(Rng.int rng (Array.length v.ob_enabled)))
+    fun v ->
+      let enabled = View.ob_enabled v in
+      enabled.(Rng.int rng (Array.length enabled)))
 
 let fixed_permutation ?perm () =
   oblivious "fixed_permutation" (fun ~n rng ->
     let perm = match perm with Some p -> Array.copy p | None -> Rng.permutation rng n in
     let cursor = ref 0 in
-    fun (v : View.oblivious) ->
-      let is_enabled = Array.make v.ob_n false in
-      Array.iter (fun p -> is_enabled.(p) <- true) v.ob_enabled;
-      let rec go remaining =
-        if remaining = 0 then v.ob_enabled.(0)
-        else begin
-          let pid = perm.(!cursor mod n) in
-          incr cursor;
-          if is_enabled.(pid) then pid else go (remaining - 1)
-        end
-      in
-      go (2 * n))
+    fun v ->
+      (* Probe at most two rounds of the permutation for an enabled pid. *)
+      let enabled = View.ob_enabled v in
+      let pid = ref (-1) and probes = ref (2 * n) in
+      while !pid < 0 && !probes > 0 do
+        let p = perm.(!cursor mod n) in
+        incr cursor;
+        decr probes;
+        if mem_sorted enabled p then pid := p
+      done;
+      if !pid >= 0 then !pid else enabled.(0))
+
+let is_reader v pid =
+  match View.vo_kind v pid with
+  | Op.Read_op | Op.Collect_op -> true
+  | Op.Write_op | Op.Prob_write_op -> false
+
+(* The [k]-th pending reader among [enabled.(i..)]. *)
+let rec nth_reader v enabled i k =
+  let pid = enabled.(i) in
+  if not (is_reader v pid) then nth_reader v enabled (i + 1) k
+  else if k = 0 then pid
+  else nth_reader v enabled (i + 1) (k - 1)
 
 let write_stalker =
   value_oblivious "write_stalker" (fun ~n:_ _rng ->
     let cursor = ref 0 in
-    fun (v : View.value_oblivious) ->
-      let readers =
-        Array.to_list v.vo_enabled
-        |> List.filter (fun pid ->
-            match v.vo_pending.(pid) with
-            | Some { View.m_kind = Op.Read_op | Op.Collect_op; _ } -> true
-            | Some _ | None -> false)
-      in
-      let pool = if readers <> [] then Array.of_list readers else v.vo_enabled in
-      let pid = pool.(!cursor mod Array.length pool) in
-      incr cursor;
-      pid)
+    fun v ->
+      (* Rotate over the pending readers in pid order, or over every
+         enabled pid when there are none. *)
+      let enabled = View.vo_enabled v in
+      let readers = ref 0 in
+      for i = 0 to Array.length enabled - 1 do
+        if is_reader v enabled.(i) then incr readers
+      done;
+      if !readers = 0 then rotate cursor enabled
+      else begin
+        let pid = nth_reader v enabled 0 (!cursor mod !readers) in
+        incr cursor;
+        pid
+      end)
 
-(* Values currently stored anywhere in memory. *)
-let stored_values contents =
-  Array.to_list contents |> List.filter_map Fun.id
+(* Whether some register at or after [i] holds a value, and whether one
+   holds exactly [x]: in-place scans that compare ints, not options. *)
+let rec any_stored v i =
+  i < View.lo_registers v
+  && (match View.lo_cell v i with Some _ -> true | None -> any_stored v (i + 1))
+
+let rec is_stored v x i =
+  i < View.lo_registers v
+  && (match View.lo_cell v i with
+      | Some y when y = x -> true
+      | Some _ | None -> is_stored v x (i + 1))
+
+(* The enabled pid whose pending write carries a value stored nowhere
+   in memory, highest write probability first and lowest pid on ties;
+   -1 if there is none.  Meaningful once memory is non-empty. *)
+let most_likely_conflict v =
+  let enabled = View.lo_enabled v in
+  let best = ref (-1) and best_p = ref 0.0 in
+  for i = 0 to Array.length enabled - 1 do
+    let pid = enabled.(i) in
+    match View.lo_kind v pid with
+    | Op.Write_op | Op.Prob_write_op when not (is_stored v (View.lo_value v pid) 0) ->
+      let p = View.lo_prob v pid in
+      if !best < 0 || !best_p < p then begin
+        best := pid;
+        best_p := p
+      end
+    | Op.Write_op | Op.Prob_write_op | Op.Read_op | Op.Collect_op -> ()
+  done;
+  !best
 
 let overwrite_attacker =
   location_oblivious "overwrite_attacker" (fun ~n:_ _rng ->
     let cursor = ref 0 in
-    fun (v : View.location_oblivious) ->
-      let stored = stored_values v.lo_contents in
-      let conflicting pid =
-        match v.lo_pending.(pid) with
-        | Some { View.m_kind = Op.Prob_write_op | Op.Write_op; m_value = Some value; m_prob; _ } ->
-          if stored <> [] && not (List.mem value stored)
-          then Some (Option.value m_prob ~default:1.0)
-          else None
-        | Some _ | None -> None
-      in
-      let best = ref None in
-      Array.iter
-        (fun pid ->
-          match conflicting pid with
-          | Some p ->
-            (match !best with
-             | Some (_, p') when p' >= p -> ()
-             | _ -> best := Some (pid, p))
-          | None -> ())
-        v.lo_enabled;
-      match !best with
-      | Some (pid, _) -> pid
-      | None ->
-        let pid = v.lo_enabled.(!cursor mod Array.length v.lo_enabled) in
-        incr cursor;
-        pid)
+    fun v ->
+      let best = if any_stored v 0 then most_likely_conflict v else -1 in
+      if best >= 0 then best else rotate cursor (View.lo_enabled v))
+
+(* The first enabled pid whose pending operation is a read, or -1. *)
+let rec first_reader (v : View.full) i =
+  if i = Array.length v.enabled then -1
+  else
+    match v.pending.(v.enabled.(i)) with
+    | Some (Op.Any (Op.Read _)) -> v.enabled.(i)
+    | Some _ | None -> first_reader v (i + 1)
 
 let adaptive_overwriter =
   adaptive "adaptive_overwriter" (fun ~n:_ _rng ->
@@ -122,49 +165,23 @@ let adaptive_overwriter =
        to overwrite it, so that successive readers see different
        values.  An adaptive adversary may do this because it sees both
        register contents and pending-write values/locations; Theorem 7
-       makes no promise against it. *)
+       makes no promise against it.  Everything a location-oblivious
+       adversary sees is part of that, so it reuses those scans. *)
     let cursor = ref 0 in
     let let_reader_go = ref true in
     fun (v : View.full) ->
-      let contents = Memory.snapshot v.memory in
-      let stored = stored_values contents in
-      let best_writer =
-        let best = ref None in
-        Array.iter
-          (fun pid ->
-            match v.pending.(pid) with
-            | Some any when Op.is_write any ->
-              (match Op.value any with
-               | Some value when stored <> [] && not (List.mem value stored) ->
-                 let p = Option.value (Op.prob any) ~default:1.0 in
-                 (match !best with
-                  | Some (_, p') when p' >= p -> ()
-                  | _ -> best := Some (pid, p))
-               | Some _ | None -> ())
-            | Some _ | None -> ())
-          v.enabled;
-        Option.map fst !best
-      in
-      let any_reader =
-        Array.to_list v.enabled
-        |> List.find_opt (fun pid ->
-            match v.pending.(pid) with
-            | Some any -> Op.kind any = Op.Read_op
-            | None -> false)
-      in
-      let fallback () =
-        let pid = v.enabled.(!cursor mod Array.length v.enabled) in
-        incr cursor;
-        pid
-      in
-      if stored = [] then fallback ()
+      let lv = View.to_location_oblivious v in
+      if not (any_stored lv 0) then rotate cursor v.enabled
       else begin
-        let choice =
-          if !let_reader_go then match any_reader with Some r -> Some r | None -> best_writer
-          else match best_writer with Some w -> Some w | None -> any_reader
+        let reader_first = !let_reader_go in
+        let_reader_go := not reader_first;
+        let pid = if reader_first then first_reader v 0 else most_likely_conflict lv in
+        let pid =
+          if pid >= 0 then pid
+          else if reader_first then most_likely_conflict lv
+          else first_reader v 0
         in
-        let_reader_go := not !let_reader_go;
-        match choice with Some pid -> pid | None -> fallback ()
+        if pid >= 0 then pid else rotate cursor v.enabled
       end)
 
 let noisy ?(jitter = 0.3) () =
@@ -173,9 +190,12 @@ let noisy ?(jitter = 0.3) () =
        step adds 1 plus accumulated random error, as in the noisy
        scheduling model of Aspnes [5]. *)
     let vtime = Array.init n (fun _ -> Rng.float rng) in
-    fun (v : View.oblivious) ->
-      let best = ref v.ob_enabled.(0) in
-      Array.iter (fun pid -> if vtime.(pid) < vtime.(!best) then best := pid) v.ob_enabled;
+    fun v ->
+      let enabled = View.ob_enabled v in
+      let best = ref enabled.(0) in
+      for i = 1 to Array.length enabled - 1 do
+        if vtime.(enabled.(i)) < vtime.(!best) then best := enabled.(i)
+      done;
       let pid = !best in
       vtime.(pid) <- vtime.(pid) +. 1.0 +. (Rng.exponential rng (1.0 /. jitter) -. jitter);
       pid)
@@ -189,9 +209,12 @@ let priority ?priorities () =
         ignore (Rng.bits64 rng);
         Array.init n Fun.id
     in
-    fun (v : View.oblivious) ->
-      let best = ref v.ob_enabled.(0) in
-      Array.iter (fun pid -> if prio.(pid) > prio.(!best) then best := pid) v.ob_enabled;
+    fun v ->
+      let enabled = View.ob_enabled v in
+      let best = ref enabled.(0) in
+      for i = 1 to Array.length enabled - 1 do
+        if prio.(enabled.(i)) > prio.(!best) then best := enabled.(i)
+      done;
       !best)
 
 let all_weak () =

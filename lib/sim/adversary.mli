@@ -81,9 +81,11 @@ val all_weak : unit -> t list
 
 val next_enabled_from : int array -> int -> int -> int
 (** [next_enabled_from enabled n start] is the first enabled pid at or
-    cyclically after [start] — the fallback rule the scheduler applies
-    when an adversary names a halted process.  Exposed for the
-    scheduler and for tests. *)
+    cyclically after [start] (taken mod [n]; [start >= 0]) — the
+    fallback rule the scheduler applies when an adversary names a
+    halted process.  [enabled] must be non-empty and ascending, as
+    views give it.  Allocation-free.  Exposed for the scheduler and
+    for tests. *)
 
 val by_name : string -> t
 (** Look up an adversary by its [name]; raises [Not_found] for unknown

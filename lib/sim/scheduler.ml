@@ -13,7 +13,7 @@ type 'r result = {
 exception Collect_disallowed = Machine.Collect_disallowed
 exception Stuck = Machine.Stuck
 
-let run ?engine ?(max_steps = 10_000_000) ?(record = false) ?(cheap_collect = false)
+let run ?(engine = `Tree) ?(max_steps = 10_000_000) ?(record = false) ?(cheap_collect = false)
     ?faults ?sink ~n ~(adversary : Adversary.t) ~rng ~memory body =
   if n <= 0 then invalid_arg "Scheduler.run: n must be positive";
   (* Stream layout is fixed so that executions are reproducible: local
@@ -31,7 +31,7 @@ let run ?engine ?(max_steps = 10_000_000) ?(record = false) ?(cheap_collect = fa
   let metrics = Metrics.create ~n in
   let trace = if record then Some (Trace.create ()) else None in
   let machine =
-    Machine.create ?engine ~cheap_collect ~metrics ?trace ?sink ~n ~memory
+    Machine.create ~engine ~cheap_collect ~metrics ?trace ?sink ~n ~memory
       (fun ~pid -> body ~pid ~rng:local_rngs.(pid))
   in
   let completed = ref false in

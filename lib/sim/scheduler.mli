@@ -72,11 +72,16 @@ val run :
     bit-identical to earlier versions, and a given seed produces the
     same fault placements on every replay.
 
-    [engine] selects the program engine (default the compiled VM; see
-    {!Machine.engine}).  A Monte Carlo run is straight-line, so every
-    VM dispatch is a first unfolding and continuations execute exactly
-    once in tree order — results are identical under either engine,
-    including for bodies drawing local randomness. *)
+    [engine] selects the program engine (default the tree interpreter;
+    see {!Machine.engine}).  A Monte Carlo run is straight-line: it
+    never revisits a program state, so the VM's interning would only
+    add a cold compile to every step and keep the whole code store
+    live until the run ends, while the tree interpreter applies each
+    continuation once and drops it.  Continuations execute exactly once
+    in tree order under either engine, so results are identical,
+    including for bodies drawing local randomness; the VM stays the
+    explorers' engine ({!Machine.create}'s default) and is this
+    scheduler's differential oracle. *)
 
 val run_direct :
   ?engine:Machine.engine ->

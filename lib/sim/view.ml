@@ -1,8 +1,3 @@
-type pending = {
-  p_pid : int;
-  p_op : Op.any;
-}
-
 type full = {
   step : int;
   n : int;
@@ -12,55 +7,55 @@ type full = {
   op_counts : Metrics.counts;
 }
 
-type oblivious = {
-  ob_step : int;
-  ob_n : int;
-  ob_enabled : int array;
-}
+(* Each restricted view is the full view itself; the signature hides
+   the equation, so the accessors below are the whole interface. *)
+type oblivious = full
+type value_oblivious = full
+type location_oblivious = full
 
-type masked_op = {
-  m_kind : Op.kind;
-  m_loc : Memory.loc option;
-  m_value : int option;
-  m_prob : float option;
-}
+let to_oblivious v = v
+let to_value_oblivious v = v
+let to_location_oblivious v = v
 
-type value_oblivious = {
-  vo_step : int;
-  vo_n : int;
-  vo_enabled : int array;
-  vo_pending : masked_op option array;
-  vo_op_counts : int array;
-}
+let pending_of v pid =
+  match v.pending.(pid) with
+  | Some any -> any
+  | None -> invalid_arg (Printf.sprintf "View: pid %d has no pending operation" pid)
 
-type location_oblivious = {
-  lo_step : int;
-  lo_n : int;
-  lo_enabled : int array;
-  lo_pending : masked_op option array;
-  lo_contents : int option array;
-  lo_op_counts : int array;
-}
+let kind v pid = Op.kind (pending_of v pid)
 
-let to_oblivious v = { ob_step = v.step; ob_n = v.n; ob_enabled = v.enabled }
+let prob v pid =
+  match pending_of v pid with
+  | Op.Any (Op.Prob_write (_, _, p)) | Op.Any (Op.Prob_write_detect (_, _, p)) -> p
+  | Op.Any (Op.Read _ | Op.Write _ | Op.Collect _) -> 1.0
 
-let mask ~hide_value ~hide_loc any =
-  { m_kind = Op.kind any;
-    m_loc = (if hide_loc then None else Some (Op.loc any));
-    m_value = (if hide_value then None else Op.value any);
-    m_prob = Op.prob any }
+let op_count v pid = Metrics.count v.op_counts pid
 
-let to_value_oblivious v =
-  { vo_step = v.step;
-    vo_n = v.n;
-    vo_enabled = v.enabled;
-    vo_pending = Array.map (Option.map (mask ~hide_value:true ~hide_loc:false)) v.pending;
-    vo_op_counts = Metrics.counts_to_array v.op_counts }
+let ob_step v = v.step
+let ob_n v = v.n
+let ob_enabled v = v.enabled
 
-let to_location_oblivious v =
-  { lo_step = v.step;
-    lo_n = v.n;
-    lo_enabled = v.enabled;
-    lo_pending = Array.map (Option.map (mask ~hide_value:false ~hide_loc:true)) v.pending;
-    lo_contents = Memory.snapshot v.memory;
-    lo_op_counts = Metrics.counts_to_array v.op_counts }
+let vo_step v = v.step
+let vo_n v = v.n
+let vo_enabled v = v.enabled
+let vo_kind = kind
+let vo_loc v pid = Op.loc (pending_of v pid)
+let vo_prob = prob
+let vo_op_count = op_count
+
+let lo_step v = v.step
+let lo_n v = v.n
+let lo_enabled v = v.enabled
+let lo_kind = kind
+
+let lo_value v pid =
+  match pending_of v pid with
+  | Op.Any (Op.Write (_, x)) | Op.Any (Op.Prob_write (_, x, _))
+  | Op.Any (Op.Prob_write_detect (_, x, _)) -> x
+  | Op.Any (Op.Read _ | Op.Collect _) ->
+    invalid_arg (Printf.sprintf "View.lo_value: pid %d's pending operation is not a write" pid)
+
+let lo_prob = prob
+let lo_registers v = Memory.size v.memory
+let lo_cell v i = Memory.read v.memory i
+let lo_op_count = op_count

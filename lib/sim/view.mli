@@ -8,16 +8,19 @@
     a type error, not merely a convention, for an oblivious adversary to
     inspect register contents.
 
+    The restricted views are abstract, zero-copy projections: each is
+    the live {!full} view behind an abstract type, and the only way in
+    is the accessors listed for that class.  Projecting costs nothing
+    and an accessor reads the scheduler's own state in place, so a
+    choice allocates nothing the adversary does not allocate itself.
+    Like {!full}, a restricted view is valid only for the choice it was
+    passed to.
+
     One deliberate deviation, documented here and tested: every view
     includes the set of {e enabled} processes (those that have not yet
     returned), because a scheduler must not stall on a halted process.
     This is the standard convention — a fixed-order oblivious schedule
     simply skips halted processes. *)
-
-type pending = {
-  p_pid : int;
-  p_op : Op.any;
-}
 
 type full = {
   step : int;                     (** operations executed so far *)
@@ -28,39 +31,15 @@ type full = {
   op_counts : Metrics.counts;     (** per-pid work so far (read-only) *)
 }
 
-type oblivious = {
-  ob_step : int;
-  ob_n : int;
-  ob_enabled : int array;
-}
+type oblivious
 (** What an oblivious adversary sees: nothing but time and liveness. *)
 
-type masked_op = {
-  m_kind : Op.kind;
-  m_loc : Memory.loc option;   (** [None] when locations are masked *)
-  m_value : int option;        (** [None] when values are masked *)
-  m_prob : float option;       (** write probability, never masked *)
-}
-
-type value_oblivious = {
-  vo_step : int;
-  vo_n : int;
-  vo_enabled : int array;
-  vo_pending : masked_op option array;  (** kinds and locations, no values *)
-  vo_op_counts : int array;
-}
+type value_oblivious
 (** Value-oblivious (§2.1, used by Aumann etc.): sees operation types
     and target locations, but neither register contents nor the values
     of pending writes. *)
 
-type location_oblivious = {
-  lo_step : int;
-  lo_n : int;
-  lo_enabled : int array;
-  lo_pending : masked_op option array;  (** kinds and values, no locations *)
-  lo_contents : int option array;       (** current register contents *)
-  lo_op_counts : int array;
-}
+type location_oblivious
 (** Location-oblivious (§2.1, the class that justifies probabilistic
     writes): sees memory contents and pending write values, but cannot
     tell which register a pending write targets. *)
@@ -68,3 +47,57 @@ type location_oblivious = {
 val to_oblivious : full -> oblivious
 val to_value_oblivious : full -> value_oblivious
 val to_location_oblivious : full -> location_oblivious
+
+(** {1 Oblivious accessors} *)
+
+val ob_step : oblivious -> int
+val ob_n : oblivious -> int
+
+val ob_enabled : oblivious -> int array
+(** Pids still running, ascending.  The scheduler's own array: read it,
+    do not mutate it. *)
+
+(** {1 Value-oblivious accessors}
+
+    The per-pid accessors describe [pid]'s pending operation and raise
+    [Invalid_argument] when [pid] has none (it halted or crashed);
+    every pid in {!vo_enabled} has one. *)
+
+val vo_step : value_oblivious -> int
+val vo_n : value_oblivious -> int
+val vo_enabled : value_oblivious -> int array
+val vo_kind : value_oblivious -> int -> Op.kind
+val vo_loc : value_oblivious -> int -> Memory.loc
+
+val vo_prob : value_oblivious -> int -> float
+(** The probability that the pending operation takes effect: the write
+    probability of a probabilistic write, [1.0] for every other
+    operation. *)
+
+val vo_op_count : value_oblivious -> int -> int
+(** Operations [pid] has executed so far. *)
+
+(** {1 Location-oblivious accessors}
+
+    Per-pid accessors follow the {!vo_kind} convention. *)
+
+val lo_step : location_oblivious -> int
+val lo_n : location_oblivious -> int
+val lo_enabled : location_oblivious -> int array
+val lo_kind : location_oblivious -> int -> Op.kind
+
+val lo_value : location_oblivious -> int -> int
+(** The value [pid]'s pending write carries.  Raises [Invalid_argument]
+    when the pending operation is not a write (see {!lo_kind}). *)
+
+val lo_prob : location_oblivious -> int -> float
+(** As {!vo_prob}. *)
+
+val lo_registers : location_oblivious -> int
+(** Registers allocated so far. *)
+
+val lo_cell : location_oblivious -> int -> int option
+(** Current contents of register [i], [0 <= i < lo_registers v];
+    [None] = ⊥. *)
+
+val lo_op_count : location_oblivious -> int -> int

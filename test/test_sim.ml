@@ -443,6 +443,33 @@ let test_next_enabled_from () =
   checki "exact" 2 (Adversary.next_enabled_from [| 0; 2 |] 3 2);
   checki "cyclic wrap" 0 (Adversary.next_enabled_from [| 0 |] 3 2)
 
+(* The bool-array rule [Adversary.next_enabled_from] used to apply,
+   kept as the oracle for its allocation-free replacement. *)
+let next_enabled_from_oracle enabled n start =
+  let is_enabled = Array.make n false in
+  Array.iter (fun p -> is_enabled.(p) <- true) enabled;
+  let rec go i remaining =
+    if remaining = 0 then enabled.(0)
+    else if is_enabled.(i mod n) then i mod n
+    else go (i + 1) (remaining - 1)
+  in
+  go start n
+
+(* Random non-empty ascending pid sets, starts up to 3n (so both
+   [start >= n] and wrap-around past the last enabled pid occur). *)
+let qcheck_next_enabled_from_oracle =
+  QCheck.Test.make ~name:"next_enabled_from = bool-array oracle" ~count:500
+    QCheck.(triple (int_range 1 16) (int_range 0 1_000_000) (int_range 0 47))
+    (fun (n, seed, start) ->
+      let rng = Rng.create seed in
+      let enabled =
+        let pids = List.filter (fun _ -> Rng.int rng 3 > 0) (List.init n Fun.id) in
+        Array.of_list (if pids = [] then [ Rng.int rng n ] else pids)
+      in
+      let start = start mod (3 * n) in
+      Adversary.next_enabled_from enabled n start
+      = next_enabled_from_oracle enabled n start)
+
 let test_write_stalker_prefers_readers () =
   (* p0 wants to write; p1 wants to read.  The stalker must run p1
      first. *)
@@ -599,28 +626,60 @@ let make_full_view () =
 
 let test_view_oblivious_projection () =
   let v = View.to_oblivious (make_full_view ()) in
-  checki "step" 3 v.View.ob_step;
-  checki "n" 2 v.View.ob_n;
-  check Alcotest.(array int) "enabled" [| 0; 1 |] v.View.ob_enabled
+  checki "step" 3 (View.ob_step v);
+  checki "n" 2 (View.ob_n v);
+  check Alcotest.(array int) "enabled" [| 0; 1 |] (View.ob_enabled v)
 
+(* Hidden fields have no accessor, so "value hidden" is checked by the
+   type checker; the visible ones are checked here. *)
 let test_view_value_oblivious_masks_values () =
   let v = View.to_value_oblivious (make_full_view ()) in
-  (match v.View.vo_pending.(0) with
-   | Some m ->
-     check Alcotest.(option int) "value hidden" None m.View.m_value;
-     check Alcotest.(option int) "loc visible" (Some 0) m.View.m_loc;
-     checkb "kind visible" true (m.View.m_kind = Op.Prob_write_op)
-   | None -> Alcotest.fail "pending missing")
+  checki "loc visible" 0 (View.vo_loc v 0);
+  checkb "kind visible" true (View.vo_kind v 0 = Op.Prob_write_op)
 
 let test_view_location_oblivious_masks_locs () =
   let v = View.to_location_oblivious (make_full_view ()) in
-  (match v.View.lo_pending.(0) with
-   | Some m ->
-     check Alcotest.(option int) "loc hidden" None m.View.m_loc;
-     check Alcotest.(option int) "value visible" (Some 7) m.View.m_value;
-     check Alcotest.(option (float 1e-9)) "prob visible" (Some 0.5) m.View.m_prob
-   | None -> Alcotest.fail "pending missing");
-  check Alcotest.(array (option int)) "contents visible" [| Some 9 |] v.View.lo_contents
+  checki "value visible" 7 (View.lo_value v 0);
+  check (Alcotest.float 1e-9) "prob visible" 0.5 (View.lo_prob v 0);
+  check Alcotest.(array (option int)) "contents visible" [| Some 9 |]
+    (Array.init (View.lo_registers v) (View.lo_cell v))
+
+(* Location-obliviousness: overwrite_attacker sees register contents
+   and pending write values but not which register a write targets, so
+   two programs that differ only in the order their registers were
+   allocated must yield identical schedules. *)
+let test_location_oblivious_invariance () =
+  let run_with ~swap seed =
+    let memory = Memory.create () in
+    let regs = Memory.alloc_n memory 2 in
+    let a, b = if swap then (regs.(1), regs.(0)) else (regs.(0), regs.(1)) in
+    let result =
+      Scheduler.run_direct ~record:true ~n:3 ~adversary:Adversary.overwrite_attacker
+        ~rng:(Rng.create seed) ~memory
+        (fun ~pid ~rng:_ ->
+          (match pid with
+           | 0 ->
+             Proc.prob_write a 1 ~p:0.5;
+             ignore (Proc.read b);
+             Proc.write b 1
+           | 1 ->
+             Proc.write a 2;
+             Proc.prob_write b 2 ~p:0.9;
+             ignore (Proc.read a)
+           | _ ->
+             ignore (Proc.read a);
+             ignore (Proc.prob_write_detect b 3 ~p:0.3);
+             Proc.write a 3);
+          0)
+    in
+    match result.trace with
+    | Some t -> List.map (fun e -> e.Trace.pid) (Trace.events t)
+    | None -> []
+  in
+  for seed = 0 to 19 do
+    check Alcotest.(list int) "schedule invariant under register order"
+      (run_with ~swap:false seed) (run_with ~swap:true seed)
+  done
 
 (* ------------------------------------------------------------------ *)
 (* Spec checkers                                                       *)
@@ -783,6 +842,7 @@ let () =
           tc "fixed permutation order" `Quick test_fixed_permutation_order;
           tc "priority order" `Quick test_priority_runs_highest_first;
           tc "next_enabled_from" `Quick test_next_enabled_from;
+          QCheck_alcotest.to_alcotest qcheck_next_enabled_from_oracle;
           tc "write stalker prefers readers" `Quick test_write_stalker_prefers_readers;
           tc "names resolve" `Quick test_all_weak_names_resolve;
           tc "value-oblivious invariance" `Quick test_value_oblivious_invariance;
@@ -792,7 +852,8 @@ let () =
       ( "view",
         [ tc "oblivious projection" `Quick test_view_oblivious_projection;
           tc "value-oblivious masks values" `Quick test_view_value_oblivious_masks_values;
-          tc "location-oblivious masks locs" `Quick test_view_location_oblivious_masks_locs ] );
+          tc "location-oblivious masks locs" `Quick test_view_location_oblivious_masks_locs;
+          tc "location-oblivious invariance" `Quick test_location_oblivious_invariance ] );
       ( "spec",
         [ tc "validity" `Quick test_spec_validity;
           tc "agreement" `Quick test_spec_agreement;

@@ -205,46 +205,88 @@ let test_cross_check_engines name () =
 (* Monte Carlo scheduler: trace, metrics and work identical (qcheck)   *)
 (* ------------------------------------------------------------------ *)
 
+(* The tree interpreter is [Scheduler.run]'s trial engine and the VM
+   its oracle, so the differential covers what trials actually run:
+   every named adversary, n past [Machine.max_tabulated_n] (where the
+   enabled set stops being tabulated), the deciding conciliator with
+   detection, and fault plans that crash, recover and deliver stale
+   reads.  A protocol tripping over an injected fault must raise the
+   same exception under both engines. *)
 let qcheck_scheduler_differential =
-  let adversaries =
-    [| Adversary.round_robin; Adversary.random_uniform; Adversary.write_stalker |]
+  let names =
+    [| "round_robin"; "random_uniform"; "fixed_permutation"; "write_stalker";
+       "overwrite_attacker"; "adaptive_overwriter"; "noisy"; "priority" |]
   in
-  QCheck.Test.make ~count:120
+  let fault_specs = [| "none"; "crash:f=1,recover"; "weak" |] in
+  let agree (a : _ Scheduler.result) (b : _ Scheduler.result) =
+    (match (a.Scheduler.trace, b.Scheduler.trace) with
+     | Some ta, Some tb -> Trace.equal ta tb
+     | _ -> false)
+    && a.Scheduler.outputs = b.Scheduler.outputs
+    && a.Scheduler.completed = b.Scheduler.completed
+    && a.Scheduler.steps = b.Scheduler.steps
+    && a.Scheduler.registers = b.Scheduler.registers
+    && a.Scheduler.crashed = b.Scheduler.crashed
+    && a.Scheduler.recoveries = b.Scheduler.recoveries
+    && a.Scheduler.plan_ignored = b.Scheduler.plan_ignored
+    && Metrics.counts_to_array (Metrics.counts a.Scheduler.metrics)
+       = Metrics.counts_to_array (Metrics.counts b.Scheduler.metrics)
+  in
+  (* Only an injected fault may make a run raise. *)
+  let both ~faulty run =
+    let attempt engine =
+      if faulty then (try Ok (run engine) with e -> Error (Printexc.to_string e))
+      else Ok (run engine)
+    in
+    match (attempt `Vm, attempt `Tree) with
+    | Ok a, Ok b -> agree a b
+    | Error ea, Error eb -> ea = eb
+    | Ok _, Error _ | Error _, Ok _ -> false
+  in
+  let print (n, seed, (adv, deciding, faults)) =
+    Printf.sprintf "n=%d seed=%d %s %s faults=%s" n seed names.(adv)
+      (if deciding then "conciliator(detect)" else "standard(m=2)")
+      fault_specs.(faults)
+  in
+  QCheck.Test.make ~count:500
     ~name:"scheduler: vm = tree (trace, outputs, metrics)"
-    QCheck.(triple (int_range 1 5) (int_range 0 1_000_000) (int_range 0 2))
-    (fun (n, seed, adv) ->
-      let adversary = adversaries.(adv) in
-      let protocol = Conrat_core.Consensus.standard ~m:2 in
+    (QCheck.make ~print
+       QCheck.Gen.(
+         triple (int_range 1 12) (int_bound 1_000_000)
+           (triple (int_bound (Array.length names - 1)) bool
+              (int_bound (Array.length fault_specs - 1)))))
+    (fun ((n, seed, (adv, deciding, faults)) as case) ->
       let inputs = Array.init n (fun pid -> pid mod 2) in
-      let run engine =
+      let model = Result.get_ok (Fault.of_string fault_specs.(faults)) in
+      let faulty = not (Fault.is_none model) in
+      let run engine body_of =
         let memory = Memory.create () in
-        let instance = protocol.Conrat_core.Consensus.instantiate ~n memory in
-        Scheduler.run ~engine ~record:true ~max_steps:100_000 ~n ~adversary
-          ~rng:(Rng.create seed) ~memory (fun ~pid ~rng ->
-            instance.Conrat_core.Consensus.decide ~pid ~rng inputs.(pid))
+        if model.Fault.weak_reads then Memory.weaken_all memory;
+        if model.Fault.recoveries > 0 then Memory.track_writers memory;
+        let faults = if faulty then Some (Conrat_faults.Injector.of_model model) else None in
+        let body = body_of memory in
+        Scheduler.run ~engine ~record:true ~max_steps:100_000 ?faults ~n
+          ~adversary:(Adversary.by_name names.(adv)) ~rng:(Rng.create seed)
+          ~memory body
       in
-      let a = run `Vm in
-      let b = run `Tree in
-      let traces_equal =
-        match (a.Scheduler.trace, b.Scheduler.trace) with
-        | Some ta, Some tb -> Trace.equal ta tb
-        | _ -> false
+      let agreed =
+        if deciding then
+          both ~faulty (fun engine ->
+            run engine (fun memory ->
+              let factory = Conrat_core.Conciliator.impatient_first_mover ~detect:true () in
+              let i = factory.Conrat_objects.Deciding.instantiate ~n memory in
+              fun ~pid ~rng ->
+                Program.map
+                  (fun o -> (o.Conrat_objects.Deciding.decide, o.Conrat_objects.Deciding.value))
+                  (i.Conrat_objects.Deciding.run ~pid ~rng inputs.(pid))))
+        else
+          both ~faulty (fun engine ->
+            run engine (fun memory ->
+              let i = (Conrat_core.Consensus.standard ~m:2).Conrat_core.Consensus.instantiate ~n memory in
+              fun ~pid ~rng -> i.Conrat_core.Consensus.decide ~pid ~rng inputs.(pid)))
       in
-      if
-        not
-          (traces_equal
-          && a.Scheduler.outputs = b.Scheduler.outputs
-          && a.Scheduler.completed = b.Scheduler.completed
-          && a.Scheduler.steps = b.Scheduler.steps
-          && a.Scheduler.registers = b.Scheduler.registers
-          && Metrics.counts_to_array (Metrics.counts a.Scheduler.metrics)
-             = Metrics.counts_to_array (Metrics.counts b.Scheduler.metrics)
-          && Metrics.individual a.Scheduler.metrics
-             = Metrics.individual b.Scheduler.metrics)
-      then
-        QCheck.Test.fail_reportf
-          "scheduler(n=%d, seed=%d, %s): vm and tree diverge" n seed
-          adversary.Adversary.name
+      if not agreed then
+        QCheck.Test.fail_reportf "scheduler(%s): vm and tree diverge" (print case)
       else true)
 
 (* ------------------------------------------------------------------ *)
