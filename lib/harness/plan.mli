@@ -84,4 +84,4 @@ val workload_rng : int -> Conrat_sim.Rng.t
 (** The input-generation stream for a trial seed, derived as
     [Rng.create (seed lxor 0x5eed)] so it is independent of the
     execution stream [Rng.create seed].  The single definition shared
-    by the engine, {!Montecarlo} and the CLI. *)
+    by {!Engine} and the CLI. *)

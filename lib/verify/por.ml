@@ -271,13 +271,13 @@ let explore ?engine ?(max_depth = 200) ?(max_runs = 2_000_000) ?(cheap_collect =
       | None -> ()
     end
   in
-  (* Duplicate detection: a hash table over (state hash, depth, crash
-     budget, recovery budget) at marked scheduling nodes, storing the
-     sleep set the state was first visited with.  Godefroid's rule for combining
-     sleep sets with state caching: a revisit whose sleep set covers
-     the stored one can only explore a subset of what the first visit
-     did — prune it; a revisit with a fresh awake candidate must be
-     re-explored, and the entry is narrowed to the intersection so
+  (* Duplicate detection: a {!Visited} table over (state hash, depth,
+     crash budget, recovery budget) at marked scheduling nodes, storing
+     the sleep set the state was first visited with.  Godefroid's rule
+     for combining sleep sets with state caching: a revisit whose sleep
+     set covers the stored one can only explore a subset of what the
+     first visit did — prune it; a revisit with a fresh awake candidate
+     must be re-explored, and the entry is narrowed to the intersection so
      later revisits compare against everything now covered.  Depth
      participates in the key because [max_depth] truncation gives
      equal states at different depths different subtrees; diamonds of
@@ -285,25 +285,16 @@ let explore ?engine ?(max_depth = 200) ?(max_runs = 2_000_000) ?(cheap_collect =
      at equal depth anyway.  The table is per-call, so per-shard under
      [Parallel]: shard counts stay deterministic regardless of how
      shards land on workers. *)
-  let visited : (int * int, int) Hashtbl.t = Hashtbl.create (if dedup then 4096 else 0) in
+  let visited = Visited.create (if dedup then 4096 else 0) in
   let dedup_hits = ref 0 in
   let dedup_covered z depth crashes_left recoveries_left =
     let h1, h2 = Machine.state_hash machine in
     let h1 = Memory.mix1 (Memory.mix1 (Memory.mix1 h1 depth) crashes_left) recoveries_left in
     let h2 = Memory.mix2 (Memory.mix2 (Memory.mix2 h2 depth) crashes_left) recoveries_left in
-    let key = (h1, h2) in
-    match Hashtbl.find_opt visited key with
-    | None ->
-      Hashtbl.add visited key z;
-      incr hot_dedup_misses;
-      false
-    | Some z_old ->
-      if z_old land lnot z = 0 then true
-      else begin
-        Hashtbl.replace visited key (z_old land z);
-        incr hot_dedup_inters;
-        false
-      end
+    match Visited.visit visited h1 h2 z with
+    | Visited.Covered -> true
+    | Visited.Added -> incr hot_dedup_misses; false
+    | Visited.Narrowed -> incr hot_dedup_inters; false
   in
   let last_saved = ref !runs in
   (* Telemetry baseline: counts carried in by [resume] are the
@@ -390,7 +381,7 @@ let explore ?engine ?(max_depth = 200) ?(max_runs = 2_000_000) ?(cheap_collect =
      | Some cv ->
        Coverage.leaf cv ~kind ~depth:(Machine.steps machine) ~n ~stage:stage_of;
        if dedup && !runs land 16383 = 0 then
-         Coverage.saturate cv ~leaves:!runs ~table:(Hashtbl.length visited));
+         Coverage.saturate cv ~leaves:!runs ~table:(Visited.count visited));
     (match heartbeat with
      | None -> ()
      | Some hb ->
@@ -623,10 +614,10 @@ let explore ?engine ?(max_depth = 200) ?(max_runs = 2_000_000) ?(cheap_collect =
        Telemetry.add p Telemetry.steps (max 0 (total_steps () - c0_steps));
        Telemetry.peak p Telemetry.snapshot_pool_high !pool_high;
        if dedup then begin
-         Telemetry.peak p Telemetry.dedup_table_peak (Hashtbl.length visited);
+         Telemetry.peak p Telemetry.dedup_table_peak (Visited.count visited);
          match cov with
          | Some cv ->
-           Coverage.saturate cv ~leaves:!runs ~table:(Hashtbl.length visited)
+           Coverage.saturate cv ~leaves:!runs ~table:(Visited.count visited)
          | None -> ()
        end);
     r

@@ -280,7 +280,106 @@ let test_dedup_bites_on_fallback () =
   checkb "dedup_hits > 0" true (s1.Por.dedup_hits > 0);
   checkb "dedup shrinks the explored tree" true
     (Por.explored s1 < Por.explored s0);
-  checkb "hits are counted inside pruned" true (s1.Por.dedup_hits <= s1.Por.pruned)
+  checkb "hits are counted inside pruned" true (s1.Por.dedup_hits <= s1.Por.pruned);
+  (* The exact d28 dedup counts of DESIGN.md's table (and perfbench's
+     tiny por_dedup): any change to the visited table must keep them. *)
+  checki "explored" 200_785 (Por.explored s1);
+  checki "pruned" 28_253 s1.Por.pruned;
+  checki "dedup_hits" 22_688 s1.Por.dedup_hits;
+  checki "steps" 631_332 s1.Por.steps
+
+let test_dedup_exact_fault_configs () =
+  (* The key mixes in the crash and recovery budgets: pin one
+     crash-closed and one crash-recovery-closed config. *)
+  List.iter
+    (fun (name, explored, pruned, hits, steps) ->
+      let s, _ = por ~dedup:true (config name) in
+      checkb (name ^ " exhausted") true s.Por.exhausted;
+      checki (name ^ " explored") explored (Por.explored s);
+      checki (name ^ " pruned") pruned s.Por.pruned;
+      checki (name ^ " dedup_hits") hits s.Por.dedup_hits;
+      checki (name ^ " steps") steps s.Por.steps)
+    [ ("binary_ratifier_n4_f2", 2_143, 16_243, 3_889, 29_472);
+      ("binary_ratifier_rec_n3_f1", 1_941, 6_829, 3_429, 21_786) ]
+
+let test_dedup_jobs_deterministic () =
+  (* Tables are per-shard, so the merged counts under a fleet are a
+     function of the frontier alone, whichever worker ran which shard. *)
+  let c = config "fallback_n2_d28" in
+  let s1, o1 = por ~jobs:2 ~dedup:true c in
+  let s2, o2 = por ~jobs:2 ~dedup:true c in
+  checkb "two jobs-2 dedup runs report identical stats" true (s1 = s2);
+  checkb "and identical outcome sets" true (o1 = o2);
+  checki "explored" 409_251 (Por.explored s1);
+  checki "pruned" 59_440 s1.Por.pruned;
+  checki "dedup_hits" 49_454 s1.Por.dedup_hits;
+  checki "steps" 1_267_544 s1.Por.steps
+
+(* Visited against a Hashtbl model.  Each operation is one dedup step:
+   insert the key if absent, prune if the stored mask is covered,
+   otherwise narrow it to the intersection. *)
+let dedup_step_model model (h1, h2, z) =
+  match Hashtbl.find_opt model (h1, h2) with
+  | None -> Hashtbl.add model (h1, h2) z; Visited.Added
+  | Some z_old when z_old land lnot z = 0 -> Visited.Covered
+  | Some z_old ->
+    Hashtbl.replace model (h1, h2) (z_old land z);
+    Visited.Narrowed
+
+let qcheck_visited_vs_model =
+  let gen =
+    QCheck.Gen.(
+      let h1_any = map (fun x -> x land max_int) int in
+      (* All-ones top bits: the home slot is the last one at every
+         capacity, so these probe past the end of the arrays and wrap. *)
+      let h1_top = map (fun x -> max_int lxor (x land 0xFFFF)) int in
+      (* One shared h1: told apart by h2 alone. *)
+      let h1_same = return 42 in
+      let key =
+        frequency
+          [ (2, pair h1_any int); (2, pair h1_top int); (1, pair h1_same int) ]
+      in
+      pair (int_bound 8)
+        ( list_size (int_range 100 200) key >>= fun keys ->
+          let pool = Array.of_list (List.sort_uniq compare keys) in
+          list_size (int_bound 300) (int_bound (Array.length pool - 1))
+          >>= fun again ->
+          (* Every pool key at least once: ≥ 100 entries from a
+             capacity ≤ 8 forces at least 3 doublings. *)
+          shuffle_l (List.init (Array.length pool) Fun.id @ again)
+          >>= fun order ->
+          flatten_l
+            (List.map
+               (fun i ->
+                 let h1, h2 = pool.(i) in
+                 map (fun z -> (h1, h2, z)) (int_bound 7))
+               order) ))
+  in
+  let print (cap, ops) =
+    Printf.sprintf "capacity=%d ops=[%s]" cap
+      (String.concat "; "
+         (List.map (fun (a, b, z) -> Printf.sprintf "(%d,%d,%d)" a b z) ops))
+  in
+  QCheck.Test.make ~count:100 ~name:"visited table = Hashtbl model"
+    (QCheck.make ~print gen)
+    (fun (cap, ops) ->
+      let t = Visited.create cap and model = Hashtbl.create 16 in
+      List.for_all
+        (fun op ->
+          let h1, h2, z = op in
+          Visited.visit t h1 h2 z = dedup_step_model model op
+          && Visited.count t = Hashtbl.length model
+          && Hashtbl.fold
+               (fun (h1, h2) z ok -> ok && Visited.find t h1 h2 = Some z)
+               model true)
+        ops)
+
+let test_visited_rejects_negative_h1 () =
+  (* -1 marks an empty slot: a negative h1 must never reach the table. *)
+  let t = Visited.create 4096 in
+  match Visited.visit t (-1) 0 0 with
+  | _ -> Alcotest.fail "a negative h1 (the empty marker) was accepted"
+  | exception Invalid_argument _ -> ()
 
 let test_dedup_rejected_on_tree_engine () =
   let c = config "binary_ratifier_n2" in
@@ -562,6 +661,12 @@ let () =
       ( "dedup",
         [ tc "outcome sets preserved" `Quick test_dedup_preserves_outcomes;
           tc "hits on the fallback tree" `Quick test_dedup_bites_on_fallback;
+          tc "exact counts on fault configs" `Quick
+            test_dedup_exact_fault_configs;
+          tc "jobs 2 deterministic" `Quick test_dedup_jobs_deterministic;
+          qc qcheck_visited_vs_model;
+          tc "visited rejects negative h1" `Quick
+            test_visited_rejects_negative_h1;
           tc "rejected on tree engine" `Quick test_dedup_rejected_on_tree_engine
         ] );
       ( "dpor",
