@@ -55,14 +55,19 @@ verify:
 # of up to f crash-stops and must exhaust cleanly; the expected-fail
 # fault demos (a crash-unsafe ratifier variant, the shipped ratifier
 # on weakened registers) must exit 1 and leave replayable
-# counterexample artifacts in FAULT_VERIFY_DIR for CI to upload.
+# counterexample artifacts in FAULT_VERIFY_DIR for CI to upload.  The
+# exhausting configs' executions/complete/truncated/pruned/steps must
+# also equal their rows in the committed BENCH_VERIFY.json, so drift in
+# a fault config's counts fails here.
 FAULT_VERIFY_DIR ?= .
 fault-verify:
 	$(DUNE) exec bin/conrat_cli.exe -- check \
 	  binary_ratifier_n2_f1 binary_ratifier_n3_f1 binary_ratifier_n3_f2 \
 	  binary_ratifier_accept_n3_f2 conciliator_n2_f1 \
 	  binary_ratifier_rec_n2_f1 binary_ratifier_rec_n3_f1 \
-	  --artifact-dir $(FAULT_VERIFY_DIR)
+	  --artifact-dir $(FAULT_VERIFY_DIR) --json .fault-verify.json
+	@python3 bench/verify_counts.py .fault-verify.json BENCH_VERIFY.json; \
+	  status=$$?; rm -f .fault-verify.json; exit $$status
 	@if $(DUNE) exec bin/conrat_cli.exe -- check ratifier_await_ack \
 	    --artifact-dir $(FAULT_VERIFY_DIR) >/dev/null 2>&1; \
 	then echo "fault-verify: ratifier_await_ack unexpectedly passed"; exit 1; \

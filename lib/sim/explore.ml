@@ -29,15 +29,6 @@ let coin_of_op ~memory op =
      | Op.Any (Op.Read l) when Memory.is_weak memory l -> `Weak
      | _ -> `Det (Op.is_write op))
 
-(* The currently crash-stopped pids, ascending — the candidate set for
-   a recovery choice.  Rebuilt per branch point; n is tiny. *)
-let crashed_pids machine ~n =
-  let acc = ref [] in
-  for pid = n - 1 downto 0 do
-    if Machine.is_crashed machine pid then acc := pid :: !acc
-  done;
-  Array.of_list !acc
-
 (* Run one execution following [path] (list of branch choices); choices
    beyond the path default to 0, and out-of-range choices are clamped to
    0 so that a schedule recorded against one protocol can be replayed
@@ -80,7 +71,7 @@ let run_path ?engine ?(record = false) ?(max_depth = 200) ?(cheap_collect = fals
     let en = Machine.enabled machine in
     let arity = Array.length en in
     let rec_pids =
-      if !recoveries_left > 0 then crashed_pids machine ~n else [||]
+      if !recoveries_left > 0 then Machine.crashed_pids machine else [||]
     in
     let m = Array.length rec_pids in
     if arity = 0 && m = 0 then begin
@@ -197,7 +188,7 @@ let explore ?engine ?(max_depth = 200) ?(max_runs = 2_000_000) ?(cheap_collect =
     let en = Machine.enabled machine in
     let arity = Array.length en in
     let rec_pids =
-      if recoveries_left > 0 then crashed_pids machine ~n else [||]
+      if recoveries_left > 0 then Machine.crashed_pids machine else [||]
     in
     let m = Array.length rec_pids in
     if arity = 0 && m = 0 then leaf true

@@ -48,11 +48,6 @@ type 'r run = {
   steps : int;                    (** operations executed on this path *)
 }
 
-val crashed_pids : 'r Machine.t -> n:int -> int array
-(** The currently crash-stopped pids, ascending — the candidate set for
-    a recovery choice.  Shared with the POR engine so both enumerate
-    recover candidates identically. *)
-
 val coin_of_op : memory:Memory.t -> Op.any -> [ `Det of bool | `Coin | `Weak ]
 (** The explorer's branching convention for a pending operation:
     probabilistic writes with [0 < p < 1] branch on the coin ([`Coin],

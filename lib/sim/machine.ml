@@ -206,6 +206,18 @@ let crashes t = t.crash_count
 let recovers t = t.recover_count
 let is_crashed t pid = t.crashed.(pid)
 
+(* The crashed set is a pid set like the enabled set, so it is served
+   from the same interned table, indexed by its bitmask. *)
+let crashed_pids t =
+  let mask = ref 0 in
+  if t.ever_crashed then
+    for pid = 0 to t.n - 1 do
+      if t.crashed.(pid) then mask := !mask lor (1 lsl pid)
+    done;
+  match t.enabled_tab with
+  | Some tab -> tab.(!mask)
+  | None -> enabled_of_mask t.n !mask
+
 let classify t pid =
   if t.crashed.(pid) then `Crashed
   else if Option.is_some t.pending.(pid) then `Running
@@ -372,10 +384,10 @@ let crash t ~pid =
   t.ever_crashed <- true;
   t.pending.(pid) <- None;
   rebuild_enabled t;
-  Option.iter
-    (fun tr ->
-      Trace.add tr { Trace.step = t.steps; pid; op = None; landed = false; observed = None })
-    t.trace;
+  (match t.trace with
+   | None -> ()
+   | Some tr ->
+     Trace.add tr { Trace.step = t.steps; pid; op = None; landed = false; observed = None });
   (match t.sink with
    | None -> ()
    | Some s -> s.Sink.on_crash ~step:t.steps ~pid);
@@ -406,10 +418,10 @@ let recover t ~pid =
      | Compiled vm -> Vm.pending vm pid
      | Tree { programs; _ } -> Program.pending programs.(pid));
   rebuild_enabled t;
-  Option.iter
-    (fun tr ->
-      Trace.add tr { Trace.step = t.steps; pid; op = None; landed = true; observed = None })
-    t.trace;
+  (match t.trace with
+   | None -> ()
+   | Some tr ->
+     Trace.add tr { Trace.step = t.steps; pid; op = None; landed = true; observed = None });
   (match t.sink with
    | None -> ()
    | Some s -> s.Sink.on_recover ~step:t.steps ~pid);

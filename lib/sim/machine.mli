@@ -106,6 +106,14 @@ val recovers : 'r t -> int
 
 val is_crashed : 'r t -> int -> bool
 
+val crashed_pids : 'r t -> int array
+(** The currently crash-stopped pids, ascending — the candidate set for
+    a recovery choice, shared by every explorer so all enumerate
+    recover candidates identically.  Like {!enabled} it is served
+    from the table of interned pid sets, so for [n <= 10] the call
+    allocates nothing (beyond, it builds a fresh array); the array must
+    not be mutated. *)
+
 val classify : 'r t -> int -> [ `Running | `Decided | `Crashed ]
 (** What a pid's [None] output means at a leaf: still running (pending
     operation, truncated execution), decided (program returned), or
@@ -128,7 +136,7 @@ val supports_state_hash : 'r t -> bool
     hashed exploration. *)
 
 val state_hash : 'r t -> int * int
-(** Two independent 63-bit hashes of the machine's semantic state: the
+(** Two independent 62-bit hashes of the machine's semantic state: the
     pc file, the memory (cells plus weak-register stale shadows, see
     {!Memory.hash_fold}) and the crashed set.  Machines of one
     exploration in semantically equal states — equal pending

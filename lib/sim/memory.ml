@@ -380,13 +380,13 @@ let restore_backup t b =
      journals (truncation is its undo). *)
   t.len <- b.b_len
 
-(* Two independent 63-bit FNV-1a-style folds over the live semantic
+(* Two independent 62-bit FNV-1a-style folds over the live semantic
    state, for the explorers' duplicate detection: the cell contents and
    — on weak registers only, where it is observable — the stale-read
    shadow.  Journals, capacities and marks are bookkeeping, not state,
    and are deliberately excluded: two stores reached by different paths
    are semantically equal iff their folds agree (up to collisions; two
-   multipliers make a collision need ~2^63 states per hash).  Weak
+   multipliers make a collision need ~2^62 states per hash).  Weak
    flags are configuration fixed at setup, identical across all states
    of one exploration, so conditioning on them is stable. *)
 let mix1 h v = ((h lxor v) * 0x100000001B3) land max_int

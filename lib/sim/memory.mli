@@ -150,7 +150,7 @@ val restore_backup : t -> backup -> unit
 
 val mix1 : int -> int -> int
 val mix2 : int -> int -> int
-(** The two 63-bit hash folds behind {!hash_fold}, exposed so the other
+(** The two 62-bit hash folds behind {!hash_fold}, exposed so the other
     state-bearing layers ({!Vm}, [Machine]) extend the same pair of
     accumulators: [mixK h v] absorbs [v] into accumulator [h]. *)
 
@@ -159,7 +159,7 @@ val hash_fold : t -> int -> int -> int * int
     contents plus, on weak registers, the stale-read shadow, plus,
     under {!track_writers}, per-register ownership (it decides what a
     future recovery wipes) — into two
-    independent 63-bit accumulators and returns them.  Two stores of
+    independent 62-bit accumulators and returns them.  Two stores of
     one exploration that are semantically equal (same {!size}, same
     {!read} and {!read_stale} views) fold equally; journals and pooled
     bookkeeping are excluded, so equality of state reached by different

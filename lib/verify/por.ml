@@ -62,9 +62,14 @@ let cand_pid en k base rec_pids c =
   else if c < base then en.(c - k)
   else rec_pids.(c - base)
 
-let cand_bit en k base rec_pids c =
-  if cand_kind k base c = kind_stop then stop_bit
-  else key ~pid:(cand_pid en k base rec_pids c) ~kind:(cand_kind k base c)
+(* [key ~pid:(cand_pid ..) ~kind:(cand_kind ..)], or [stop_bit] for the
+   stop pseudo-candidate, with the band tests done once: this is the
+   inner loop of every sibling scan. *)
+let[@inline] cand_bit en k base rec_pids c =
+  if k = 0 then (if c = 0 then stop_bit else 3 * rec_pids.(c - 1) + kind_recover)
+  else if c < k then 3 * en.(c)
+  else if c < base then 3 * en.(c - k) + kind_crash
+  else 3 * rec_pids.(c - base) + kind_recover
 
 (* Branch-point marks, kept on an explicit stack solely so the current
    path can be reported in Explore.run_path's encoding — when a check
@@ -81,7 +86,10 @@ let in_sleep sleep bit = sleep land (1 lsl bit) <> 0
 
 (* First candidate index at or after [i] not in the sleep set, or -1.
    Module-level (machine state threaded through) so the per-node scan
-   allocates no closures. *)
+   allocates no closures.  A node's sleep set only grows while its
+   siblings are tried, so every scan after the first resumes just past
+   the candidate it last returned: each node's candidates are scanned
+   once in total. *)
 let rec first_awake sleep en k base rec_pids ncands i =
   if i >= ncands then -1
   else if in_sleep sleep (cand_bit en k base rec_pids i) then
@@ -139,6 +147,27 @@ let filter_indep pending sleep ~pid ~kind ~n =
     if z land exec_bits = 0 then z
     else drop_dependent pending (any_of pending pid) z 0 n
   end
+
+(* The execute lanes [3q] of every enabled pid [q] other than [pid]. *)
+let rec other_exec_lanes en pid i acc =
+  if i >= Array.length en then acc
+  else
+    let q = en.(i) in
+    other_exec_lanes en pid (i + 1) (if q = pid then acc else acc lor (1 lsl (3 * q)))
+
+(* Whether crashing [pid] at a node asleep at [sleep], with
+   [crashes_left] crash budget and no recovery budget, leads straight
+   to a sleep-blocked leaf.  The child's candidates are known without
+   running the crash: the other enabled pids' executes, plus their
+   crashes while budget remains after this one.  A crash writes no
+   register, so the child's sleep set is [sleep] less [pid]'s lanes
+   and the stop bit, and the child is blocked exactly when every one of
+   those candidate bits is already set here.  With no other pid
+   enabled the child is a complete leaf, never blocked. *)
+let crash_child_blocked sleep en pid crashes_left =
+  let lanes = other_exec_lanes en pid 0 0 in
+  let need = if crashes_left > 1 then lanes lor (lanes lsl 1) else lanes in
+  lanes <> 0 && sleep land need = need
 
 let corrupt () =
   invalid_arg "Por.explore: checkpoint path inconsistent with this config"
@@ -346,11 +375,18 @@ let explore ?engine ?(max_depth = 200) ?(max_runs = 2_000_000) ?(cheap_collect =
     drain hot_dedup_inters f_dedup_inters Telemetry.dedup_intersections;
     drain hot_recovers f_recovers Telemetry.recovers
   in
-  let leaf kind =
+  (* [leaf_at ghost kind] counts a leaf.  [ghost] is 1 for a crash child
+     counted without running the crash (see [transition]) and 0
+     otherwise: the unapplied crash still counts as one transition, in
+     the step total and in the leaf's depth, so every statistic,
+     checkpoint and callback reads as if it had run. *)
+  let leaf_at ghost kind =
+    steps_offset := !steps_offset + ghost;
     (match !pending_offset with
      | Some prior -> steps_offset := prior - Machine.total_steps machine;
        pending_offset := None
      | None -> ());
+    let depth = Machine.steps machine + ghost in
     let stopping = !runs >= max_runs || stop () in
     (match on_checkpoint with
      | Some save when stopping || !runs - !last_saved >= checkpoint_every ->
@@ -367,7 +403,7 @@ let explore ?engine ?(max_depth = 200) ?(max_runs = 2_000_000) ?(cheap_collect =
         | Some p -> Telemetry.bump p Telemetry.checkpoints
         | None -> ());
        (match sink with
-        | Some s -> s.Sink.on_checkpoint ~step:(Machine.steps machine)
+        | Some s -> s.Sink.on_checkpoint ~step:depth
         | None -> ());
        last_saved := !runs
      | Some _ | None -> ());
@@ -379,14 +415,13 @@ let explore ?engine ?(max_depth = 200) ?(max_runs = 2_000_000) ?(cheap_collect =
     (match cov with
      | None -> ()
      | Some cv ->
-       Coverage.leaf cv ~kind ~depth:(Machine.steps machine) ~n ~stage:stage_of;
+       Coverage.leaf cv ~kind ~depth ~n ~stage:stage_of;
        if dedup && !runs land 16383 = 0 then
          Coverage.saturate cv ~leaves:!runs ~table:(Visited.count visited));
     (match heartbeat with
      | None -> ()
      | Some hb ->
-       hb ~runs:!runs ~pruned:!pruned_count ~steps:(total_steps ())
-         ~depth:(Machine.steps machine));
+       hb ~runs:!runs ~pruned:!pruned_count ~steps:(total_steps ()) ~depth);
     match kind with
     | `Pruned -> incr pruned_count
     | (`Complete | `Truncated) as kind ->
@@ -397,6 +432,7 @@ let explore ?engine ?(max_depth = 200) ?(max_runs = 2_000_000) ?(cheap_collect =
        | Ok () -> ()
        | Error reason -> raise (Abort reason))
   in
+  let leaf kind = leaf_at 0 kind in
   let pending = Machine.unsafe_pending machine in
   (* [descend z crashes_left recoveries_left depth]: the machine sits at
      a fresh state whose inherited sleep set is [z].  Scheduling
@@ -417,7 +453,7 @@ let explore ?engine ?(max_depth = 200) ?(max_runs = 2_000_000) ?(cheap_collect =
     let en = Machine.enabled machine in
     let k = Array.length en in
     let rec_pids =
-      if recoveries_left > 0 then Explore.crashed_pids machine ~n else [||]
+      if recoveries_left > 0 then Machine.crashed_pids machine else [||]
     in
     let m = Array.length rec_pids in
     let base = if crashes_left > 0 then 2 * k else k in
@@ -430,8 +466,9 @@ let explore ?engine ?(max_depth = 200) ?(max_runs = 2_000_000) ?(cheap_collect =
       else if ncands = 1 then
         (* Sole candidate: no alternative can ever be tried here, so
            no snapshot and no mark. *)
-        transition ~pid:en.(0) ~kind:kind_exec ~sleep:z ~snap:None
-          ~crashes_left ~recoveries_left ~depth
+        ignore
+          (transition ~pid:en.(0) ~kind:kind_exec ~sleep:z ~snap:None
+             ~crashes_left ~recoveries_left ~depth)
       else begin
         match cut with
         | Some (lvl, emit) when !nframes >= lvl ->
@@ -454,13 +491,14 @@ let explore ?engine ?(max_depth = 200) ?(max_runs = 2_000_000) ?(cheap_collect =
             let cur = ref i in
             while !cur <> c do
               sleep := !sleep lor (1 lsl cand_bit en k base rec_pids !cur);
-              let j = first_awake !sleep en k base rec_pids ncands 0 in
+              let j = first_awake !sleep en k base rec_pids ncands (!cur + 1) in
               if j >= 0 then cur := j else corrupt ()
             done;
             maybe_entry_rebase fi;
-            transition ~pid:(cand_pid en k base rec_pids c)
-              ~kind:(cand_kind k base c) ~sleep:!sleep ~snap:None ~crashes_left
-              ~recoveries_left ~depth;
+            ignore
+              (transition ~pid:(cand_pid en k base rec_pids c)
+                 ~kind:(cand_kind k base c) ~sleep:!sleep ~snap:None ~crashes_left
+                 ~recoveries_left ~depth);
             pop ()
           end
           else if dedup && dedup_covered z depth crashes_left recoveries_left
@@ -484,7 +522,7 @@ let explore ?engine ?(max_depth = 200) ?(max_runs = 2_000_000) ?(cheap_collect =
                 while !frames.(fi) <> c do
                   let i = !frames.(fi) in
                   sleep := !sleep lor (1 lsl cand_bit en k base rec_pids i);
-                  let j = first_awake !sleep en k base rec_pids ncands 0 in
+                  let j = first_awake !sleep en k base rec_pids ncands (i + 1) in
                   if j >= 0 then !frames.(fi) <- j else corrupt ()
                 done;
                 !sleep
@@ -504,20 +542,24 @@ let explore ?engine ?(max_depth = 200) ?(max_runs = 2_000_000) ?(cheap_collect =
     emit (current_path ());
     pop ();
     let z = z lor (1 lsl cand_bit en k base rec_pids i) in
-    let j = first_awake z en k base rec_pids ncands 0 in
+    let j = first_awake z en k base rec_pids ncands (i + 1) in
     if j >= 0 then emit_cut emit z en k base rec_pids ncands j
   (* The sibling loop of one scheduling node, as a recursion so the
-     growing sleep set stays an immediate parameter. *)
+     growing sleep set stays an immediate parameter.  A sibling that
+     left the machine untouched (a crash child counted without running)
+     needs no restore before the next. *)
   and siblings fi en k base rec_pids ncands snap snapo crashes_left
       recoveries_left depth sleep =
     let i = !frames.(fi) in
-    transition ~pid:(cand_pid en k base rec_pids i) ~kind:(cand_kind k base i)
-      ~sleep ~snap:snapo ~crashes_left ~recoveries_left ~depth;
+    let ran =
+      transition ~pid:(cand_pid en k base rec_pids i) ~kind:(cand_kind k base i)
+        ~sleep ~snap:snapo ~crashes_left ~recoveries_left ~depth
+    in
     let sleep = sleep lor (1 lsl cand_bit en k base rec_pids i) in
-    let j = first_awake sleep en k base rec_pids ncands 0 in
+    let j = first_awake sleep en k base rec_pids ncands (i + 1) in
     if j >= 0 then begin
       !frames.(fi) <- j;
-      Machine.restore machine snap;
+      if ran then Machine.restore machine snap;
       siblings fi en k base rec_pids ncands snap snapo crashes_left
         recoveries_left depth sleep
     end
@@ -526,36 +568,49 @@ let explore ?engine ?(max_depth = 200) ?(max_runs = 2_000_000) ?(cheap_collect =
      with 0 < p < 1 forks on the coin and a weak-register read forks on
      freshness; either fork's pre-state is the scheduling state itself,
      so the node snapshot is reused when there is one.  The stop
-     pseudo-candidate is a complete leaf in place — no transition. *)
+     pseudo-candidate is a complete leaf in place — no transition.
+
+     A crash child that [crash_child_blocked] shows to be a
+     sleep-blocked leaf — at a depth where it is not truncated first,
+     and with no recovery budget that would make [pid] an awake recover
+     candidate there — is counted at depth [depth + 1] without running
+     the crash or entering [descend]; its [descend] would have done
+     nothing else.  The result says whether the machine was moved, so
+     the caller's sibling loop knows whether it must restore. *)
   and transition ~pid ~kind ~sleep ~snap ~crashes_left ~recoveries_left ~depth =
-    if kind = kind_stop then leaf `Complete
+    if kind = kind_stop then (leaf `Complete; false)
+    else if
+      kind = kind_crash && recoveries_left = 0 && depth + 1 < max_depth
+      && crash_child_blocked sleep (Machine.enabled machine) pid crashes_left
+    then (leaf_at 1 `Pruned; false)
     else begin
       let z' =
         if sleep = 0 then 0 else filter_indep pending sleep ~pid ~kind ~n
       in
-      if kind = kind_crash then begin
-        Machine.crash machine ~pid;
-        descend z' (crashes_left - 1) recoveries_left (depth + 1)
-      end
-      else if kind = kind_recover then begin
-        incr hot_recovers;
-        Machine.recover machine ~pid;
-        descend z' crashes_left (recoveries_left - 1) (depth + 1)
-      end
-      else
-        (* [coin_class] reads the machine's pending descriptor for the
-           pid — pending operations are fixed until the process is
-           scheduled.  Under the VM the class is cached per pc, so this
-           allocates nothing. *)
-        match Machine.coin_class machine pid with
-        | 0 ->
-          Machine.step_forced machine ~pid ~landed:false;
-          descend z' crashes_left recoveries_left (depth + 1)
-        | 1 ->
-          Machine.step_forced machine ~pid ~landed:true;
-          descend z' crashes_left recoveries_left (depth + 1)
-        | 2 -> fork ~pid ~z' ~snap ~crashes_left ~recoveries_left ~depth ~landed0:true
-        | _ -> fork ~pid ~z' ~snap ~crashes_left ~recoveries_left ~depth ~landed0:false
+      (if kind = kind_crash then begin
+         Machine.crash machine ~pid;
+         descend z' (crashes_left - 1) recoveries_left (depth + 1)
+       end
+       else if kind = kind_recover then begin
+         incr hot_recovers;
+         Machine.recover machine ~pid;
+         descend z' crashes_left (recoveries_left - 1) (depth + 1)
+       end
+       else
+         (* [coin_class] reads the machine's pending descriptor for the
+            pid — pending operations are fixed until the process is
+            scheduled.  Under the VM the class is cached per pc, so this
+            allocates nothing. *)
+         match Machine.coin_class machine pid with
+         | 0 ->
+           Machine.step_forced machine ~pid ~landed:false;
+           descend z' crashes_left recoveries_left (depth + 1)
+         | 1 ->
+           Machine.step_forced machine ~pid ~landed:true;
+           descend z' crashes_left recoveries_left (depth + 1)
+         | 2 -> fork ~pid ~z' ~snap ~crashes_left ~recoveries_left ~depth ~landed0:true
+         | _ -> fork ~pid ~z' ~snap ~crashes_left ~recoveries_left ~depth ~landed0:false);
+      true
     end
   (* Two-way fork on the coin (choice 0 = [landed0]) or on freshness
      (choice 0 = fresh): straight-line, since this is the inner loop. *)
@@ -839,7 +894,7 @@ let explore_source ?engine ?(max_depth = 200) ?(max_runs = 2_000_000)
     let en = Machine.enabled machine in
     let k = Array.length en in
     let rec_pids =
-      if recoveries_left > 0 then Explore.crashed_pids machine ~n else [||]
+      if recoveries_left > 0 then Machine.crashed_pids machine else [||]
     in
     let nrec = Array.length rec_pids in
     let base = if crashes_left > 0 then 2 * k else k in

@@ -57,7 +57,15 @@
     registers add a fresh/stale fork to each of their reads, handled
     exactly like a probabilistic-write coin.  Sleep sets pack into one
     immediate int as 3-bit per-pid lanes, so both engines require
-    [n <= 20]. *)
+    [n <= 20].
+
+    Most leaves of a crash-closed search are crash children whose every
+    candidate is already asleep.  A crash writes no register, so
+    {!explore} can tell such a child from its parent's sleep set alone
+    (when no recovery budget remains and the child is not at the depth
+    bound) and counts it as a pruned leaf without running the crash:
+    the statistics, checkpoints, heartbeats and coverage read exactly as
+    if the crash had run. *)
 
 type stats = {
   complete : int;    (** complete executions checked *)
@@ -67,7 +75,10 @@ type stats = {
   dedup_hits : int;  (** of [pruned], how many were duplicate-state
                          hits (always 0 without [~dedup:true]) *)
   exhausted : bool;  (** the whole reduced tree fit within [max_runs] *)
-  steps : int;       (** machine transitions applied in total *)
+  steps : int;       (** transitions of the explored tree in total,
+                         backtracked branches included — among them the
+                         crash edge into every crash child counted
+                         without running the crash (see {!explore}) *)
 }
 
 val explored : stats -> int
@@ -105,7 +116,10 @@ val explore :
     buffer reused across every leaf — copy it to retain it beyond the
     call.  [sink] observes every
     machine transition (including snapshot/restore backtracking), and
-    its [on_checkpoint] fires at each checkpoint save;
+    its [on_checkpoint] fires at each checkpoint save.  It sees no
+    [on_crash] for a crash child counted without running the crash, and
+    no [on_restore] after such a child or after the stop
+    pseudo-candidate: neither moves the machine.
     [heartbeat] fires once per leaf (pruned leaves included) with
     running totals — rate limiting is the callback's business.
 
@@ -181,8 +195,9 @@ val explore :
     depth and crash budget with a sleep set no larger than the current
     one; such a node can only re-derive already-covered executions.
     Hits are counted in [pruned] and [dedup_hits].  Keys are two
-    independent 63-bit hashes; a collision would need both to collide
-    simultaneously (probability ~2⁻¹²⁶ per pair).  Complete-execution
+    independent hashes of 62 significant bits each; a collision would
+    need both to collide simultaneously (probability ~2⁻¹²⁴ per
+    pair).  Complete-execution
     {e outcome sets} are preserved ([test/test_parallel.ml] verifies
     this differentially); per-leaf sequences and counts are generally
     smaller than without dedup.  Exclusive with checkpointing and with

@@ -437,6 +437,142 @@ let test_checkpoint_sexp_roundtrip () =
   | Error e -> Alcotest.failf "checkpoint did not parse back: %s" e
 
 (* ------------------------------------------------------------------ *)
+(* Crash children counted without running the crash                   *)
+(* ------------------------------------------------------------------ *)
+
+(* One uninterrupted run's per-leaf heartbeat, plus which leaves were
+   crash children that Por counted without running the crash.  Every
+   transition the machine applies reaches the sink as an op, crash or
+   recover event, so at such a leaf the reported step total moves one
+   further past the applied count than at the leaf before. *)
+let leaf_profile c =
+  let applied = ref 0 in
+  let bump ~step:_ ~pid:_ = incr applied in
+  let sink =
+    Sink.make
+      ~on_op:(fun ~step:_ ~pid:_ ~kind:_ ~loc:_ ~landed:_ ~stage:_ -> incr applied)
+      ~on_crash:bump ~on_recover:bump ()
+  in
+  let steps = ref [] in
+  let unrun = ref [] in
+  let last_gap = ref 0 in
+  let heartbeat ~runs:_ ~pruned:_ ~steps:s ~depth:_ =
+    steps := s :: !steps;
+    let gap = s - !applied in
+    unrun := (gap > !last_gap) :: !unrun;
+    last_gap := gap
+  in
+  match Checks.run ~sink ~heartbeat c with
+  | Ok full ->
+    (full, Array.of_list (List.rev !steps), Array.of_list (List.rev !unrun))
+  | Error f -> Alcotest.failf "unexpected violation: %s" f.Checks.reason
+
+let test_resume_after_every_leaf () =
+  (* Stop and resume at every single leaf ([max_runs] stepping by 1):
+     each checkpoint must carry the uninterrupted run's step total at
+     that leaf, some must land on crash leaves counted without running
+     the crash, and the final statistics must be the uninterrupted
+     run's, [steps] included. *)
+  let c = config "binary_ratifier_n3_f1" in
+  let full, leaf_steps, unrun = leaf_profile c in
+  let leaves = Array.length leaf_steps in
+  checki "one heartbeat per leaf" (Por.explored full + full.Por.pruned) leaves;
+  checkb "some crash leaves are counted without running" true
+    (Array.exists Fun.id unrun);
+  let saved = ref None in
+  let on_unrun = ref 0 in
+  let on_checkpoint (counts : Checkpoint.counts) =
+    let r = counts.complete + counts.truncated + counts.pruned in
+    if r >= leaves then Alcotest.failf "checkpoint past the last leaf (%d)" r;
+    checki (Printf.sprintf "steps at leaf %d" r) leaf_steps.(r) counts.steps;
+    if unrun.(r) then incr on_unrun;
+    saved := Some counts
+  in
+  let rec segment budget =
+    if budget > leaves + 1 then Alcotest.fail "segmented run does not converge";
+    match
+      Checks.run ~max_runs:budget ?resume:!saved ~checkpoint_every:max_int
+        ~on_checkpoint c
+    with
+    | Ok s when s.Por.exhausted -> (s, budget)
+    | Ok _ -> segment (budget + 1)
+    | Error f -> Alcotest.failf "violation mid-segment: %s" f.Checks.reason
+  in
+  let final, budget = segment 1 in
+  checki "one segment per leaf" leaves budget;
+  checkb "a checkpoint landed on a crash leaf counted without running" true
+    (!on_unrun > 0);
+  checkb "segmented statistics bit-identical" true (final = full)
+
+(* The two pins below were recorded before crash children could be
+   counted without running the crash; they must not move. *)
+let test_heartbeat_sequence_pinned () =
+  let buf = Buffer.create 65536 in
+  let count = ref 0 in
+  let heartbeat ~runs ~pruned ~steps ~depth =
+    incr count;
+    Printf.bprintf buf "%d,%d,%d,%d;" runs pruned steps depth
+  in
+  (match Checks.run ~heartbeat (config "binary_ratifier_n3_f2") with
+   | Ok s -> checki "steps" 3609 s.Por.steps
+   | Error f -> Alcotest.failf "unexpected violation: %s" f.Checks.reason);
+  checki "heartbeats" 1942 !count;
+  check Alcotest.string "(runs, pruned, steps, depth) sequence digest"
+    "2973a4487cdc42af9e02fc575fa10a1e"
+    (Digest.to_hex (Digest.string (Buffer.contents buf)))
+
+let test_coverage_depth_profile_pinned () =
+  let t = Conrat_obs.Telemetry.create ~coverage:true ~domains:1 () in
+  (match Checks.run ~telemetry:t (config "binary_ratifier_n3_f2") with
+   | Ok _ -> ()
+   | Error f -> Alcotest.failf "unexpected violation: %s" f.Checks.reason);
+  Conrat_obs.Telemetry.finalize t;
+  match Conrat_obs.Telemetry.merged_coverage t with
+  | None -> Alcotest.fail "no coverage collected"
+  | Some cv ->
+    check Alcotest.string "coverage (pruned-depth histogram included)"
+      ({|{"schema_version":3,"depth_profile":{"complete":[0,0,0,0,0,0,3,12,54,130,232,284,84],|}
+       ^ {|"truncated":[],"pruned":[0,1,6,16,34,60,94,160,218,248,234,72]},|}
+       ^ {|"stage_signatures":[{"sig":["-","-","-"],"count":799}],"dedup_saturation":[]}|})
+      (Conrat_obs.Coverage.to_json cv)
+
+(* Minor words [f] allocates when run [iters] times, less what running
+   it zero times costs, so the measurement's own boxing cancels. *)
+let words_per_iters iters f =
+  let measure k =
+    let before = Gc.minor_words () in
+    for _ = 1 to k do f () done;
+    Gc.minor_words () -. before
+  in
+  measure iters -. measure 0
+
+let fault_plane_machine () =
+  let c = config "binary_ratifier_n3_f1" in
+  let memory, body = Checks.setup_of c ~n:c.Checks.n () in
+  Machine.create ~n:c.Checks.n ~memory body
+
+let test_crash_restore_allocates_nothing () =
+  let m = fault_plane_machine () in
+  let s = Machine.snapshot m in
+  let cycle () =
+    Machine.crash m ~pid:1;
+    Machine.restore m s
+  in
+  cycle ();
+  check (Alcotest.float 0.) "words per 1 000 crash/restore cycles" 0.
+    (words_per_iters 1000 cycle);
+  checkb "restored" false (Machine.is_crashed m 1)
+
+let test_crashed_pids_interned () =
+  let m = fault_plane_machine () in
+  check Alcotest.(array int) "none crashed" [||] (Machine.crashed_pids m);
+  Machine.crash m ~pid:2;
+  Machine.crash m ~pid:0;
+  check Alcotest.(array int) "ascending" [| 0; 2 |] (Machine.crashed_pids m);
+  check (Alcotest.float 0.) "words per 1 000 calls" 0.
+    (words_per_iters 1000 (fun () -> ignore (Machine.crashed_pids m)))
+
+(* ------------------------------------------------------------------ *)
 (* Injector plan combinators on the Monte Carlo scheduler              *)
 (* ------------------------------------------------------------------ *)
 
@@ -769,7 +905,15 @@ let () =
           tc "naive resume bit-identical" `Quick
             test_naive_checkpoint_resume_bit_identical;
           tc "corrupt path rejected" `Quick test_resume_rejects_corrupt_path;
-          tc "sexp round-trip" `Quick test_checkpoint_sexp_roundtrip ] );
+          tc "sexp round-trip" `Quick test_checkpoint_sexp_roundtrip;
+          tc "resume after every leaf" `Quick test_resume_after_every_leaf ] );
+      ( "crash_leaves",
+        [ tc "heartbeat sequence pinned" `Quick test_heartbeat_sequence_pinned;
+          tc "coverage depth profile pinned" `Quick
+            test_coverage_depth_profile_pinned;
+          tc "crash/restore allocates nothing" `Quick
+            test_crash_restore_allocates_nothing;
+          tc "crashed_pids interned" `Quick test_crashed_pids_interned ] );
       ( "injector",
         [ tc "crash_at" `Quick test_crash_at;
           tc "crashing budget" `Quick test_crashing_respects_budget;
