@@ -38,17 +38,33 @@ smoke:
 	@echo "smoke: sweep and telemetry JSON on stdout parse"
 
 # Exhaustive safety verification of every registered checker config
-# under the POR engine, within a wall-clock budget (seconds).  The
-# cheap configs and the raised bounds (binary ratifier n=4, fallback
-# depth 28) exhaust comfortably inside it; the depth-34 fallback bound
-# runs until the budget and stops cleanly.  On violation the CLI exits
-# 1 and leaves <name>.counterexample.sexp in VERIFY_DIR for CI to
-# upload.
+# under the POR engine, within a wall-clock budget (seconds).  Every
+# config but the depth-40 fallback bound exhausts well inside it.  That
+# one (about two minutes alone) runs last, after the rest of the
+# registry, takes what the budget leaves and stops cleanly.  Every
+# other config must report exhausted, with executions/complete/
+# truncated/pruned/steps equal to its committed BENCH_VERIFY.json row
+# (bench/verify_counts.py), so a budget that cuts one fails here.  On
+# violation the CLI exits 1 and leaves <name>.counterexample.sexp in
+# VERIFY_DIR for CI to upload.
 VERIFY_BUDGET ?= 120
 VERIFY_DIR ?= .
+VERIFY_LAST = fallback_n2_d40
+CONRAT = $(CURDIR)/_build/default/bin/conrat_cli.exe
 verify:
-	$(DUNE) exec bin/conrat_cli.exe -- check all \
-	  --budget $(VERIFY_BUDGET) --artifact-dir $(VERIFY_DIR)
+	$(DUNE) build bin/conrat_cli.exe
+	@names=$$($(CONRAT) list | sed -n 's/^checkers: *//p' | tr -d ','); \
+	test -n "$$names" || { echo "verify: no checker configs listed"; exit 1; }; \
+	$(CONRAT) check \
+	  $$(for c in $$names; do [ "$$c" = $(VERIFY_LAST) ] || echo "$$c"; done) \
+	  $(VERIFY_LAST) --budget $(VERIFY_BUDGET) --artifact-dir $(VERIFY_DIR) \
+	  --no-telemetry --json .verify.json; \
+	status=$$?; \
+	if [ $$status -eq 0 ]; then \
+	  python3 bench/verify_counts.py --partial $(VERIFY_LAST) \
+	    .verify.json BENCH_VERIFY.json; status=$$?; \
+	fi; \
+	rm -f .verify.json; exit $$status
 
 # Crash-closed exhaustive verification (DESIGN.md §10): the *_fN
 # checker configs enumerate every schedule x coin outcome x placement

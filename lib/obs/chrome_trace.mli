@@ -20,7 +20,7 @@ val create : n:int -> t
 
 val sink : t -> Conrat_sim.Sink.t
 (** The sink to install on a run ({!Conrat_sim.Scheduler.run},
-    {!Conrat_sim.Explore.explore}, …).  Checkpoint saves appear as
+    [Conrat_verify.Por.explore], …).  Checkpoint saves appear as
     instants on the explorer track. *)
 
 val create_fleet : workers:int -> t

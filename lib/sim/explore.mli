@@ -1,43 +1,36 @@
-(** Exhaustive execution exploration — a miniature model checker.
+(** The branch tree of exhaustive exploration, one path at a time.
 
-    While {!Scheduler.run} samples one execution per seed, [explore]
-    enumerates {e every} execution of a protocol on a small instance:
-    every interleaving the adversary could choose, and both outcomes of
-    every probabilistic write with probability strictly between 0
-    and 1.  Safety properties checked over this tree are therefore
-    {e proved} for that instance, not merely tested.
+    While {!Scheduler.run} samples one execution per seed, exhaustive
+    exploration enumerates {e every} execution of a protocol on a small
+    instance: every interleaving the adversary could choose, and both
+    outcomes of every probabilistic write with probability strictly
+    between 0 and 1.  Safety properties checked over this tree are
+    therefore {e proved} for that instance, not merely tested.
 
-    Both entry points are drivers over {!Machine}.  [run_path] executes
-    one deterministically-chosen path (the replay core used by
-    counterexample artifacts and the shrinker).  [explore] walks the
-    whole tree {e statefully}: programs are copyable values, so each
-    branch point snapshots the machine once and backtracking restores
-    it in O(|memory| + n) — no re-execution of path prefixes.  The
-    historical re-execution enumerator survives as
-    [Conrat_verify.Naive], which visits the same leaves in the same
-    order (the cross-check suite relies on that).  The sleep-set
-    partial-order-reduced explorer is [Conrat_verify.Por].
+    This module fixes the tree's path encoding and replays single paths
+    over {!Machine}.  [run_path] executes one deterministically-chosen
+    path (the replay core used by counterexample artifacts and the
+    shrinker), and [next_path] computes its lexicographic successor.
+    Two enumerators walk the tree: [Conrat_verify.Naive] re-executes
+    every path from the root with these two functions (the small
+    independent oracle), and [Conrat_verify.Por] walks it statefully,
+    snapshotting the machine at branch points and restoring it to
+    backtrack, with sleep-set (and optionally source-set) partial-order
+    reduction; that walk needs protocol programs to be replay-pure (see
+    {!Program}): [setup] is called once and continuations are
+    re-entered when backtracking.
 
     This only covers protocols whose randomness consists entirely of
     probabilistic writes (true for the ratifier, which is deterministic,
     for the impatient conciliator, and for the bounded-space fallback);
     local-coin draws inside protocol code are not branched, so protocols
-    using {!Rng} directly get only the schedule explored.  Protocol
-    programs must also be replay-pure (see {!Program}): [setup] is
-    called once and continuations are re-entered when backtracking.
+    using {!Rng} directly get only the schedule explored.
 
     Executions can be unbounded (an adversary can livelock a conciliator
     with vanishing probability), so paths are cut off at [max_depth] and
-    the [check] callback is told whether the execution was complete;
-    safety properties are prefix-closed and should be checked on
-    truncated executions too. *)
-
-type stats = {
-  complete : int;       (** complete executions explored *)
-  truncated : int;      (** paths cut off at [max_depth] *)
-  exhausted : bool;     (** the whole tree fit within [max_runs] *)
-  steps : int;          (** machine transitions applied in total *)
-}
+    checkers are told whether the execution was complete; safety
+    properties are prefix-closed and should be checked on truncated
+    executions too. *)
 
 type 'r run = {
   outputs : 'r option array;      (** per-process results; [None] = unfinished *)
@@ -108,38 +101,3 @@ val next_path_from : lo:int -> (int * int) list -> int list option
     [None] when that subtree is exhausted.  [next_path] is
     [next_path_from ~lo:0].  This is the unit of sharded naive
     enumeration (see [Conrat_verify.Parallel]). *)
-
-val explore :
-  ?engine:Machine.engine ->
-  ?max_depth:int ->
-  ?max_runs:int ->
-  ?cheap_collect:bool ->
-  ?faults:Fault.model ->
-  ?stop:(unit -> bool) ->
-  ?sink:Sink.t ->
-  ?heartbeat:(runs:int -> steps:int -> depth:int -> unit) ->
-  n:int ->
-  setup:(unit -> Memory.t * (pid:int -> 'r Program.t)) ->
-  check:(complete:bool -> 'r option array -> (unit, string) result) ->
-  unit ->
-  (stats, string * stats) result
-(** [explore ~n ~setup ~check ()] enumerates executions depth-first,
-    statefully: [setup] is called {e once}; the machine is snapshotted
-    at branch points and restored when backtracking.  [check] is called
-    at the end of every path; the first [Error] aborts the search and
-    is returned together with the statistics so far.  At a
-    [complete = true] leaf a [None] output means exactly that the
-    process crash-stopped (possible only with a crash budget); at a
-    truncated leaf it may also mean "still running".  [stop] is polled
-    at every leaf; returning [true] ends the search early with
-    [exhausted = false] (used for wall-clock budgets).  [sink]
-    receives per-transition observability events; [heartbeat] is
-    called once per leaf with the running totals ([depth] is the leaf's
-    own path length) — rate limiting is the callback's business.
-    [faults] widens scheduling points with crash (and, with a recovery
-    budget, recover) choices exactly as in {!run_path}, keeping the two
-    engines' path encodings aligned.
-    [engine] selects the program engine (default the compiled VM); the
-    leaf order, statistics and outcome sequence are identical under
-    either.  Defaults: [max_depth = 200], [max_runs = 2_000_000],
-    [faults = Fault.none]. *)

@@ -8,8 +8,8 @@
     {!Conrat_core.Conciliator.impatient_first_mover} with Procedure
     ImpatientFirstMoverConciliator in §5.2.
 
-    Calling any of these outside of {!Scheduler.run} (or
-    {!Explore.explore}) raises [Effect.Unhandled]. *)
+    Calling any of these outside of {!Scheduler.run_direct} raises
+    [Effect.Unhandled]. *)
 
 type _ Effect.t += Step : 'a Op.t -> 'a Effect.t
 

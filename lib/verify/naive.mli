@@ -4,14 +4,14 @@
     running {!Conrat_sim.Explore.run_path} from a fresh [setup ()] for
     each path and computing the successor with
     {!Conrat_sim.Explore.next_path} — the original exploration strategy,
-    kept verbatim now that {!Conrat_sim.Explore.explore} backtracks
-    statefully over one {!Conrat_sim.Machine}.  It costs a full prefix
-    re-execution per path, but demands nothing of the protocol beyond
-    what [run_path] does (in particular, [setup] being callable many
-    times rather than programs being replay-pure), and it remains the
-    cross-check oracle: {!Checks.cross_check} and the test suite compare
-    the engines' complete-execution outcome sets — both visit the same
-    leaves in the same order — on every small configuration. *)
+    kept as the small independent oracle next to {!Por}, which
+    backtracks statefully over one {!Conrat_sim.Machine}.  It costs a
+    full prefix re-execution per path, but demands nothing of the
+    protocol beyond what [run_path] does (in particular, [setup] being
+    callable many times rather than programs being replay-pure), and it
+    walks the unreduced tree: {!Checks.cross_check} and the test suite
+    compare its complete-execution outcome set with {!Por}'s on every
+    small configuration. *)
 
 type stats = {
   complete : int;    (** complete executions explored *)

@@ -71,28 +71,16 @@ let[@inline] cand_bit en k base rec_pids c =
   else if c < base then 3 * en.(c - k) + kind_crash
   else 3 * rec_pids.(c - base) + kind_recover
 
-(* Branch-point marks, kept on an explicit stack solely so the current
-   path can be reported in Explore.run_path's encoding — when a check
-   aborts the search, and as the checkpoint frontier.  All other
-   per-node state (sleep sets, snapshots, depth, fault budgets) lives
-   in the DFS recursion.  Scheduling points with a single candidate are
-   not marked, matching the path encoding.  A frame is one raw int —
-   the current candidate index at a scheduling point, the current coin
-   outcome (0 = landed/fresh, 1 = missed/stale) at a fork; the path
-   encoding reads the value the same way for both, so the stack needs
-   no tags and marking a branch point allocates nothing. *)
-
-let in_sleep sleep bit = sleep land (1 lsl bit) <> 0
-
 (* First candidate index at or after [i] not in the sleep set, or -1.
    Module-level (machine state threaded through) so the per-node scan
    allocates no closures.  A node's sleep set only grows while its
    siblings are tried, so every scan after the first resumes just past
    the candidate it last returned: each node's candidates are scanned
-   once in total. *)
+   once in total.  (Source-set DPOR, below, passes its unrequested
+   candidates as asleep too and rescans from 0.) *)
 let rec first_awake sleep en k base rec_pids ncands i =
   if i >= ncands then -1
-  else if in_sleep sleep (cand_bit en k base rec_pids i) then
+  else if sleep land (1 lsl cand_bit en k base rec_pids i) <> 0 then
     first_awake sleep en k base rec_pids ncands (i + 1)
   else i
 
@@ -138,14 +126,14 @@ let rec drop_dependent pending eop z q n =
    sleeping recover entry; recover/recover and recover/crash pairs of
    distinct pids commute (disjoint ownership, disjoint program
    states — see {!Independence.independent_actions}). *)
-let filter_indep pending sleep ~pid ~kind ~n =
+let filter_indep pending sleep ~pid ~kind =
   let z = sleep land lnot ((7 lsl (pid * 3)) lor (1 lsl stop_bit)) in
   if kind = kind_crash then z
   else if kind = kind_recover then z land lnot exec_bits
   else begin
     let z = z land lnot recover_bits in
     if z land exec_bits = 0 then z
-    else drop_dependent pending (any_of pending pid) z 0 n
+    else drop_dependent pending (any_of pending pid) z 0 (Array.length pending)
   end
 
 (* The execute lanes [3q] of every enabled pid [q] other than [pid]. *)
@@ -172,13 +160,172 @@ let crash_child_blocked sleep en pid crashes_left =
 let corrupt () =
   invalid_arg "Por.explore: checkpoint path inconsistent with this config"
 
-let explore ?engine ?(max_depth = 200) ?(max_runs = 2_000_000) ?(cheap_collect = false)
-    ?(faults = Fault.none) ?(stop = fun () -> false) ?sink ?probe ?heartbeat
-    ?resume ?(subtree_prefix = 0) ?cut ?(dedup = false)
+(* Replay a node's sibling progression from its first awake candidate
+   [i] to the checkpointed or pinned candidate [c], growing the sleep
+   set from [z] exactly as the run that saved the path did while
+   exploring nothing; the sleep set [c] is tried under. *)
+let advance z en k base rec_pids ncands i c =
+  if c < 0 || c >= ncands then corrupt ();
+  let rec go sleep i =
+    if i = c then sleep
+    else
+      let sleep = sleep lor (1 lsl cand_bit en k base rec_pids i) in
+      let j = first_awake sleep en k base rec_pids ncands (i + 1) in
+      if j < 0 then corrupt () else go sleep j
+  in
+  go z i
+
+(* ------------------------------------------------------------------ *)
+(* Dynamic partial-order reduction (toward source sets)                *)
+(* ------------------------------------------------------------------ *)
+
+(* The sleep-set search restricts each node to its not-yet-slept
+   candidates but still tries every one of them; the reduction is the
+   sleep sets' alone.  Under [~source] the same DFS adds
+   Flanagan–Godefroid-style dynamic backtracking on top: a node starts
+   with a minimal backtracking set (see [enter_node]) and grows it on
+   demand.  When a transition of process p executes at depth d, the
+   latest executed event of another process whose operation conflicts
+   with p's marks a race: p is added to the backtracking set of that
+   event's pre-state node (or, if p was not enabled there, every
+   enabled candidate is — the conservative fallback).  Candidates never
+   requested are never explored, which is where the asymptotic
+   reduction over pure sleep sets comes from.
+
+   Completeness bookkeeping beyond the classic loop: leaves that do not
+   run to completion (depth-truncated or sleep-blocked) race-scan the
+   pending operation of every still-enabled process as if it executed
+   there, so a dependency whose second half lies beyond the cut still
+   registers its backtracking point.  Detection on execution (rather
+   than at every state a transition is pending) finds the same races
+   one branch later: the run where p executes adds p's backtracking
+   point at the latest conflicting event, and the branch explored from
+   there repeats the scan against the then-shorter past, percolating
+   the point as far up as it must go.
+
+   The state is one record; the sleep-set search shares the static
+   [no_races], so it allocates nothing for it.
+   Events are indexed by execution depth: process, operation footprint
+   and the frame index of the node whose pre-state chose it (-1 below
+   sole-candidate corridors, where no other process is enabled to
+   request).  A node's backtracking set (a candidate-key mask) and its
+   enabled array (aliased: enabled arrays are interned or rebuilt, never
+   mutated) are indexed by its frame index, unique along the current
+   path and below [2 * (max_depth + 1)]: a path pushes at most a node
+   frame and a fork frame per depth. *)
+type races = {
+  on : bool;
+  probe : Telemetry.probe option;
+  pending : Op.any option array;
+  ev_pid : int array;
+  ev_lo : int array;
+  ev_hi : int array;
+  ev_writes : bool array;
+  ev_node : int array;
+  bt : int array;
+  node_en : int array array;
+}
+
+let no_races =
+  { on = false; probe = None; pending = [||]; ev_pid = [||]; ev_lo = [||];
+    ev_hi = [||]; ev_writes = [||]; ev_node = [||]; bt = [||]; node_en = [||] }
+
+let rec popcount x = if x = 0 then 0 else (x land 1) + popcount (x lsr 1)
+
+(* Request [p]'s execute candidate at node [lvl] — or, when [p] was not
+   schedulable there, every execute candidate (the classic conservative
+   clause). *)
+let add_backtrack rc lvl p =
+  let before = rc.bt.(lvl) in
+  let en = rc.node_en.(lvl) in
+  let m =
+    if Array.exists (fun q -> q = p) en then before lor (1 lsl key ~pid:p ~kind:kind_exec)
+    else Array.fold_left (fun m q -> m lor (1 lsl key ~pid:q ~kind:kind_exec)) before en
+  in
+  rc.bt.(lvl) <- m;
+  match rc.probe with
+  | Some pr when m <> before ->
+    Telemetry.add pr Telemetry.dpor_backtracks (popcount (m land lnot before))
+  | Some _ | None -> ()
+
+(* The latest event before depth [d] of another process whose footprint
+   conflicts with [pid]'s operation; request [pid] at its pre-state
+   node. *)
+let race rc pid d =
+  let op = any_of rc.pending pid in
+  let lo = Op.loc op and hi = Independence.op_hi op in
+  let writes = Independence.op_writes op in
+  let rec scan j =
+    if j >= 0 then
+      if
+        rc.ev_pid.(j) <> pid
+        && (writes || rc.ev_writes.(j))
+        && rc.ev_lo.(j) < hi && lo < rc.ev_hi.(j)
+      then begin
+        (match rc.probe with
+         | Some pr -> Telemetry.bump pr Telemetry.dpor_races
+         | None -> ());
+        if rc.ev_node.(j) >= 0 then add_backtrack rc rc.ev_node.(j) pid
+      end
+      else scan (j - 1)
+  in
+  scan (d - 1)
+
+(* Record the event [pid]/[kind] taken at depth [d] from node [node],
+   race-scanning an execute against the past first.  A crash's footprint
+   is empty, so it races with nothing.  A recovery wipes whichever
+   volatile registers its pid last wrote — a footprint static analysis
+   cannot bound — so it is recorded as a global write: every later
+   operation races with it.  The converse reorderings (recover first)
+   need no scan of their own, because recover candidates sit in every
+   node's initial backtracking set. *)
+let record_event rc ~pid ~kind ~node d =
+  rc.ev_pid.(d) <- pid;
+  rc.ev_node.(d) <- node;
+  if kind = kind_exec then begin
+    race rc pid d;
+    let op = any_of rc.pending pid in
+    rc.ev_lo.(d) <- Op.loc op;
+    rc.ev_hi.(d) <- Independence.op_hi op;
+    rc.ev_writes.(d) <- Independence.op_writes op
+  end
+  else begin
+    rc.ev_lo.(d) <- 0;
+    rc.ev_hi.(d) <- (if kind = kind_recover then max_int else 0);
+    rc.ev_writes.(d) <- kind = kind_recover
+  end
+
+(* A leaf cut before completion: scan every still-enabled process's
+   pending operation as if it executed here, so races whose second half
+   lies past the cut still register. *)
+let pending_races rc en d = Array.iter (fun p -> race rc p d) en
+
+(* Enter the node at frame index [fi] whose first awake candidate is
+   [i].  Its initial backtracking set is [i], every crash candidate
+   (crashes race with nothing, so detection below would never request
+   them), every recover candidate (likewise unrequestable: detection
+   asks for execute candidates only, and a crashed pid is never
+   enabled) and the stop pseudo-candidate when present — crash- and
+   recovery-closure would be lost otherwise. *)
+let enter_node rc fi en k base rec_pids ncands i =
+  rc.node_en.(fi) <- en;
+  let m = ref (1 lsl cand_bit en k base rec_pids i) in
+  for j = k to ncands - 1 do
+    m := !m lor (1 lsl cand_bit en k base rec_pids j)
+  done;
+  rc.bt.(fi) <- !m
+
+(* The one DFS kernel behind {!explore} and {!explore_source}: [source]
+   adds source-set DPOR (above) to the sleep sets. *)
+let search ~source ?engine ?(max_depth = 200) ?(max_runs = 2_000_000)
+    ?(cheap_collect = false) ?(faults = Fault.none) ?(stop = fun () -> false) ?sink
+    ?probe ?heartbeat ?resume ?(subtree_prefix = 0) ?cut ?(dedup = false)
     ?(checkpoint_every = 100_000) ?on_checkpoint ~n ~setup ~check () =
   (* Sleep sets are int bitmasks over [3n] candidate keys plus the stop
      bit.  Exhaustive exploration is hopeless long before this binds. *)
-  if n > 20 then invalid_arg "Por.explore: n must be at most 20";
+  if n > 20 then
+    invalid_arg
+      ((if source then "Por.explore_source" else "Por.explore") ^ ": n must be at most 20");
   if subtree_prefix < 0 then
     invalid_arg "Por.explore: subtree_prefix must be nonnegative";
   (match resume with
@@ -203,6 +350,25 @@ let explore ?engine ?(max_depth = 200) ?(max_runs = 2_000_000) ?(cheap_collect =
   let machine = Machine.create ?engine ~cheap_collect ?sink ~n ~memory body in
   if dedup && not (Machine.supports_state_hash machine) then
     invalid_arg "Por.explore: dedup needs the VM engine (state hashing)";
+  let rc =
+    if not source then no_races
+    else
+      let cap = max_depth + 1 in
+      { on = true; probe; pending = Machine.unsafe_pending machine;
+        ev_pid = Array.make cap 0; ev_lo = Array.make cap 0; ev_hi = Array.make cap 0;
+        ev_writes = Array.make cap false; ev_node = Array.make cap (-1);
+        bt = Array.make (2 * cap) 0; node_en = Array.make (2 * cap) [||] }
+  in
+  (* Branch-point marks, kept on an explicit stack so the current path
+     can be reported in Explore.run_path's encoding — when a check
+     aborts the search, and as the checkpoint frontier — and so the
+     snapshot pool and the DPOR backtracking sets have a per-node
+     index.  Sleep sets, depth and fault budgets live in the recursion.
+     Scheduling points with a single candidate are not marked, matching
+     the path encoding.  A frame is one raw int — the current candidate
+     index at a scheduling point, the current coin outcome (0 =
+     landed/fresh, 1 = missed/stale) at a fork — so marking a branch
+     point allocates nothing. *)
   let frames = ref (Array.make 64 0) in
   let nframes = ref 0 in
   let push v =
@@ -459,15 +625,21 @@ let explore ?engine ?(max_depth = 200) ?(max_runs = 2_000_000) ?(cheap_collect =
     let base = if crashes_left > 0 then 2 * k else k in
     let ncands = if k = 0 && m > 0 then 1 + m else base + m in
     if ncands = 0 then leaf `Complete
-    else if depth >= max_depth then leaf `Truncated
+    else if depth >= max_depth then begin
+      if rc.on then pending_races rc en depth;
+      leaf `Truncated
+    end
     else begin
       let i = first_awake z en k base rec_pids ncands 0 in
-      if i < 0 then leaf `Pruned
+      if i < 0 then begin
+        if rc.on then pending_races rc en depth;
+        leaf `Pruned
+      end
       else if ncands = 1 then
         (* Sole candidate: no alternative can ever be tried here, so
            no snapshot and no mark. *)
         ignore
-          (transition ~pid:en.(0) ~kind:kind_exec ~sleep:z ~snap:None
+          (transition ~pid:en.(0) ~kind:kind_exec ~node:(-1) ~sleep:z ~snap:None
              ~crashes_left ~recoveries_left ~depth)
       else begin
         match cut with
@@ -485,19 +657,12 @@ let explore ?engine ?(max_depth = 200) ?(max_runs = 2_000_000) ?(cheap_collect =
                generator walked when it emitted this path, exploring
                no sibling.  No snapshot: nothing backtracks to here. *)
             let c = match take_rail () with Some c -> c | None -> corrupt () in
-            if c < 0 || c >= ncands then corrupt ();
             push c;
-            let sleep = ref z in
-            let cur = ref i in
-            while !cur <> c do
-              sleep := !sleep lor (1 lsl cand_bit en k base rec_pids !cur);
-              let j = first_awake !sleep en k base rec_pids ncands (!cur + 1) in
-              if j >= 0 then cur := j else corrupt ()
-            done;
+            let sleep = advance z en k base rec_pids ncands i c in
             maybe_entry_rebase fi;
             ignore
               (transition ~pid:(cand_pid en k base rec_pids c)
-                 ~kind:(cand_kind k base c) ~sleep:!sleep ~snap:None ~crashes_left
+                 ~kind:(cand_kind k base c) ~node:fi ~sleep ~snap:None ~crashes_left
                  ~recoveries_left ~depth);
             pop ()
           end
@@ -510,22 +675,15 @@ let explore ?engine ?(max_depth = 200) ?(max_runs = 2_000_000) ?(cheap_collect =
             let snap = take_snapshot () in
             let snapo = Some snap in
             push i;
+            if rc.on then enter_node rc fi en k base rec_pids ncands i;
             let sleep0 =
               match take_rail () with
               | None -> z
               | Some c ->
-                (* Fast-forward: advance the first_awake progression to the
-                   checkpointed choice, growing the sleep set exactly as
-                   the interrupted run did but exploring nothing. *)
-                if c < 0 || c >= ncands then corrupt ();
-                let sleep = ref z in
-                while !frames.(fi) <> c do
-                  let i = !frames.(fi) in
-                  sleep := !sleep lor (1 lsl cand_bit en k base rec_pids i);
-                  let j = first_awake !sleep en k base rec_pids ncands (i + 1) in
-                  if j >= 0 then !frames.(fi) <- j else corrupt ()
-                done;
-                !sleep
+                (* Fast-forward to the checkpointed choice. *)
+                let sleep = advance z en k base rec_pids ncands i c in
+                !frames.(fi) <- c;
+                sleep
             in
             siblings fi en k base rec_pids ncands snap snapo crashes_left
               recoveries_left depth sleep0;
@@ -546,17 +704,26 @@ let explore ?engine ?(max_depth = 200) ?(max_runs = 2_000_000) ?(cheap_collect =
     if j >= 0 then emit_cut emit z en k base rec_pids ncands j
   (* The sibling loop of one scheduling node, as a recursion so the
      growing sleep set stays an immediate parameter.  A sibling that
-     left the machine untouched (a crash child counted without running)
-     needs no restore before the next. *)
+     left the machine untouched (a crash child counted without running,
+     or the stop pseudo-candidate) needs no restore before the next.
+     The next sibling is the first awake candidate past this one, or
+     under source-set DPOR ([rc.on]) the lowest-index requested
+     candidate not asleep. *)
   and siblings fi en k base rec_pids ncands snap snapo crashes_left
       recoveries_left depth sleep =
     let i = !frames.(fi) in
     let ran =
       transition ~pid:(cand_pid en k base rec_pids i) ~kind:(cand_kind k base i)
-        ~sleep ~snap:snapo ~crashes_left ~recoveries_left ~depth
+        ~node:fi ~sleep ~snap:snapo ~crashes_left ~recoveries_left ~depth
     in
     let sleep = sleep lor (1 lsl cand_bit en k base rec_pids i) in
-    let j = first_awake sleep en k base rec_pids ncands (i + 1) in
+    let j =
+      (* Race detection below may have grown the node's backtracking
+         set, so source-set DPOR rescans from 0, unrequested candidates
+         counting as asleep. *)
+      if rc.on then first_awake (sleep lor lnot rc.bt.(fi)) en k base rec_pids ncands 0
+      else first_awake sleep en k base rec_pids ncands (i + 1)
+    in
     if j >= 0 then begin
       !frames.(fi) <- j;
       if ran then Machine.restore machine snap;
@@ -576,16 +743,20 @@ let explore ?engine ?(max_depth = 200) ?(max_runs = 2_000_000) ?(cheap_collect =
      candidate there — is counted at depth [depth + 1] without running
      the crash or entering [descend]; its [descend] would have done
      nothing else.  The result says whether the machine was moved, so
-     the caller's sibling loop knows whether it must restore. *)
-  and transition ~pid ~kind ~sleep ~snap ~crashes_left ~recoveries_left ~depth =
+     the caller's sibling loop knows whether it must restore.  Under
+     source-set DPOR the crash always runs (its child's leaf
+     race-scans), and the event is recorded against node [node]
+     first. *)
+  and transition ~pid ~kind ~node ~sleep ~snap ~crashes_left ~recoveries_left ~depth =
     if kind = kind_stop then (leaf `Complete; false)
     else if
-      kind = kind_crash && recoveries_left = 0 && depth + 1 < max_depth
+      (not rc.on) && kind = kind_crash && recoveries_left = 0 && depth + 1 < max_depth
       && crash_child_blocked sleep (Machine.enabled machine) pid crashes_left
     then (leaf_at 1 `Pruned; false)
     else begin
+      if rc.on then record_event rc ~pid ~kind ~node depth;
       let z' =
-        if sleep = 0 then 0 else filter_indep pending sleep ~pid ~kind ~n
+        if sleep = 0 then 0 else filter_indep pending sleep ~pid ~kind
       in
       (if kind = kind_crash then begin
          Machine.crash machine ~pid;
@@ -682,350 +853,14 @@ let explore ?engine ?(max_depth = 200) ?(max_runs = 2_000_000) ?(cheap_collect =
   | exception Out_of_budget -> finish (Ok (stats false))
   | exception Abort reason -> finish (Error (reason, current_path (), stats false))
 
-(* ------------------------------------------------------------------ *)
-(* Dynamic partial-order reduction (toward source sets)                *)
-(* ------------------------------------------------------------------ *)
+let explore ?engine ?max_depth ?max_runs ?cheap_collect ?faults ?stop ?sink ?probe
+    ?heartbeat ?resume ?subtree_prefix ?cut ?dedup ?checkpoint_every ?on_checkpoint ~n
+    ~setup ~check () =
+  search ~source:false ?engine ?max_depth ?max_runs ?cheap_collect ?faults ?stop ?sink
+    ?probe ?heartbeat ?resume ?subtree_prefix ?cut ?dedup ?checkpoint_every
+    ?on_checkpoint ~n ~setup ~check ()
 
-(* [explore] above restricts each node to its not-yet-slept candidates
-   but still tries every one of them; the reduction is the sleep sets'
-   alone.  This entry point adds Flanagan–Godefroid-style dynamic
-   backtracking on top: a node starts with a minimal backtracking set
-   (its first awake candidate, plus every crash candidate — crashes
-   race with nothing, so detection below would never request them and
-   crash-closure would be lost) and grows it on demand.  When a
-   transition of process p executes at depth d, the latest executed
-   event of another process whose operation conflicts with p's marks a
-   race: p is added to the backtracking set of that event's pre-state
-   node (or, if p was not enabled there, every enabled candidate is —
-   the conservative fallback).  Candidates never requested are never
-   explored, which is where the asymptotic reduction over pure sleep
-   sets comes from.
-
-   Completeness bookkeeping beyond the classic loop: leaves that do not
-   run to completion (depth-truncated or sleep-blocked) race-scan the
-   pending operation of every still-enabled process as if it executed
-   there, so a dependency whose second half lies beyond the cut still
-   registers its backtracking point.  Detection on execution (rather
-   than at every state a transition is pending) finds the same races
-   one branch later: the run where p executes adds p's backtracking
-   point at the latest conflicting event, and the branch explored from
-   there repeats the scan against the then-shorter past, percolating
-   the point as far up as it must go.
-
-   Same guarantee as [explore]: the complete-execution outcome set is
-   preserved exactly (verified differentially against both [explore]
-   and [Naive.explore] in test/test_parallel.ml); executions explored
-   never exceed the unreduced tree's and drop below pure sleep sets
-   wherever candidates go unrequested.  No checkpoint, shard or dedup
-   support — this engine is the reduction oracle, not the workhorse. *)
-let explore_source ?engine ?(max_depth = 200) ?(max_runs = 2_000_000)
-    ?(cheap_collect = false) ?(faults = Fault.none) ?(stop = fun () -> false)
-    ?sink ?probe ?heartbeat ~n ~setup ~check () =
-  if n > 20 then invalid_arg "Por.explore_source: n must be at most 20";
-  let memory, body = setup () in
-  let machine = Machine.create ?engine ~cheap_collect ?sink ~n ~memory body in
-  let pending = Machine.unsafe_pending machine in
-  let frames = ref (Array.make 64 0) in
-  let nframes = ref 0 in
-  let push v =
-    if !nframes = Array.length !frames then begin
-      let bigger = Array.make (2 * !nframes) 0 in
-      Array.blit !frames 0 bigger 0 !nframes;
-      frames := bigger
-    end;
-    !frames.(!nframes) <- v;
-    incr nframes
-  in
-  let pop () = decr nframes in
-  let current_path () = List.init !nframes (fun i -> !frames.(i)) in
-  let complete_count = ref 0 in
-  let truncated_count = ref 0 in
-  let pruned_count = ref 0 in
-  let runs = ref 0 in
-  (* Snapshot and recovery counts stay in plain locals and land in the
-     probe once at exit, like [explore]'s batched hot counters. *)
-  let src_snapshots = ref 0 in
-  let src_recovers = ref 0 in
-  let stats exhausted =
-    { complete = !complete_count;
-      truncated = !truncated_count;
-      pruned = !pruned_count;
-      dedup_hits = 0;
-      exhausted;
-      steps = Machine.total_steps machine }
-  in
-  let exception Abort of string in
-  let exception Out_of_budget in
-  let out_buf = Array.make n None in
-  let leaf kind =
-    if !runs >= max_runs || stop () then raise Out_of_budget;
-    incr runs;
-    (match heartbeat with
-     | None -> ()
-     | Some hb ->
-       hb ~runs:!runs ~pruned:!pruned_count
-         ~steps:(Machine.total_steps machine) ~depth:(Machine.steps machine));
-    match kind with
-    | `Pruned -> incr pruned_count
-    | (`Complete | `Truncated) as kind ->
-      let complete = kind = `Complete in
-      if complete then incr complete_count else incr truncated_count;
-      Machine.outputs_into machine out_buf;
-      (match check ~complete out_buf with
-       | Ok () -> ()
-       | Error reason -> raise (Abort reason))
-  in
-  (* Executed events, indexed by execution depth: process, operation
-     footprint (a crash's is empty, so it races with nothing), and the
-     nesting level of the scheduling node whose pre-state chose it
-     (-1 below sole-candidate corridors, where a backtracking request
-     is vacuous — no other process is enabled there). *)
-  let cap = max_depth + 1 in
-  let ev_pid = Array.make cap 0 in
-  let ev_lo = Array.make cap 0 in
-  let ev_hi = Array.make cap 0 in
-  let ev_writes = Array.make cap false in
-  let ev_node = Array.make cap (-1) in
-  (* Per-node mutable state, indexed by node nesting level: the
-     backtracking set (as a candidate-key mask, grown by race
-     detection from anywhere below) and the node's enabled array
-     (aliased, not copied: enabled arrays are interned/rebuilt, never
-     mutated in place). *)
-  let bt = ref (Array.make 64 0) in
-  let node_en = ref (Array.make 64 [||]) in
-  let ensure_node lvl =
-    if lvl >= Array.length !bt then begin
-      let b = Array.make (2 * Array.length !bt) 0 in
-      Array.blit !bt 0 b 0 (Array.length !bt);
-      bt := b;
-      let e = Array.make (2 * Array.length !node_en) [||] in
-      Array.blit !node_en 0 e 0 (Array.length !node_en);
-      node_en := e
-    end
-  in
-  let rec popcount x = if x = 0 then 0 else (x land 1) + popcount (x lsr 1) in
-  let add_backtrack lvl p =
-    let before = !bt.(lvl) in
-    let en = !node_en.(lvl) in
-    let k = Array.length en in
-    let rec enabled_at i = i < k && (en.(i) = p || enabled_at (i + 1)) in
-    if enabled_at 0 then
-      !bt.(lvl) <- !bt.(lvl) lor (1 lsl key ~pid:p ~kind:kind_exec)
-    else begin
-      (* p was not schedulable at that node: fall back to requesting
-         every execute candidate (the classic conservative clause). *)
-      let m = ref !bt.(lvl) in
-      for i = 0 to k - 1 do
-        m := !m lor (1 lsl key ~pid:en.(i) ~kind:kind_exec)
-      done;
-      !bt.(lvl) <- !m
-    end;
-    match probe with
-    | Some pr ->
-      let added = !bt.(lvl) land lnot before in
-      if added <> 0 then
-        Telemetry.add pr Telemetry.dpor_backtracks (popcount added)
-    | None -> ()
-  in
-  (* Latest executed event of another process conflicting with [pid]'s
-     operation; request [pid] at its pre-state node. *)
-  let race ~pid ~lo ~hi ~writes d =
-    let rec scan j =
-      if j >= 0 then
-        if
-          ev_pid.(j) <> pid
-          && (writes || ev_writes.(j))
-          && ev_lo.(j) < hi && lo < ev_hi.(j)
-        then begin
-          (match probe with
-           | Some pr -> Telemetry.bump pr Telemetry.dpor_races
-           | None -> ());
-          if ev_node.(j) >= 0 then add_backtrack ev_node.(j) pid
-        end
-        else scan (j - 1)
-    in
-    scan (d - 1)
-  in
-  let race_op ~pid ~node d =
-    let op = any_of pending pid in
-    let lo = Op.loc op in
-    let hi = Independence.op_hi op in
-    let writes = Independence.op_writes op in
-    race ~pid ~lo ~hi ~writes d;
-    ev_pid.(d) <- pid;
-    ev_lo.(d) <- lo;
-    ev_hi.(d) <- hi;
-    ev_writes.(d) <- writes;
-    ev_node.(d) <- node
-  in
-  let record_crash ~pid ~node d =
-    ev_pid.(d) <- pid;
-    ev_lo.(d) <- 0;
-    ev_hi.(d) <- 0;
-    ev_writes.(d) <- false;
-    ev_node.(d) <- node
-  in
-  (* A recovery wipes whichever volatile registers its pid last wrote —
-     a footprint that static analysis cannot bound — so it is recorded
-     with a global write footprint: every later operation races with it
-     and registers its backtracking point.  The converse reorderings
-     (recover first) need no race scan of their own, because recover
-     candidates sit in every node's initial backtracking set below. *)
-  let record_recover ~pid ~node d =
-    ev_pid.(d) <- pid;
-    ev_lo.(d) <- 0;
-    ev_hi.(d) <- max_int;
-    ev_writes.(d) <- true;
-    ev_node.(d) <- node
-  in
-  (* A leaf cut before completion: scan every still-enabled process's
-     pending operation as if it executed here, so races whose second
-     half lies past the cut still register. *)
-  let pending_races d =
-    let en = Machine.enabled machine in
-    for i = 0 to Array.length en - 1 do
-      let p = en.(i) in
-      let op = any_of pending p in
-      race ~pid:p ~lo:(Op.loc op) ~hi:(Independence.op_hi op)
-        ~writes:(Independence.op_writes op) d
-    done
-  in
-  let rec descend z lvl crashes_left recoveries_left depth =
-    let en = Machine.enabled machine in
-    let k = Array.length en in
-    let rec_pids =
-      if recoveries_left > 0 then Machine.crashed_pids machine else [||]
-    in
-    let nrec = Array.length rec_pids in
-    let base = if crashes_left > 0 then 2 * k else k in
-    let ncands = if k = 0 && nrec > 0 then 1 + nrec else base + nrec in
-    if ncands = 0 then leaf `Complete
-    else if depth >= max_depth then begin
-      pending_races depth;
-      leaf `Truncated
-    end
-    else begin
-      let i = first_awake z en k base rec_pids ncands 0 in
-      if i < 0 then begin
-        pending_races depth;
-        leaf `Pruned
-      end
-      else if ncands = 1 then
-        execute ~pid:en.(0) ~kind:kind_exec ~node:(-1) ~sleep:z ~snap:None ~lvl
-          ~crashes_left ~recoveries_left ~depth
-      else begin
-        ensure_node lvl;
-        !node_en.(lvl) <- en;
-        (* Initial backtracking set: the first awake candidate, every
-           crash candidate (crashes race with nothing, so detection
-           below would never request them), every recover candidate
-           (likewise unrequestable: race detection asks for execute
-           candidates only, and a crashed pid is never in [en]) and the
-           stop pseudo-candidate when present — crash-closure and
-           recovery-closure would be lost otherwise. *)
-        let m = ref (1 lsl cand_bit en k base rec_pids i) in
-        let nonexec_from = if k = 0 then 0 else k in
-        for j = nonexec_from to ncands - 1 do
-          m := !m lor (1 lsl cand_bit en k base rec_pids j)
-        done;
-        !bt.(lvl) <- !m;
-        incr src_snapshots;
-        let snap = Machine.snapshot machine in
-        let fi = !nframes in
-        push i;
-        (* Candidate loop: lowest-index requested, not-slept candidate;
-           re-scanned from the node's set each round because race
-           detection below grows it.  Explored candidates enter the
-           node sleep set exactly as in [explore]. *)
-        let rec loop sleep first =
-          let c = pick lvl en k base rec_pids ncands sleep in
-          if c >= 0 then begin
-            if not first then Machine.restore machine snap;
-            !frames.(fi) <- c;
-            execute ~pid:(cand_pid en k base rec_pids c)
-              ~kind:(cand_kind k base c) ~node:lvl ~sleep ~snap:(Some snap)
-              ~lvl ~crashes_left ~recoveries_left ~depth;
-            loop (sleep lor (1 lsl cand_bit en k base rec_pids c)) false
-          end
-        in
-        loop z true;
-        pop ()
-      end
-    end
-  and pick lvl en k base rec_pids ncands sleep =
-    let m = !bt.(lvl) in
-    let rec go c =
-      if c >= ncands then -1
-      else
-        let b = 1 lsl cand_bit en k base rec_pids c in
-        if m land b <> 0 && sleep land b = 0 then c else go (c + 1)
-    in
-    go 0
-  and execute ~pid ~kind ~node ~sleep ~snap ~lvl ~crashes_left ~recoveries_left
-      ~depth =
-    if kind = kind_stop then leaf `Complete
-    else begin
-      let z' =
-        if sleep = 0 then 0 else filter_indep pending sleep ~pid ~kind ~n
-      in
-      if kind = kind_crash then begin
-        record_crash ~pid ~node depth;
-        Machine.crash machine ~pid;
-        descend z' (lvl + 1) (crashes_left - 1) recoveries_left (depth + 1)
-      end
-      else if kind = kind_recover then begin
-        incr src_recovers;
-        record_recover ~pid ~node depth;
-        Machine.recover machine ~pid;
-        descend z' (lvl + 1) crashes_left (recoveries_left - 1) (depth + 1)
-      end
-      else begin
-        race_op ~pid ~node depth;
-        match Machine.coin_class machine pid with
-        | 0 ->
-          Machine.step_forced machine ~pid ~landed:false;
-          descend z' (lvl + 1) crashes_left recoveries_left (depth + 1)
-        | 1 ->
-          Machine.step_forced machine ~pid ~landed:true;
-          descend z' (lvl + 1) crashes_left recoveries_left (depth + 1)
-        | cls ->
-          (* Coin / freshness fork: both outcomes, always.  The fork's
-             pre-state is the scheduling state itself, so the node
-             snapshot is reused when there is one; the event at this
-             depth is identical on both sides and stays recorded. *)
-          let landed0 = cls = 2 in
-          let snap =
-            match snap with
-            | Some s -> s
-            | None ->
-              incr src_snapshots;
-              Machine.snapshot machine
-          in
-          let fi = !nframes in
-          push 0;
-          Machine.step_forced machine ~pid ~landed:landed0;
-          descend z' (lvl + 1) crashes_left recoveries_left (depth + 1);
-          Machine.restore machine snap;
-          !frames.(fi) <- 1;
-          Machine.step_forced machine ~pid ~landed:(not landed0);
-          descend z' (lvl + 1) crashes_left recoveries_left (depth + 1);
-          pop ()
-      end
-    end
-  in
-  let finish r =
-    (match probe with
-     | None -> ()
-     | Some p ->
-       Telemetry.add p Telemetry.snapshots !src_snapshots;
-       Telemetry.add p Telemetry.recovers !src_recovers;
-       Telemetry.add p Telemetry.leaves_complete !complete_count;
-       Telemetry.add p Telemetry.leaves_truncated !truncated_count;
-       Telemetry.add p Telemetry.leaves_pruned !pruned_count;
-       Telemetry.add p Telemetry.steps (Machine.total_steps machine));
-    r
-  in
-  match descend 0 0 faults.Fault.crashes faults.Fault.recoveries 0 with
-  | () -> finish (Ok (stats true))
-  | exception Out_of_budget -> finish (Ok (stats false))
-  | exception Abort reason -> finish (Error (reason, current_path (), stats false))
+let explore_source ?engine ?max_depth ?max_runs ?cheap_collect ?faults ?stop ?sink
+    ?probe ?heartbeat ~n ~setup ~check () =
+  search ~source:true ?engine ?max_depth ?max_runs ?cheap_collect ?faults ?stop ?sink
+    ?probe ?heartbeat ~n ~setup ~check ()

@@ -17,13 +17,14 @@
     operations a process has not yet performed) cannot be computed
     soundly.  Sleep sets only ever skip redundant interleavings.
 
-    Like {!Conrat_sim.Explore.explore}, the search is {e stateful}: one
-    {!Conrat_sim.Machine} advances through the tree in place, branch
-    points snapshot it once, and trying a sibling or the other coin
-    outcome restores the snapshot in O(|memory| + n) instead of
-    re-executing the path prefix.  The traversal order, the pruning
-    decisions and all statistics are identical to the historical
-    re-execution implementation.
+    The search is {e stateful}: one {!Conrat_sim.Machine} advances
+    through the tree in place, branch points snapshot it once (into a
+    pool with one slot per frame-stack level), and trying a sibling or
+    the other coin outcome restores the snapshot in O(|memory| + n)
+    instead of re-executing the path prefix; the programs must be
+    replay-pure (see {!Conrat_sim.Program}).  {!explore} and
+    {!explore_source} are two entry points onto this one depth-first
+    kernel.
 
     Guarantees: every {e complete} execution of the unreduced tree is
     Mazurkiewicz-equivalent to a complete execution this search visits,
@@ -220,14 +221,17 @@ val explore_source :
   check:(complete:bool -> 'r option array -> (unit, string) result) ->
   unit ->
   (stats, string * int list * stats) result
-(** Dynamic partial-order reduction in the source-set style, layered on
-    the same sleep sets as {!explore}: each branch point starts with a
-    minimal backtracking set (its first awake candidate plus every
-    crash candidate) and grows it only when an executed transition is
-    found to race with a later one — candidates never requested are
-    never explored.  Leaves cut before completion (depth-truncated or
-    sleep-blocked) scan every still-pending operation for races so
-    truncation cannot hide a dependency.
+(** Dynamic partial-order reduction in the source-set style, run by the
+    same depth-first kernel and on the same sleep sets as {!explore}:
+    each branch point starts with a minimal backtracking set (its first
+    awake candidate plus every crash, recover and stop candidate) and
+    grows it only when an executed transition is found to race with a
+    later one — candidates never requested are never explored.  The
+    next sibling is the lowest-index requested candidate not asleep.
+    Leaves cut before completion (depth-truncated or sleep-blocked) scan
+    every still-pending operation for races so truncation cannot hide a
+    dependency; crash children are therefore always run, never counted
+    from the parent's sleep set as {!explore} does.
 
     Preserves the complete-execution outcome set exactly, like
     {!explore}; {!explored} counts and per-leaf sequences are generally
@@ -235,7 +239,7 @@ val explore_source :
     failure still returns a replayable {!Conrat_sim.Explore.run_path}
     path.  [probe] counts detected races ([dpor_races]) and
     backtrack-set candidates added ([dpor_backtracks]) besides the
-    leaf/step/snapshot counters.  No checkpointing, sharding or dedup:
-    this engine is the reduction oracle the differential suite
-    cross-checks {!explore} and {!Naive.explore} against
-    ([conrat check --dpor]). *)
+    leaf, step and snapshot-pool counters, and fills its coverage like
+    {!explore}.  No checkpointing, sharding or dedup: this mode is the
+    reduction oracle the differential suite cross-checks {!explore} and
+    {!Naive.explore} against ([conrat check --dpor]). *)

@@ -1,13 +1,15 @@
 (* Exhaustive model-checking tests.
 
-   Explore.explore enumerates every schedule and every probabilistic-
-   write outcome on small instances, so the checks in this file are
-   proofs-by-exhaustion of the safety properties for those instances —
-   much stronger than sampling.  A known-broken ratifier is included to
-   show the explorer actually finds violations. *)
+   Naive.explore, the unreduced re-execution enumerator, runs every
+   schedule and every probabilistic-write outcome on small instances,
+   so the checks in this file are proofs-by-exhaustion of the safety
+   properties for those instances — much stronger than sampling.  A
+   known-broken ratifier is included to show the explorer actually
+   finds violations. *)
 
 open Conrat_sim
 open Conrat_objects
+module Naive = Conrat_verify.Naive
 
 let checkb = Alcotest.check Alcotest.bool
 let checki = Alcotest.check Alcotest.int
@@ -15,7 +17,7 @@ let checki = Alcotest.check Alcotest.int
 (* Explorer harness for a deciding object with fixed inputs. *)
 let explore_object ?max_depth ?max_runs ?cheap_collect ~n ~inputs ~check factory =
   let dummy_rng = Rng.create 0 in
-  Explore.explore ?max_depth ?max_runs ?cheap_collect ~n
+  Naive.explore ?max_depth ?max_runs ?cheap_collect ~n
     ~setup:(fun () ->
       let memory = Memory.create () in
       let instance = factory.Deciding.instantiate ~n memory in
@@ -35,10 +37,10 @@ let weak_consensus_check ~inputs ~complete outputs =
 
 let exhaust label result =
   match result with
-  | Ok (stats : Explore.stats) ->
+  | Ok (stats : Naive.stats) ->
     checkb (label ^ ": tree exhausted") true stats.exhausted;
     stats
-  | Error (reason, (stats : Explore.stats)) ->
+  | Error (reason, (stats : Naive.stats)) ->
     Alcotest.failf "%s: violation after %d executions: %s" label
       (stats.complete + stats.truncated) reason
 
@@ -50,7 +52,7 @@ let test_counts_interleavings () =
   (* Two processes, two deterministic ops each, no coins: the number of
      complete executions is the number of interleavings C(4,2) = 6. *)
   let result =
-    Explore.explore ~n:2
+    Naive.explore ~n:2
       ~setup:(fun () ->
         let memory = Memory.create () in
         let r = Memory.alloc_n memory 2 in
@@ -66,15 +68,15 @@ let test_counts_interleavings () =
   in
   match result with
   | Ok stats ->
-    checki "C(4,2) interleavings" 6 stats.Explore.complete;
-    checki "no truncation" 0 stats.Explore.truncated;
-    checkb "exhausted" true stats.Explore.exhausted
+    checki "C(4,2) interleavings" 6 stats.Naive.complete;
+    checki "no truncation" 0 stats.Naive.truncated;
+    checkb "exhausted" true stats.Naive.exhausted
   | Error (reason, _) -> Alcotest.fail reason
 
 let test_counts_coin_branches () =
   (* One process, two probabilistic writes with 0 < p < 1: 4 leaves. *)
   let result =
-    Explore.explore ~n:1
+    Naive.explore ~n:1
       ~setup:(fun () ->
         let memory = Memory.create () in
         let r = Memory.alloc memory in
@@ -89,13 +91,13 @@ let test_counts_coin_branches () =
       ()
   in
   match result with
-  | Ok stats -> checki "2x2 coin outcomes" 4 stats.Explore.complete
+  | Ok stats -> checki "2x2 coin outcomes" 4 stats.Naive.complete
   | Error (reason, _) -> Alcotest.fail reason
 
 let test_deterministic_probs_do_not_branch () =
   (* p = 0 and p = 1 are deterministic: a single execution. *)
   let result =
-    Explore.explore ~n:1
+    Naive.explore ~n:1
       ~setup:(fun () ->
         let memory = Memory.create () in
         let r = Memory.alloc memory in
@@ -112,7 +114,7 @@ let test_deterministic_probs_do_not_branch () =
       ()
   in
   match result with
-  | Ok stats -> checki "single execution" 1 stats.Explore.complete
+  | Ok stats -> checki "single execution" 1 stats.Naive.complete
   | Error (reason, _) -> Alcotest.fail reason
 
 let test_finds_planted_violation () =
@@ -149,7 +151,7 @@ let test_finds_planted_violation () =
 let test_truncation_reported () =
   (* An infinite loop gets cut at max_depth and counted as truncated. *)
   let result =
-    Explore.explore ~max_depth:20 ~max_runs:5 ~n:1
+    Naive.explore ~max_depth:20 ~max_runs:5 ~n:1
       ~setup:(fun () ->
         let memory = Memory.create () in
         let r = Memory.alloc memory in
@@ -168,8 +170,8 @@ let test_truncation_reported () =
   in
   match result with
   | Ok stats ->
-    checki "no complete executions" 0 stats.Explore.complete;
-    checkb "truncations counted" true (stats.Explore.truncated >= 1)
+    checki "no complete executions" 0 stats.Naive.complete;
+    checkb "truncations counted" true (stats.Naive.truncated >= 1)
   | Error (reason, _) -> Alcotest.fail reason
 
 (* ------------------------------------------------------------------ *)
@@ -187,7 +189,7 @@ let test_binary_ratifier_exhaustive_n2 () =
          ~check:(fun ~complete outputs -> weak_consensus_check ~inputs ~complete outputs)
          (Conrat_core.Ratifier.binary ()))
   in
-  checkb "explored many interleavings" true (stats.Explore.complete >= 50)
+  checkb "explored many interleavings" true (stats.Naive.complete >= 50)
 
 let test_binary_ratifier_exhaustive_n3 () =
   let inputs = [| 0; 1; 0 |] in
@@ -224,8 +226,10 @@ let test_cheap_collect_ratifier_exhaustive () =
 
 let test_conciliator_exhaustive () =
   (* The impatient conciliator for n=2: every schedule and every coin
-     outcome (first write has p=1/2, then p=1).  Validity must hold on
-     every path, including truncated ones. *)
+     outcome (first write has p=1/2, then p=1).  The second write always
+     lands, so no schedule livelocks: the tree is finite and every path
+     completes well inside the depth bound.  Validity must hold on every
+     path. *)
   let inputs = [| 0; 1 |] in
   let stats =
     exhaust "impatient conciliator n=2"
@@ -236,7 +240,8 @@ let test_conciliator_exhaustive () =
                Spec.coherence ~outputs ])
          (Conrat_core.Conciliator.impatient_first_mover ()))
   in
-  checkb "some executions truncated (livelock exists)" true (stats.Explore.truncated >= 0)
+  checki "complete executions" 276 stats.Naive.complete;
+  checki "no truncated executions" 0 stats.Naive.truncated
 
 let test_fallback_exhaustive_n2 () =
   (* The racing fallback, n = 2, conflicting inputs: agreement +
@@ -257,7 +262,7 @@ let test_fallback_exhaustive_n2 () =
       (Conrat_core.Fallback.racing ~m:2 ())
   in
   match result with
-  | Ok stats -> checkb "explored a large tree" true (stats.Explore.complete >= 1000)
+  | Ok stats -> checkb "explored a large tree" true (stats.Naive.complete >= 1000)
   | Error (reason, _) -> Alcotest.failf "racing fallback n=2: %s" reason
 
 let test_composition_exhaustive () =

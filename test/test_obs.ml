@@ -77,7 +77,7 @@ let test_trace_roundtrip_truncation_path () =
   in
   let memory_ref = ref None in
   let result =
-    Explore.explore ~n:2 ~sink
+    Conrat_verify.Por.explore ~n:2 ~sink
       ~setup:(fun () ->
         let memory, body = truncating_setup () in
         memory_ref := Some memory;
@@ -86,8 +86,8 @@ let test_trace_roundtrip_truncation_path () =
       ()
   in
   (match result with
-   | Ok stats -> checkb "tree exhausted" true stats.Explore.exhausted
-   | Error (msg, _) -> Alcotest.failf "explore failed: %s" msg);
+   | Ok stats -> checkb "tree exhausted" true stats.Conrat_verify.Por.exhausted
+   | Error (msg, _, _) -> Alcotest.failf "explore failed: %s" msg);
   checkb "explorer snapshotted" true (!snapshots > 0);
   checkb "explorer restored" true (!restores > 0);
   checki "restore truncated the extra register" 1

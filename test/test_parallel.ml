@@ -89,10 +89,10 @@ let naive ?(jobs = 1) ?max_runs c =
   | Ok s -> (s, sorted ())
   | Error (reason, _) -> Alcotest.failf "%s violated: %s" c.Checks.name reason
 
-let dpor c =
+let dpor ?probe c =
   let wrap, sorted = outcomes () in
   match
-    Por.explore_source ~max_depth:c.Checks.max_depth ~max_runs:c.Checks.max_runs
+    Por.explore_source ?probe ~max_depth:c.Checks.max_depth ~max_runs:c.Checks.max_runs
       ~cheap_collect:c.Checks.cheap_collect ~faults:c.Checks.faults
       ~n:c.Checks.n
       ~setup:(Checks.setup_of c ~n:c.Checks.n)
@@ -432,6 +432,46 @@ let test_dpor_reduces_fallback () =
   checkb "dpor explores strictly fewer executions" true
     (Por.explored s_dpor < Por.explored s_por)
 
+(* The reduction itself, pinned: executions, complete, truncated,
+   pruned and steps of the source-set search on four configs, so a
+   change to how backtrack points are requested or how siblings are
+   picked shows as a count, not only (if ever) as an outcome-set
+   difference. *)
+let dpor_pins =
+  [ ("binary_ratifier_n4", (1512, 1512, 0, 49, 9898));
+    ("binary_ratifier_n3_f1", (381, 381, 0, 472, 1801));
+    ("binary_ratifier_rec_n3_f1", (7111, 7111, 0, 77, 40547));
+    ("fallback_n2_d28", (106532, 13426, 93106, 0, 536031)) ]
+
+let test_dpor_counts_pinned () =
+  List.iter
+    (fun (name, (executions, complete, truncated, pruned, steps)) ->
+      let s, _ = dpor (config name) in
+      checkb (name ^ " exhausted") true s.Por.exhausted;
+      checki (name ^ " executions") executions (Por.explored s);
+      checki (name ^ " complete") complete s.Por.complete;
+      checki (name ^ " truncated") truncated s.Por.truncated;
+      checki (name ^ " pruned") pruned s.Por.pruned;
+      checki (name ^ " steps") steps s.Por.steps)
+    dpor_pins;
+  (* Race and backtrack counters on the crash-closed ratifier, and its
+     coverage: every counted leaf lands in the depth profile. *)
+  let module T = Conrat_obs.Telemetry in
+  let t = T.create ~coverage:true ~domains:1 () in
+  let s, _ = dpor ~probe:(T.probe t ~domain:0) (config "binary_ratifier_n3_f1") in
+  let totals = T.totals t in
+  checki "binary_ratifier_n3_f1 dpor_races" 1267 (T.get totals T.dpor_races);
+  checki "binary_ratifier_n3_f1 dpor_backtracks" 158
+    (T.get totals T.dpor_backtracks);
+  T.finalize t;
+  match T.merged_coverage t with
+  | None -> Alcotest.fail "coverage probe carries no coverage"
+  | Some cov ->
+    checki "depth profile = complete + truncated + pruned (381 + 0 + 472)"
+      (s.Por.complete + s.Por.truncated + s.Por.pruned)
+      (Conrat_obs.Coverage.leaves cov);
+    checkb "stage signatures recorded" true (Conrat_obs.Coverage.signatures cov > 0)
+
 (* ------------------------------------------------------------------ *)
 (* State-hash soundness                                                *)
 (* ------------------------------------------------------------------ *)
@@ -674,7 +714,8 @@ let () =
           tc "outcome sets = naive ground truth" `Quick
             test_dpor_vs_naive_outcomes;
           tc "strictly fewer executions on fallback" `Quick
-            test_dpor_reduces_fallback ] );
+            test_dpor_reduces_fallback;
+          tc "search counts pinned" `Quick test_dpor_counts_pinned ] );
       ( "state_hash",
         [ tc "equal states hash equal" `Quick test_hash_equal_states;
           tc "snapshot/step/restore round-trip" `Quick

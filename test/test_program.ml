@@ -7,10 +7,8 @@
    register counts) to the same program run through the Proc.exec
    effects adapter — the legacy direct-style path.  On top of that:
    programs are copyable (a continuation may be resumed repeatedly),
-   the stateful snapshot-backtracking explorer visits the same leaves
-   as the historical re-execution enumerator, the committed §7 fixture
-   replays byte-identically through the Machine-based run_path, and
-   lazy_seq reports cumulative space. *)
+   the committed §7 fixture replays byte-identically through the
+   Machine-based run_path, and lazy_seq reports cumulative space. *)
 
 open Conrat_sim
 open Conrat_objects
@@ -109,11 +107,11 @@ let adversaries =
 
 (* Same protocol, same seed, same adversary: once run natively as a
    Program by the Machine, once spawned as an effects fiber calling
-   Proc.exec.  Everything observable must coincide, operation for
-   operation. *)
+   Proc.exec.  Everything observable (trace, outputs, work) must
+   coincide, operation for operation. *)
 let qcheck_program_vs_effects =
   QCheck.Test.make
-    ~name:"program interpreter = effects path (trace, outputs, work)"
+    ~name:"program interpreter = effects"
     ~count:120
     QCheck.(
       triple
@@ -152,70 +150,10 @@ let qcheck_program_vs_effects =
           n seed adversary.Adversary.name
       else true)
 
-(* ------------------------------------------------------------------ *)
-(* Stateful snapshot-backtracking explorer vs re-execution enumerator  *)
-(* ------------------------------------------------------------------ *)
-
 let config name =
   match Checks.find name with
   | Some c -> c
   | None -> Alcotest.failf "no checker config named %s" name
-
-(* The stateful Explore and the re-execution Naive walk the same tree
-   in the same order: identical complete/truncated counts, identical
-   complete-outcome sets — and the stateful walk applies strictly fewer
-   machine transitions (that is the point of snapshotting). *)
-let test_stateful_matches_reexecution name () =
-  let c = config name in
-  let noting tbl ~complete outputs =
-    if complete then Hashtbl.replace tbl outputs ();
-    Checks.check_of c ~n:c.Checks.n ~complete outputs
-  in
-  let naive_outcomes = Hashtbl.create 64 in
-  let naive =
-    match
-      Naive.explore ~max_depth:c.Checks.max_depth ~max_runs:c.Checks.max_runs
-        ~cheap_collect:c.Checks.cheap_collect ~n:c.Checks.n
-        ~setup:(Checks.setup_of c ~n:c.Checks.n)
-        ~check:(noting naive_outcomes) ()
-    with
-    | Ok s -> s
-    | Error (reason, _) -> Alcotest.failf "%s naive: %s" name reason
-  in
-  let stateful_outcomes = Hashtbl.create 64 in
-  let stateful =
-    match
-      Explore.explore ~max_depth:c.Checks.max_depth ~max_runs:c.Checks.max_runs
-        ~cheap_collect:c.Checks.cheap_collect ~n:c.Checks.n
-        ~setup:(Checks.setup_of c ~n:c.Checks.n)
-        ~check:(noting stateful_outcomes) ()
-    with
-    | Ok s -> s
-    | Error (reason, _) -> Alcotest.failf "%s stateful: %s" name reason
-  in
-  checkb (name ^ ": both exhausted") true
-    (naive.Naive.exhausted && stateful.Explore.exhausted);
-  checki (name ^ ": same complete count") naive.Naive.complete
-    stateful.Explore.complete;
-  checki (name ^ ": same truncated count") naive.Naive.truncated
-    stateful.Explore.truncated;
-  checki (name ^ ": same outcome-set size")
-    (Hashtbl.length naive_outcomes)
-    (Hashtbl.length stateful_outcomes);
-  Hashtbl.iter
-    (fun k () ->
-      checkb (name ^ ": outcome present in both") true
-        (Hashtbl.mem stateful_outcomes k))
-    naive_outcomes;
-  checkb
-    (Printf.sprintf "%s: snapshotting saves work (%d vs %d transitions)" name
-       stateful.Explore.steps naive.Naive.steps)
-    true
-    (stateful.Explore.steps < naive.Naive.steps)
-
-let stateful_config_names =
-  [ "binary_ratifier_n2"; "binary_ratifier_accept_n3";
-    "cheap_collect_ratifier_n2"; "conciliator_n2"; "composite_n2" ]
 
 (* ------------------------------------------------------------------ *)
 (* Fixture byte-identity through the Machine-based run_path            *)
@@ -287,12 +225,6 @@ let () =
             test_protocol_program_copyable ] );
       ( "equivalence",
         [ QCheck_alcotest.to_alcotest qcheck_program_vs_effects ] );
-      ( "stateful_explorer",
-        List.map
-          (fun name ->
-            tc ("matches re-execution: " ^ name) `Quick
-              (test_stateful_matches_reexecution name))
-          stateful_config_names );
       ( "fixture",
         [ tc "byte-identical replay" `Quick test_fixture_byte_identical_replay ] );
       ( "lazy_seq",

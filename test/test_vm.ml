@@ -4,11 +4,11 @@
    The Machine façade runs either program engine (Machine.engine); the
    refactor's correctness contract is that everything observable —
    traces, sink event streams, metrics, outputs, crash sets, branch
-   records, leaf order and statistics of all three explorers — is
+   records, leaf order and statistics of both explorers — is
    bit-identical under both.  This file checks that contract
    differentially: every registry config (including the expected-fail
-   demos) × random schedules × random fault models, plus the stateful
-   explorer, POR and naive enumerators leaf for leaf, the Monte Carlo
+   demos) × random schedules × random fault models, plus the POR and
+   naive enumerators leaf for leaf, the Monte Carlo
    scheduler under randomized adversaries, cross-engine checkpoint
    resume, and byte-identity of the committed counterexample
    fixtures. *)
@@ -133,26 +133,6 @@ let qcheck_run_path_differential =
    checkpoints and BENCH_VERIFY statistics depend on.  The run cap
    keeps big configs cheap — identical traversal means the capped
    prefixes coincide leaf for leaf, exhausted flag included. *)
-let explore_leaves engine (c : Checks.t) ~max_runs =
-  let acc = ref [] in
-  let result =
-    Explore.explore ~engine ~max_depth:c.Checks.max_depth ~max_runs
-      ~cheap_collect:c.Checks.cheap_collect ~faults:c.Checks.faults
-      ~n:c.Checks.n
-      ~setup:(Checks.setup_of c ~n:c.Checks.n)
-      ~check:(fun ~complete outputs ->
-        acc := (complete, Array.copy outputs) :: !acc;
-        Ok ())
-      ()
-  in
-  (result, List.rev !acc)
-
-let test_explore_leaf_differential name () =
-  let c = config name in
-  let a = explore_leaves `Vm c ~max_runs:5_000 in
-  let b = explore_leaves `Tree c ~max_runs:5_000 in
-  checkb (name ^ ": explore leaf sequences and stats agree") true (a = b)
-
 let por_leaves engine (c : Checks.t) ~max_runs =
   let acc = ref [] in
   let result =
@@ -399,13 +379,6 @@ let () =
     [ ( "differential",
         [ QCheck_alcotest.to_alcotest qcheck_run_path_differential;
           QCheck_alcotest.to_alcotest qcheck_scheduler_differential ] );
-      ( "explore",
-        List.map
-          (fun name -> tc name `Quick (test_explore_leaf_differential name))
-          [ "binary_ratifier_n2"; "binary_ratifier_n3";
-            "cheap_collect_ratifier_n2"; "conciliator_n2"; "composite_n2";
-            "fallback_n2_d28"; "binary_ratifier_n2_f1"; "binary_ratifier_n2_weak";
-            "binary_ratifier_rec_n2_f1"; "binary_ratifier_n3_rec" ] );
       ( "por",
         List.map
           (fun c -> tc c.Checks.name `Quick (test_por_leaf_differential c))
