@@ -70,12 +70,14 @@ verify:
 # checker configs enumerate every schedule x coin outcome x placement
 # of up to f crash-stops and must exhaust cleanly; the expected-fail
 # fault demos (a crash-unsafe ratifier variant, the shipped ratifier
-# on weakened registers) must exit 1 and leave replayable
-# counterexample artifacts in FAULT_VERIFY_DIR for CI to upload.  The
+# on weakened registers, a recovery-unsafe ratifier) must fail and
+# leave counterexample artifacts in FAULT_VERIFY_DIR for CI to upload,
+# and `check --replay` of each artifact just written must exit 0.  The
 # exhausting configs' executions/complete/truncated/pruned/steps must
 # also equal their rows in the committed BENCH_VERIFY.json, so drift in
 # a fault config's counts fails here.
 FAULT_VERIFY_DIR ?= .
+FAULT_DEMOS = ratifier_await_ack binary_ratifier_n2_weak binary_ratifier_n3_rec
 fault-verify:
 	$(DUNE) exec bin/conrat_cli.exe -- check \
 	  binary_ratifier_n2_f1 binary_ratifier_n3_f1 binary_ratifier_n3_f2 \
@@ -84,18 +86,15 @@ fault-verify:
 	  --artifact-dir $(FAULT_VERIFY_DIR) --json .fault-verify.json
 	@python3 bench/verify_counts.py .fault-verify.json BENCH_VERIFY.json; \
 	  status=$$?; rm -f .fault-verify.json; exit $$status
-	@if $(DUNE) exec bin/conrat_cli.exe -- check ratifier_await_ack \
-	    --artifact-dir $(FAULT_VERIFY_DIR) >/dev/null 2>&1; \
-	then echo "fault-verify: ratifier_await_ack unexpectedly passed"; exit 1; \
-	else echo "fault-verify: ratifier_await_ack caught (expected)"; fi
-	@if $(DUNE) exec bin/conrat_cli.exe -- check binary_ratifier_n2_weak \
-	    --artifact-dir $(FAULT_VERIFY_DIR) >/dev/null 2>&1; \
-	then echo "fault-verify: binary_ratifier_n2_weak unexpectedly passed"; exit 1; \
-	else echo "fault-verify: binary_ratifier_n2_weak caught (expected)"; fi
-	@if $(DUNE) exec bin/conrat_cli.exe -- check binary_ratifier_n3_rec \
-	    --artifact-dir $(FAULT_VERIFY_DIR) >/dev/null 2>&1; \
-	then echo "fault-verify: binary_ratifier_n3_rec unexpectedly passed"; exit 1; \
-	else echo "fault-verify: binary_ratifier_n3_rec caught (expected)"; fi
+	@for d in $(FAULT_DEMOS); do \
+	  a=$(FAULT_VERIFY_DIR)/$$d.counterexample.sexp; rm -f "$$a"; \
+	  if $(DUNE) exec bin/conrat_cli.exe -- check $$d \
+	      --artifact-dir $(FAULT_VERIFY_DIR) >/dev/null 2>&1; \
+	  then echo "fault-verify: $$d unexpectedly passed"; exit 1; fi; \
+	  echo "fault-verify: $$d caught (expected)"; \
+	  $(DUNE) exec bin/conrat_cli.exe -- check --replay "$$a" \
+	    || { echo "fault-verify: $$d's counterexample does not replay"; exit 1; }; \
+	done
 
 # Parallel determinism gate: the differential suite (every registry
 # config at --jobs N vs sequential, dedup on/off, DPOR cross-checks,

@@ -18,10 +18,11 @@ let bench_scheduler_step =
        let memory = Memory.create () in
        let shared = Memory.alloc_n memory 4 in
        ignore
-         (Scheduler.run_direct ~n:8 ~adversary:Adversary.round_robin ~rng:(Rng.create 1) ~memory
+         (Scheduler.run ~n:8 ~adversary:Adversary.round_robin ~rng:(Rng.create 1) ~memory
             (fun ~pid ~rng:_ ->
-              Proc.write shared.(pid mod 4) pid;
-              ignore (Proc.read shared.((pid + 1) mod 4))))))
+              let open Program in
+              let* () = write shared.(pid mod 4) pid in
+              map ignore (read shared.((pid + 1) mod 4))))))
 
 let bench_conciliator =
   Test.make ~name:"impatient conciliator round (n=16)"

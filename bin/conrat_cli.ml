@@ -600,6 +600,9 @@ let replay_artifact engine file =
       (match Checks.find artifact.checker with
        | None -> die "artifact names unknown checker %s" artifact.checker
        | Some config ->
+         (match Checks.fits config artifact with
+          | Error msg -> die "artifact %s is not replayable: %s" file msg
+          | Ok () -> ());
          (match Checks.replay ~engine config artifact with
           | Error reason -> Printf.printf "%s: reproduced: %s\n" artifact.checker reason
           | Ok () ->

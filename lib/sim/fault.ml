@@ -37,10 +37,12 @@ let to_string m =
 
 (* Accepted spec grammar (the CLI's --faults argument):
      none | crash:f=K | weak | recover | recover:r=R
-   — comma-separated parts in any order.  Bare [recover] resolves to
-   r = f once all parts are parsed; [recover] without a crash budget is
-   contradictory (nothing can ever be down to restart) and is rejected
-   with a spec-specific message rather than the generic one. *)
+   — comma-separated parts in any order, each kind (crash, recover,
+   weak) at most once, so no part silently overrides another.  Bare
+   [recover] resolves to r = f once all parts are parsed; [recover]
+   without a crash budget is contradictory (nothing can ever be down to
+   restart) and is rejected with a spec-specific message rather than
+   the generic one. *)
 let of_string s =
   let err () =
     Error
@@ -51,8 +53,9 @@ let of_string s =
   | s ->
     let parts = String.split_on_char ',' s in
     (* recover_req: None = no recover part seen; Some None = bare
-       [recover] (budget defaults to f); Some (Some r) = recover:r=R. *)
-    let rec go acc recover_req = function
+       [recover] (budget defaults to f); Some (Some r) = recover:r=R.
+       seen: the part kinds parsed so far. *)
+    let rec go acc recover_req seen = function
       | [] ->
         (match recover_req with
          | None -> Ok acc
@@ -65,7 +68,17 @@ let of_string s =
              let r = match req with None -> acc.crashes | Some r -> r in
              Ok { acc with recoveries = r })
       | part :: rest ->
-        (match String.trim part with
+        let part = String.trim part in
+        let kind =
+          match String.index_opt part ':' with
+          | Some i -> String.sub part 0 i
+          | None -> part
+        in
+        let go acc recover_req rest = go acc recover_req (kind :: seen) rest in
+        if List.mem kind seen then
+          Error (Printf.sprintf "bad fault spec %S: %s given twice" s kind)
+        else
+        (match part with
          | "weak" -> go { acc with weak_reads = true } recover_req rest
          | "recover" -> go acc (Some None) rest
          | part ->
@@ -91,7 +104,7 @@ let of_string s =
                | Some _ | None -> err ())
             | None -> err ()))
     in
-    go none None parts
+    go none None [] parts
 
 let to_sexp m =
   Sexp.List

@@ -48,7 +48,8 @@ val to_string : model -> string
 val of_string : string -> (model, string) result
 (** Parse a [--faults] spec: comma-separated [crash:f=K], [weak],
     [recover:r=R] and bare [recover] (meaning r = f) parts in any
-    order; [""] and ["none"] mean {!none}.  [recover] without a crash
+    order, each kind at most once (a repeated kind is rejected, naming
+    it); [""] and ["none"] mean {!none}.  [recover] without a crash
     budget is rejected with a message naming the contradiction. *)
 
 val to_sexp : model -> Sexp.t

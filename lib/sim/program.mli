@@ -1,14 +1,17 @@
-(** Defunctionalized protocol programs: the copyable execution core.
+(** Defunctionalized protocol programs: the one way protocol code runs.
 
     A ['r t] is a protocol's remaining computation, reified as a value:
     either it has returned ([Done r]), or it is about to perform a
     shared-memory operation and continue with the result
-    ([Step (op, k)]).  The continuation [k] is an ordinary OCaml
-    closure, so — unlike the one-shot effect continuations of
-    {!Fiber} — a program state can be stored, duplicated, and resumed
-    any number of times.  This is what lets the exhaustive explorers
-    ({!Explore}, [Conrat_verify.Por]) snapshot a state and backtrack to
-    it instead of re-executing the whole path prefix from scratch.
+    ([Step (op, k)]).  This states the model of §2 directly: a process
+    is its pending operation, and the adversary picks which pending
+    operation is applied next.  The continuation [k] is an ordinary
+    OCaml closure, so a program state can be stored, duplicated, and
+    resumed any number of times.  This is what lets the exhaustive
+    explorers ([Conrat_verify.Por], [Conrat_verify.Naive]) snapshot a
+    state and backtrack to it instead of re-executing the whole path
+    prefix from scratch, and the same value drives the Monte Carlo
+    {!Scheduler}.
 
     Protocols written against this interface must be {e replay-pure}:
     all mutable protocol state must live in shared {!Memory} (reached
@@ -18,10 +21,10 @@
     capture mutable references that persist across [Step] boundaries.
     Refs created and consumed {e between} two operations are fine.
 
-    The direct effects style ({!Proc}) remains available as a thin
-    adapter: {!Proc.exec} runs a program by performing its operations
-    as effects, and {!Fiber.to_program} converts a spawned fiber into a
-    (one-shot) program. *)
+    Protocol code reads close to the paper's pseudocode with the
+    binding operators: [let* v = read r in ...] — compare
+    [Conrat_core.Conciliator.impatient_first_mover] with Procedure
+    ImpatientFirstMoverConciliator in §5.2. *)
 
 type 'r t =
   | Done of 'r

@@ -105,9 +105,3 @@ let run ?(engine = `Tree) ?(max_steps = 10_000_000) ?(record = false) ?(cheap_co
     plan_ignored = !ignored;
     trace;
     registers = Memory.size memory }
-
-let run_direct ?engine ?max_steps ?record ?cheap_collect ?faults ?sink ~n ~adversary
-    ~rng ~memory body =
-  run ?engine ?max_steps ?record ?cheap_collect ?faults ?sink ~n ~adversary ~rng
-    ~memory
-    (fun ~pid ~rng -> Fiber.to_program (Fiber.spawn (fun () -> body ~pid ~rng)))

@@ -6,6 +6,8 @@
     implementation of the model in §2 of the paper: an execution is
     constructed by repeatedly applying pending operations, with the
     choice made by an adversary function of the partial execution.
+    Bodies are {!Program.t} values, the same ones the exhaustive
+    explorers run.
 
     Asynchrony, crashes and wait-freedom: an adversary that stops
     scheduling a process forever is indistinguishable from crashing it,
@@ -82,22 +84,3 @@ val run :
     including for bodies drawing local randomness; the VM stays the
     explorers' engine ({!Machine.create}'s default) and is this
     scheduler's differential oracle. *)
-
-val run_direct :
-  ?engine:Machine.engine ->
-  ?max_steps:int ->
-  ?record:bool ->
-  ?cheap_collect:bool ->
-  ?faults:Fault.plan ->
-  ?sink:Sink.t ->
-  n:int ->
-  adversary:Adversary.t ->
-  rng:Rng.t ->
-  memory:Memory.t ->
-  (pid:int -> rng:Rng.t -> 'r) ->
-  'r result
-(** Same as {!run} for a direct-style body that performs its operations
-    through {!Proc}: the body is spawned as an effects {!Fiber} and
-    adapted with {!Fiber.to_program}.  Identical semantics and random
-    streams — a body [fun ~pid ~rng -> Proc.exec (p ~pid ~rng)] behaves
-    exactly like running the programs [p] natively. *)

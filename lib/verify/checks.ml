@@ -308,7 +308,22 @@ let run ?engine ?stop ?max_runs ?sink ?heartbeat ?resume ?checkpoint_every
     in
     Error { reason; stats; artifact; shrink_replays = !count }
 
+let fits config (a : Artifact.t) =
+  let ints xs = String.concat " " (Array.to_list (Array.map string_of_int xs)) in
+  if a.n < 1 || a.n > config.n then
+    Error (Printf.sprintf "n = %d is outside 1..%d (checker %s)" a.n config.n config.name)
+  else if a.inputs <> Array.sub config.inputs 0 a.n then
+    Error
+      (Printf.sprintf "inputs (%s) are not checker %s's first %d inputs (%s)"
+         (ints a.inputs) config.name a.n (ints (Array.sub config.inputs 0 a.n)))
+  else if a.max_depth < 0 then
+    Error (Printf.sprintf "max-depth = %d is negative" a.max_depth)
+  else Ok ()
+
 let replay ?engine config artifact =
+  (match fits config artifact with
+   | Error msg -> invalid_arg ("Checks.replay: " ^ msg)
+   | Ok () -> ());
   Artifact.replay ?engine ~setup:(setup_of config ~n:artifact.Artifact.n)
     ~check:(check_of config ~n:artifact.Artifact.n)
     artifact

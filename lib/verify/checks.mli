@@ -121,7 +121,14 @@ val replay :
   t -> Artifact.t -> (unit, string) result
 (** Replay an artifact under this config's factory and property (the
     artifact's own [n]/[inputs]/bounds are used).  [Error _] means the
-    violation reproduced. *)
+    violation reproduced.  Raises [Invalid_argument] if the artifact
+    does not {!fits} the config. *)
+
+val fits : t -> Artifact.t -> (unit, string) result
+(** Whether an artifact can be replayed against this config: its [n]
+    lies in [1..config.n], its [inputs] are the config's first [n]
+    inputs, and its [max_depth] is not negative.  [Error] names the
+    offending field. *)
 
 type cross = {
   naive : Naive.stats;

@@ -258,6 +258,10 @@ let () =
   expect "check --faults bad spec" ~code:2 ~stderr_has:"bad --faults"
     (run "check --faults bogus binary_ratifier_n2");
 
+  (* a repeated part is an error, not last-one-wins *)
+  expect "check --faults repeated part" ~code:2 ~stderr_has:"crash given twice"
+    (run "check --faults crash:f=2,crash:f=1 binary_ratifier_n2");
+
   expect "crash-closed registry config" ~code:0 ~stdout_has:"exhausted"
     (run "check binary_ratifier_n3_f2");
 
@@ -348,6 +352,23 @@ let () =
   if String.length (String.trim err) > 0
      && List.length (String.split_on_char '\n' (String.trim err)) > 1
   then failf "oversized replay: diagnostic is not one line (got: %s)" err;
+
+  (* parses fine but does not fit its config: exit 2 naming the field,
+     not a replay of the config's own inputs or a false "did NOT
+     reproduce" *)
+  let unstaked = read_file (Filename.concat "fixtures" "fallback_unstaked_n2.sexp") in
+  List.iter
+    (fun (what, sub, by, field) ->
+      let file = Filename.concat tmpdir "mismatched.sexp" in
+      write_file file (replace ~sub ~by unstaked);
+      let code, out, err = run (Printf.sprintf "check --replay %s" (Filename.quote file)) in
+      expect ("replay " ^ what) ~code:2 ~stderr_has:field (code, out, err);
+      if List.length (String.split_on_char '\n' (String.trim err)) > 1 then
+        failf "replay %s: diagnostic is not one line (got: %s)" what err)
+    [ ("foreign inputs", "(inputs 0 1)", "(inputs 0 99)", "inputs (0 99)");
+      ("n past the config", "(n 2)", "(n 99)", "n = 99");
+      ("negative n", "(n 2)", "(n -3)", "n = -3");
+      ("negative max-depth", "(max-depth 28)", "(max-depth -1)", "max-depth = -1") ];
 
   (* ---- checkpoint / resume ---------------------------------------- *)
 

@@ -68,10 +68,24 @@ let test_fault_spec_errors () =
                (m = Fault.model ~crashes:2 ~recoveries:2 ())
    | Error e -> Alcotest.failf "crash:f=2,recover rejected: %s" e);
   (* an explicit r larger than f is fine — restarts just starve *)
-  match Fault.of_string "crash:f=1,recover:r=3" with
-  | Ok m -> checkb "r may exceed f" true
-              (m = Fault.model ~crashes:1 ~recoveries:3 ())
-  | Error e -> Alcotest.failf "crash:f=1,recover:r=3 rejected: %s" e
+  (match Fault.of_string "crash:f=1,recover:r=3" with
+   | Ok m -> checkb "r may exceed f" true
+               (m = Fault.model ~crashes:1 ~recoveries:3 ())
+   | Error e -> Alcotest.failf "crash:f=1,recover:r=3 rejected: %s" e);
+  (* a part kind given twice is rejected, not last-one-wins *)
+  List.iter
+    (fun (spec, kind) ->
+      match Fault.of_string spec with
+      | Error e ->
+        checkb (spec ^ " names the repeated part") true
+          (contains ~needle:"bad fault spec" e
+           && contains ~needle:(kind ^ " given twice") e)
+      | Ok m -> Alcotest.failf "%s accepted as %s" spec (Fault.to_string m))
+    [ ("crash:f=2,crash:f=1", "crash");
+      ("crash:f=1,recover,recover:r=3", "recover");
+      ("crash:f=1,recover:r=1,recover", "recover");
+      ("weak,weak", "weak");
+      ("weak, crash:f=1 ,weak", "weak") ]
 
 (* ------------------------------------------------------------------ *)
 (* Random crash schedules keep validity + coherence (qcheck)           *)

@@ -1,14 +1,9 @@
 (* Tests for the defunctionalized Program core (lib/sim/program.ml) and
-   the Machine drivers built on it.
-
-   The load-bearing property is the equivalence of the two execution
-   paths: a protocol written as a Program and run natively by Machine
-   must produce an op-for-op identical trace (and outputs, work, and
-   register counts) to the same program run through the Proc.exec
-   effects adapter — the legacy direct-style path.  On top of that:
-   programs are copyable (a continuation may be resumed repeatedly),
-   the committed §7 fixture replays byte-identically through the
-   Machine-based run_path, and lazy_seq reports cumulative space. *)
+   the Machine drivers built on it: programs are copyable (a
+   continuation may be resumed repeatedly), the committed §7 fixture
+   replays byte-identically through the Machine-based run_path, and
+   lazy_seq reports cumulative space.  That the two program engines
+   behind Machine agree is test_vm's job. *)
 
 open Conrat_sim
 open Conrat_objects
@@ -63,92 +58,6 @@ let test_protocol_program_copyable () =
      | Some op1, Some op2 -> checkb "identical next op" true (op1 = op2)
      | _ -> Alcotest.fail "resumed copies should both be pending")
   | _ -> Alcotest.fail "binary ratifier should start with its announce write"
-
-(* ------------------------------------------------------------------ *)
-(* Program interpreter vs legacy effects path                          *)
-(* ------------------------------------------------------------------ *)
-
-type subject =
-  | D of Deciding.factory
-  | C of Consensus.factory
-
-let subjects =
-  [ ("conciliator", false, 3, D (Conciliator.impatient_first_mover ()));
-    ("binary_ratifier", false, 2, D (Ratifier.binary ()));
-    ("bollobas_ratifier", false, 3, D (Ratifier.bollobas ~m:3));
-    ("bitvector_ratifier", false, 3, D (Ratifier.bitvector ~m:3));
-    ("cheap_collect_ratifier", true, 3, D (Ratifier.cheap_collect ~m:3));
-    ("fallback", false, 2, D (Fallback.racing ~m:2 ()));
-    ( "composite",
-      false,
-      2,
-      D
-        (Compose.seq_factory
-           [ Conciliator.impatient_first_mover (); Ratifier.binary () ]) );
-    ("cil_racing", false, 2, C (Conrat_baselines.Baseline.cil_racing ~m:2));
-    ("standard_consensus", false, 2, C (Consensus.standard ~m:2)) ]
-
-let make_body subject inputs ~n memory =
-  match subject with
-  | D factory ->
-    let instance = factory.Deciding.instantiate ~n memory in
-    fun ~pid ~rng ->
-      Program.map
-        (fun out -> (out.Deciding.decide, out.Deciding.value))
-        (instance.Deciding.run ~pid ~rng inputs.(pid))
-  | C protocol ->
-    let instance = protocol.Consensus.instantiate ~n memory in
-    fun ~pid ~rng ->
-      Program.map (fun v -> (true, v))
-        (instance.Consensus.decide ~pid ~rng inputs.(pid))
-
-let adversaries =
-  [ Adversary.round_robin; Adversary.random_uniform; Adversary.write_stalker ]
-
-(* Same protocol, same seed, same adversary: once run natively as a
-   Program by the Machine, once spawned as an effects fiber calling
-   Proc.exec.  Everything observable (trace, outputs, work) must
-   coincide, operation for operation. *)
-let qcheck_program_vs_effects =
-  QCheck.Test.make
-    ~name:"program interpreter = effects"
-    ~count:120
-    QCheck.(
-      triple
-        (int_range 0 (List.length subjects - 1))
-        (int_range 1 5)
-        (int_range 0 1_000_000))
-    (fun (which, n, seed) ->
-      let name, cheap_collect, m, subject = List.nth subjects which in
-      let adversary = List.nth adversaries (seed mod 3) in
-      let inputs = Array.init n (fun pid -> pid mod m) in
-      let run native =
-        let memory = Memory.create () in
-        let body = make_body subject inputs ~n memory in
-        if native then
-          Scheduler.run ~record:true ~max_steps:100_000 ~cheap_collect ~n
-            ~adversary ~rng:(Rng.create seed) ~memory body
-        else
-          Scheduler.run_direct ~record:true ~max_steps:100_000 ~cheap_collect
-            ~n ~adversary ~rng:(Rng.create seed) ~memory (fun ~pid ~rng ->
-              Proc.exec (body ~pid ~rng))
-      in
-      let a = run true in
-      let b = run false in
-      let traces_equal =
-        match (a.Scheduler.trace, b.Scheduler.trace) with
-        | Some ta, Some tb -> Trace.equal ta tb
-        | _ -> false
-      in
-      if
-        not
-          (traces_equal && a.outputs = b.outputs && a.completed = b.completed
-         && a.steps = b.steps && a.registers = b.registers)
-      then
-        QCheck.Test.fail_reportf
-          "%s (n=%d, seed=%d, %s): native and effects executions diverge" name
-          n seed adversary.Adversary.name
-      else true)
 
 let config name =
   match Checks.find name with
@@ -223,8 +132,6 @@ let () =
         [ tc "continuations resume repeatedly" `Quick test_program_copyable;
           tc "protocol prefix resumes twice" `Quick
             test_protocol_program_copyable ] );
-      ( "equivalence",
-        [ QCheck_alcotest.to_alcotest qcheck_program_vs_effects ] );
       ( "fixture",
         [ tc "byte-identical replay" `Quick test_fixture_byte_identical_replay ] );
       ( "lazy_seq",

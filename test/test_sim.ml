@@ -242,7 +242,7 @@ let run_simple ?(n = 3) ?(adversary = Adversary.round_robin) ?record body =
   let memory = Memory.create () in
   let shared = Memory.alloc_n memory 4 in
   let result =
-    Scheduler.run_direct ?record ~n ~adversary ~rng:(Rng.create 11) ~memory
+    Scheduler.run ?record ~n ~adversary ~rng:(Rng.create 11) ~memory
       (fun ~pid ~rng -> body shared ~pid ~rng)
   in
   result
@@ -250,8 +250,9 @@ let run_simple ?(n = 3) ?(adversary = Adversary.round_robin) ?record body =
 let test_scheduler_runs_all () =
   let result =
     run_simple (fun shared ~pid ~rng:_ ->
-      Proc.write shared.(0) pid;
-      pid * 10)
+      let open Program in
+      let* () = write shared.(0) pid in
+      return (pid * 10))
   in
   checkb "completed" true result.completed;
   check
@@ -261,10 +262,11 @@ let test_scheduler_runs_all () =
 let test_scheduler_counts_ops () =
   let result =
     run_simple (fun shared ~pid:_ ~rng:_ ->
-      Proc.write shared.(0) 1;
-      ignore (Proc.read shared.(0));
-      ignore (Proc.read shared.(1));
-      0)
+      let open Program in
+      let* () = write shared.(0) 1 in
+      let* _ = read shared.(0) in
+      let* _ = read shared.(1) in
+      return 0)
   in
   checki "3 procs x 3 ops" 9 (Metrics.total result.metrics);
   checki "individual" 3 (Metrics.individual result.metrics);
@@ -298,8 +300,10 @@ let test_metrics_merge () =
 let test_scheduler_read_after_write () =
   let result =
     run_simple ~n:1 (fun shared ~pid:_ ~rng:_ ->
-      Proc.write shared.(2) 42;
-      match Proc.read shared.(2) with
+      let open Program in
+      let* () = write shared.(2) 42 in
+      let+ v = read shared.(2) in
+      match v with
       | Some v -> v
       | None -> -1)
   in
@@ -308,24 +312,29 @@ let test_scheduler_read_after_write () =
 let test_scheduler_prob_write_p1 () =
   let result =
     run_simple ~n:1 (fun shared ~pid:_ ~rng:_ ->
-      Proc.prob_write shared.(0) 5 ~p:1.0;
-      match Proc.read shared.(0) with Some v -> v | None -> -1)
+      let open Program in
+      let* () = prob_write shared.(0) 5 ~p:1.0 in
+      let+ v = read shared.(0) in
+      match v with Some v -> v | None -> -1)
   in
   check Alcotest.(array (option int)) "p=1 always lands" [| Some 5 |] result.outputs
 
 let test_scheduler_prob_write_p0 () =
   let result =
     run_simple ~n:1 (fun shared ~pid:_ ~rng:_ ->
-      Proc.prob_write shared.(0) 5 ~p:0.0;
-      match Proc.read shared.(0) with Some v -> v | None -> -1)
+      let open Program in
+      let* () = prob_write shared.(0) 5 ~p:0.0 in
+      let+ v = read shared.(0) in
+      match v with Some v -> v | None -> -1)
   in
   check Alcotest.(array (option int)) "p=0 never lands" [| Some (-1) |] result.outputs
 
 let test_scheduler_prob_write_detect () =
   let result =
     run_simple ~n:1 (fun shared ~pid:_ ~rng:_ ->
-      let landed = Proc.prob_write_detect shared.(0) 5 ~p:1.0 in
-      let missed = Proc.prob_write_detect shared.(1) 6 ~p:0.0 in
+      let open Program in
+      let* landed = prob_write_detect shared.(0) 5 ~p:1.0 in
+      let+ missed = prob_write_detect shared.(1) 6 ~p:0.0 in
       (if landed then 1 else 0) + if missed then 10 else 0)
   in
   check Alcotest.(array (option int)) "detection outcomes" [| Some 1 |] result.outputs
@@ -334,11 +343,15 @@ let test_scheduler_max_steps () =
   let memory = Memory.create () in
   let r = Memory.alloc memory in
   let result =
-    Scheduler.run_direct ~max_steps:50 ~n:2 ~adversary:Adversary.round_robin
+    Scheduler.run ~max_steps:50 ~n:2 ~adversary:Adversary.round_robin
       ~rng:(Rng.create 1) ~memory
       (fun ~pid:_ ~rng:_ ->
+        let open Program in
         (* Spin forever: r is never written. *)
-        let rec loop () = match Proc.read r with None -> loop () | Some v -> v in
+        let rec loop () =
+          let* v = read r in
+          match v with None -> loop () | Some v -> return v
+        in
         loop ())
   in
   checkb "not completed" false result.completed;
@@ -350,18 +363,19 @@ let test_scheduler_collect_disallowed () =
   let base = Memory.alloc_n memory 3 in
   Alcotest.check_raises "collect needs opt-in" Scheduler.Collect_disallowed (fun () ->
     ignore
-      (Scheduler.run_direct ~n:1 ~adversary:Adversary.round_robin ~rng:(Rng.create 1) ~memory
-         (fun ~pid:_ ~rng:_ -> Array.length (Proc.collect base.(0) 3))))
+      (Scheduler.run ~n:1 ~adversary:Adversary.round_robin ~rng:(Rng.create 1) ~memory
+         (fun ~pid:_ ~rng:_ -> Program.map Array.length (Program.collect base.(0) 3))))
 
 let test_scheduler_collect_allowed () =
   let memory = Memory.create () in
   let base = Memory.alloc_n memory 3 in
   Memory.write memory base.(1) 4;
   let result =
-    Scheduler.run_direct ~cheap_collect:true ~n:1 ~adversary:Adversary.round_robin
+    Scheduler.run ~cheap_collect:true ~n:1 ~adversary:Adversary.round_robin
       ~rng:(Rng.create 1) ~memory
       (fun ~pid:_ ~rng:_ ->
-        let snap = Proc.collect base.(0) 3 in
+        let open Program in
+        let+ snap = collect base.(0) 3 in
         match snap with
         | [| None; Some v; None |] -> v
         | _ -> -1)
@@ -373,11 +387,12 @@ let test_scheduler_determinism () =
   let run () =
     let memory = Memory.create () in
     let shared = Memory.alloc_n memory 2 in
-    Scheduler.run_direct ~record:true ~n:4 ~adversary:Adversary.random_uniform
+    Scheduler.run ~record:true ~n:4 ~adversary:Adversary.random_uniform
       ~rng:(Rng.create 77) ~memory
       (fun ~pid ~rng ->
-        Proc.prob_write shared.(0) pid ~p:0.5;
-        ignore (Proc.read shared.(0));
+        let open Program in
+        let* () = prob_write shared.(0) pid ~p:0.5 in
+        let+ _ = read shared.(0) in
         Rng.int rng 100)
   in
   let a = run () in
@@ -389,7 +404,7 @@ let test_scheduler_determinism () =
 
 let test_scheduler_local_rngs_differ () =
   let result =
-    run_simple ~n:3 (fun _shared ~pid:_ ~rng -> Rng.int rng 1_000_000)
+    run_simple ~n:3 (fun _shared ~pid:_ ~rng -> Program.return (Rng.int rng 1_000_000))
   in
   let vals = Array.to_list result.outputs |> List.filter_map Fun.id in
   checki "three draws" 3 (List.length vals);
@@ -402,9 +417,10 @@ let test_scheduler_local_rngs_differ () =
 let test_round_robin_order () =
   let result =
     run_simple ~record:true (fun shared ~pid ~rng:_ ->
-      Proc.write shared.(0) pid;
-      Proc.write shared.(1) pid;
-      0)
+      let open Program in
+      let* () = write shared.(0) pid in
+      let* () = write shared.(1) pid in
+      return 0)
   in
   match result.trace with
   | None -> Alcotest.fail "no trace"
@@ -416,8 +432,9 @@ let test_fixed_permutation_order () =
   let adversary = Adversary.fixed_permutation ~perm:[| 2; 0; 1 |] () in
   let result =
     run_simple ~adversary ~record:true (fun shared ~pid ~rng:_ ->
-      Proc.write shared.(0) pid;
-      0)
+      let open Program in
+      let* () = write shared.(0) pid in
+      return 0)
   in
   match result.trace with
   | None -> Alcotest.fail "no trace"
@@ -429,8 +446,9 @@ let test_priority_runs_highest_first () =
   let adversary = Adversary.priority ~priorities:[| 0; 5; 1 |] () in
   let result =
     run_simple ~adversary ~record:true (fun shared ~pid ~rng:_ ->
-      Proc.write shared.(0) pid;
-      0)
+      let open Program in
+      let* () = write shared.(0) pid in
+      return 0)
   in
   match result.trace with
   | None -> Alcotest.fail "no trace"
@@ -476,11 +494,16 @@ let test_write_stalker_prefers_readers () =
   let memory = Memory.create () in
   let r = Memory.alloc memory in
   let result =
-    Scheduler.run_direct ~record:true ~n:2 ~adversary:Adversary.write_stalker
+    Scheduler.run ~record:true ~n:2 ~adversary:Adversary.write_stalker
       ~rng:(Rng.create 3) ~memory
       (fun ~pid ~rng:_ ->
-        if pid = 0 then begin Proc.write r 1; 0 end
-        else match Proc.read r with Some _ -> 1 | None -> 0)
+        let open Program in
+        if pid = 0 then
+          let* () = write r 1 in
+          return 0
+        else
+          let+ v = read r in
+          match v with Some _ -> 1 | None -> 0)
   in
   match result.trace with
   | None -> Alcotest.fail "no trace"
@@ -510,13 +533,14 @@ let test_value_oblivious_invariance () =
     let memory = Memory.create () in
     let shared = Memory.alloc_n memory 2 in
     let result =
-      Scheduler.run_direct ~record:true ~n:2 ~adversary:Adversary.write_stalker
+      Scheduler.run ~record:true ~n:2 ~adversary:Adversary.write_stalker
         ~rng:(Rng.create 5) ~memory
         (fun ~pid ~rng:_ ->
-          Proc.write shared.(pid) values.(pid);
-          ignore (Proc.read shared.(1 - pid));
-          Proc.write shared.(pid) (values.(pid) * 3);
-          0)
+          let open Program in
+          let* () = write shared.(pid) values.(pid) in
+          let* _ = read shared.(1 - pid) in
+          let* () = write shared.(pid) (values.(pid) * 3) in
+          return 0)
     in
     match result.trace with
     | Some t -> List.map (fun e -> e.Trace.pid) (Trace.events t)
@@ -532,13 +556,15 @@ let test_oblivious_invariance () =
     let memory = Memory.create () in
     let shared = Memory.alloc_n memory 2 in
     let result =
-      Scheduler.run_direct ~record:true ~n:2 ~adversary:Adversary.round_robin
+      Scheduler.run ~record:true ~n:2 ~adversary:Adversary.round_robin
         ~rng:(Rng.create 5) ~memory
         (fun ~pid ~rng:_ ->
-          if swap then ignore (Proc.read shared.(pid))
-          else Proc.write shared.(pid) 1;
-          Proc.write shared.(pid) 2;
-          0)
+          let open Program in
+          let* () =
+            if swap then map ignore (read shared.(pid)) else write shared.(pid) 1
+          in
+          let* () = write shared.(pid) 2 in
+          return 0)
     in
     match result.trace with
     | Some t -> List.map (fun e -> e.Trace.pid) (Trace.events t)
@@ -583,18 +609,21 @@ let qcheck_oblivious_schedule_invariance name make_adversary =
         let memory = Memory.create () in
         let regs = Memory.alloc_n memory 3 in
         let result =
-          Scheduler.run_direct ~record:true ~n ~adversary:(make_adversary ())
+          Scheduler.run ~record:true ~n ~adversary:(make_adversary ())
             ~rng:(Rng.create shared_seed) ~memory
             (fun ~pid ~rng:_ ->
-              Array.iter
-                (fun (kind, reg, value, p) ->
-                  match kind with
-                  | 0 -> ignore (Proc.read regs.(reg))
-                  | 1 -> Proc.write regs.(reg) value
-                  | 2 -> Proc.prob_write regs.(reg) value ~p
-                  | _ -> ignore (Proc.prob_write_detect regs.(reg) value ~p))
-                progs.(pid);
-              0)
+              let open Program in
+              let* () =
+                iter_array
+                  (fun (kind, reg, value, p) ->
+                    match kind with
+                    | 0 -> map ignore (read regs.(reg))
+                    | 1 -> write regs.(reg) value
+                    | 2 -> prob_write regs.(reg) value ~p
+                    | _ -> map ignore (prob_write_detect regs.(reg) value ~p))
+                  progs.(pid)
+              in
+              return 0)
         in
         match result.trace with
         | Some t -> List.map (fun e -> e.Trace.pid) (Trace.events t)
@@ -654,23 +683,26 @@ let test_location_oblivious_invariance () =
     let regs = Memory.alloc_n memory 2 in
     let a, b = if swap then (regs.(1), regs.(0)) else (regs.(0), regs.(1)) in
     let result =
-      Scheduler.run_direct ~record:true ~n:3 ~adversary:Adversary.overwrite_attacker
+      Scheduler.run ~record:true ~n:3 ~adversary:Adversary.overwrite_attacker
         ~rng:(Rng.create seed) ~memory
         (fun ~pid ~rng:_ ->
-          (match pid with
-           | 0 ->
-             Proc.prob_write a 1 ~p:0.5;
-             ignore (Proc.read b);
-             Proc.write b 1
-           | 1 ->
-             Proc.write a 2;
-             Proc.prob_write b 2 ~p:0.9;
-             ignore (Proc.read a)
-           | _ ->
-             ignore (Proc.read a);
-             ignore (Proc.prob_write_detect b 3 ~p:0.3);
-             Proc.write a 3);
-          0)
+          let open Program in
+          let* () =
+            match pid with
+            | 0 ->
+              let* () = prob_write a 1 ~p:0.5 in
+              let* _ = read b in
+              write b 1
+            | 1 ->
+              let* () = write a 2 in
+              let* () = prob_write b 2 ~p:0.9 in
+              map ignore (read a)
+            | _ ->
+              let* _ = read a in
+              let* _ = prob_write_detect b 3 ~p:0.3 in
+              write a 3
+          in
+          return 0)
     in
     match result.trace with
     | Some t -> List.map (fun e -> e.Trace.pid) (Trace.events t)
@@ -763,11 +795,12 @@ let qcheck_scheduler_all_finish =
       let memory = Memory.create () in
       let shared = Memory.alloc_n memory 4 in
       let result =
-        Scheduler.run_direct ~n ~adversary:Adversary.random_uniform ~rng:(Rng.create seed) ~memory
+        Scheduler.run ~n ~adversary:Adversary.random_uniform ~rng:(Rng.create seed) ~memory
           (fun ~pid ~rng:_ ->
-            Proc.write shared.(pid mod 4) pid;
-            ignore (Proc.read shared.((pid + 1) mod 4));
-            pid)
+            let open Program in
+            let* () = write shared.(pid mod 4) pid in
+            let* _ = read shared.((pid + 1) mod 4) in
+            return pid)
       in
       result.completed
       && Array.for_all Option.is_some result.outputs
@@ -780,10 +813,12 @@ let qcheck_prob_write_never_other_value =
       let memory = Memory.create () in
       let r = Memory.alloc memory in
       let result =
-        Scheduler.run_direct ~n:4 ~adversary:Adversary.random_uniform ~rng:(Rng.create seed) ~memory
+        Scheduler.run ~n:4 ~adversary:Adversary.random_uniform ~rng:(Rng.create seed) ~memory
           (fun ~pid ~rng:_ ->
-            Proc.prob_write r (100 + pid) ~p:0.5;
-            match Proc.read r with Some v -> v | None -> -1)
+            let open Program in
+            let* () = prob_write r (100 + pid) ~p:0.5 in
+            let+ v = read r in
+            match v with Some v -> v | None -> -1)
       in
       Array.for_all
         (function

@@ -288,6 +288,32 @@ let test_fixture_passes_on_shipped_protocol () =
   | Error reason ->
     Alcotest.failf "shipped protocol fails the fixture schedule: %s" reason
 
+(* An artifact that does not fit its named config is rejected naming
+   the field, instead of replaying the config's own inputs, raising
+   from [Array.sub], or "not reproducing" under a negative depth. *)
+let test_fixture_mismatch_rejected () =
+  let a = load_fixture () in
+  let c = config "fallback_unstaked_n2" in
+  checkb "committed fixture fits" true (Checks.fits c a = Ok ());
+  let contains ~needle hay =
+    let nl = String.length needle and hl = String.length hay in
+    let rec go i = i + nl <= hl && (String.sub hay i nl = needle || go (i + 1)) in
+    go 0
+  in
+  List.iter
+    (fun (what, field, mutated) ->
+      (match Checks.fits c mutated with
+       | Error msg -> checkb (what ^ " names " ^ field) true (contains ~needle:field msg)
+       | Ok () -> Alcotest.failf "%s accepted" what);
+      match Checks.replay c mutated with
+      | exception Invalid_argument msg ->
+        checkb (what ^ ": replay names " ^ field) true (contains ~needle:field msg)
+      | _ -> Alcotest.failf "%s replayed" what)
+    [ ("inputs 0 99", "inputs", { a with Artifact.inputs = [| 0; 99 |] });
+      ("n 99", "n =", { a with Artifact.n = 99 });
+      ("n -3", "n =", { a with Artifact.n = -3 });
+      ("max-depth -1", "max-depth", { a with Artifact.max_depth = -1 }) ]
+
 (* ------------------------------------------------------------------ *)
 (* run_path replay compatibility                                       *)
 (* ------------------------------------------------------------------ *)
@@ -329,4 +355,5 @@ let () =
         [ tc "fails on buggy rule" `Quick test_fixture_fails_on_buggy_rule;
           tc "passes on shipped protocol" `Quick
             test_fixture_passes_on_shipped_protocol;
-          tc "run_path clamps choices" `Quick test_run_path_clamps ] ) ]
+          tc "run_path clamps choices" `Quick test_run_path_clamps;
+          tc "mismatched artifact rejected" `Quick test_fixture_mismatch_rejected ] ) ]

@@ -188,10 +188,33 @@ let test_cross_check_engines name () =
 (* The tree interpreter is [Scheduler.run]'s trial engine and the VM
    its oracle, so the differential covers what trials actually run:
    every named adversary, n past [Machine.max_tabulated_n] (where the
-   enabled set stops being tabulated), the deciding conciliator with
-   detection, and fault plans that crash, recover and deliver stale
+   enabled set stops being tabulated), every deciding object and
+   consensus protocol a trial composes (the deciding conciliator with
+   detection, the four ratifiers, the racing fallback, a
+   conciliator;ratifier composite, standard consensus and the CIL
+   baseline), and fault plans that crash, recover and deliver stale
    reads.  A protocol tripping over an injected fault must raise the
    same exception under both engines. *)
+type subject =
+  | D of Conrat_objects.Deciding.factory
+  | C of Conrat_core.Consensus.factory
+
+(* (name, cheap_collect, m, subject); inputs are [pid mod m]. *)
+let scheduler_subjects =
+  let open Conrat_core in
+  [| ("conciliator(detect)", false, 2,
+      D (Conciliator.impatient_first_mover ~detect:true ()));
+     ("standard(m=2)", false, 2, C (Consensus.standard ~m:2));
+     ("binary_ratifier", false, 2, D (Ratifier.binary ()));
+     ("bollobas_ratifier", false, 3, D (Ratifier.bollobas ~m:3));
+     ("bitvector_ratifier", false, 3, D (Ratifier.bitvector ~m:3));
+     ("cheap_collect_ratifier", true, 3, D (Ratifier.cheap_collect ~m:3));
+     ("fallback", false, 2, D (Fallback.racing ~m:2 ()));
+     ("composite", false, 2,
+      D (Conrat_objects.Compose.seq_factory
+           [ Conciliator.impatient_first_mover (); Ratifier.binary () ]));
+     ("cil_racing", false, 2, C (Conrat_baselines.Baseline.cil_racing ~m:2)) |]
+
 let qcheck_scheduler_differential =
   let names =
     [| "round_robin"; "random_uniform"; "fixed_permutation"; "write_stalker";
@@ -223,9 +246,9 @@ let qcheck_scheduler_differential =
     | Error ea, Error eb -> ea = eb
     | Ok _, Error _ | Error _, Ok _ -> false
   in
-  let print (n, seed, (adv, deciding, faults)) =
-    Printf.sprintf "n=%d seed=%d %s %s faults=%s" n seed names.(adv)
-      (if deciding then "conciliator(detect)" else "standard(m=2)")
+  let print (n, seed, (adv, subject, faults)) =
+    let name, _, _, _ = scheduler_subjects.(subject) in
+    Printf.sprintf "n=%d seed=%d %s %s faults=%s" n seed names.(adv) name
       fault_specs.(faults)
   in
   QCheck.Test.make ~count:500
@@ -233,39 +256,38 @@ let qcheck_scheduler_differential =
     (QCheck.make ~print
        QCheck.Gen.(
          triple (int_range 1 12) (int_bound 1_000_000)
-           (triple (int_bound (Array.length names - 1)) bool
+           (triple (int_bound (Array.length names - 1))
+              (int_bound (Array.length scheduler_subjects - 1))
               (int_bound (Array.length fault_specs - 1)))))
-    (fun ((n, seed, (adv, deciding, faults)) as case) ->
-      let inputs = Array.init n (fun pid -> pid mod 2) in
+    (fun ((n, seed, (adv, subject, faults)) as case) ->
+      let _, cheap_collect, m, subject = scheduler_subjects.(subject) in
+      let inputs = Array.init n (fun pid -> pid mod m) in
       let model = Result.get_ok (Fault.of_string fault_specs.(faults)) in
       let faulty = not (Fault.is_none model) in
-      let run engine body_of =
+      let run engine =
         let memory = Memory.create () in
         if model.Fault.weak_reads then Memory.weaken_all memory;
         if model.Fault.recoveries > 0 then Memory.track_writers memory;
         let faults = if faulty then Some (Conrat_faults.Injector.of_model model) else None in
-        let body = body_of memory in
-        Scheduler.run ~engine ~record:true ~max_steps:100_000 ?faults ~n
+        let body =
+          match subject with
+          | D factory ->
+            let i = factory.Conrat_objects.Deciding.instantiate ~n memory in
+            fun ~pid ~rng ->
+              Program.map
+                (fun o -> (o.Conrat_objects.Deciding.decide, o.Conrat_objects.Deciding.value))
+                (i.Conrat_objects.Deciding.run ~pid ~rng inputs.(pid))
+          | C protocol ->
+            let i = protocol.Conrat_core.Consensus.instantiate ~n memory in
+            fun ~pid ~rng ->
+              Program.map (fun v -> (true, v))
+                (i.Conrat_core.Consensus.decide ~pid ~rng inputs.(pid))
+        in
+        Scheduler.run ~engine ~record:true ~max_steps:100_000 ~cheap_collect ?faults ~n
           ~adversary:(Adversary.by_name names.(adv)) ~rng:(Rng.create seed)
           ~memory body
       in
-      let agreed =
-        if deciding then
-          both ~faulty (fun engine ->
-            run engine (fun memory ->
-              let factory = Conrat_core.Conciliator.impatient_first_mover ~detect:true () in
-              let i = factory.Conrat_objects.Deciding.instantiate ~n memory in
-              fun ~pid ~rng ->
-                Program.map
-                  (fun o -> (o.Conrat_objects.Deciding.decide, o.Conrat_objects.Deciding.value))
-                  (i.Conrat_objects.Deciding.run ~pid ~rng inputs.(pid))))
-        else
-          both ~faulty (fun engine ->
-            run engine (fun memory ->
-              let i = (Conrat_core.Consensus.standard ~m:2).Conrat_core.Consensus.instantiate ~n memory in
-              fun ~pid ~rng -> i.Conrat_core.Consensus.decide ~pid ~rng inputs.(pid)))
-      in
-      if not agreed then
+      if not (both ~faulty run) then
         QCheck.Test.fail_reportf "scheduler(%s): vm and tree diverge" (print case)
       else true)
 
