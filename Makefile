@@ -98,24 +98,26 @@ fault-verify:
 
 # Parallel determinism gate: the differential suite (every registry
 # config at --jobs N vs sequential, dedup on/off, DPOR cross-checks,
-# steal/resume bit-identity, hash soundness), then an end-to-end CLI
-# smoke — the same config explored sequentially and at --jobs 2 must
-# produce byte-identical JSON reports once wall clock and the jobs
-# field are masked.
+# steal/resume bit-identity, hash soundness), then end-to-end CLI
+# smokes, one per explorer the fleet runs (POR on fallback_n2_d28, the
+# naive enumerator on binary_ratifier_n3_f2): the same config explored
+# sequentially and at --jobs 2 must produce byte-identical JSON reports
+# once wall clock and the jobs field are masked.
+PAR_MASK = sed -E 's/"jobs":[0-9]+/"jobs":_/; s/"wall_clock_seconds":[0-9.]+/"wall_clock_seconds":_/'
 par-verify:
 	$(DUNE) exec test/test_parallel.exe
-	$(DUNE) exec bin/conrat_cli.exe -- check fallback_n2_d28 \
-	  --no-telemetry --json .par-verify-seq.json
-	$(DUNE) exec bin/conrat_cli.exe -- check fallback_n2_d28 --jobs 2 \
-	  --no-telemetry --json .par-verify-j2.json
-	@sed -E 's/"jobs":[0-9]+/"jobs":_/; s/"wall_clock_seconds":[0-9.]+/"wall_clock_seconds":_/' \
-	  .par-verify-seq.json > .par-verify-seq.norm
-	@sed -E 's/"jobs":[0-9]+/"jobs":_/; s/"wall_clock_seconds":[0-9.]+/"wall_clock_seconds":_/' \
-	  .par-verify-j2.json > .par-verify-j2.norm
-	@diff -u .par-verify-seq.norm .par-verify-j2.norm \
-	  && echo "par-verify: --jobs 2 report bit-identical to sequential"
-	@rm -f .par-verify-seq.json .par-verify-j2.json \
-	  .par-verify-seq.norm .par-verify-j2.norm
+	$(DUNE) build bin/conrat_cli.exe
+	@for smoke in "fallback_n2_d28" "--naive binary_ratifier_n3_f2"; do \
+	  for j in 1 2; do \
+	    $(CURDIR)/_build/default/bin/conrat_cli.exe check $$smoke --jobs $$j \
+	      --no-telemetry --json .par-verify-j$$j.json || exit 1; \
+	    $(PAR_MASK) .par-verify-j$$j.json > .par-verify-j$$j.norm; \
+	  done; \
+	  diff -u .par-verify-j1.norm .par-verify-j2.norm \
+	    && echo "par-verify: check $$smoke --jobs 2 report bit-identical to sequential" \
+	    || exit 1; \
+	done; \
+	rm -f .par-verify-j1.json .par-verify-j2.json .par-verify-j1.norm .par-verify-j2.norm
 
 # Exploration-speed benchmark: the same configs under the same budget,
 # but also emitting BENCH_VERIFY.json (schema v1: executions explored,

@@ -11,8 +11,9 @@
 
    Every option shared between subcommands is one Cmdliner term below,
    parsed and validated once: a bad value (an unknown name, a count
-   below 1, an unwritable output path) exits 2 with a one-line
-   "conrat: ..." message before any run starts.
+   below 1, a non-positive number of seconds, an unwritable output
+   path) exits 2 with a one-line "conrat: ..." message before any run
+   starts.
 
    Output discipline: stdout carries results (tables, JSON documents);
    all human-facing progress and timing chatter goes to stderr via
@@ -450,8 +451,11 @@ let run_opts_arg ~dedup_doc =
                            under either."))
   in
   let max_runs_arg =
-    Arg.(value & opt (some int) None
-         & info [ "max-runs" ] ~docv:"RUNS" ~doc:"Override each config's execution budget.")
+    let check r = if r < 1 then die "bad --max-runs %d (expected at least 1)" r else r in
+    Term.(const (Option.map check)
+          $ Arg.(value & opt (some int) None
+                 & info [ "max-runs" ] ~docv:"RUNS"
+                     ~doc:"Override each config's execution budget."))
   in
   Term.(const make $ engine_arg $ jobs_arg
         $ Arg.(value & flag & info [ "dedup" ] ~doc:dedup_doc)
@@ -494,9 +498,10 @@ let verdict_ok = function
   | Violation _ | Shrunk _ -> false
 
 (* Explore [config] under [algo]; [reporter label] is the progress
-   heartbeat for the algorithm named [label], if any.  [resume] and
-   [on_checkpoint] reach the sequential naive and POR searches, [sink]
-   the POR search. *)
+   heartbeat for the algorithm named [label], if any.  Naive and POR go
+   through [Parallel], which alone picks the sequential or the fleet
+   path from [opts.jobs]; [resume] and [on_checkpoint] reach both,
+   [sink] the POR search. *)
 let explore opts ~(algo : algo) ?stop ?(reporter = fun _ -> None) ?telemetry ?sink
     ?resume ?on_checkpoint (config : Checks.t) =
   let { engine; jobs; dedup; _ } = opts in
@@ -504,7 +509,6 @@ let explore opts ~(algo : algo) ?stop ?(reporter = fun _ -> None) ?telemetry ?si
   let cheap_collect = config.cheap_collect and faults = config.faults in
   let max_runs = Option.value opts.max_runs ~default:config.max_runs in
   let setup = Checks.setup_of config ~n and check = Checks.check_of config ~n in
-  let probe = Option.map (fun t -> Telemetry.probe t ~domain:0) telemetry in
   (* Heartbeat details: the base counts always; when a telemetry
      registry is live, the fleet extras — steal count and shards still
      in flight under --jobs, dedup hit-rate under --dedup — read racily
@@ -530,54 +534,46 @@ let explore opts ~(algo : algo) ?stop ?(reporter = fun _ -> None) ?telemetry ?si
     Option.iter (fun r -> started := r :: !started) r;
     r
   in
-  let por_heartbeat label =
+  (* The unreduced naive enumerator prunes nothing: its line omits the
+     always-zero count. *)
+  let heartbeat label =
     Option.map
       (fun r ~runs ~pruned ~steps ~depth:_ ->
         Progress.tick r ~done_:runs ~detail:(fun () ->
-            Printf.sprintf "pruned %d, %d steps%s" pruned steps (fleet_detail ())))
+            Printf.sprintf "%s%d steps%s"
+              (if label = "naive" then "" else Printf.sprintf "pruned %d, " pruned)
+              steps (fleet_detail ())))
       (rep label)
-  in
-  let naive_heartbeat label =
-    Option.map
-      (fun r ~runs ~steps ~depth:_ ->
-        Progress.tick r ~done_:runs ~detail:(fun () ->
-            Printf.sprintf "%d steps%s" steps (fleet_detail ())))
-      (rep label)
-  in
-  let naive_result = function
-    | Ok s -> ([ naive_row s ], Pass)
-    | Error (reason, s) -> ([ naive_row s ], Violation reason)
   in
   let result =
     match algo with
     | `Cross ->
       (match
          Checks.cross_check ~engine ?stop ~max_runs ~jobs
-           ?naive_heartbeat:(naive_heartbeat "naive")
-           ?por_heartbeat:(por_heartbeat "por") config
+           ?naive_heartbeat:(heartbeat "naive") ?por_heartbeat:(heartbeat "por") config
        with
        | Ok x -> ([ naive_row x.naive; por_row "por" x.por ], Compared x)
        | Error reason -> ([], Violation reason))
-    | `Naive when jobs > 1 ->
-      naive_result
-        (Parallel.explore_naive ~jobs ~engine ~max_depth ~max_runs ~cheap_collect
-           ~faults ?stop ?heartbeat:(naive_heartbeat "naive") ?telemetry ~n ~setup
-           ~check ())
     | `Naive ->
-      naive_result
-        (Naive.explore ~engine ~max_depth ~max_runs ~cheap_collect ~faults ?stop
-           ?heartbeat:(naive_heartbeat "naive") ?probe ?resume ?on_checkpoint ~n
-           ~setup ~check ())
+      (match
+         Parallel.explore_naive ~jobs ~engine ~max_depth ~max_runs ~cheap_collect ~faults
+           ?stop ?heartbeat:(heartbeat "naive") ?resume ?on_checkpoint ?telemetry ~n
+           ~setup ~check ()
+       with
+       | Ok s -> ([ naive_row s ], Pass)
+       | Error (reason, s) -> ([ naive_row s ], Violation reason))
     | `Dpor ->
       (match
          Por.explore_source ~engine ~max_depth ~max_runs ~cheap_collect ~faults ?stop
-           ?heartbeat:(por_heartbeat "dpor") ?probe ~n ~setup ~check ()
+           ?heartbeat:(heartbeat "dpor")
+           ?probe:(Option.map (fun t -> Telemetry.probe t ~domain:0) telemetry)
+           ~n ~setup ~check ()
        with
        | Ok s -> ([ por_row "dpor" s ], Pass)
        | Error (reason, _path, s) -> ([ por_row "dpor" s ], Violation reason))
     | `Por ->
       (match
-         Checks.run ~engine ?stop ~max_runs ?sink ?heartbeat:(por_heartbeat "por")
+         Checks.run ~engine ?stop ~max_runs ?sink ?heartbeat:(heartbeat "por")
            ?resume ?on_checkpoint ~jobs ~dedup ?telemetry config
        with
        | Ok s -> ([ por_row "por" s ], Pass)
@@ -838,8 +834,13 @@ let check_cmd =
                outcome set.  Sequential oracle only — excludes --jobs, \
                --dedup, --naive, --cross and checkpointing.")
   in
-  let seconds names doc =
-    Arg.(value & opt (some float) None & info names ~docv:"SECONDS" ~doc)
+  let seconds flag_name doc =
+    let check s =
+      if s > 0. then s
+      else die "bad --%s %g (expected a positive number of seconds)" flag_name s
+    in
+    Term.(const (Option.map check)
+          $ Arg.(value & opt (some float) None & info [ flag_name ] ~docv:"SECONDS" ~doc))
   in
   let file_in names doc = Arg.(value & opt (some string) None & info names ~docv:"FILE" ~doc) in
   Cmd.v
@@ -859,10 +860,10 @@ let check_cmd =
                     'recover[:r=R]' (crash-recovery closure: restart up to R \
                     crashed processes, volatile registers wiped; needs a crash \
                     budget), or combinations like 'crash:f=1,recover'."
-          $ seconds [ "budget" ]
+          $ seconds "budget"
               "Wall-clock budget across all requested checkers; exploration \
                stops cleanly (reported as not exhausted) when exceeded."
-          $ seconds [ "timeout" ]
+          $ seconds "timeout"
               "Per-config wall-clock budget (on top of the global \
                $(b,--budget)); a config that exceeds it stops cleanly and \
                its partial statistics still land in the report and the \
@@ -898,9 +899,7 @@ let check_cmd =
               ~doc:"Force progress heartbeats on stderr (executions/sec, ETA \
                     against the committed BENCH_VERIFY baseline).  Default: on \
                     only when stderr is a TTY and \\$(b,CI) is unset."
-          $ Arg.(value & opt (some float) None
-                 & info [ "progress-interval" ] ~docv:"SECONDS"
-                     ~doc:"Seconds between progress lines (default 1.0).")
+          $ seconds "progress-interval" "Seconds between progress lines (default 1.0)."
           $ flag [ "q"; "quiet" ]
               "Suppress per-config success lines and progress; violations \
                and the exit status still report failures."

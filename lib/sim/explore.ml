@@ -2,6 +2,7 @@ type 'r run = {
   outputs : 'r option array;
   completed : bool;
   crashed : bool array;
+  stages : string option array;
   branches : (int * int) list;
   trace : Trace.t option;
   steps : int;
@@ -101,6 +102,7 @@ let run_path ?engine ?(record = false) ?(max_depth = 200) ?(cheap_collect = fals
   { outputs = Machine.outputs machine;
     completed = !completed;
     crashed = Array.init n (Machine.is_crashed machine);
+    stages = Array.init n (Machine.stage machine);
     branches = List.rev !recorded;
     trace;
     steps = Machine.steps machine }

@@ -36,6 +36,7 @@ type 'r run = {
   outputs : 'r option array;      (** per-process results; [None] = unfinished *)
   completed : bool;               (** no process still runnable within [max_depth] *)
   crashed : bool array;           (** which pids crash-stopped on this path *)
+  stages : string option array;   (** each pid's {!Machine.stage} at the end *)
   branches : (int * int) list;    (** (chosen, arity) at each branch point met *)
   trace : Trace.t option;         (** present iff [record] was set *)
   steps : int;                    (** operations executed on this path *)

@@ -268,32 +268,15 @@ type failure = {
 type outcome = (Por.stats, failure) result
 
 let run ?engine ?stop ?max_runs ?sink ?heartbeat ?resume ?checkpoint_every
-    ?on_checkpoint ?(jobs = 1) ?(dedup = false) ?telemetry config =
+    ?on_checkpoint ?(jobs = 1) ?dedup ?telemetry config =
   let max_runs = Option.value max_runs ~default:config.max_runs in
   let result =
-    if jobs > 1 then
-      (* The parallel driver carries no checkpointing, and [sink] only
-         feeds fleet-level steal/shard events there; the CLI rejects
-         the unsupported combinations before reaching here. *)
-      Parallel.explore_por ~jobs ?engine ~max_depth:config.max_depth ~max_runs
-        ~cheap_collect:config.cheap_collect ~faults:config.faults ?stop
-        ?heartbeat ~dedup ?telemetry ?sink ~n:config.n
-        ~setup:(setup_of config ~n:config.n)
-        ~check:(check_of config ~n:config.n)
-        ()
-    else
-      let probe =
-        Option.map
-          (fun t -> Conrat_obs.Telemetry.probe t ~domain:0)
-          telemetry
-      in
-      Por.explore ?engine ~max_depth:config.max_depth ~max_runs
-        ~cheap_collect:config.cheap_collect ~faults:config.faults ?stop ?sink
-        ?probe ?heartbeat ?resume ?checkpoint_every ?on_checkpoint ~dedup
-        ~n:config.n
-        ~setup:(setup_of config ~n:config.n)
-        ~check:(check_of config ~n:config.n)
-        ()
+    Parallel.explore_por ~jobs ?engine ~max_depth:config.max_depth ~max_runs
+      ~cheap_collect:config.cheap_collect ~faults:config.faults ?stop ?heartbeat ?dedup
+      ?resume ?checkpoint_every ?on_checkpoint ?telemetry ?sink ~n:config.n
+      ~setup:(setup_of config ~n:config.n)
+      ~check:(check_of config ~n:config.n)
+      ()
   in
   match result with
   | Ok stats -> Ok stats

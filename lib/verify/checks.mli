@@ -93,28 +93,25 @@ val run :
   ?dedup:bool ->
   ?telemetry:Conrat_obs.Telemetry.t ->
   t -> outcome
-(** [sink], [heartbeat] and the checkpointing triple are passed through
-    to {!Por.explore} (the heartbeat fires per leaf; rate limiting is
+(** Explores the config through {!Parallel.explore_por}, which at
+    [jobs <= 1] is {!Por.explore} with [sink], [heartbeat], the
+    checkpointing triple and [telemetry] (domain row [0]) passed
+    straight through (the heartbeat fires per leaf; rate limiting is
     the callback's business).  The config's [faults] model is applied
     to the exploration, the property, the shrinker and the recorded
     artifact.  [engine] selects the program engine (default the
     compiled VM); results, checkpoints and artifacts are identical
     under either.
 
-    [jobs > 1] dispatches to {!Parallel.explore_por} — same
-    statistics, outcome set and failure artifacts for exhaustive runs;
-    checkpointing is unsupported there, [sink] degrades to the
-    fleet-level steal/shard events, and the heartbeat switches to
-    fleet-wide totals.  [dedup] enables duplicate-state suppression
-    (VM engine only; see {!Por.explore}).  A parallel failure is
-    shrunk and frozen exactly like a sequential one — the shard's path
-    is a root path.
-
-    [telemetry] attaches a {!section-"obs"}[Telemetry] registry: the
-    sequential path bumps domain row [0], the parallel path maps
-    worker [w] to row [w] (see {!Parallel.explore_por}).  Shrinking
-    replays after a violation are {e not} counted — the telemetry
-    covers the search itself. *)
+    [jobs > 1] runs the fleet — same statistics, outcome set and
+    failure artifacts for exhaustive runs; checkpointing is
+    unsupported there, [sink] degrades to the fleet-level steal/shard
+    events, the heartbeat switches to fleet-wide totals and worker [w]
+    bumps telemetry row [w].  [dedup] enables duplicate-state
+    suppression (VM engine only; see {!Por.explore}).  A parallel
+    failure is shrunk and frozen exactly like a sequential one — the
+    shard's path is a root path.  Shrinking replays after a violation
+    are {e not} counted in [telemetry] — it covers the search itself. *)
 
 val replay :
   ?engine:Conrat_sim.Machine.engine ->
@@ -145,7 +142,7 @@ val cross_check :
   ?engine:Conrat_sim.Machine.engine ->
   ?stop:(unit -> bool) ->
   ?max_runs:int ->
-  ?naive_heartbeat:(runs:int -> steps:int -> depth:int -> unit) ->
+  ?naive_heartbeat:(runs:int -> pruned:int -> steps:int -> depth:int -> unit) ->
   ?por_heartbeat:(runs:int -> pruned:int -> steps:int -> depth:int -> unit) ->
   ?jobs:int ->
   t -> (cross, string) result

@@ -4,9 +4,9 @@ type t = int list array
 
 let target ~jobs = max 64 (16 * jobs)
 
-(* Deepening heuristic: a cut at frame nesting [lvl] yields one shard
-   per sleep-surviving candidate of each first-branch-point-at-or-below
-   [lvl]; going deeper multiplies shards by the branching beneath, at
+(* Deepening heuristic: a cut at branch level [lvl] (POR: frame
+   nesting; naive: branch position) yields one shard per explored
+   candidate of each first-branch-point-at-or-below [lvl]; going deeper multiplies shards by the branching beneath, at
    the price of the generator exploring longer corridors itself.  We
    start shallow and deepen by two frames while the count still grows
    and remains short of [target]; a pass whose count stops growing
@@ -47,5 +47,3 @@ let pool shards = { shards; cursor = Atomic.make 0 }
 let steal p =
   let i = Atomic.fetch_and_add p.cursor 1 in
   if i < Array.length p.shards then Some (i, p.shards.(i)) else None
-
-let remaining p = max 0 (Array.length p.shards - Atomic.get p.cursor)

@@ -1,5 +1,6 @@
 open Conrat_sim
 module Telemetry = Conrat_obs.Telemetry
+module Coverage = Conrat_obs.Coverage
 
 type stats = {
   complete : int;
@@ -10,10 +11,12 @@ type stats = {
 
 let explore ?engine ?(max_depth = 200) ?(max_runs = 2_000_000) ?(cheap_collect = false)
     ?(faults = Fault.none) ?(stop = fun () -> false) ?probe ?heartbeat
-    ?resume ?(path_floor = 0) ?(checkpoint_every = 100_000) ?on_checkpoint
+    ?resume ?(path_floor = 0) ?cut ?(checkpoint_every = 100_000) ?on_checkpoint
     ~n ~setup ~check () =
   if path_floor > 0 && resume = None then
     invalid_arg "Naive.explore: path_floor requires resume";
+  if Option.is_some cut && (Option.is_some resume || Option.is_some on_checkpoint) then
+    invalid_arg "Naive.explore: cut excludes resume and checkpointing";
   let complete_count = ref 0 in
   let truncated_count = ref 0 in
   let runs = ref 0 in
@@ -37,6 +40,7 @@ let explore ?engine ?(max_depth = 200) ?(max_runs = 2_000_000) ?(cheap_collect =
   let c0_complete = !complete_count in
   let c0_truncated = !truncated_count in
   let c0_steps = !steps in
+  let cov = match probe with Some p -> Telemetry.coverage p | None -> None in
   let stats exhausted =
     { complete = !complete_count;
       truncated = !truncated_count;
@@ -62,20 +66,38 @@ let explore ?engine ?(max_depth = 200) ?(max_runs = 2_000_000) ?(cheap_collect =
      | Some _ | None -> ());
     if stopping then Ok (stats false)
     else begin
-      incr runs;
       let run = Explore.run_path ?engine ~max_depth ~cheap_collect ~faults ~n ~setup path in
-      steps := !steps + run.Explore.steps;
-      if run.Explore.completed then incr complete_count else incr truncated_count;
-      (match heartbeat with
-       | None -> ()
-       | Some hb -> hb ~runs:!runs ~steps:!steps ~depth:run.Explore.steps);
-      match check ~complete:run.Explore.completed run.Explore.outputs with
-      | Error reason -> Error (reason, stats false)
-      | Ok () ->
-        (match Explore.next_path_from ~lo:path_floor run.Explore.branches with
-         | Some next -> drive next
-         | None -> Ok (stats true))
+      match cut with
+      | Some (lvl, emit) when List.length run.Explore.branches > lvl ->
+        (* Shard generation: this path reaches branch position [lvl], so
+           does every path under its length-[lvl] prefix — emit that
+           prefix as one shard and skip its subtree uncounted. *)
+        let prefix = List.filteri (fun i _ -> i < lvl) run.Explore.branches in
+        emit (List.map fst prefix);
+        next prefix
+      | _ ->
+        incr runs;
+        steps := !steps + run.Explore.steps;
+        let complete = run.Explore.completed in
+        if complete then incr complete_count else incr truncated_count;
+        (match cov with
+         | None -> ()
+         | Some cv ->
+           Coverage.leaf cv
+             ~kind:(if complete then `Complete else `Truncated)
+             ~depth:run.Explore.steps ~n
+             ~stage:(Array.get run.Explore.stages));
+        (match heartbeat with
+         | None -> ()
+         | Some hb -> hb ~runs:!runs ~pruned:0 ~steps:!steps ~depth:run.Explore.steps);
+        match check ~complete run.Explore.outputs with
+        | Error reason -> Error (reason, stats false)
+        | Ok () -> next run.Explore.branches
     end
+  and next branches =
+    match Explore.next_path_from ~lo:path_floor branches with
+    | Some path -> drive path
+    | None -> Ok (stats true)
   in
   let finish r =
     (match probe with

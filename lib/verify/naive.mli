@@ -28,9 +28,10 @@ val explore :
   ?faults:Conrat_sim.Fault.model ->
   ?stop:(unit -> bool) ->
   ?probe:Conrat_obs.Telemetry.probe ->
-  ?heartbeat:(runs:int -> steps:int -> depth:int -> unit) ->
+  ?heartbeat:(runs:int -> pruned:int -> steps:int -> depth:int -> unit) ->
   ?resume:Checkpoint.counts ->
   ?path_floor:int ->
+  ?cut:int * (int list -> unit) ->
   ?checkpoint_every:int ->
   ?on_checkpoint:(Checkpoint.counts -> unit) ->
   n:int ->
@@ -42,8 +43,9 @@ val explore :
     the end of each one and the first [Error] aborts the search.
     [stop] is polled before each run; returning [true] ends the search
     early with [exhausted = false].  [heartbeat] fires once per path
-    with running totals ([depth] = that path's length); rate limiting
-    is the callback's business.  [faults] closes the enumerated tree
+    with running totals in {!Por.explore}'s shape ([pruned] is always
+    [0]: this enumerator prunes nothing; [depth] = that path's length);
+    rate limiting is the callback's business.  [faults] closes the enumerated tree
     under crash-stops and weak-register stale reads (see
     {!Conrat_sim.Explore.run_path}).  [on_checkpoint]/[resume] follow
     {!Por.explore}'s convention — the saved path is the next uncounted
@@ -56,11 +58,22 @@ val explore :
 
     [probe] feeds the telemetry plane with exit-time leaf/step deltas
     against the [resume] baseline and checkpoint-save counts (see
-    {!Por.explore}).
+    {!Por.explore}); a coverage-equipped probe also records every leaf
+    in POR's convention (depth = the path's step count, stage = each
+    process's {!Conrat_sim.Machine.stage} at the leaf).
 
     [~path_floor:l] (requires [resume]) pins the first [l] branch
     entries: successor computation uses
     {!Conrat_sim.Explore.next_path_from}, so positions below [l] are
     never bumped and the enumeration covers exactly the subtree under
     the resume path's length-[l] prefix — the parallel driver's shard
-    unit (see {!Parallel}). *)
+    unit (see {!Parallel}).
+
+    [~cut:(lvl, emit)] is the shard generator's mode, as in
+    {!Por.explore} and set only by {!Frontier.generate}: a path that
+    reaches branch position [lvl] (has more than [lvl] branch points)
+    is not counted; its length-[lvl] prefix is [emit]ted, in
+    enumeration order, and the subtree under that prefix is skipped.
+    The counted leaves are the residue, so residue plus the emitted
+    subtrees' statistics equal the full search's.  Excludes [resume]
+    and [on_checkpoint]. *)

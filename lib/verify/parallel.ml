@@ -1,4 +1,3 @@
-open Conrat_sim
 module Telemetry = Conrat_obs.Telemetry
 
 (* Workers flush their locally accumulated leaf/step counts into the
@@ -10,416 +9,213 @@ let flush_every = 1024
 let zero_counts path =
   { Checkpoint.path; complete = 0; truncated = 0; pruned = 0; steps = 0 }
 
-(* ------------------------------------------------------------------ *)
-(* POR                                                                 *)
-(* ------------------------------------------------------------------ *)
+let add (a : Por.stats) (b : Por.stats) =
+  { Por.complete = a.complete + b.complete;
+    truncated = a.truncated + b.truncated;
+    pruned = a.pruned + b.pruned;
+    dedup_hits = a.dedup_hits + b.dedup_hits;
+    exhausted = a.exhausted && b.exhausted;
+    steps = a.steps + b.steps }
 
-let merge_por residue results =
-  let complete = ref residue.Por.complete in
-  let truncated = ref residue.Por.truncated in
-  let pruned = ref residue.Por.pruned in
-  let dedup_hits = ref residue.Por.dedup_hits in
-  let steps = ref residue.Por.steps in
-  let exhausted = ref residue.Por.exhausted in
-  let err = ref None in
-  let add (s : Por.stats) =
-    complete := !complete + s.complete;
-    truncated := !truncated + s.truncated;
-    pruned := !pruned + s.pruned;
-    dedup_hits := !dedup_hits + s.dedup_hits;
-    steps := !steps + s.steps;
-    if not s.exhausted then exhausted := false
+(* Fold the residue and then every shard, in shard (sequential DFS)
+   order.  A shard the fleet never ran (budget or [stop]) leaves the
+   total unexhausted; the lowest-numbered failing shard is the error. *)
+let merge residue results =
+  let fold (err, total) = function
+    | None -> (err, { total with Por.exhausted = false })
+    | Some (Ok s) -> (err, add total s)
+    | Some (Error (e, s)) ->
+      ((if Option.is_none err then Some e else err),
+       { (add total s) with exhausted = false })
   in
-  Array.iter
-    (function
-      | None -> exhausted := false
-      | Some (Ok s) -> add s
-      | Some (Error (reason, path, s)) ->
-        add s;
-        exhausted := false;
-        if !err = None then err := Some (reason, path))
-    results;
-  let stats exhausted =
-    { Por.complete = !complete;
-      truncated = !truncated;
-      pruned = !pruned;
-      dedup_hits = !dedup_hits;
-      exhausted;
-      steps = !steps }
+  match Array.fold_left fold (None, residue) results with
+  | None, total -> Ok total
+  | Some e, total -> Error (e, total)
+
+let probe_of telemetry ~domain =
+  Option.map (fun t -> Telemetry.probe t ~domain) telemetry
+
+(* The one work-stealing fleet behind both entries.  [run ~probe
+   ~heartbeat ~stop ~max_runs ~cut ~shard] is the caller's sequential
+   explorer with every other parameter applied, counting in [Por.stats]:
+   with [~cut:(Some _)] it is a {!Frontier.generate} pass, with
+   [~shard:(Some path)] it explores exactly the subtree pinned under
+   [path]. *)
+let fleet ~who ~jobs ~checkpointing ~max_runs ~stop ~heartbeat ~telemetry ~sink ~run =
+  if checkpointing then invalid_arg (who ^ ": checkpointing needs jobs <= 1");
+  (match telemetry with
+   | Some t when Telemetry.domains t < jobs ->
+     invalid_arg (who ^ ": telemetry registry has fewer domains than jobs")
+   | _ -> ());
+  (* Each generator deepening pass explores the residue afresh, and
+     only the last pass's statistics survive — so each pass gets a
+     fresh free-standing probe and only the last is absorbed, or
+     multi-pass generation would inflate the registry and break
+     [--jobs]-invariance. *)
+  let gen_probe = ref None in
+  let gen =
+    Frontier.generate ?probe:(probe_of telemetry ~domain:0)
+      ~target:(Frontier.target ~jobs)
+      ~run:(fun ~cut ->
+          gen_probe :=
+            Option.map
+              (fun t -> Telemetry.fresh_probe ~coverage:(Telemetry.coverage_on t) ())
+              telemetry;
+          run ~probe:!gen_probe ~heartbeat ~stop ~max_runs ~cut:(Some cut) ~shard:None)
+      ()
   in
-  match !err with
-  | Some (reason, path) -> Error (reason, path, stats false)
-  | None -> Ok (stats !exhausted)
+  (match (telemetry, !gen_probe) with
+   | Some t, Some p -> Telemetry.absorb t ~domain:0 p
+   | _ -> ());
+  match gen with
+  | Error _ as e -> e
+  | Ok (residue, shards) when Array.length shards = 0 || not residue.Por.exhausted ->
+    (* The generator pass already covered the whole tree, or the
+       budget/stop bound during generation — either way the residue
+       statistics are the answer. *)
+    Ok residue
+  | Ok (residue, shards) ->
+    let results = Array.make (Array.length shards) None in
+    let pool = Frontier.pool shards in
+    let fleet_runs = Atomic.make (Por.explored residue + residue.pruned) in
+    let fleet_pruned = Atomic.make residue.pruned in
+    let fleet_steps = Atomic.make residue.steps in
+    let hb_mutex = Mutex.create () in
+    let worker w =
+      let probe = probe_of telemetry ~domain:w in
+      let bump ctr = Option.iter (fun p -> Telemetry.bump p ctr) probe in
+      let pending_runs = ref 0 in
+      let pending_pruned = ref 0 in
+      let pending_steps = ref 0 in
+      let flush depth =
+        if !pending_runs > 0 || !pending_steps > 0 then begin
+          ignore (Atomic.fetch_and_add fleet_runs !pending_runs);
+          ignore (Atomic.fetch_and_add fleet_pruned !pending_pruned);
+          ignore (Atomic.fetch_and_add fleet_steps !pending_steps);
+          pending_runs := 0;
+          pending_pruned := 0;
+          pending_steps := 0;
+          match heartbeat with
+          | None -> ()
+          | Some hb ->
+            (* Snapshot the fleet totals under the mutex, not at the
+               atomic add: calls then observe monotone totals, so a
+               rate computed from successive heartbeats is the
+               fleet-wide executions/sec. *)
+            Mutex.protect hb_mutex (fun () ->
+                hb ~runs:(Atomic.get fleet_runs) ~pruned:(Atomic.get fleet_pruned)
+                  ~steps:(Atomic.get fleet_steps) ~depth)
+        end
+      in
+      let stop_w () = stop () || Atomic.get fleet_runs + !pending_runs >= max_runs in
+      let rec loop () =
+        if not (stop_w ()) then
+          match Frontier.steal pool with
+          | None -> ()
+          | Some (i, path) ->
+            let prefix = List.length path in
+            bump Telemetry.steals;
+            Option.iter (fun s -> s.Conrat_sim.Sink.on_steal ~domain:w ~shard:i ~prefix) sink;
+            let t_start = Unix.gettimeofday () in
+            let last_runs = ref 0 in
+            let last_pruned = ref 0 in
+            let last_steps = ref 0 in
+            let last_depth = ref 0 in
+            let hb ~runs ~pruned ~steps ~depth =
+              pending_runs := !pending_runs + runs - !last_runs;
+              pending_pruned := !pending_pruned + pruned - !last_pruned;
+              pending_steps := !pending_steps + steps - !last_steps;
+              last_runs := runs;
+              last_pruned := pruned;
+              last_steps := steps;
+              last_depth := depth;
+              if !pending_runs >= flush_every then flush depth
+            in
+            let res =
+              run ~probe ~heartbeat:(Some hb) ~stop:stop_w ~max_runs:max_int ~cut:None
+                ~shard:(Some path)
+            in
+            flush !last_depth;
+            let s = match res with Ok s | Error (_, s) -> s in
+            let leaves = Por.explored s + s.Por.pruned in
+            Option.iter
+              (fun t ->
+                Telemetry.record_shard t
+                  { Telemetry.shard = i; domain = w; prefix; leaves; steps = s.Por.steps;
+                    seconds = Unix.gettimeofday () -. t_start })
+              telemetry;
+            bump Telemetry.shards_done;
+            Option.iter
+              (fun sk -> sk.Conrat_sim.Sink.on_shard_done ~domain:w ~shard:i ~leaves
+                  ~steps:s.Por.steps)
+              sink;
+            results.(i) <- Some res;
+            loop ()
+      in
+      loop ()
+    in
+    let extra = min jobs (Array.length shards) - 1 in
+    let domains = Array.init extra (fun j -> Domain.spawn (fun () -> worker (j + 1))) in
+    worker 0;
+    Array.iter Domain.join domains;
+    merge residue results
 
-let check_telemetry ~who ~jobs = function
-  | Some t when Telemetry.domains t < jobs ->
-    invalid_arg (who ^ ": telemetry registry has fewer domains than jobs")
-  | _ -> ()
+let explore_por ~jobs ?engine ?max_depth ?(max_runs = 2_000_000) ?cheap_collect ?faults
+    ?(stop = fun () -> false) ?heartbeat ?(dedup = false) ?resume ?checkpoint_every
+    ?on_checkpoint ?telemetry ?sink ~n ~setup ~check () =
+  if jobs <= 1 then
+    Por.explore ?engine ?max_depth ~max_runs ?cheap_collect ?faults ~stop ?sink
+      ?probe:(probe_of telemetry ~domain:0) ?heartbeat ?resume ?checkpoint_every
+      ?on_checkpoint ~dedup ~n ~setup ~check ()
+  else
+    let run ~probe ~heartbeat ~stop ~max_runs ~cut ~shard =
+      match
+        Por.explore ?engine ?max_depth ~max_runs ?cheap_collect ?faults ~stop ?probe
+          ?heartbeat ?resume:(Option.map zero_counts shard)
+          ?subtree_prefix:(Option.map List.length shard) ?cut
+          ~dedup:(dedup && Option.is_none cut) ~n ~setup ~check ()
+      with
+      | Ok s -> Ok s
+      | Error (reason, path, s) -> Error ((reason, path), s)
+    in
+    match
+      fleet ~who:"Parallel.explore_por" ~jobs
+        ~checkpointing:(Option.is_some resume || Option.is_some on_checkpoint)
+        ~max_runs ~stop ~heartbeat ~telemetry ~sink ~run
+    with
+    | Ok s -> Ok s
+    | Error ((reason, path), s) -> Error (reason, path, s)
 
-let explore_por ~jobs ?engine ?(max_depth = 200) ?(max_runs = 2_000_000)
-    ?(cheap_collect = false) ?(faults = Fault.none)
-    ?(stop = fun () -> false) ?heartbeat ?(dedup = false) ?shard_target
+(* Naive shards count in [Por.stats] with nothing pruned. *)
+let of_naive (s : Naive.stats) =
+  { Por.complete = s.complete; truncated = s.truncated; pruned = 0; dedup_hits = 0;
+    exhausted = s.exhausted; steps = s.steps }
+
+let to_naive (s : Por.stats) =
+  { Naive.complete = s.complete; truncated = s.truncated; exhausted = s.exhausted;
+    steps = s.steps }
+
+let explore_naive ~jobs ?engine ?max_depth ?(max_runs = 2_000_000) ?cheap_collect ?faults
+    ?(stop = fun () -> false) ?heartbeat ?resume ?checkpoint_every ?on_checkpoint
     ?telemetry ?sink ~n ~setup ~check () =
-  let reg_probe d = Option.map (fun t -> Telemetry.probe t ~domain:d) telemetry in
   if jobs <= 1 then
-    Por.explore ?engine ~max_depth ~max_runs ~cheap_collect ~faults ~stop
-      ?probe:(reg_probe 0) ?heartbeat ~dedup ~n ~setup ~check ()
-  else begin
-    check_telemetry ~who:"Parallel.explore_por" ~jobs telemetry;
-    let target =
-      match shard_target with Some t -> t | None -> Frontier.target ~jobs
+    Naive.explore ?engine ?max_depth ~max_runs ?cheap_collect ?faults ~stop
+      ?probe:(probe_of telemetry ~domain:0) ?heartbeat ?resume ?checkpoint_every
+      ?on_checkpoint ~n ~setup ~check ()
+  else
+    let run ~probe ~heartbeat ~stop ~max_runs ~cut ~shard =
+      match
+        Naive.explore ?engine ?max_depth ~max_runs ?cheap_collect ?faults ~stop ?probe
+          ?heartbeat ?resume:(Option.map zero_counts shard)
+          ?path_floor:(Option.map List.length shard) ?cut ~n ~setup ~check ()
+      with
+      | Ok s -> Ok (of_naive s)
+      | Error (reason, s) -> Error (reason, of_naive s)
     in
-    (* Each generator deepening pass explores the residue afresh, and
-       only the last pass's statistics survive — so each pass gets a
-       fresh free-standing probe and only the winner is absorbed, or
-       multi-pass generation would inflate the registry and break
-       [--jobs]-invariance. *)
-    let coverage =
-      match telemetry with Some t -> Telemetry.coverage_on t | None -> false
-    in
-    let gen_probe = ref None in
-    let gen =
-      Frontier.generate ?probe:(reg_probe 0) ~target ~run:(fun ~cut ->
-          let p =
-            match telemetry with
-            | Some _ ->
-              let p = Telemetry.fresh_probe ~coverage () in
-              gen_probe := Some p;
-              Some p
-            | None -> None
-          in
-          Por.explore ?engine ~max_depth ~max_runs ~cheap_collect ~faults
-            ~stop ?probe:p ?heartbeat ~cut ~n ~setup ~check ())
-        ()
-    in
-    match gen with
-    | Error _ as e -> e
-    | Ok (residue, shards) ->
-      (match (telemetry, !gen_probe) with
-       | Some t, Some p -> Telemetry.absorb t ~domain:0 p
-       | _ -> ());
-      if Array.length shards = 0 || not residue.Por.exhausted then
-        (* The generator pass already covered the whole tree, or the
-           budget/stop bound during generation — either way the
-           residue statistics are the answer. *)
-        Ok residue
-      else begin
-        let nshards = Array.length shards in
-        let results = Array.make nshards None in
-        let pool = Frontier.pool shards in
-        let fleet_runs = Atomic.make (Por.explored residue + residue.pruned) in
-        let fleet_pruned = Atomic.make residue.Por.pruned in
-        let fleet_steps = Atomic.make residue.Por.steps in
-        let hb_mutex = Mutex.create () in
-        let worker w =
-          let probe_w = reg_probe w in
-          let pending_runs = ref 0 in
-          let pending_pruned = ref 0 in
-          let pending_steps = ref 0 in
-          let flush depth =
-            if !pending_runs > 0 || !pending_steps > 0 then begin
-              ignore (Atomic.fetch_and_add fleet_runs !pending_runs);
-              ignore (Atomic.fetch_and_add fleet_pruned !pending_pruned);
-              ignore (Atomic.fetch_and_add fleet_steps !pending_steps);
-              pending_runs := 0;
-              pending_pruned := 0;
-              pending_steps := 0;
-              match heartbeat with
-              | None -> ()
-              | Some hb ->
-                (* Snapshot the fleet totals under the mutex, not at the
-                   atomic add: calls then observe monotone totals, so a
-                   rate computed from successive heartbeats is the
-                   fleet-wide executions/sec. *)
-                Mutex.protect hb_mutex (fun () ->
-                    hb ~runs:(Atomic.get fleet_runs)
-                      ~pruned:(Atomic.get fleet_pruned)
-                      ~steps:(Atomic.get fleet_steps) ~depth)
-            end
-          in
-          let stop_w () =
-            stop () || Atomic.get fleet_runs + !pending_runs >= max_runs
-          in
-          let rec loop () =
-            if not (stop_w ()) then
-              match Frontier.steal pool with
-              | None -> ()
-              | Some (i, path) ->
-                let prefix = List.length path in
-                (match probe_w with
-                 | Some p -> Telemetry.bump p Telemetry.steals
-                 | None -> ());
-                (match sink with
-                 | Some s -> s.Sink.on_steal ~domain:w ~shard:i ~prefix
-                 | None -> ());
-                let t_start = Unix.gettimeofday () in
-                let last_runs = ref 0 in
-                let last_pruned = ref 0 in
-                let last_steps = ref 0 in
-                let last_depth = ref 0 in
-                let hb ~runs ~pruned ~steps ~depth =
-                  pending_runs := !pending_runs + runs - !last_runs;
-                  pending_pruned := !pending_pruned + pruned - !last_pruned;
-                  pending_steps := !pending_steps + steps - !last_steps;
-                  last_runs := runs;
-                  last_pruned := pruned;
-                  last_steps := steps;
-                  last_depth := depth;
-                  if !pending_runs >= flush_every then flush depth
-                in
-                let res =
-                  Por.explore ?engine ~max_depth ~max_runs:max_int
-                    ~cheap_collect ~faults ~stop:stop_w ?probe:probe_w
-                    ~heartbeat:hb ~resume:(zero_counts path)
-                    ~subtree_prefix:prefix ~dedup ~n ~setup
-                    ~check ()
-                in
-                flush !last_depth;
-                let s = match res with Ok s | Error (_, _, s) -> s in
-                let leaves = Por.explored s + s.Por.pruned in
-                (match telemetry with
-                 | Some t ->
-                   Telemetry.record_shard t
-                     { Telemetry.shard = i;
-                       domain = w;
-                       prefix;
-                       leaves;
-                       steps = s.Por.steps;
-                       seconds = Unix.gettimeofday () -. t_start }
-                 | None -> ());
-                (match probe_w with
-                 | Some p -> Telemetry.bump p Telemetry.shards_done
-                 | None -> ());
-                (match sink with
-                 | Some sk ->
-                   sk.Sink.on_shard_done ~domain:w ~shard:i ~leaves
-                     ~steps:s.Por.steps
-                 | None -> ());
-                results.(i) <- Some res;
-                loop ()
-          in
-          loop ()
-        in
-        let extra = min jobs nshards - 1 in
-        let domains = Array.init extra (fun j -> Domain.spawn (fun () -> worker (j + 1))) in
-        worker 0;
-        Array.iter Domain.join domains;
-        merge_por residue results
-      end
-  end
-
-(* ------------------------------------------------------------------ *)
-(* Naive                                                               *)
-(* ------------------------------------------------------------------ *)
-
-let merge_naive residue results =
-  let complete = ref residue.Naive.complete in
-  let truncated = ref residue.Naive.truncated in
-  let steps = ref residue.Naive.steps in
-  let exhausted = ref residue.Naive.exhausted in
-  let err = ref None in
-  let add (s : Naive.stats) =
-    complete := !complete + s.complete;
-    truncated := !truncated + s.truncated;
-    steps := !steps + s.steps;
-    if not s.exhausted then exhausted := false
-  in
-  Array.iter
-    (function
-      | None -> exhausted := false
-      | Some (Ok s) -> add s
-      | Some (Error (reason, s)) ->
-        add s;
-        exhausted := false;
-        if !err = None then err := Some reason)
-    results;
-  let stats exhausted =
-    { Naive.complete = !complete;
-      truncated = !truncated;
-      exhausted;
-      steps = !steps }
-  in
-  match !err with
-  | Some reason -> Error (reason, stats false)
-  | None -> Ok (stats !exhausted)
-
-(* Breadth-first prefix expansion.  A probe run re-executes the
-   all-zeros continuation of a prefix; only {e terminal} probes — the
-   prefix's subtree is that single leaf — count and check it (its
-   steps charged then, exactly once).  Interior probes merely read the
-   arity at the expansion level and fan the prefix out; their steps are
-   generation overhead, excluded from the statistics so the merged
-   report stays bit-identical to the sequential enumerator's. *)
-exception Gen_fail of string
-exception Gen_stop
-
-let explore_naive ~jobs ?engine ?(max_depth = 200) ?(max_runs = 2_000_000)
-    ?(cheap_collect = false) ?(faults = Fault.none)
-    ?(stop = fun () -> false) ?heartbeat ?shard_target ?telemetry ?sink
-    ~n ~setup ~check () =
-  let reg_probe d = Option.map (fun t -> Telemetry.probe t ~domain:d) telemetry in
-  if jobs <= 1 then
-    Naive.explore ?engine ~max_depth ~max_runs ~cheap_collect ~faults ~stop
-      ?probe:(reg_probe 0) ?heartbeat ~n ~setup ~check ()
-  else begin
-    check_telemetry ~who:"Parallel.explore_naive" ~jobs telemetry;
-    let target =
-      match shard_target with Some t -> t | None -> Frontier.target ~jobs
-    in
-    let complete = ref 0 in
-    let truncated = ref 0 in
-    let steps = ref 0 in
-    let runs = ref 0 in
-    let probe path = Explore.run_path ?engine ~max_depth ~cheap_collect ~faults ~n ~setup path in
-    let terminal (run : _ Explore.run) =
-      if !runs >= max_runs || stop () then raise Gen_stop;
-      incr runs;
-      steps := !steps + run.Explore.steps;
-      if run.Explore.completed then incr complete else incr truncated;
-      (match heartbeat with
-       | None -> ()
-       | Some hb -> hb ~runs:!runs ~steps:!steps ~depth:run.Explore.steps);
-      match check ~complete:run.Explore.completed run.Explore.outputs with
-      | Ok () -> ()
-      | Error reason -> raise (Gen_fail reason)
-    in
-    let rec expand level frontier =
-      if frontier = [] || List.length frontier >= target then frontier
-      else
-        let next =
-          List.concat_map
-            (fun path ->
-              let run = probe path in
-              match List.nth_opt run.Explore.branches level with
-              | None ->
-                terminal run;
-                []
-              | Some (_, arity) -> List.init arity (fun c -> path @ [ c ]))
-            frontier
-        in
-        expand (level + 1) next
-    in
-    let residue exhausted =
-      { Naive.complete = !complete;
-        truncated = !truncated;
-        exhausted;
-        steps = !steps }
-    in
-    (* The generator's terminal probes are the residue: real counted
-       leaves, charged to domain 0. *)
-    let tally () =
-      match reg_probe 0 with
-      | None -> ()
-      | Some p ->
-        Telemetry.add p Telemetry.leaves_complete !complete;
-        Telemetry.add p Telemetry.leaves_truncated !truncated;
-        Telemetry.add p Telemetry.steps !steps
-    in
-    match expand 0 [ [] ] with
-    | exception Gen_stop ->
-      tally ();
-      Ok (residue false)
-    | exception Gen_fail reason ->
-      tally ();
-      Error (reason, residue false)
-    | frontier ->
-      tally ();
-      let shards = Array.of_list frontier in
-      (match reg_probe 0 with
-       | Some p ->
-         Telemetry.peak p Telemetry.shards_generated (Array.length shards)
-       | None -> ());
-      if Array.length shards = 0 then Ok (residue true)
-      else begin
-        let nshards = Array.length shards in
-        let results = Array.make nshards None in
-        let pool = Frontier.pool shards in
-        let fleet_runs = Atomic.make !runs in
-        let fleet_steps = Atomic.make !steps in
-        let hb_mutex = Mutex.create () in
-        let worker w =
-          let probe_w = reg_probe w in
-          let pending_runs = ref 0 in
-          let pending_steps = ref 0 in
-          let flush depth =
-            if !pending_runs > 0 || !pending_steps > 0 then begin
-              ignore (Atomic.fetch_and_add fleet_runs !pending_runs);
-              ignore (Atomic.fetch_and_add fleet_steps !pending_steps);
-              pending_runs := 0;
-              pending_steps := 0;
-              match heartbeat with
-              | None -> ()
-              | Some hb ->
-                (* See explore_por: totals snapshotted under the mutex
-                   stay monotone across heartbeat calls. *)
-                Mutex.protect hb_mutex (fun () ->
-                    hb ~runs:(Atomic.get fleet_runs)
-                      ~steps:(Atomic.get fleet_steps) ~depth)
-            end
-          in
-          let stop_w () =
-            stop () || Atomic.get fleet_runs + !pending_runs >= max_runs
-          in
-          let rec loop () =
-            if not (stop_w ()) then
-              match Frontier.steal pool with
-              | None -> ()
-              | Some (i, path) ->
-                let prefix = List.length path in
-                (match probe_w with
-                 | Some p -> Telemetry.bump p Telemetry.steals
-                 | None -> ());
-                (match sink with
-                 | Some s -> s.Sink.on_steal ~domain:w ~shard:i ~prefix
-                 | None -> ());
-                let t_start = Unix.gettimeofday () in
-                let last_runs = ref 0 in
-                let last_steps = ref 0 in
-                let last_depth = ref 0 in
-                let hb ~runs ~steps ~depth =
-                  pending_runs := !pending_runs + runs - !last_runs;
-                  pending_steps := !pending_steps + steps - !last_steps;
-                  last_runs := runs;
-                  last_steps := steps;
-                  last_depth := depth;
-                  if !pending_runs >= flush_every then flush depth
-                in
-                let res =
-                  Naive.explore ?engine ~max_depth ~max_runs:max_int
-                    ~cheap_collect ~faults ~stop:stop_w ?probe:probe_w
-                    ~heartbeat:hb ~resume:(zero_counts path)
-                    ~path_floor:prefix ~n ~setup ~check ()
-                in
-                flush !last_depth;
-                let s = match res with Ok s | Error (_, s) -> s in
-                let leaves = s.Naive.complete + s.Naive.truncated in
-                (match telemetry with
-                 | Some t ->
-                   Telemetry.record_shard t
-                     { Telemetry.shard = i;
-                       domain = w;
-                       prefix;
-                       leaves;
-                       steps = s.Naive.steps;
-                       seconds = Unix.gettimeofday () -. t_start }
-                 | None -> ());
-                (match probe_w with
-                 | Some p -> Telemetry.bump p Telemetry.shards_done
-                 | None -> ());
-                (match sink with
-                 | Some sk ->
-                   sk.Sink.on_shard_done ~domain:w ~shard:i ~leaves
-                     ~steps:s.Naive.steps
-                 | None -> ());
-                results.(i) <- Some res;
-                loop ()
-          in
-          loop ()
-        in
-        let extra = min jobs nshards - 1 in
-        let domains = Array.init extra (fun j -> Domain.spawn (fun () -> worker (j + 1))) in
-        worker 0;
-        Array.iter Domain.join domains;
-        merge_naive (residue true) results
-      end
-  end
+    match
+      fleet ~who:"Parallel.explore_naive" ~jobs
+        ~checkpointing:(Option.is_some resume || Option.is_some on_checkpoint)
+        ~max_runs ~stop ~heartbeat ~telemetry ~sink ~run
+    with
+    | Ok s -> Ok (to_naive s)
+    | Error (reason, s) -> Error (reason, to_naive s)

@@ -1,30 +1,55 @@
 (** Domain-parallel exhaustive verification.
 
-    Shards the snapshot-backtracking POR search (or the naive
-    re-execution enumerator) across OCaml 5 domains: a single-domain
-    {e generation} pass carves the tree into a {!Frontier} of disjoint
-    subtree shards while exploring the shallow residue itself, then
-    [jobs] workers steal shards from the pool and explore each with the
-    sequential engine pinned under the shard's prefix.  Per-shard
-    statistics are merged in shard (sequential DFS) order, and counts
-    partition exactly, so for any search that runs to exhaustion the
-    merged report — complete/truncated/pruned counts, steps, and the
-    complete-execution outcome set — is bit-identical to the
-    sequential engine's at any [jobs], including [jobs = 1] (which
-    bypasses sharding entirely).  [test/test_parallel.ml] verifies
-    this differentially on every registry configuration.
+    One work-stealing fleet, run over either sequential explorer: the
+    snapshot-backtracking POR search ({!explore_por}) or the naive
+    re-execution enumerator ({!explore_naive}).
 
-    What is {e not} deterministic across [jobs]: wall-clock, the
-    interleaving of [check] calls (workers run concurrently — [setup]
-    and [check] are called from multiple domains and must not share
-    mutable state unsynchronised; registry checks are pure), and, when
-    the run stops early on [stop] or [max_runs], the exact leaves
-    explored (the budget is a fleet-wide atomic polled with bounded
-    lag).  On a [check] failure all shards still run to completion and
-    the reported failure is the one in the {e lowest-numbered} shard —
-    deterministic for a fixed frontier, though not necessarily the
-    same leaf sequential search would hit first; the returned path
-    replays and shrinks identically either way. *)
+    {b The fleet contract}, shared by both entries.  A single-domain
+    {e generation} pass ({!Frontier.generate} driving the explorer's
+    [~cut]) carves the tree into disjoint subtree shards while counting
+    the shallow residue itself; then [jobs] workers steal shards from
+    the pool and explore each with the same sequential explorer pinned
+    under the shard's prefix.  Per-shard statistics are merged in shard
+    (sequential DFS) order, and counts partition exactly, so for any
+    search that runs to exhaustion the merged report — leaf counts,
+    steps, and the complete-execution outcome set — is bit-identical
+    to the sequential explorer's at any [jobs].  [test/test_parallel.ml]
+    verifies this differentially on the checker registry.
+
+    - [jobs <= 1] is the sequential explorer itself: every argument,
+      [resume], [on_checkpoint] and [sink] included, passes straight
+      through, and [telemetry] feeds probe row 0.  This is the only
+      place that picks between the sequential and the fleet path.
+    - [heartbeat] receives {e fleet-wide} running totals, flushed by
+      each worker in batches (so [runs] advances in jumps of up to
+      ~1024 per worker) and called under a mutex; [depth] is the
+      reporting worker's current path depth.  Generation passes report
+      their own residue-local totals first.
+    - [stop] is polled from every domain and must be domain-safe (an
+      [Atomic] flag); [max_runs] is a fleet-wide atomic polled with
+      bounded lag.  [setup] and [check] are called from several domains
+      and must not share mutable state unsynchronised (registry checks
+      are pure).
+    - [telemetry] must have at least [jobs] domain rows (else
+      [Invalid_argument]); worker [w] bumps row [w], shard records
+      carry per-shard wall clock, and each generation pass runs on a
+      fresh probe of which only the kept pass is absorbed, so
+      work counters and coverage stay [jobs]-invariant.
+    - [sink] receives the {e fleet-level} events only ([on_steal],
+      [on_shard_done]); attach {!section-"obs"}[Chrome_trace.fleet_sink]
+      for per-domain Perfetto tracks.
+    - No checkpointing under a fleet: [resume] or [on_checkpoint] with
+      [jobs > 1] is [Invalid_argument] ([conrat check] restricts
+      [--checkpoint]/[--resume] to sequential runs).
+
+    What is {e not} deterministic across [jobs]: wall clock, the
+    interleaving of [check] calls, and, when the run stops early on
+    [stop] or [max_runs], the exact leaves explored.  On a [check]
+    failure all shards still run to completion and the reported failure
+    is the one in the {e lowest-numbered} shard — deterministic for a
+    fixed frontier, though not necessarily the leaf sequential search
+    would hit first; a returned path replays and shrinks identically
+    either way. *)
 
 val explore_por :
   jobs:int ->
@@ -36,7 +61,9 @@ val explore_por :
   ?stop:(unit -> bool) ->
   ?heartbeat:(runs:int -> pruned:int -> steps:int -> depth:int -> unit) ->
   ?dedup:bool ->
-  ?shard_target:int ->
+  ?resume:Checkpoint.counts ->
+  ?checkpoint_every:int ->
+  ?on_checkpoint:(Checkpoint.counts -> unit) ->
   ?telemetry:Conrat_obs.Telemetry.t ->
   ?sink:Conrat_sim.Sink.t ->
   n:int ->
@@ -44,29 +71,10 @@ val explore_por :
   check:(complete:bool -> 'r option array -> (unit, string) result) ->
   unit ->
   (Por.stats, string * int list * Por.stats) result
-(** {!Por.explore} under [jobs] domains.  [heartbeat] receives
-    {e fleet-wide} running totals, flushed by each worker in batches
-    (so [runs] advances in jumps of up to ~1024 per worker) and called
-    under a mutex; [depth] is the reporting worker's current path
-    depth.  [stop] is polled from every domain and must be domain-safe
-    (an [Atomic] flag).  [~dedup] applies per shard — duplicate
-    suppression then depends on the sharding, so [pruned]/[dedup_hits]
-    counts (unlike outcome sets) are only [jobs]-independent with
-    dedup off.  [shard_target] overrides {!Frontier.target}.
-
-    [telemetry] must have at least [jobs] domain rows (else
-    [Invalid_argument]); worker [w] bumps row [w], shard records carry
-    per-shard wall clock, and shard-generator passes use fresh
-    free-standing probes with only the kept pass absorbed — so
-    executions/steps-class totals stay [jobs]-invariant.  [sink]
-    receives the {e fleet-level} events only ([on_steal],
-    [on_shard_done] — machine-level events are not threaded into
-    workers); attach {!section-"obs"}[Chrome_trace.fleet_sink] for
-    per-domain Perfetto tracks.  No checkpointing: interruption of a
-    fleet is the caller's affair ([conrat check] restricts
-    [--checkpoint]/[--resume] to sequential runs).  [jobs <= 1]
-    delegates to {!Por.explore} unchanged (probe row 0, no fleet
-    events). *)
+(** {!Por.explore} under the fleet.  [~dedup] applies per shard, and
+    generation passes run without it — duplicate suppression then
+    depends on the sharding, so [pruned]/[dedup_hits] counts (unlike
+    outcome sets) are only [jobs]-independent with dedup off. *)
 
 val explore_naive :
   jobs:int ->
@@ -76,8 +84,10 @@ val explore_naive :
   ?cheap_collect:bool ->
   ?faults:Conrat_sim.Fault.model ->
   ?stop:(unit -> bool) ->
-  ?heartbeat:(runs:int -> steps:int -> depth:int -> unit) ->
-  ?shard_target:int ->
+  ?heartbeat:(runs:int -> pruned:int -> steps:int -> depth:int -> unit) ->
+  ?resume:Checkpoint.counts ->
+  ?checkpoint_every:int ->
+  ?on_checkpoint:(Checkpoint.counts -> unit) ->
   ?telemetry:Conrat_obs.Telemetry.t ->
   ?sink:Conrat_sim.Sink.t ->
   n:int ->
@@ -85,10 +95,7 @@ val explore_naive :
   check:(complete:bool -> 'r option array -> (unit, string) result) ->
   unit ->
   (Naive.stats, string * Naive.stats) result
-(** {!Naive.explore} under [jobs] domains.  Shards are generated by
-    breadth-first prefix expansion (probe re-executions whose steps are
-    {e not} counted — each real leaf's cost is charged exactly once, in
-    the shard that owns it), then each worker drives the sequential
-    enumerator with [~path_floor] pinning its shard prefix.  Same
-    merge, determinism, [heartbeat]/[stop] and [telemetry]/[sink]
-    contract as {!explore_por}. *)
+(** {!Naive.explore} under the fleet: shards come from its [~cut], and
+    each worker re-enumerates a shard with [~path_floor] pinning the
+    prefix.  [heartbeat]'s [pruned] is always [0]; at [jobs <= 1]
+    [sink] is unused (the enumerator emits no machine events). *)

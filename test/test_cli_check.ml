@@ -527,7 +527,16 @@ let () =
       ("sweep --trials=-1", "bad -t/--trials -1");
       ("trace conciliator_n2 --out - -a bogus", "unknown adversary");
       ("sweep -t 2 --jobs=-3", "bad --jobs -3");
-      ("check --jobs=-3 binary_ratifier_n2", "bad --jobs -3") ];
+      ("check --jobs=-3 binary_ratifier_n2", "bad --jobs -3");
+      (* a non-positive budget used to explore nothing and exit 0 *)
+      ("check --max-runs=-5 binary_ratifier_n2", "bad --max-runs -5");
+      ("check --max-runs 0 binary_ratifier_n2", "bad --max-runs 0");
+      ("telemetry --max-runs 0 binary_ratifier_n2", "bad --max-runs 0");
+      ("check --timeout=-1 binary_ratifier_n2", "bad --timeout -1");
+      ("check --budget=-3 binary_ratifier_n2", "bad --budget -3");
+      ("check --budget 0 binary_ratifier_n2", "bad --budget 0");
+      ("check --progress-interval=0 binary_ratifier_n2", "bad --progress-interval 0");
+      ("check --progress-interval=-1 binary_ratifier_n2", "bad --progress-interval -1") ];
 
   (* ---- unwritable outputs fail before any run starts -------------- *)
 

@@ -192,25 +192,105 @@ let add_stats (a : Por.stats) (b : Por.stats) =
     exhausted = a.exhausted && b.exhausted;
     steps = a.steps + b.steps }
 
+let add_naive (a : Naive.stats) (b : Naive.stats) =
+  { Naive.complete = a.complete + b.complete;
+    truncated = a.truncated + b.truncated;
+    exhausted = a.exhausted && b.exhausted;
+    steps = a.steps + b.steps }
+
+(* A checked leaf in visit order, or the place where a generator pass
+   emitted shard [i] instead of descending. *)
+type 'o visit = Leaf of bool * 'o list | Shard of int
+
+let recorder () =
+  let seq = ref [] in
+  let note ~complete outputs = seq := Leaf (complete, Array.to_list outputs) :: !seq in
+  (seq, note)
+
+(* [explore ~note ~cut ~shard] runs one sequential explorer over the
+   whole tree, as a generator pass ([cut]) or pinned under a shard
+   path ([shard]), calling [note] at every checked leaf.  Residue plus
+   per-shard statistics must equal the whole search's, and splicing
+   each shard's leaf sequence in at its marker must replay the whole
+   search's leaf sequence exactly. *)
+let check_partition name ~add ~explore =
+  let whole_seq, note = recorder () in
+  let whole = explore ~note ~cut:None ~shard:None in
+  let residue_seq = ref (ref []) in
+  let residue, shards =
+    match
+      Frontier.generate ~target:16 ~run:(fun ~cut:(lvl, emit) ->
+          let seq, note = recorder () in
+          residue_seq := seq;
+          let next = ref 0 in
+          let emit path =
+            seq := Shard !next :: !seq;
+            incr next;
+            emit path
+          in
+          Ok (explore ~note ~cut:(Some (lvl, emit)) ~shard:None))
+        ()
+    with
+    | Ok r -> r
+    | Error () -> assert false
+  in
+  checkb (name ^ " frontier is nontrivial") true (Array.length shards > 1);
+  let parts =
+    Array.map
+      (fun path ->
+        let seq, note = recorder () in
+        let s = explore ~note ~cut:None ~shard:(Some path) in
+        (s, List.rev !seq))
+      shards
+  in
+  let total = Array.fold_left (fun acc (s, _) -> add acc s) residue parts in
+  checkb (name ^ " residue + shards = sequential, steps included") true (total = whole);
+  let spliced =
+    List.concat_map
+      (function Shard i -> snd parts.(i) | leaf -> [ leaf ])
+      (List.rev !(!residue_seq))
+  in
+  checkb (name ^ " spliced shard sequences replay the sequential one") true
+    (spliced = List.rev !whole_seq)
+
+(* Naive re-execution cannot exhaust the two ratifier trees POR
+   handles here, so its partition runs under a depth cap there (which
+   also puts truncated leaves into the sequence). *)
+let naive_partition_depth = [ ("binary_ratifier_n4", 7); ("binary_ratifier_n3_f2", 8) ]
+
 let test_shard_partition_exact () =
   List.iter
     (fun name ->
       let c = config name in
-      let seq, _ = por c in
-      let residue, shards = generate c ~target:16 in
-      let total =
-        Array.fold_left
-          (fun acc path ->
-            match
-              explore_shard c (zero_counts path) (List.length path)
-            with
-            | Ok s -> add_stats acc s
-            | Error (reason, _, _) ->
-              Alcotest.failf "%s shard violated: %s" name reason)
-          residue shards
+      let n = c.Checks.n in
+      let noting note ~complete outputs =
+        note ~complete outputs;
+        Checks.check_of c ~n ~complete outputs
       in
-      checkb (name ^ " residue + shards = sequential, steps included") true
-        (total = seq))
+      check_partition (name ^ " por") ~add:add_stats ~explore:(fun ~note ~cut ~shard ->
+          match
+            Por.explore ~max_depth:c.Checks.max_depth ~max_runs:c.Checks.max_runs
+              ~cheap_collect:c.Checks.cheap_collect ~faults:c.Checks.faults ?cut
+              ?resume:(Option.map zero_counts shard)
+              ?subtree_prefix:(Option.map List.length shard) ~n
+              ~setup:(Checks.setup_of c ~n) ~check:(noting note) ()
+          with
+          | Ok s -> s
+          | Error (reason, _, _) -> Alcotest.failf "%s por violated: %s" name reason);
+      let max_depth =
+        Option.value (List.assoc_opt name naive_partition_depth)
+          ~default:c.Checks.max_depth
+      in
+      check_partition (name ^ " naive") ~add:add_naive ~explore:(fun ~note ~cut ~shard ->
+          match
+            Naive.explore ~max_depth ~max_runs:c.Checks.max_runs
+              ~cheap_collect:c.Checks.cheap_collect ~faults:c.Checks.faults ?cut
+              ?resume:(Option.map zero_counts shard)
+              ?path_floor:(Option.map List.length shard) ~n
+              ~setup:(Checks.setup_of c ~n) ~check:(noting note) ()
+          with
+          | Ok s -> s
+          | Error (reason, _) -> Alcotest.failf "%s naive violated: %s" name reason))
     [ "binary_ratifier_n4"; "binary_ratifier_n3_f2"; "conciliator_n2";
       "composite_n2" ]
 
@@ -591,6 +671,19 @@ let por_telemetry ~jobs c =
   | Ok s -> (s, t)
   | Error (reason, _, _) -> Alcotest.failf "%s violated: %s" c.Checks.name reason
 
+let naive_telemetry ~jobs c =
+  let t = Telemetry.create ~coverage:true ~domains:(max 1 jobs) () in
+  match
+    Parallel.explore_naive ~jobs ~max_depth:c.Checks.max_depth
+      ~max_runs:c.Checks.max_runs ~cheap_collect:c.Checks.cheap_collect
+      ~faults:c.Checks.faults ~telemetry:t ~n:c.Checks.n
+      ~setup:(Checks.setup_of c ~n:c.Checks.n)
+      ~check:(Checks.check_of c ~n:c.Checks.n)
+      ()
+  with
+  | Ok s -> (s, t)
+  | Error (reason, _) -> Alcotest.failf "%s naive violated: %s" c.Checks.name reason
+
 (* The work counters: what the search did, as opposed to how it was
    scheduled (steals, snapshots, refreshes all legitimately vary with
    shard placement).  Dedup stays off here — duplicate suppression
@@ -600,6 +693,12 @@ let work_counters =
     ("leaves_truncated", Telemetry.leaves_truncated);
     ("leaves_pruned", Telemetry.leaves_pruned);
     ("steps", Telemetry.steps) ]
+
+let coverage_of t =
+  Telemetry.finalize t;
+  match Telemetry.merged_coverage t with
+  | Some cov -> cov
+  | None -> Alcotest.fail "coverage registry carries no coverage"
 
 let test_telemetry_jobs_invariant () =
   List.iter
@@ -629,7 +728,43 @@ let test_telemetry_jobs_invariant () =
                 (Telemetry.get g1 ctr) (Telemetry.get gj ctr))
             work_counters)
         [ 2; 4 ])
-    [ "binary_ratifier_n4"; "conciliator_n2"; "composite_n2" ]
+    [ "binary_ratifier_n4"; "conciliator_n2"; "composite_n2" ];
+  (* The naive enumerator through the same fleet: work counters and the
+     whole coverage document (depth profile and stage signatures) are
+     jobs-invariant, and every leaf lands in the depth profile. *)
+  List.iter
+    (fun name ->
+      let c = config name in
+      let s1, t1 = naive_telemetry ~jobs:1 c in
+      let g1 = Telemetry.totals t1 in
+      let cov1 = coverage_of t1 in
+      checkb (name ^ " naive sequential exhausts") true s1.Naive.exhausted;
+      checki (name ^ " naive complete counter = stats") s1.Naive.complete
+        (Telemetry.get g1 Telemetry.leaves_complete);
+      checki (name ^ " naive truncated counter = stats") s1.Naive.truncated
+        (Telemetry.get g1 Telemetry.leaves_truncated);
+      checki (name ^ " naive steps counter = stats") s1.Naive.steps
+        (Telemetry.get g1 Telemetry.steps);
+      checki (name ^ " naive depth profile = complete + truncated")
+        (s1.Naive.complete + s1.Naive.truncated)
+        (Conrat_obs.Coverage.leaves cov1);
+      List.iter
+        (fun jobs ->
+          let sj, tj = naive_telemetry ~jobs c in
+          let gj = Telemetry.totals tj in
+          checkb (Printf.sprintf "%s naive jobs=%d stats bit-identical" name jobs) true
+            (sj = s1);
+          List.iter
+            (fun (cname, ctr) ->
+              checki
+                (Printf.sprintf "%s naive jobs=%d %s grand total invariant" name jobs
+                   cname)
+                (Telemetry.get g1 ctr) (Telemetry.get gj ctr))
+            work_counters;
+          checkb (Printf.sprintf "%s naive jobs=%d coverage invariant" name jobs) true
+            (Conrat_obs.Coverage.equal cov1 (coverage_of tj)))
+        [ 2; 4 ])
+    [ "binary_ratifier_n3"; "conciliator_n2"; "binary_ratifier_rec_n2_f1" ]
 
 let test_telemetry_domain_merge_is_total () =
   let c = config "binary_ratifier_n4" in
