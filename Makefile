@@ -2,7 +2,7 @@
 
 DUNE ?= dune
 
-.PHONY: all build test smoke verify fault-verify par-verify perf-verify obs-bench telemetry-bench perf-step bench-gates check bench clean
+.PHONY: all build test smoke verify fault-verify par-verify perf-verify bench-gates check bench clean
 
 all: build
 
@@ -126,24 +126,8 @@ par-verify:
 # The committed BENCH_VERIFY.json was produced with no budget
 # (PERF_VERIFY_BUDGET=0 = unlimited), which exhausts every config
 # including the depth-40 fallback bound (~5 min total).
-#
-# The second step is the fault-plane regression guard (same discipline
-# as obs-bench): POR-explore the failure-free fallback_n2_d28 with the
-# fault plane disabled vs engaged-but-inert, interleaved best-of-5,
-# and fail if the toggled bookkeeping costs more than FAULT_MAX_PCT
-# percent.  Writes BENCH_FAULT.json (committed; CI uploads the fresh
-# one).
-#
-# The third step is the parallel-scaling gate: fallback_n2_d34 at
-# jobs 1/2/4 through Parallel.explore_por, enforcing bit-identical
-# merged statistics, gating the jobs=2 speedup at PAR_MIN_SPEEDUP on
-# multi-core hosts (reported but not gated on single-core runners),
-# writing BENCH_PAR.json and splicing the per-jobs scaling rows into
-# $(PERF_VERIFY_JSON).
 PERF_VERIFY_BUDGET ?= 120
 PERF_VERIFY_JSON ?= BENCH_VERIFY.json
-FAULT_MAX_PCT ?= 3.0
-PAR_MIN_SPEEDUP ?= 1.6
 perf-verify:
 ifeq ($(PERF_VERIFY_BUDGET),0)
 	$(DUNE) exec bin/conrat_cli.exe -- check all --no-telemetry \
@@ -153,68 +137,21 @@ else
 	  --budget $(PERF_VERIFY_BUDGET) --json $(PERF_VERIFY_JSON)
 endif
 	@test -s $(PERF_VERIFY_JSON) && echo "perf-verify: $(PERF_VERIFY_JSON) written"
-	$(DUNE) exec bench/fault_overhead.exe -- --max-overhead-pct $(FAULT_MAX_PCT)
-	@test -s BENCH_FAULT.json && echo "perf-verify: BENCH_FAULT.json written"
-	$(DUNE) exec bench/par_scaling.exe -- \
-	  --min-speedup $(PAR_MIN_SPEEDUP) --splice $(PERF_VERIFY_JSON)
-	@test -s BENCH_PAR.json && echo "perf-verify: BENCH_PAR.json written"
 
-# Observability-overhead gate: POR-explore fallback_n2_d28 with no
-# sink vs a null sink, best-of-5, and fail if the disabled-sink hot
-# path costs more than OBS_MAX_PCT percent.  Writes BENCH_OBS.json
-# (committed; CI uploads the fresh one).  The budget is 9% against
-# the VM engine, not the original 3%: the tap's absolute cost
-# (~10ns/event, one indirect call) has not moved, but the VM halved
-# the per-step denominator; re-measured at 0.5-6.8% across runs after
-# the telemetry plane landed — see bench/obs_overhead.ml for the
-# arithmetic.
-OBS_MAX_PCT ?= 9.0
-obs-bench:
-	$(DUNE) exec bench/obs_overhead.exe -- --max-overhead-pct $(OBS_MAX_PCT)
-	@test -s BENCH_OBS.json && echo "obs-bench: BENCH_OBS.json written"
-
-# Telemetry-probe overhead gate: POR-explore fallback_n2_d28 with no
-# probe vs a counters-only Telemetry registry (what `check --json` now
-# pays), interleaved best-of-5, and fail if the counters cost more
-# than TELEMETRY_MAX_PCT percent.  Coverage mode (per-leaf depth and
-# stage histograms) is timed informationally in the same run.  Writes
-# BENCH_TELEMETRY.json (committed; CI uploads the fresh one).
-TELEMETRY_MAX_PCT ?= 3.0
-telemetry-bench:
-	$(DUNE) exec bench/telemetry_overhead.exe -- \
-	  --max-overhead-pct $(TELEMETRY_MAX_PCT)
-	@test -s BENCH_TELEMETRY.json && echo "telemetry-bench: BENCH_TELEMETRY.json written"
-
-# Step-rate regression gate: the identical POR search under the tree
-# interpreter vs the compiled VM (the only variable is the program
-# engine behind the Machine façade), interleaved best-of-STEP_REPS,
-# failing when the VM's steps/s advantage drops below STEP_MIN_SPEEDUP.
-# Writes BENCH_STEP.json (committed; CI uploads the fresh one).  See
-# bench/step_rate.ml for why the floor sits under the ~1.6x
-# engine-isolated ratio rather than the ~2.4x end-to-end win over the
-# pre-VM commit recorded in EXPERIMENTS.md.
-STEP_REPS ?= 5
-STEP_MIN_SPEEDUP ?= 1.4
-perf-step:
-	$(DUNE) exec bench/step_rate.exe -- \
-	  --reps $(STEP_REPS) --min-speedup $(STEP_MIN_SPEEDUP)
-	@test -s BENCH_STEP.json && echo "perf-step: BENCH_STEP.json written"
-
-# Every committed performance gate in one target — what CI runs after
-# the correctness stages: exploration speed (BENCH_VERIFY.json) +
-# fault-plane overhead (BENCH_FAULT.json) + parallel scaling
-# (BENCH_PAR.json), observability overhead (BENCH_OBS.json), the
-# telemetry-probe overhead (BENCH_TELEMETRY.json), and the VM
-# step-rate floor (BENCH_STEP.json).
-bench-gates: perf-verify obs-bench telemetry-bench perf-step
+# Every committed performance gate — what CI runs after the
+# correctness stages: exploration speed (perf-verify), then the table
+# of timed arms and budgets in bench/gates.ml (sink, fault-plane and
+# telemetry overheads, VM-vs-tree and jobs-2 floors).  Writes
+# BENCH_GATES.json (committed; CI uploads the fresh one).
+bench-gates: perf-verify
+	$(DUNE) exec bench/gates.exe
+	@test -s BENCH_GATES.json && echo "bench-gates: BENCH_GATES.json written"
 
 check: build test smoke verify
 
-# The paper-claim experiments (quick sweeps), then the Bechamel
-# micro-benchmarks of the simulator's building blocks.
+# The paper-claim experiments (quick sweeps).
 bench:
 	$(DUNE) exec bin/conrat_cli.exe -- experiment --quick all
-	$(DUNE) exec bench/main.exe
 
 clean:
 	$(DUNE) clean

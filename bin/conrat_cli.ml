@@ -632,6 +632,7 @@ let check_cmd =
         die "--checkpoint/--resume do not apply to --cross";
       if checkpointing && List.length configs <> 1 then
         die "--checkpoint/--resume need exactly one checker name";
+      let resume_file = resume in
       let resume =
         Option.map
           (fun file ->
@@ -728,9 +729,14 @@ let check_cmd =
               Some (Telemetry.create ~domains:jobs ())
             else None
           in
+          (* Both explorers reject a resume path their tree cannot take
+             ([Invalid_argument]); that is a bad-input condition, exit 2. *)
           let rows, verdict =
-            explore opts ~algo ~stop ~reporter:(reporter name) ?telemetry ?resume
-              ?on_checkpoint:(on_checkpoint ~name) config
+            try
+              explore opts ~algo ~stop ~reporter:(reporter name) ?telemetry ?resume
+                ?on_checkpoint:(on_checkpoint ~name) config
+            with Invalid_argument _ when resume_file <> None ->
+              die "checkpoint %s does not fit checker %s" (Option.get resume_file) name
           in
           let elapsed = Unix.gettimeofday () -. t1 in
           (match verdict with

@@ -5,8 +5,8 @@
     one row of [Atomic.t] cells per worker domain, and a {e probe} is
     one such row handed to one explorer — bumping a counter is a single
     uncontended atomic add, and an explorer run with no probe pays one
-    branch per instrumentation point (gated by [bench/telemetry_overhead.ml]
-    and the [telemetry-bench] CI gate, [BENCH_TELEMETRY.json]).
+    branch per instrumentation point (the [counters] gate in
+    [bench/gates.ml], recorded in [BENCH_GATES.json]).
 
     Aggregation is explicit: {!snapshot_of_domain} reads one row,
     {!totals} merges rows in domain index order — which {!Parallel}

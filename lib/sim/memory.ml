@@ -196,7 +196,7 @@ let is_weak t loc =
    weakness, every backup captures the journal mark) without weakening
    any register, so observable behaviour — and the explored tree — is
    exactly the atomic model.  The "engaged but inert" arm of the
-   fault-plane overhead gate (bench/fault_overhead.ml), mirroring what
+   fault-plane overhead gate (bench/gates.ml), mirroring what
    [Sink.null] is to the observability gate. *)
 let engage_shadow t = t.has_weak <- true
 

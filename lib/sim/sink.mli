@@ -5,8 +5,8 @@
     register, coin outcome and current {!Program.label} stage), one when
     a process returns, and one per explorer snapshot/restore.  Engines
     thread an optional sink down to the machine; when none is installed
-    the whole mechanism costs a single branch per transition (see
-    [bench/obs_overhead.ml] and the [obs-bench] CI gate).
+    the whole mechanism costs a single branch per transition (see the
+    [obs] gate in [bench/gates.ml]).
 
     Three callbacks sit above the machine: the fleet-level steal and
     shard-completion events fired by the parallel driver, and the

@@ -46,6 +46,9 @@ let to_sexp t =
 let of_sexp sexp =
   let open Sexp in
   let ( let* ) r f = Result.bind r f in
+  (* Counts and branch indices are never negative; a negative one would
+     resume to silently wrong totals or a clamped branch. *)
+  let count v = Option.bind (to_int v) (fun i -> if i >= 0 then Some i else None) in
   let field name decode =
     match assoc1 name sexp with
     | Some v ->
@@ -69,16 +72,16 @@ let of_sexp sexp =
           let rec go acc = function
             | [] -> Ok (List.rev acc)
             | item :: rest ->
-              (match to_int item with
+              (match count item with
                | Some i -> go (i :: acc) rest
                | None -> Error "Checkpoint.of_sexp: bad field path")
           in
           go [] items
       in
-      let* complete = field "complete" to_int in
-      let* truncated = field "truncated" to_int in
-      let* pruned = field "pruned" to_int in
-      let* steps = field "steps" to_int in
+      let* complete = field "complete" count in
+      let* truncated = field "truncated" count in
+      let* pruned = field "pruned" count in
+      let* steps = field "steps" count in
       Ok { engine; checker; counts = { path; complete; truncated; pruned; steps } }
   | _ -> Error "Checkpoint.of_sexp: expected (checkpoint ...)"
 

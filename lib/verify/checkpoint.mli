@@ -37,6 +37,7 @@ val schema_version : int
 
 val to_sexp : t -> Conrat_sim.Sexp.t
 val of_sexp : Conrat_sim.Sexp.t -> (t, string) result
+(** Rejects a negative count or path entry with [bad field NAME]. *)
 
 val save : string -> t -> unit
 (** Atomic (write temp file, rename over). *)

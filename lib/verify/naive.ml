@@ -35,6 +35,7 @@ let explore ?engine ?(max_depth = 200) ?(max_runs = 2_000_000) ?(cheap_collect =
       c.path
   in
   let last_saved = ref !runs in
+  let check_resume = ref (Option.is_some resume) in
   (* Probe adds are exit-time deltas against the resume baseline — see
      Por.explore. *)
   let c0_complete = !complete_count in
@@ -67,6 +68,20 @@ let explore ?engine ?(max_depth = 200) ?(max_runs = 2_000_000) ?(cheap_collect =
     if stopping then Ok (stats false)
     else begin
       let run = Explore.run_path ?engine ~max_depth ~cheap_collect ~faults ~n ~setup path in
+      (* [run_path] clamps an out-of-range choice to 0, so a resume path
+         the tree cannot take would silently enumerate another subtree:
+         the first run must record the resume path as its prefix. *)
+      if !check_resume then begin
+        check_resume := false;
+        let rec follows p b =
+          match (p, b) with
+          | [], _ -> true
+          | c :: p, (c', _) :: b -> c = c' && follows p b
+          | _ :: _, [] -> false
+        in
+        if not (follows path run.Explore.branches) then
+          invalid_arg "Naive.explore: checkpoint path inconsistent with this config"
+      end;
       match cut with
       | Some (lvl, emit) when List.length run.Explore.branches > lvl ->
         (* Shard generation: this path reaches branch position [lvl], so

@@ -51,6 +51,9 @@ val explore :
     {!Por.explore}'s convention — the saved path is the next uncounted
     leaf, and a resumed run's statistics are bit-identical to an
     uninterrupted one ([Checkpoint.counts.pruned] is always [0] here).
+    A [resume] path the tree does not take (the first run's recorded
+    choices do not start with it) is [Invalid_argument], as in
+    {!Por.explore}.
     Defaults: [max_depth = 200], [max_runs = 2_000_000],
     [checkpoint_every = 100_000].  [engine] selects the program engine
     for each re-execution (default the compiled VM); leaf order and

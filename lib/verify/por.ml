@@ -395,7 +395,7 @@ let search ~source ?engine ?(max_depth = 200) ?(max_runs = 2_000_000)
      (non-atomic) increments, cheaper than the events they count; the
      probe's atomic cells only see them in batches — every 4096 leaves
      (so fleet heartbeats lag boundedly) and at exit — keeping the
-     probe-attached hot path within the telemetry-bench budget.  The
+     probe-attached hot path within the counters gate's budget.  The
      deepest pool slot is likewise gauged locally and peaked at exit. *)
   let pool_high = ref 0 in
   let hot_refreshes = ref 0 in

@@ -133,11 +133,11 @@ val explore :
     refreshes, dedup outcomes) accumulate in plain locals and flush to
     the probe's atomic cells every 4096 leaves and at exit, so live
     fleet reads lag by a bounded window while the probe-attached hot
-    path stays within the telemetry-bench budget.  When the probe
+    path stays within the [counters] gate's budget.  When the probe
     carries a {!section-"obs"}[Coverage.t], every counted leaf also
     lands in the depth-profile and stage-signature histograms (per-leaf
     cost; the counters alone are branch-only when disabled — see
-    [bench/telemetry_overhead.ml]).
+    [bench/gates.ml]).
 
     [faults] closes the tree under crash-stops and weak-register reads
     (default {!Conrat_sim.Fault.none}; registers must additionally be

@@ -407,6 +407,41 @@ let () =
   expect "resume missing file" ~code:2 ~stderr_has:"cannot load checkpoint"
     (run "check --resume /nonexistent/ck.sexp binary_ratifier_n2");
 
+  (* A real checkpoint, mutated: negative counts and path entries must
+     not load, and a path the tree cannot take (out-of-range choices
+     clamp to 0 on replay) must not resume to wrong totals or a
+     backtrace — exit 2 with one line, under either explorer. *)
+  let last_path_entry_9 s =
+    let rec find i = if String.sub s i 6 = "(path " then i else find (i + 1) in
+    let close = String.index_from s (find 0) ')' in
+    let space = String.rindex_from s close ' ' in
+    String.sub s 0 (space + 1) ^ "9" ^ String.sub s close (String.length s - close)
+  in
+  List.iter
+    (fun (algo, config) ->
+      let ck = Filename.concat tmpdir "mutated.sexp" in
+      expect (algo ^ " checkpoint to mutate") ~code:0 ~stdout_has:"budget exceeded"
+        (run (Printf.sprintf "check %s --checkpoint %s --max-runs 100 %s" algo
+                (Filename.quote ck) config));
+      let real = read_file ck in
+      List.iter
+        (fun (what, contents, needle) ->
+          write_file ck contents;
+          let code, out, err =
+            run (Printf.sprintf "check %s --resume %s %s" algo (Filename.quote ck) config)
+          in
+          expect (Printf.sprintf "%s resume %s" config what) ~code:2 ~stderr_has:needle
+            (code, out, err);
+          if List.length (String.split_on_char '\n' (String.trim err)) > 1 then
+            failf "%s resume %s: diagnostic is not one line (got: %s)" config what err)
+        [ ("negative complete", replace ~sub:"(complete " ~by:"(complete -" real,
+           "bad field complete");
+          ("negative steps", replace ~sub:"(steps " ~by:"(steps -" real, "bad field steps");
+          ("negative path entry", replace ~sub:"(path 0" ~by:"(path -1" real,
+           "bad field path");
+          ("inconsistent path", last_path_entry_9 real, "does not fit checker " ^ config) ])
+    [ ("--naive", "binary_ratifier_n3"); ("", "fallback_n2_d28") ];
+
   (* ---- program engine (vm vs tree) -------------------------------- *)
 
   expect "check --engine tree" ~code:0 ~stdout_has:"exhausted"

@@ -333,6 +333,52 @@ let test_run_path_clamps () =
   checkb "clamped = all-zero schedule" true
     (clamped.Explore.outputs = reference.Explore.outputs)
 
+(* ------------------------------------------------------------------ *)
+(* Hostile checkpoints                                                 *)
+(* ------------------------------------------------------------------ *)
+
+(* A negative count or branch index would resume to silently wrong
+   totals (or a clamped branch): each is rejected naming its field. *)
+let test_checkpoint_rejects_negatives () =
+  let ck =
+    { Checkpoint.engine = "por"; checker = "fallback_n2_d28";
+      counts =
+        { Checkpoint.path = [ 0; 1; 0 ]; complete = 5; truncated = 7; pruned = 2;
+          steps = 40 } }
+  in
+  List.iter
+    (fun (field, counts) ->
+      match Checkpoint.of_sexp (Checkpoint.to_sexp { ck with counts }) with
+      | Error msg ->
+        check Alcotest.string field ("Checkpoint.of_sexp: bad field " ^ field) msg
+      | Ok _ -> Alcotest.failf "negative %s accepted" field)
+    [ ("path", { ck.counts with path = [ 0; -1; 0 ] });
+      ("complete", { ck.counts with complete = -5 });
+      ("truncated", { ck.counts with truncated = -1 });
+      ("pruned", { ck.counts with pruned = -1 });
+      ("steps", { ck.counts with steps = -100_000 }) ]
+
+(* [run_path] clamps an out-of-range choice to 0; a resume path the
+   tree cannot take must be refused, not enumerated as another subtree
+   under the checkpoint's totals. *)
+let test_naive_rejects_bad_resume_path () =
+  let c = config "binary_ratifier_n3" in
+  let n = c.Checks.n in
+  let explore ?resume ?max_runs ?on_checkpoint () =
+    Naive.explore ~max_depth:c.Checks.max_depth ?max_runs ?resume ?on_checkpoint ~n
+      ~setup:(Checks.setup_of c ~n) ~check:(Checks.check_of c ~n) ()
+  in
+  let saved = ref None in
+  ignore (explore ~max_runs:100 ~on_checkpoint:(fun ck -> saved := Some ck) ());
+  let ck = Option.get !saved in
+  (match (explore ~resume:ck (), explore ()) with
+   | Ok resumed, Ok full -> checkb "genuine resume is bit-identical" true (resumed = full)
+   | _ -> Alcotest.fail "binary_ratifier_n3 failed");
+  let bad = { ck with path = List.mapi (fun i b -> if i = 3 then 9 else b) ck.path } in
+  match explore ~resume:bad () with
+  | exception Invalid_argument _ -> ()
+  | _ -> Alcotest.fail "inconsistent resume path accepted"
+
 let () =
   Alcotest.run "conrat verify"
     [ ( "sexp",
@@ -356,4 +402,7 @@ let () =
           tc "passes on shipped protocol" `Quick
             test_fixture_passes_on_shipped_protocol;
           tc "run_path clamps choices" `Quick test_run_path_clamps;
-          tc "mismatched artifact rejected" `Quick test_fixture_mismatch_rejected ] ) ]
+          tc "mismatched artifact rejected" `Quick test_fixture_mismatch_rejected ] );
+      ( "checkpoint",
+        [ tc "negative fields rejected" `Quick test_checkpoint_rejects_negatives;
+          tc "naive bad resume path rejected" `Quick test_naive_rejects_bad_resume_path ] ) ]
