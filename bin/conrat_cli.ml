@@ -171,6 +171,10 @@ let on_sigint () =
   ignore (Sys.signal Sys.sigint (Sys.Signal_handle (fun _ -> Atomic.set flag true)));
   flag
 
+(* [check]'s per-domain countdown to its next clock read. *)
+let stop_clock_every = 1024
+let stop_countdown = Domain.DLS.new_key (fun () -> ref stop_clock_every)
+
 let exit_if_interrupted tag flag =
   if Atomic.get flag then begin
     Report.info "[%s] interrupted (SIGINT); partial results flushed" tag;
@@ -715,8 +719,27 @@ let check_cmd =
           let t1 = Unix.gettimeofday () in
           (* [--timeout] bounds each config separately, on top of the
              global [--budget]; either way the explorer stops cleanly
-             and its partial statistics are still reported. *)
-          let stop () = Atomic.get interrupted || past budget t0 || past timeout t1 in
+             and its partial statistics are still reported.  The
+             explorers ask at every leaf, and a clock read costs about
+             as much as a short leaf, so the clock is read once per
+             [stop_clock_every] calls of a domain (fleet workers share
+             this closure).  An expiry is latched, so every worker stops
+             at its next leaf, and a config that starts after the budget
+             ran out stops at its first. *)
+          let expired = Atomic.make (past budget t0) in
+          let stop () =
+            Atomic.get interrupted || Atomic.get expired
+            || begin
+              let left = Domain.DLS.get stop_countdown in
+              decr left;
+              !left <= 0
+              && begin
+                left := stop_clock_every;
+                past budget t0 || past timeout t1
+              end
+              && (Atomic.set expired true; true)
+            end
+          in
           (* One registry per config run: coverage (the per-leaf work)
              only when the block lands in --json; counters alone when a
              progress heartbeat wants the fleet extras.  --cross runs

@@ -251,21 +251,26 @@ let coin_class t pid =
 let supports_state_hash t =
   match t.state with Compiled _ -> true | Tree _ -> false
 
-let state_hash t =
+let hash_into t (h : int array) =
   match t.state with
-  | Tree _ -> invalid_arg "Machine.state_hash: the tree engine has no state hash"
+  | Tree _ -> invalid_arg "Machine.hash_into: the tree engine has no state hash"
   | Compiled vm ->
-    let h1, h2 = Vm.hash_fold vm 0x3243F6A8 0x13198A2E in
-    let h1, h2 = Memory.hash_fold t.memory h1 h2 in
-    let m1 = ref h1 and m2 = ref h2 in
+    h.(0) <- 0x3243F6A8;
+    h.(1) <- 0x13198A2E;
+    Vm.hash_fold vm h;
+    Memory.hash_fold t.memory h;
     if t.ever_crashed then
       for pid = 0 to t.n - 1 do
         if t.crashed.(pid) then begin
-          m1 := Memory.mix1 !m1 (pid + 1);
-          m2 := Memory.mix2 !m2 (pid + 1)
+          h.(0) <- Memory.mix1 h.(0) (pid + 1);
+          h.(1) <- Memory.mix2 h.(1) (pid + 1)
         end
-      done;
-    (!m1, !m2)
+      done
+
+let state_hash t =
+  let h = [| 0; 0 |] in
+  hash_into t h;
+  (h.(0), h.(1))
 
 (* The tree engine's op interpreter.  The coin outcome for
    probabilistic writes has already been decided by the caller; [apply]

@@ -129,22 +129,30 @@ val coin_class : 'r t -> int -> int
     the tree engine. *)
 
 val supports_state_hash : 'r t -> bool
-(** Whether {!state_hash} is available — true exactly for the VM
+(** Whether {!hash_into} is available — true exactly for the VM
     engine, whose interned program counters give each program state a
     canonical encoding.  Tree program states are closures and have
     none; that engine exists as the differential oracle, not for
     hashed exploration. *)
 
-val state_hash : 'r t -> int * int
-(** Two independent 62-bit hashes of the machine's semantic state: the
-    pc file, the memory (cells plus weak-register stale shadows, see
+val hash_into : 'r t -> int array -> unit
+(** [hash_into t h] writes two independent 62-bit hashes of the
+    machine's semantic state into [h.(0)] and [h.(1)]: the pc file,
+    the memory (cells plus weak-register stale shadows, see
     {!Memory.hash_fold}) and the crashed set.  Machines of one
     exploration in semantically equal states — equal pending
     operations, outputs, memory views and crash status for every
     process — hash equal; step counters are work measures, not state,
     and do not participate.  The explorers' duplicate-detection key
-    ([Conrat_verify.Por] dedup).  Raises [Invalid_argument] under the
-    tree engine; gate on {!supports_state_hash}. *)
+    ([Conrat_verify.Por] dedup), computed into a caller-owned
+    buffer of length 2, so a probe allocates nothing.  Raises
+    [Invalid_argument] under the tree engine; gate on
+    {!supports_state_hash}. *)
+
+val state_hash : 'r t -> int * int
+(** The pair {!hash_into} computes, in a fresh buffer.  The search
+    calls {!hash_into} on one reused buffer; this form serves
+    [perfbench]'s replay. *)
 
 val step_forced : 'r t -> pid:int -> landed:bool -> unit
 (** Apply [pid]'s pending operation with the coin outcome already

@@ -395,8 +395,8 @@ let mix2 h v = ((h lxor v) * 0x27D4EB2F165667C5) land max_int
 (* [None] (never-written) and [Some v] must hash apart for every v. *)
 let enc = function None -> 0x5bd1e995 | Some v -> (v lsl 1) lor 1
 
-let hash_fold t h1 h2 =
-  let h1 = ref (mix1 h1 t.len) and h2 = ref (mix2 h2 t.len) in
+let hash_fold t (h : int array) =
+  let h1 = ref (mix1 h.(0) t.len) and h2 = ref (mix2 h.(1) t.len) in
   for i = 0 to t.len - 1 do
     let c = enc t.cells.(i) in
     h1 := mix1 !h1 c;
@@ -415,7 +415,8 @@ let hash_fold t h1 h2 =
       h2 := mix2 !h2 w
     end
   done;
-  (!h1, !h2)
+  h.(0) <- !h1;
+  h.(1) <- !h2
 
 let pp ppf t =
   Format.fprintf ppf "@[<hov 1>[";

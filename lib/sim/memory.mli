@@ -154,12 +154,13 @@ val mix2 : int -> int -> int
     state-bearing layers ({!Vm}, [Machine]) extend the same pair of
     accumulators: [mixK h v] absorbs [v] into accumulator [h]. *)
 
-val hash_fold : t -> int -> int -> int * int
-(** [hash_fold t h1 h2] folds the store's semantic state — live cell
+val hash_fold : t -> int array -> unit
+(** [hash_fold t h] folds the store's semantic state — live cell
     contents plus, on weak registers, the stale-read shadow, plus,
     under {!track_writers}, per-register ownership (it decides what a
-    future recovery wipes) — into two
-    independent 62-bit accumulators and returns them.  Two stores of
+    future recovery wipes) — into the two independent 62-bit
+    accumulators [h.(0)] and [h.(1)], in place: a caller-owned buffer,
+    so the fold allocates nothing.  Two stores of
     one exploration that are semantically equal (same {!size}, same
     {!read} and {!read_stale} views) fold equally; journals and pooled
     bookkeeping are excluded, so equality of state reached by different

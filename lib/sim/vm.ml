@@ -34,14 +34,15 @@ let code_size t = Code.size t.code
    {!Memory.hash_fold}): a pc is the whole per-process program state,
    interned per continuation, so equal pc files mean equal pending
    operations, stages and results. *)
-let hash_fold t h1 h2 =
-  let h1 = ref h1 and h2 = ref h2 in
+let hash_fold t (h : int array) =
+  let h1 = ref h.(0) and h2 = ref h.(1) in
   for pid = 0 to Array.length t.pcs - 1 do
     let pc = t.pcs.(pid) in
     h1 := Memory.mix1 !h1 pc;
     h2 := Memory.mix2 !h2 pc
   done;
-  (!h1, !h2)
+  h.(0) <- !h1;
+  h.(1) <- !h2
 
 type snapshot = int array
 

@@ -45,10 +45,11 @@ val coin_class : 'r t -> int -> int
 val code_size : 'r t -> int
 (** Instructions interned so far in the underlying store. *)
 
-val hash_fold : 'r t -> int -> int -> int * int
+val hash_fold : 'r t -> int array -> unit
 (** Fold the pc file into the two duplicate-detection accumulators
-    (see {!Memory.hash_fold}): pcs are interned per continuation, so
-    equal pc files mean equal program states. *)
+    [h.(0)] and [h.(1)], in place (see {!Memory.hash_fold}): pcs are
+    interned per continuation, so equal pc files mean equal program
+    states. *)
 
 type snapshot = int array
 

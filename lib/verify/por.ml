@@ -480,12 +480,13 @@ let search ~source ?engine ?(max_depth = 200) ?(max_runs = 2_000_000)
      at equal depth anyway.  The table is per-call, so per-shard under
      [Parallel]: shard counts stay deterministic regardless of how
      shards land on workers. *)
-  let visited = Visited.create (if dedup then 4096 else 0) in
+  let visited = Visited.create () in
   let dedup_hits = ref 0 in
+  let hash = [| 0; 0 |] in
   let dedup_covered z depth crashes_left recoveries_left =
-    let h1, h2 = Machine.state_hash machine in
-    let h1 = Memory.mix1 (Memory.mix1 (Memory.mix1 h1 depth) crashes_left) recoveries_left in
-    let h2 = Memory.mix2 (Memory.mix2 (Memory.mix2 h2 depth) crashes_left) recoveries_left in
+    Machine.hash_into machine hash;
+    let h1 = Memory.mix1 (Memory.mix1 (Memory.mix1 hash.(0) depth) crashes_left) recoveries_left in
+    let h2 = Memory.mix2 (Memory.mix2 (Memory.mix2 hash.(1) depth) crashes_left) recoveries_left in
     match Visited.visit visited h1 h2 z with
     | Visited.Covered -> true
     | Visited.Added -> incr hot_dedup_misses; false

@@ -410,8 +410,8 @@ let qcheck_visited_vs_model =
   let gen =
     QCheck.Gen.(
       let h1_any = map (fun x -> x land max_int) int in
-      (* All-ones top bits: the home slot is the last one at every
-         capacity, so these probe past the end of the arrays and wrap. *)
+      (* All-ones top bits: the home slot is the last one of the page,
+         so these probe past the end of its array and wrap. *)
       let h1_top = map (fun x -> max_int lxor (x land 0xFFFF)) int in
       (* One shared h1: told apart by h2 alone. *)
       let h1_same = return 42 in
@@ -419,31 +419,29 @@ let qcheck_visited_vs_model =
         frequency
           [ (2, pair h1_any int); (2, pair h1_top int); (1, pair h1_same int) ]
       in
-      pair (int_bound 8)
-        ( list_size (int_range 100 200) key >>= fun keys ->
-          let pool = Array.of_list (List.sort_uniq compare keys) in
-          list_size (int_bound 300) (int_bound (Array.length pool - 1))
-          >>= fun again ->
-          (* Every pool key at least once: ≥ 100 entries from a
-             capacity ≤ 8 forces at least 3 doublings. *)
-          shuffle_l (List.init (Array.length pool) Fun.id @ again)
-          >>= fun order ->
-          flatten_l
-            (List.map
-               (fun i ->
-                 let h1, h2 = pool.(i) in
-                 map (fun z -> (h1, h2, z)) (int_bound 7))
-               order) ))
+      list_size (int_range 100 200) key >>= fun keys ->
+      let pool = Array.of_list (List.sort_uniq compare keys) in
+      list_size (int_bound 300) (int_bound (Array.length pool - 1))
+      >>= fun again ->
+      (* Every pool key at least once. *)
+      shuffle_l (List.init (Array.length pool) Fun.id @ again)
+      >>= fun order ->
+      flatten_l
+        (List.map
+           (fun i ->
+             let h1, h2 = pool.(i) in
+             map (fun z -> (h1, h2, z)) (int_bound 7))
+           order))
   in
-  let print (cap, ops) =
-    Printf.sprintf "capacity=%d ops=[%s]" cap
+  let print ops =
+    Printf.sprintf "ops=[%s]"
       (String.concat "; "
          (List.map (fun (a, b, z) -> Printf.sprintf "(%d,%d,%d)" a b z) ops))
   in
   QCheck.Test.make ~count:100 ~name:"visited table = Hashtbl model"
     (QCheck.make ~print gen)
-    (fun (cap, ops) ->
-      let t = Visited.create cap and model = Hashtbl.create 16 in
+    (fun ops ->
+      let t = Visited.create () and model = Hashtbl.create 16 in
       List.for_all
         (fun op ->
           let h1, h2, z = op in
@@ -456,10 +454,78 @@ let qcheck_visited_vs_model =
 
 let test_visited_rejects_negative_h1 () =
   (* -1 marks an empty slot: a negative h1 must never reach the table. *)
-  let t = Visited.create 4096 in
+  let t = Visited.create () in
   match Visited.visit t (-1) 0 0 with
   | _ -> Alcotest.fail "a negative h1 (the empty marker) was accepted"
   | exception Invalid_argument _ -> ()
+
+(* Feed [keys] (in order, each with a pseudo-random mask, then every
+   key once more) to a table and the Hashtbl model, checking each
+   outcome, then every stored mask.  Returns the table. *)
+let visited_against_model ~seed keys =
+  let rng = Random.State.make [| seed |] in
+  let t = Visited.create () and model = Hashtbl.create 1024 in
+  let visit (h1, h2) =
+    let z = Random.State.int rng 8 in
+    if Visited.visit t h1 h2 z <> dedup_step_model model (h1, h2, z) then
+      Alcotest.failf "visit (%d, %d): outcome differs from the model" h1 h2
+  in
+  Array.iter visit keys;
+  Array.iter visit keys;
+  checki "count = model size" (Hashtbl.length model) (Visited.count t);
+  Hashtbl.iter
+    (fun (h1, h2) z ->
+      if Visited.find t h1 h2 <> Some z then
+        Alcotest.failf "find (%d, %d): stored mask differs from the model" h1 h2)
+    model;
+  t
+
+(* Words the table holds: live pages, directory and scratch. *)
+let visited_words t = Obj.reachable_words (Obj.repr t)
+
+let test_visited_many_keys () =
+  (* 50 000 keys fill ~20 pages: pages split and the directory doubles
+     several times, which the ≤ 200-key QCheck never reaches.  Split
+     pages are at least 3/8 full, so pages hold at most 8 words an
+     entry; the scratch page and the directory add the rest. *)
+  let rng = Random.State.make [| 24 |] in
+  let keys =
+    Array.init 50_000 (fun _ ->
+        (Random.State.bits64 rng |> Int64.to_int |> ( land ) max_int,
+         Random.State.bits rng))
+  in
+  let t = visited_against_model ~seed:1 keys in
+  checkb "≤ 10 words per entry" true (visited_words t <= 10 * Visited.count t)
+
+let test_visited_shared_prefix () =
+  (* Keys sharing their top 40 bits — all ones (the h1_top shape) or
+     all zeros, down to one h1 told apart by h2 (h1_same) — agree on
+     every bit a split could use: their page must grow rather than
+     split, or the directory would double up to the prefix length.
+     Random keys alongside still split the pages around them. *)
+  let rng = Random.State.make [| 40 |] in
+  let low () = Random.State.bits rng land 0x3FFFFF in
+  let top = Array.init 5_000 (fun _ -> (max_int lxor low (), Random.State.bits rng)) in
+  let same = Array.init 5_000 (fun i -> (42, i)) in
+  let any =
+    Array.init 5_000 (fun _ ->
+        (Random.State.bits64 rng |> Int64.to_int |> ( land ) max_int,
+         Random.State.bits rng))
+  in
+  let keys = Array.concat [ top; same; any ] in
+  (* a directory doubled to the depth cap alone would be 2^24 words *)
+  let t = visited_against_model ~seed:2 keys in
+  checkb "≤ 20 words per entry" true (visited_words t <= 20 * Visited.count t);
+  let t = visited_against_model ~seed:3 top in
+  checkb "shared prefix alone: one grown page" true
+    (visited_words t <= 4 * 3 * 8192)
+
+let test_visited_unused_is_small () =
+  (* Every search builds a table; one without [~dedup] never visits
+     it, and must not pay for a page. *)
+  let t = Visited.create () in
+  checkb "nothing found" true (Visited.find t 1 2 = None);
+  checkb "≤ 16 words reachable" true (visited_words t <= 16)
 
 let test_dedup_rejected_on_tree_engine () =
   let c = config "binary_ratifier_n2" in
@@ -561,12 +627,19 @@ let machine_of c =
   Machine.create ~cheap_collect:c.Checks.cheap_collect ~n:c.Checks.n ~memory
     body
 
+(* The dedup key, through the allocation-free buffer API the search
+   uses. *)
+let hash m =
+  let h = [| 0; 0 |] in
+  Machine.hash_into m h;
+  h
+
 let test_hash_equal_states () =
   let c = config "binary_ratifier_n3" in
   let m1 = machine_of c and m2 = machine_of c in
   checkb "VM machines support hashing" true (Machine.supports_state_hash m1);
   checkb "fresh identical setups hash equal" true
-    (Machine.state_hash m1 = Machine.state_hash m2);
+    (hash m1 = hash m2);
   (* Drive both through the same schedule with the same coin stream:
      equal at every prefix. *)
   let r1 = Rng.create 7 and r2 = Rng.create 7 in
@@ -578,20 +651,20 @@ let test_hash_equal_states () =
     Machine.step_random m2 ~pid ~coin:r2;
     incr stepped;
     checkb "same schedule, same hash" true
-      (Machine.state_hash m1 = Machine.state_hash m2)
+      (hash m1 = hash m2)
   done;
   checkb "the walk actually stepped" true (!stepped > 0)
 
 let test_hash_restore_roundtrip () =
   let c = config "binary_ratifier_n3" in
   let m = machine_of c in
-  let h0 = Machine.state_hash m in
+  let h0 = hash m in
   let snap = Machine.snapshot m in
   let rng = Rng.create 11 in
   Machine.step_random m ~pid:(Machine.enabled m).(0) ~coin:rng;
-  checkb "a step changes the hash" true (Machine.state_hash m <> h0);
+  checkb "a step changes the hash" true (hash m <> h0);
   Machine.restore m snap;
-  checkb "restore returns the original hash" true (Machine.state_hash m = h0)
+  checkb "restore returns the original hash" true (hash m = h0)
 
 let test_hash_perturbation_sensitive () =
   let c = config "binary_ratifier_n3" in
@@ -603,7 +676,7 @@ let test_hash_perturbation_sensitive () =
   Machine.step_random ma ~pid:0 ~coin:ra;
   Machine.step_random mb ~pid:1 ~coin:rb;
   checkb "stepping different pids hashes differently" true
-    (Machine.state_hash ma <> Machine.state_hash mb);
+    (hash ma <> hash mb);
   (* One crash bit: crashing is one transition that touches no memory,
      so fresh-vs-crashed and crashed(0)-vs-crashed(1) isolate the
      crashed-set contribution. *)
@@ -611,9 +684,9 @@ let test_hash_perturbation_sensitive () =
   Machine.crash mc ~pid:0;
   Machine.crash md ~pid:1;
   checkb "a crash changes the hash" true
-    (Machine.state_hash mc <> Machine.state_hash me);
+    (hash mc <> hash me);
   checkb "crashing pid 0 differs from crashing pid 1" true
-    (Machine.state_hash mc <> Machine.state_hash md)
+    (hash mc <> hash md)
 
 let qcheck_hash_schedule_deterministic =
   (* Any config, any schedule/coin seed: two machines driven
@@ -647,7 +720,7 @@ let qcheck_hash_schedule_deterministic =
               let pid = en.(pick mod Array.length en) in
               Machine.step_random m1 ~pid ~coin:r1;
               Machine.step_random m2 ~pid ~coin:r2;
-              Machine.state_hash m1 = Machine.state_hash m2
+              hash m1 = hash m2
             end)
           picks
       end)
@@ -842,6 +915,10 @@ let () =
           qc qcheck_visited_vs_model;
           tc "visited rejects negative h1" `Quick
             test_visited_rejects_negative_h1;
+          tc "visited: 50 000 keys = Hashtbl model" `Quick test_visited_many_keys;
+          tc "visited: shared 40-bit prefixes" `Quick test_visited_shared_prefix;
+          tc "visited: unused table allocates no page" `Quick
+            test_visited_unused_is_small;
           tc "rejected on tree engine" `Quick test_dedup_rejected_on_tree_engine
         ] );
       ( "dpor",
