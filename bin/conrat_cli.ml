@@ -201,26 +201,32 @@ let run_cmd =
        if file <> "-" then
          Report.info "[run] wrote Chrome trace to %s (open in ui.perfetto.dev)" file
      | _ -> ());
-    Printf.printf "protocol:  %s\nadversary: %s\n" instance.Conrat_core.Consensus.name
+    (* With `--obs -` the trace owns stdout, so the report goes to
+       stderr. *)
+    let oc, ppf =
+      if obs = Some "-" then (stderr, Format.err_formatter)
+      else (stdout, Format.std_formatter)
+    in
+    Printf.fprintf oc "protocol:  %s\nadversary: %s\n" instance.Conrat_core.Consensus.name
       adversary.Adversary.name;
-    Printf.printf "inputs:    %s\n"
+    Printf.fprintf oc "inputs:    %s\n"
       (String.concat " " (Array.to_list (Array.map string_of_int inputs)));
-    Printf.printf "outputs:   %s\n"
+    Printf.fprintf oc "outputs:   %s\n"
       (String.concat " "
          (Array.to_list
             (Array.map (function Some v -> string_of_int v | None -> "?") result.outputs)));
     (match Spec.consensus_execution ~inputs ~outputs:result.outputs ~completed:result.completed with
-     | Ok () -> print_endline "spec:      ok (termination, agreement, validity)"
-     | Error reason -> Printf.printf "spec:      VIOLATION: %s\n" reason);
-    Printf.printf "work:      total=%d individual=%d\n"
+     | Ok () -> output_string oc "spec:      ok (termination, agreement, validity)\n"
+     | Error reason -> Printf.fprintf oc "spec:      VIOLATION: %s\n" reason);
+    Printf.fprintf oc "work:      total=%d individual=%d\n"
       (Metrics.total result.metrics)
       (Metrics.individual result.metrics);
     (* Read the object's footprint after the run: lazily composed
        protocols grow it as stages are instantiated. *)
-    Printf.printf "space:     registers=%d object=%d\n" result.registers
+    Printf.fprintf oc "space:     registers=%d object=%d\n" result.registers
       (instance.Conrat_core.Consensus.space ());
     match result.trace with
-    | Some t -> Format.printf "%a@." Trace.pp t
+    | Some t -> Format.fprintf ppf "%a@." Trace.pp t
     | None -> ()
   in
   let trace_arg =
@@ -617,6 +623,8 @@ let check_cmd =
     match replay with
     | Some file -> replay_artifact engine file
     | None ->
+      if checkpoint = Some "-" then
+        die "--checkpoint needs a file name (it cannot be written to stdout)";
       let configs =
         List.map (checker ~all:true)
           (if names = [] || names = [ "all" ] then Checks.names else names)
@@ -939,6 +947,8 @@ let check_cmd =
 
 let telemetry_cmd =
   let action (config : Checks.t) opts out trace =
+    if out = "-" && trace = Some "-" then
+      die "--trace - needs --out FILE (both documents would go to stdout)";
     let { jobs; dedup; _ } = opts in
     let telemetry = Telemetry.create ~coverage:true ~domains:jobs () in
     let chrome = Option.map (fun _ -> Chrome_trace.create_fleet ~workers:jobs) trace in

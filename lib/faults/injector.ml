@@ -93,8 +93,3 @@ let of_model ?(crash_rate = 0.05) ?(stale_rate = 0.5) ?(recover_rate = 0.05)
           [ recovering ~rate:recover_rate ~r:m.Fault.recoveries () ]
         else [])
      @ (if m.Fault.weak_reads then [ byzantine_reads ~rate:stale_rate () ] else []))
-
-let of_spec ?crash_rate ?stale_rate ?recover_rate s =
-  Result.map
-    (fun m -> of_model ?crash_rate ?stale_rate ?recover_rate m)
-    (Fault.of_string s)

@@ -56,9 +56,3 @@ val of_model :
     {!crashing} budget for [crashes], a {!recovering} budget for
     [recoveries] and {!byzantine_reads} when [weak_reads] — mixed, any
     subset, or {!Conrat_sim.Fault.no_plan} as the model dictates. *)
-
-val of_spec :
-  ?crash_rate:float -> ?stale_rate:float -> ?recover_rate:float ->
-  string -> (Conrat_sim.Fault.plan, string) result
-(** [of_model] ∘ {!Conrat_sim.Fault.of_string} — the CLI's [--faults]
-    argument to a runnable plan. *)

@@ -765,6 +765,3 @@ let run ?(mode = Full) ?(jobs = 1) ?(json = false) ?(progress = false) name =
     (Plan.trial_count plan) elapsed
     (if jobs = 0 then Engine.default_jobs () else max 1 jobs)
     (if json then ", wrote " ^ Report.bench_file name else "")
-
-let run_all ?(mode = Full) ?(jobs = 1) ?(json = false) ?progress () =
-  List.iter (fun (name, _) -> run ~mode ~jobs ~json ?progress name) experiments

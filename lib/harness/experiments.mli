@@ -56,7 +56,5 @@ val run : ?mode:mode -> ?jobs:int -> ?json:bool -> ?progress:bool -> string -> u
     rate-limited per-trial progress line on stderr.  Raises
     [Not_found] for unknown names. *)
 
-val run_all : ?mode:mode -> ?jobs:int -> ?json:bool -> ?progress:bool -> unit -> unit
-
 val delta_bound : float
 (** Theorem 7's agreement probability, re-exported for the bench. *)

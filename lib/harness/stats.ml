@@ -88,48 +88,3 @@ let linear_fit points =
   in
   let r2 = if ss_tot = 0.0 then 1.0 else 1.0 -. (ss_res /. ss_tot) in
   (slope, intercept, r2)
-
-(* Mergeable running moments (Welford / Chan): the parallel engine can
-   combine per-chunk statistics without keeping raw samples, and the
-   merge reproduces the sequential closed forms exactly up to float
-   rounding. *)
-
-type moments = {
-  m_count : int;
-  m_mean : float;
-  m_m2 : float;  (* sum of squared deviations from the running mean *)
-}
-
-let empty_moments = { m_count = 0; m_mean = 0.0; m_m2 = 0.0 }
-
-let moments_add m x =
-  let count = m.m_count + 1 in
-  let delta = x -. m.m_mean in
-  let mean = m.m_mean +. (delta /. float_of_int count) in
-  { m_count = count; m_mean = mean; m_m2 = m.m_m2 +. (delta *. (x -. mean)) }
-
-let moments_merge a b =
-  if a.m_count = 0 then b
-  else if b.m_count = 0 then a
-  else begin
-    let na = float_of_int a.m_count and nb = float_of_int b.m_count in
-    let n = na +. nb in
-    let delta = b.m_mean -. a.m_mean in
-    { m_count = a.m_count + b.m_count;
-      m_mean = a.m_mean +. (delta *. nb /. n);
-      m_m2 = a.m_m2 +. b.m_m2 +. (delta *. delta *. na *. nb /. n) }
-  end
-
-let moments_of_list xs = List.fold_left moments_add empty_moments xs
-
-let moments_mean m =
-  if m.m_count = 0 then invalid_arg "Stats.moments_mean: empty" else m.m_mean
-
-let moments_variance m =
-  if m.m_count = 0 then invalid_arg "Stats.moments_variance: empty"
-  else if m.m_count = 1 then 0.0
-  else m.m_m2 /. float_of_int (m.m_count - 1)
-
-let pp_summary ppf s =
-  Format.fprintf ppf "n=%d mean=%.2f sd=%.2f min=%.0f med=%.1f p95=%.1f max=%.0f"
-    s.count s.mean s.stddev s.minimum s.median s.p95 s.maximum

@@ -33,32 +33,3 @@ val linear_fit : (float * float) list -> float * float * float
 (** [linear_fit points] = (slope, intercept, r²) of the least-squares
     line.  Used by the scaling experiments (E3/E4) to check that
     measured work is linear in lg n or n·lg m. *)
-
-(** {1 Mergeable moments}
-
-    Running (count, mean, M2) statistics in the Welford/Chan form.
-    {!moments_merge} is associative and commutative with identity
-    {!empty_moments} (up to float rounding), so per-chunk moments
-    computed by parallel workers can be combined and still match the
-    sequential closed forms — the same discipline {!Engine.merge}
-    applies to whole aggregates. *)
-
-type moments = {
-  m_count : int;
-  m_mean : float;
-  m_m2 : float;   (** sum of squared deviations from the mean *)
-}
-
-val empty_moments : moments
-val moments_add : moments -> float -> moments
-val moments_merge : moments -> moments -> moments
-val moments_of_list : float list -> moments
-
-val moments_mean : moments -> float
-(** Raises [Invalid_argument] on empty moments. *)
-
-val moments_variance : moments -> float
-(** Unbiased sample variance (n-1 denominator); 0 for singletons.
-    Raises [Invalid_argument] on empty moments. *)
-
-val pp_summary : Format.formatter -> summary -> unit

@@ -44,5 +44,3 @@ let by_name = function
   | "uniform" -> uniform
   | "zipf" -> zipf ()
   | _ -> raise Not_found
-
-let standard = [ split_half; alternating; uniform ]

@@ -33,7 +33,3 @@ val zipf : ?s:float -> unit -> t
 val by_name : string -> t
 (** Recognised names: all_same, split_half, alternating, uniform,
     zipf.  Raises [Not_found] otherwise. *)
-
-val standard : t list
-(** The workloads experiments sweep by default:
-    [split_half; alternating; uniform]. *)

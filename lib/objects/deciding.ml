@@ -37,6 +37,3 @@ let copy_object =
   make_factory "copy" (fun ~n:_ _memory ->
     instance "copy" ~space:0 (fun ~pid:_ ~rng:_ v ->
       Conrat_sim.Program.return { decide = false; value = v }))
-
-let pp_output ppf { decide; value } =
-  Format.fprintf ppf "(%d, %d)" (if decide then 1 else 0) value

@@ -60,5 +60,3 @@ val copy_object : factory
     its output with decision bit 0.  Satisfies validity, termination
     and coherence (vacuously), nothing more.  Zero registers, zero
     work; useful in tests and compositions. *)
-
-val pp_output : Format.formatter -> output -> unit

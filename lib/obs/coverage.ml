@@ -184,8 +184,8 @@ let int_array_json arr =
 (* Canonical rendering: depth arrays trimmed of trailing zeros,
    signatures sorted by their rendered name tuples, curves sorted
    structurally — so [to_json] is a function of the abstract contents,
-   not of interning or merge order, and the qcheck round-trip in the
-   test suite can compare documents as strings. *)
+   not of interning or merge order, and {!equal} can compare documents
+   as strings. *)
 let to_json t =
   seal t;
   let b = Buffer.create 512 in
@@ -229,190 +229,6 @@ let to_json t =
     curves;
   Buffer.add_string b "]}";
   Buffer.contents b
-
-(* Minimal JSON reader for the subset [to_json] emits: objects, arrays,
-   strings (with escapes) and integers. *)
-type json =
-  | O of (string * json) list
-  | A of json list
-  | S of string
-  | I of int
-
-exception Parse of string
-
-let parse_json s =
-  let pos = ref 0 in
-  let len = String.length s in
-  let peek () = if !pos < len then s.[!pos] else '\000' in
-  let next () =
-    if !pos >= len then raise (Parse "unexpected end");
-    let c = s.[!pos] in
-    incr pos;
-    c
-  in
-  let rec skip_ws () =
-    if !pos < len then
-      match s.[!pos] with
-      | ' ' | '\t' | '\n' | '\r' ->
-        incr pos;
-        skip_ws ()
-      | _ -> ()
-  in
-  let expect c =
-    skip_ws ();
-    if next () <> c then raise (Parse (Printf.sprintf "expected %c" c))
-  in
-  let parse_string () =
-    expect '"';
-    let b = Buffer.create 16 in
-    let rec go () =
-      match next () with
-      | '"' -> Buffer.contents b
-      | '\\' ->
-        (match next () with
-         | '"' -> Buffer.add_char b '"'
-         | '\\' -> Buffer.add_char b '\\'
-         | '/' -> Buffer.add_char b '/'
-         | 'n' -> Buffer.add_char b '\n'
-         | 't' -> Buffer.add_char b '\t'
-         | 'r' -> Buffer.add_char b '\r'
-         | 'b' -> Buffer.add_char b '\b'
-         | 'f' -> Buffer.add_char b '\012'
-         | 'u' ->
-           let hex = String.init 4 (fun _ -> next ()) in
-           let code = int_of_string ("0x" ^ hex) in
-           if code < 0x80 then Buffer.add_char b (Char.chr code)
-           else
-             (* Non-ASCII escapes never come from [to_json]; keep the
-                reader total anyway. *)
-             Buffer.add_string b (Printf.sprintf "\\u%s" hex)
-         | c -> raise (Parse (Printf.sprintf "bad escape \\%c" c)));
-        go ()
-      | c ->
-        Buffer.add_char b c;
-        go ()
-    in
-    go ()
-  in
-  let rec parse_value () =
-    skip_ws ();
-    match peek () with
-    | '{' ->
-      ignore (next ());
-      skip_ws ();
-      if peek () = '}' then begin
-        ignore (next ());
-        O []
-      end
-      else begin
-        let rec members acc =
-          skip_ws ();
-          let k = parse_string () in
-          expect ':';
-          let v = parse_value () in
-          skip_ws ();
-          match next () with
-          | ',' -> members ((k, v) :: acc)
-          | '}' -> O (List.rev ((k, v) :: acc))
-          | c -> raise (Parse (Printf.sprintf "bad object char %c" c))
-        in
-        members []
-      end
-    | '[' ->
-      ignore (next ());
-      skip_ws ();
-      if peek () = ']' then begin
-        ignore (next ());
-        A []
-      end
-      else begin
-        let rec elems acc =
-          let v = parse_value () in
-          skip_ws ();
-          match next () with
-          | ',' -> elems (v :: acc)
-          | ']' -> A (List.rev (v :: acc))
-          | c -> raise (Parse (Printf.sprintf "bad array char %c" c))
-        in
-        elems []
-      end
-    | '"' -> S (parse_string ())
-    | '-' | '0' .. '9' ->
-      let start = !pos in
-      if peek () = '-' then ignore (next ());
-      while
-        match peek () with '0' .. '9' -> true | _ -> false
-      do
-        ignore (next ())
-      done;
-      I (int_of_string (String.sub s start (!pos - start)))
-    | c -> raise (Parse (Printf.sprintf "unexpected %c" c))
-  in
-  let v = parse_value () in
-  skip_ws ();
-  if !pos <> len then raise (Parse "trailing input");
-  v
-
-let field name = function
-  | O members ->
-    (match List.assoc_opt name members with
-     | Some v -> v
-     | None -> raise (Parse ("missing field " ^ name)))
-  | _ -> raise (Parse "expected object")
-
-let as_int = function I i -> i | _ -> raise (Parse "expected int")
-let as_string = function S s -> s | _ -> raise (Parse "expected string")
-let as_list = function A l -> l | _ -> raise (Parse "expected array")
-
-let int_array v = Array.of_list (List.map as_int (as_list v))
-
-let of_json s =
-  match parse_json s with
-  | exception Parse msg -> Error ("coverage JSON: " ^ msg)
-  | exception Failure msg -> Error ("coverage JSON: " ^ msg)
-  | doc ->
-    (try
-       (match field "schema_version" doc with
-        | I 3 -> ()
-        | _ -> raise (Parse "unsupported schema_version"));
-       let t = create () in
-       let dp = field "depth_profile" doc in
-       t.dc <- int_array (field "complete" dp);
-       t.dt <- int_array (field "truncated" dp);
-       t.dp <- int_array (field "pruned" dp);
-       List.iter
-         (fun entry ->
-           let names =
-             List.map as_string (as_list (field "sig" entry))
-           in
-           let count = as_int (field "count" entry) in
-           if t.sig_n = 0 then t.sig_n <- List.length names;
-           let packed = ref 0 in
-           List.iteri
-             (fun i nm ->
-               let id = if nm = "-" then 0 else intern t nm in
-               packed := !packed lor (id lsl (i * id_bits)))
-             names;
-           let cur =
-             match Hashtbl.find_opt t.sigs !packed with
-             | Some c -> c
-             | None -> 0
-           in
-           Hashtbl.replace t.sigs !packed (cur + count))
-         (as_list (field "stage_signatures" doc));
-       t.curves <-
-         List.map
-           (fun curve ->
-             Array.of_list
-               (List.map
-                  (fun pt ->
-                    match as_list pt with
-                    | [ l; tbl ] -> (as_int l, as_int tbl)
-                    | _ -> raise (Parse "bad saturation sample"))
-                  (as_list curve)))
-           (as_list (field "dedup_saturation" doc));
-       Ok t
-     with Parse msg -> Error ("coverage JSON: " ^ msg))
 
 let equal a b = String.equal (to_json a) (to_json b)
 

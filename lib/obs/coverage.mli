@@ -45,10 +45,6 @@ val to_json : t -> string
     trimmed, signatures sorted, curves sorted — a function of the
     contents, not of interning or merge order. *)
 
-val of_json : string -> (t, string) result
-(** Inverse of {!to_json} (accepts any field order and whitespace);
-    [Error] on malformed input or an unsupported schema version. *)
-
 val equal : t -> t -> bool
 (** Content equality, via the canonical rendering. *)
 

@@ -57,16 +57,6 @@ let () = assert (Array.length registry = ncounters)
 let name c = fst registry.(c)
 let kind c = snd registry.(c)
 
-let find nm =
-  let rec go c =
-    if c >= ncounters then None
-    else if String.equal (name c) nm then Some c
-    else go (c + 1)
-  in
-  go 0
-
-let counters = Array.to_list registry
-
 (* ------------------------------------------------------------------ *)
 (* Probes                                                              *)
 (* ------------------------------------------------------------------ *)

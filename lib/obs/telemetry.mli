@@ -65,9 +65,6 @@ val plan_overrides_ignored : counter
 val ncounters : int
 val name : counter -> string
 val kind : counter -> kind
-val find : string -> counter option
-val counters : (string * kind) list
-(** The registry, in counter-id order. *)
 
 (** {2 Probes} *)
 

@@ -62,8 +62,8 @@ val result : 'r t -> int -> 'r option
 val coin_class : 'r t -> int -> int
 (** Cached branching class of the pc's operation: 0 = forced miss, 1 =
     forced landed, 2 = coin ([0 < p < 1]), 3 = weak-register read.
-    Same classification as [Explore.coin_of_op], as a nonallocating
-    int. *)
+    Same classification as the tree engine's {!Machine.coin_class}
+    branch, as a nonallocating int. *)
 
 val size : 'r t -> int
 (** Number of instructions interned so far. *)

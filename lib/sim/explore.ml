@@ -8,21 +8,6 @@ type 'r run = {
   steps : int;
 }
 
-(* The coin decision for a pending operation, in the explorer's
-   convention: probabilistic writes with 0 < p < 1 branch on the coin
-   (choice 0 = landed), reads on registers the setup marked weak branch
-   on freshness (choice 0 = fresh, so default-0 paths replay the atomic
-   semantics), and everything else is deterministic. *)
-let coin_of_op ~memory op =
-  match Op.prob op with
-  | Some p when p <= 0.0 -> `Det false
-  | Some p when p >= 1.0 -> `Det true
-  | Some _ -> `Coin
-  | None ->
-    (match op with
-     | Op.Any (Op.Read l) when Memory.is_weak memory l -> `Weak
-     | _ -> `Det (Op.is_write op))
-
 (* Run one execution following [path]: choices beyond it default to 0
    and out-of-range ones clamp to 0, so a schedule recorded against one
    protocol replays against another.  A scheduling point offers the
@@ -111,7 +96,8 @@ let run_path ?engine ?(record = false) ?(max_depth = 200) ?(cheap_collect = fals
    bumping a branch point before position [lo]: the enumeration stays
    inside the subtree whose first [lo] choices are pinned, and returns
    [None] once the subtree is exhausted.  [lo = 0] is the classic full
-   enumeration. *)
+   enumeration: bump the deepest branch point that still has an untried
+   alternative and drop everything after it. *)
 let next_path_from ~lo recorded =
   let pos = List.length recorded in
   let rec go pos = function
@@ -122,8 +108,3 @@ let next_path_from ~lo recorded =
       else go (pos - 1) shallower_rev
   in
   go pos (List.rev recorded)
-
-(* The lexicographically next unexplored path after [recorded]: bump the
-   deepest branch point that still has an untried alternative and drop
-   everything after it. *)
-let next_path recorded = next_path_from ~lo:0 recorded

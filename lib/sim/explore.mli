@@ -10,7 +10,8 @@
     This module fixes the tree's path encoding and replays single paths
     over {!Machine}.  [run_path] executes one deterministically-chosen
     path (the replay core used by counterexample artifacts and the
-    shrinker), and [next_path] computes its lexicographic successor.
+    shrinker), and [next_path_from] computes its lexicographic
+    successor.
     Two enumerators walk the tree: [Conrat_verify.Naive] re-executes
     every path from the root with these two functions (the small
     independent oracle), and [Conrat_verify.Por] walks it statefully,
@@ -41,14 +42,6 @@ type 'r run = {
   trace : Trace.t option;         (** present iff [record] was set *)
   steps : int;                    (** operations executed on this path *)
 }
-
-val coin_of_op : memory:Memory.t -> Op.any -> [ `Det of bool | `Coin | `Weak ]
-(** The explorer's branching convention for a pending operation:
-    probabilistic writes with [0 < p < 1] branch on the coin ([`Coin],
-    choice 0 = landed); reads on registers marked weak branch on
-    freshness ([`Weak], choice 0 = fresh, choice 1 = stale); degenerate
-    probabilities and other deterministic operations have a forced
-    coin.  Shared with the POR engine so both classify identically. *)
 
 val run_path :
   ?engine:Machine.engine ->
@@ -89,16 +82,12 @@ val run_path :
     effect here — weakness lives in the registers the setup marked via
     {!Memory.mark_weak} / {!Memory.weaken_all}. *)
 
-val next_path : (int * int) list -> int list option
-(** The lexicographically next unexplored path after the given
-    [branches] record, or [None] when every branch point has tried its
-    last alternative.  With {!run_path} this reconstitutes the
-    historical re-execution enumerator (see [Conrat_verify.Naive]). *)
-
 val next_path_from : lo:int -> (int * int) list -> int list option
-(** Like {!next_path}, but branch points at positions [< lo] (from the
-    root) are pinned and never bumped: the enumeration covers exactly
-    the subtree sharing the record's first [lo] choices and returns
-    [None] when that subtree is exhausted.  [next_path] is
-    [next_path_from ~lo:0].  This is the unit of sharded naive
-    enumeration (see [Conrat_verify.Parallel]). *)
+(** The lexicographically next unexplored path after the given
+    [branches] record, with branch points at positions [< lo] (from the
+    root) pinned and never bumped: the enumeration covers exactly the
+    subtree sharing the record's first [lo] choices and returns [None]
+    when that subtree is exhausted.  With {!run_path} and [~lo:0] this
+    is the historical re-execution enumerator (see
+    [Conrat_verify.Naive]); a positive [lo] is the unit of sharded
+    naive enumeration (see [Conrat_verify.Parallel]). *)

@@ -106,43 +106,6 @@ let of_string s =
     in
     go none None [] parts
 
-let to_sexp m =
-  Sexp.List
-    ([ Sexp.Atom "faults";
-       Sexp.List [ Sexp.Atom "crashes"; Sexp.of_int m.crashes ] ]
-     (* Emitted only when non-zero so recovery-free models — including
-        every pre-existing artifact — keep their exact bytes. *)
-     @ (if m.recoveries > 0 then
-          [ Sexp.List [ Sexp.Atom "recoveries"; Sexp.of_int m.recoveries ] ]
-        else [])
-     @ [ Sexp.List [ Sexp.Atom "weak-reads"; Sexp.of_bool m.weak_reads ] ])
-
-let of_sexp sexp =
-  match sexp with
-  | Sexp.List (Sexp.Atom "faults" :: _) ->
-    let field name decode =
-      match Sexp.assoc1 name sexp with
-      | Some v -> decode v
-      | None -> None
-    in
-    let recoveries =
-      (* Absent in every pre-recovery artifact: default 0. *)
-      match Sexp.assoc1 "recoveries" sexp with
-      | None -> Some 0
-      | Some v -> Sexp.to_int v
-    in
-    (match
-       (field "crashes" Sexp.to_int, recoveries, field "weak-reads" Sexp.to_bool)
-     with
-     | Some crashes, Some recoveries, Some weak_reads
-       when crashes >= 0 && recoveries >= 0
-            && not (recoveries > 0 && crashes = 0) ->
-       Ok { crashes; recoveries; weak_reads }
-     | _ -> Error "Fault.of_sexp: bad faults record")
-  | _ -> Error "Fault.of_sexp: expected (faults ...)"
-
-let pp ppf m = Format.pp_print_string ppf (to_string m)
-
 (* ------------------------------------------------------------------ *)
 (* Injection plans for the Monte-Carlo scheduler                       *)
 (* ------------------------------------------------------------------ *)

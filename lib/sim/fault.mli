@@ -52,16 +52,6 @@ val of_string : string -> (model, string) result
     it); [""] and ["none"] mean {!none}.  [recover] without a crash
     budget is rejected with a message naming the contradiction. *)
 
-val to_sexp : model -> Sexp.t
-val of_sexp : Sexp.t -> (model, string) result
-(** Serialization as [(faults (crashes K) (recoveries R) (weak-reads
-    B))] — the fault-model field of counterexample artifacts.  The
-    [recoveries] field is emitted only when non-zero and defaults to 0
-    on read, so pre-recovery artifacts keep their exact bytes and still
-    parse. *)
-
-val pp : Format.formatter -> model -> unit
-
 (** {1 Injection plans for the Monte-Carlo scheduler} *)
 
 type action =

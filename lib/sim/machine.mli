@@ -4,10 +4,10 @@
     program state, the shared {!Memory.t}, and the step count.
     One transition = a scheduling choice (which enabled process moves)
     × a coin choice (did a probabilistic write land).  Every execution
-    engine in the repo — the Monte Carlo {!Scheduler}, the exhaustive
-    {!Explore} enumerator, and the POR engine in [Conrat_verify] — is a
-    driver over this module, so the operation-application semantics
-    lives in exactly one place.
+    engine in the repo — the Monte Carlo {!Scheduler}, the single-path
+    replay {!Explore.run_path}, and the naive and POR explorers in
+    [Conrat_verify] — is a driver over this module, so the
+    operation-application semantics lives in exactly one place.
 
     Two interchangeable program engines sit behind the façade: the
     default [`Vm] compiles each program once into flat instruction code
@@ -124,9 +124,9 @@ val coin_class : 'r t -> int -> int
 (** Branching class of [pid]'s pending operation, as a nonallocating
     int: 0 = forced miss, 1 = forced landed, 2 = coin ([0 < p < 1],
     choice 0 = landed), 3 = weak-register read (choice 0 = fresh).
-    The same classification as [Explore.coin_of_op]; cached per pc
-    under the VM engine.  Raises {!Stuck} on a finished process under
-    the tree engine. *)
+    Plain writes are forced landed; atomic reads and collects forced
+    miss.  Cached per pc under the VM engine ({!Code.coin_class}).
+    Raises {!Stuck} on a finished process under the tree engine. *)
 
 val supports_state_hash : 'r t -> bool
 (** Whether {!hash_into} is available — true exactly for the VM

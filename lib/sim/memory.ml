@@ -207,10 +207,6 @@ let mark_persistent t loc =
   check t loc;
   t.persistent.(loc) <- true
 
-let is_persistent t loc =
-  check t loc;
-  t.persistent.(loc)
-
 (* Engage last-writer tracking — the recovery plane's analogue of
    [engage_shadow]: flipped on at setup time by drivers whose fault
    model has a recovery budget (and by the overhead bench's
@@ -221,10 +217,6 @@ let track_writers t = t.track_writers <- true
 let tracking t = t.track_writers
 
 let set_actor t pid = t.actor <- pid
-
-let writer t loc =
-  check t loc;
-  if t.track_writers then t.writers.(loc) else -1
 
 (* Crash-recovery wipe: every volatile register last written by [pid]
    reverts to never-written.  Each wiped cell goes through the same
@@ -259,23 +251,10 @@ let weaken_all t =
 
 let size t = t.len
 
-let snapshot t = Array.sub t.cells 0 t.len
-
-let restore t snap =
-  let slen = Array.length snap in
-  if slen > t.len then
-    invalid_arg "Memory.restore: snapshot longer than store";
-  Array.blit snap 0 t.cells 0 slen;
-  (* Registers allocated after the snapshot are dropped: backtracking
-     over an execution that lazily allocated must un-allocate, or the
-     restored state would see registers it never created.  [alloc]
-     re-initialises cells, so stale contents past [len] are harmless. *)
-  t.len <- slen
-
-(* Full-fidelity backup for the exhaustive explorers: unlike [snapshot]
-   (a contents-only view handed to adversaries), a backup also pins the
-   previous-value shadow so stale reads replay identically after
-   backtracking.  Two representations coexist:
+(* Full-fidelity backup for the exhaustive explorers: a backup captures
+   the cell contents and also pins the previous-value shadow so stale
+   reads replay identically after backtracking.  Two representations
+   coexist:
 
    [backup] is a pure delta mark — three journal/length integers.
    Taking one is O(1); the first one flips [journaling] on so that
@@ -417,13 +396,3 @@ let hash_fold t (h : int array) =
   done;
   h.(0) <- !h1;
   h.(1) <- !h2
-
-let pp ppf t =
-  Format.fprintf ppf "@[<hov 1>[";
-  for i = 0 to t.len - 1 do
-    (match t.cells.(i) with
-     | None -> Format.fprintf ppf "_"
-     | Some v -> Format.fprintf ppf "%d" v);
-    if i < t.len - 1 then Format.fprintf ppf ";@ "
-  done;
-  Format.fprintf ppf "]@]"

@@ -74,8 +74,6 @@ val mark_persistent : t -> loc -> unit
     set at allocation/setup time like {!mark_weak}; registers default
     to volatile). *)
 
-val is_persistent : t -> loc -> bool
-
 val track_writers : t -> unit
 (** Engage last-writer tracking.  Required before {!wipe_volatile};
     engaged by drivers whose fault model has a recovery budget, and by
@@ -86,10 +84,6 @@ val tracking : t -> bool
 val set_actor : t -> int -> unit
 (** Record the pid about to perform the next operation(s); consulted by
     {!write} when tracking to attribute ownership. *)
-
-val writer : t -> loc -> int
-(** The pid that last wrote this register, or -1 if never written (or
-    wiped, or tracking is off). *)
 
 val wipe_volatile : t -> pid:int -> unit
 (** The crash-recovery wipe: revert every volatile register last
@@ -102,18 +96,6 @@ val size : t -> int
 (** Number of registers allocated so far — the protocol's space
     complexity in registers. *)
 
-val snapshot : t -> int option array
-(** A copy of the current contents of all allocated registers (used by
-    adversary views and the exhaustive explorer; not a protocol
-    operation). *)
-
-val restore : t -> int option array -> unit
-(** Overwrite the store from a snapshot taken earlier on this store —
-    used only by the exhaustive explorers when backtracking.  Registers
-    allocated since the snapshot are deallocated ([size] shrinks back);
-    a snapshot longer than the current store raises
-    [Invalid_argument]. *)
-
 type backup
 (** Full-fidelity state capture for explorer backtracking, as a pure
     delta mark: three journal/length integers, so taking one is O(1)
@@ -122,9 +104,7 @@ type backup
     later write pushes its overwritten contents); stores that never
     back up — the Monte Carlo scheduler's — never pay for it.  A backup
     also pins the previous-value shadow consulted by {!read_stale}, so
-    stale reads replay identically after backtracking.  Unlike
-    {!snapshot} it is opaque — adversary views keep seeing plain
-    contents arrays. *)
+    stale reads replay identically after backtracking. *)
 
 val backup : t -> backup
 
@@ -143,10 +123,11 @@ val backup_into : t -> backup -> unit
     backup is subject to the same LIFO discipline as a fresh one. *)
 
 val restore_backup : t -> backup -> unit
-(** Same truncation semantics as {!restore}.  Backups must be restored
-    in the explorers' LIFO discipline (most recent first, each possibly
-    several times); restoring one invalidates every backup taken after
-    it.  Do not mix with plain {!restore} on a journaling store. *)
+(** Overwrite the store with the state captured by the backup.
+    Registers allocated since the backup are deallocated ([size] shrinks
+    back).  Backups must be restored in the explorers' LIFO discipline
+    (most recent first, each possibly several times); restoring one
+    invalidates every backup taken after it. *)
 
 val mix1 : int -> int -> int
 val mix2 : int -> int -> int
@@ -166,5 +147,3 @@ val hash_fold : t -> int array -> unit
     bookkeeping are excluded, so equality of state reached by different
     paths still agrees.  The explorers' duplicate-detection primitive
     (see [Conrat_verify.Por] dedup). *)
-
-val pp : Format.formatter -> t -> unit

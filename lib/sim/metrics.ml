@@ -43,20 +43,3 @@ let reads t = t.reads
 let writes t = t.writes
 let prob_writes t = t.prob_writes
 let collects t = t.collects
-
-let merge a b =
-  let la = Array.length a.per_pid and lb = Array.length b.per_pid in
-  let per_pid =
-    Array.init (max la lb) (fun i ->
-      (if i < la then a.per_pid.(i) else 0) + (if i < lb then b.per_pid.(i) else 0))
-  in
-  { per_pid;
-    total = a.total + b.total;
-    reads = a.reads + b.reads;
-    writes = a.writes + b.writes;
-    prob_writes = a.prob_writes + b.prob_writes;
-    collects = a.collects + b.collects }
-
-let pp ppf t =
-  Format.fprintf ppf "total=%d individual=%d (r=%d w=%d pw=%d c=%d)"
-    (total t) (individual t) t.reads t.writes t.prob_writes t.collects

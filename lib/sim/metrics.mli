@@ -50,11 +50,3 @@ val reads : t -> int
 val writes : t -> int
 val prob_writes : t -> int
 val collects : t -> int
-
-val merge : t -> t -> t
-(** Pointwise sum of two executions' work accounting (process counts
-    aligned by pid, shorter array zero-extended).  Commutative and
-    associative with identity [create ~n:0]; lets a harness combine
-    per-trial metrics across a domain pool deterministically. *)
-
-val pp : Format.formatter -> t -> unit

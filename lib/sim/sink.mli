@@ -14,8 +14,8 @@
     the sink record so one tap (e.g. the Chrome-trace exporter in
     [Conrat_obs]) can observe a whole run, sequential or sharded.
 
-    Concrete sinks live in [Conrat_obs]: a Chrome trace-event exporter,
-    a live work-bound checker, and a per-stage work histogram.  This
+    Concrete sinks live in [Conrat_obs]: a Chrome trace-event exporter
+    and a per-stage work histogram.  This
     module only defines the interface (it must be visible to the
     machine) plus the trivial combinators. *)
 

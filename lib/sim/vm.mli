@@ -42,9 +42,6 @@ val coin_class : 'r t -> int -> int
 (** Cached branching class of [pid]'s pending operation (see
     {!Code.coin_class}). *)
 
-val code_size : 'r t -> int
-(** Instructions interned so far in the underlying store. *)
-
 val hash_fold : 'r t -> int array -> unit
 (** Fold the pc file into the two duplicate-detection accumulators
     [h.(0)] and [h.(1)], in place (see {!Memory.hash_fold}): pcs are

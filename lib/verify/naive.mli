@@ -3,7 +3,7 @@
     Enumerates every path of the branch tree in lexicographic order by
     running {!Conrat_sim.Explore.run_path} from a fresh [setup ()] for
     each path and computing the successor with
-    {!Conrat_sim.Explore.next_path} — the original exploration strategy,
+    {!Conrat_sim.Explore.next_path_from} — the original exploration strategy,
     kept as the small independent oracle next to {!Por}, which
     backtracks statefully over one {!Conrat_sim.Machine}.  It costs a
     full prefix re-execution per path, but demands nothing of the

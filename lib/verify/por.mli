@@ -20,8 +20,9 @@
     The search is {e stateful}: one {!Conrat_sim.Machine} advances
     through the tree in place, branch points snapshot it once (into a
     pool with one slot per frame-stack level), and trying a sibling or
-    the other coin outcome restores the snapshot in O(|memory| + n)
-    instead of re-executing the path prefix; the programs must be
+    the other coin outcome restores the snapshot in O(writes undone +
+    n) under the VM's memory journal (O(|memory| + n) under the tree
+    engine) instead of re-executing the path prefix; the programs must be
     replay-pure (see {!Conrat_sim.Program}).  {!explore} and
     {!explore_source} are two entry points onto this one depth-first
     kernel.

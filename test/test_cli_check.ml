@@ -571,7 +571,17 @@ let () =
       ("check --budget=-3 binary_ratifier_n2", "bad --budget -3");
       ("check --budget 0 binary_ratifier_n2", "bad --budget 0");
       ("check --progress-interval=0 binary_ratifier_n2", "bad --progress-interval 0");
-      ("check --progress-interval=-1 binary_ratifier_n2", "bad --progress-interval -1") ];
+      ("check --progress-interval=-1 binary_ratifier_n2", "bad --progress-interval -1");
+      (* two JSON documents cannot share one stdout *)
+      ("telemetry binary_ratifier_n2 --trace -", "--trace - needs --out FILE");
+      (* a checkpoint is a file to resume from, not a stream *)
+      ("check binary_ratifier_n2 --checkpoint -", "--checkpoint needs a file name") ];
+
+  (* --obs -: the Chrome trace owns stdout, the report moves to stderr *)
+  let code, out, err = run "run -n 3 --obs -" in
+  expect "run --obs - runs" ~code:0 ~stderr_has:"spec:      ok" (code, out, err);
+  if not (is_valid_json out) then
+    failf "run --obs -: stdout is not one JSON document (got: %s)" out;
 
   (* ---- unwritable outputs fail before any run starts -------------- *)
 

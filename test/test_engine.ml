@@ -1,12 +1,10 @@
 (* Tests for the plan/engine layers: the aggregate merge monoid, the
-   parallel == sequential determinism contract, mergeable moments, and
-   one-spec runs. *)
+   parallel == sequential determinism contract, and one-spec runs. *)
 
 open Conrat_harness
 
 let checki = Alcotest.check Alcotest.int
 let checkb = Alcotest.check Alcotest.bool
-let checkf = Alcotest.check (Alcotest.float 1e-9)
 
 (* ------------------------------------------------------------------ *)
 (* Aggregate merge: commutative monoid with identity empty_aggregate   *)
@@ -152,42 +150,6 @@ let test_run_trial_is_pure () =
     (Engine.run_trial spec 7 = Engine.run_trial spec 7)
 
 (* ------------------------------------------------------------------ *)
-(* Stats: mergeable moments match the sequential closed forms          *)
-(* ------------------------------------------------------------------ *)
-
-let floats_arb =
-  QCheck.make
-    QCheck.Gen.(list_size (int_range 2 40) (float_bound_inclusive 1000.0))
-    ~print:(fun xs -> String.concat "," (List.map string_of_float xs))
-
-let close a b = Float.abs (a -. b) <= 1e-6 *. (1.0 +. Float.abs a +. Float.abs b)
-
-let moments_match_closed_forms =
-  QCheck.Test.make ~name:"moments match mean/variance" ~count:300
-    (QCheck.pair floats_arb (QCheck.int_bound 1000))
-    (fun (xs, cut) ->
-      let k = cut mod List.length xs in
-      let left = List.filteri (fun i _ -> i < k) xs in
-      let right = List.filteri (fun i _ -> i >= k) xs in
-      let merged =
-        Stats.moments_merge (Stats.moments_of_list left)
-          (Stats.moments_of_list right)
-      in
-      merged.Stats.m_count = List.length xs
-      && close (Stats.moments_mean merged) (Stats.mean xs)
-      && close (Stats.moments_variance merged) (Stats.variance xs))
-
-let test_moments_basics () =
-  let m = Stats.moments_of_list [ 1.0; 2.0; 3.0; 4.0; 5.0 ] in
-  checki "count" 5 m.Stats.m_count;
-  checkf "mean" 3.0 (Stats.moments_mean m);
-  checkf "variance" 2.5 (Stats.moments_variance m);
-  checkf "singleton variance" 0.0
-    (Stats.moments_variance (Stats.moments_add Stats.empty_moments 7.0));
-  Alcotest.check_raises "empty mean" (Invalid_argument "Stats.moments_mean: empty")
-    (fun () -> ignore (Stats.moments_mean Stats.empty_moments))
-
-(* ------------------------------------------------------------------ *)
 (* One-spec runs: Engine.run_spec                                      *)
 (* ------------------------------------------------------------------ *)
 
@@ -266,9 +228,6 @@ let () =
           tc "E10 quick: jobs 3 = jobs 1" `Quick test_parallel_matches_sequential_experiment;
           tc "jobs 0 = auto" `Quick test_jobs_zero_means_auto;
           tc "trial is pure" `Quick test_run_trial_is_pure ] );
-      ( "moments",
-        [ qt moments_match_closed_forms;
-          tc "basics" `Quick test_moments_basics ] );
       ( "run_spec",
         [ tc "jobs identical" `Quick test_run_spec_jobs_identical;
           tc "sample order" `Quick test_run_spec_sample_order;

@@ -690,14 +690,6 @@ let test_byzantine_reads_ignore_strong_registers () =
   checkb "strong register reads stay fresh" true
     (result.Scheduler.outputs.(0) = Some 5)
 
-let test_injector_of_spec () =
-  (match Conrat_faults.Injector.of_spec "crash:f=2,weak" with
-   | Ok plan -> checkb "plan named" true (plan.Fault.plan_name <> "")
-   | Error e -> Alcotest.failf "of_spec rejected a valid spec: %s" e);
-  match Conrat_faults.Injector.of_spec "bogus" with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "of_spec accepted garbage"
-
 let test_fault_free_streams_unperturbed () =
   (* Installing no plan must reproduce historical executions exactly:
      same outputs, same step count for the same seed. *)
@@ -938,7 +930,6 @@ let () =
           tc "byzantine stale" `Quick test_byzantine_reads_deliver_stale;
           tc "byzantine strong no-op" `Quick
             test_byzantine_reads_ignore_strong_registers;
-          tc "of_spec" `Quick test_injector_of_spec;
           tc "fault-free streams" `Quick test_fault_free_streams_unperturbed ] );
       ( "engine",
         [ tc "faulted trials safe" `Quick test_engine_faulted_trials_stay_safe;

@@ -1,5 +1,5 @@
 (* Observability subsystem tests: sinks, stage labels, the Chrome
-   trace exporter, the live bound checker, the baseline parser, and
+   trace exporter, the baseline parser, and
    progress reporting.  Also the sealed-metrics property (adversary
    views cannot mutate scheduler counters) and Trace serialization
    round-trips over every operation kind, including traces from the
@@ -294,120 +294,6 @@ let qcheck_telemetry_monoid =
       && eq (s a +@ Telemetry.empty ()) (s a)
       && eq (Telemetry.empty () +@ s a) (s a))
 
-let qcheck_coverage_json_roundtrip =
-  (* Arbitrary leaf streams and saturation curves: the canonical JSON
-     rendering must parse back to an equal signature and re-render to
-     the identical string (the schema-v3 "coverage" block contract). *)
-  let gen =
-    QCheck.Gen.(
-      pair
-        (list_size (int_bound 60)
-           (triple (int_bound 2) (int_bound 40) (int_bound 17)))
-        (list_size (int_bound 10) (pair (int_bound 1000) (int_bound 200))))
-  in
-  let print (leaves, sat) =
-    Printf.sprintf "%d leaves, %d saturation samples" (List.length leaves)
-      (List.length sat)
-  in
-  QCheck.Test.make ~count:100 ~name:"coverage JSON round-trips canonically"
-    (QCheck.make ~print gen)
-    (fun (leaves, sat) ->
-      let c = Coverage.create () in
-      List.iter
-        (fun (k, depth, sseed) ->
-          let kind =
-            match k with 0 -> `Complete | 1 -> `Truncated | _ -> `Pruned
-          in
-          Coverage.leaf c ~kind ~depth ~n:2 ~stage:(fun pid ->
-              if (sseed + pid) mod 3 = 0 then None
-              else Some (Printf.sprintf "stage%d" ((sseed + pid) mod 5))))
-        leaves;
-      List.iter (fun (l, t) -> Coverage.saturate c ~leaves:l ~table:t) sat;
-      let json = Coverage.to_json c in
-      match Coverage.of_json json with
-      | Error e -> QCheck.Test.fail_reportf "of_json failed: %s" e
-      | Ok c' -> Coverage.equal c c' && String.equal (Coverage.to_json c') json)
-
-(* --- Live bound checking --------------------------------------------- *)
-
-let conciliator_specs n =
-  (* Theorem 6: individual work of the impatient first-mover is at most
-     2 lg n + O(1); Theorem 7: expected total work at most 6n. *)
-  [ Bound_check.spec
-      ~individual:(Conrat_core.Conciliator.max_individual_work ~n)
-      ~mean_total:(6.0 *. float_of_int n)
-      "impatient conciliator (Thm 6/7)" ]
-
-let test_bound_check_passes_conciliator () =
-  let n = 2 in
-  let bc = Bound_check.create ~n ~specs:(conciliator_specs n) in
-  let sink = Bound_check.sink bc in
-  for seed = 0 to 29 do
-    let result, _ =
-      run_checker_once ~sink ~adversary:"random_uniform" ~seed "conciliator_n2"
-    in
-    Bound_check.end_execution ~registers:result.Scheduler.registers bc
-  done;
-  checki "30 executions accounted" 30 (Bound_check.executions bc);
-  match Bound_check.result bc with
-  | Ok () -> ()
-  | Error vs ->
-    Alcotest.failf "paper bounds violated: %a" Bound_check.pp_violation
-      (List.hd vs)
-
-let test_bound_check_flags_over_budget_protocol () =
-  (* The same conciliator, deliberately padded with busy-work reads past
-     the Theorem 6 budget: the checker must flag it, live, and also
-     catch a register budget that is plainly too small. *)
-  let n = 2 in
-  let config = Option.get (Conrat_verify.Checks.find "conciliator_n2") in
-  let budget = Conrat_core.Conciliator.max_individual_work ~n in
-  let specs =
-    Bound_check.spec ~registers:0 "no registers allowed" :: conciliator_specs n
-  in
-  let bc = Bound_check.create ~n ~specs in
-  let memory, body = Conrat_verify.Checks.setup_of config ~n () in
-  let scratch = Memory.alloc memory in
-  let padded ~pid =
-    let rec pad i =
-      if i = 0 then body ~pid
-      else Program.bind (Program.read scratch) (fun _ -> pad (i - 1))
-    in
-    pad (budget + 4)
-  in
-  let result =
-    Scheduler.run ~sink:(Bound_check.sink bc) ~n
-      ~adversary:(Adversary.by_name "round_robin") ~rng:(Rng.create 1) ~memory
-      (fun ~pid ~rng:_ -> padded ~pid)
-  in
-  Bound_check.end_execution ~registers:result.Scheduler.registers bc;
-  (* The individual bound is checked live: the violation is recorded
-     before end_execution. *)
-  let live = Bound_check.violations bc in
-  checkb "individual bound flagged live" true
-    (List.exists (fun v -> v.Bound_check.kind = "individual") live);
-  (match Bound_check.result bc with
-   | Ok () -> Alcotest.fail "over-budget protocol passed the bound checker"
-   | Error vs ->
-     checkb "register budget flagged" true
-       (List.exists (fun v -> v.Bound_check.kind = "registers") vs);
-     List.iter
-       (fun v ->
-         checkb "observed exceeds bound" true
-           (v.Bound_check.observed > v.Bound_check.bound))
-       vs);
-  match Bound_check.check bc with
-  | () -> Alcotest.fail "check did not raise"
-  | exception Failure msg ->
-    checkb "failure message names the spec" true
-      (String.length msg > 0
-       && (let sub = "impatient conciliator" in
-           let rec find i =
-             i + String.length sub <= String.length msg
-             && (String.sub msg i (String.length sub) = sub || find (i + 1))
-           in
-           find 0))
-
 (* --- Baseline parser -------------------------------------------------- *)
 
 let test_baseline_parser () =
@@ -507,12 +393,7 @@ let () =
           tc "fleet tracks and shard spans" `Quick
             test_chrome_trace_fleet_structure ] );
       ( "telemetry",
-        [ qc qcheck_telemetry_monoid; qc qcheck_coverage_json_roundtrip ] );
-      ( "bound_check",
-        [ tc "paper bounds hold on the conciliator" `Quick
-            test_bound_check_passes_conciliator;
-          tc "flags an over-budget protocol" `Quick
-            test_bound_check_flags_over_budget_protocol ] );
+        [ qc qcheck_telemetry_monoid ] );
       ( "baseline",
         [ tc "parses verify-bench JSON" `Quick test_baseline_parser;
           tc "committed baseline parses" `Quick test_committed_baseline_parses ] );

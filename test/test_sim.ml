@@ -198,18 +198,6 @@ let test_memory_bounds () =
     (Invalid_argument "Memory: address 3 out of bounds (size 1)")
     (fun () -> ignore (Memory.read mem 3))
 
-let test_memory_snapshot_restore () =
-  let mem = Memory.create () in
-  let l0 = Memory.alloc mem in
-  let l1 = Memory.alloc mem in
-  Memory.write mem l0 1;
-  let snap = Memory.snapshot mem in
-  Memory.write mem l0 2;
-  Memory.write mem l1 3;
-  Memory.restore mem snap;
-  check Alcotest.(option int) "restored l0" (Some 1) (Memory.read mem l0);
-  check Alcotest.(option int) "restored l1" None (Memory.read mem l1)
-
 (* ------------------------------------------------------------------ *)
 (* Op descriptors                                                      *)
 (* ------------------------------------------------------------------ *)
@@ -273,29 +261,6 @@ let test_scheduler_counts_ops () =
   checki "steps equals total" 9 result.steps;
   checki "reads counted" 6 (Metrics.reads result.metrics);
   checki "writes counted" 3 (Metrics.writes result.metrics)
-
-let test_metrics_merge () =
-  let record_ops n ops =
-    let m = Metrics.create ~n in
-    List.iter (fun (pid, kind) -> Metrics.record m ~pid kind) ops;
-    m
-  in
-  let a = record_ops 2 [ (0, Op.Read_op); (1, Op.Write_op); (1, Op.Prob_write_op) ] in
-  let b = record_ops 3 [ (2, Op.Read_op); (0, Op.Collect_op) ] in
-  let m = Metrics.merge a b in
-  checki "total" 5 (Metrics.total m);
-  checki "individual" 2 (Metrics.individual m);
-  checki "reads" 2 (Metrics.reads m);
-  checki "writes" 1 (Metrics.writes m);
-  checki "prob writes" 1 (Metrics.prob_writes m);
-  checki "collects" 1 (Metrics.collects m);
-  check Alcotest.(array int) "per-pid aligned, zero-extended" [| 2; 2; 1 |]
-    (Metrics.per_process m);
-  (* commutative, identity = empty accounting *)
-  check Alcotest.(array int) "commutative" (Metrics.per_process m)
-    (Metrics.per_process (Metrics.merge b a));
-  checki "identity" (Metrics.total a)
-    (Metrics.total (Metrics.merge a (Metrics.create ~n:0)))
 
 let test_scheduler_read_after_write () =
   let result =
@@ -854,13 +819,11 @@ let () =
           tc "write read" `Quick test_memory_write_read;
           tc "growth" `Quick test_memory_growth;
           tc "alloc_n" `Quick test_memory_alloc_n;
-          tc "bounds" `Quick test_memory_bounds;
-          tc "snapshot restore" `Quick test_memory_snapshot_restore ] );
+          tc "bounds" `Quick test_memory_bounds ] );
       ("op", [ tc "descriptors" `Quick test_op_descriptors ]);
       ( "scheduler",
         [ tc "runs all" `Quick test_scheduler_runs_all;
           tc "counts ops" `Quick test_scheduler_counts_ops;
-          tc "metrics merge" `Quick test_metrics_merge;
           tc "read after write" `Quick test_scheduler_read_after_write;
           tc "prob write p=1" `Quick test_scheduler_prob_write_p1;
           tc "prob write p=0" `Quick test_scheduler_prob_write_p0;
