@@ -148,6 +148,15 @@ let writable file =
   end;
   file
 
+(* An output directory is checked the same way: it must exist and take
+   new files before any run starts. *)
+let writable_dir dir =
+  if not (Sys.file_exists dir) then die "--artifact-dir %s: no such directory" dir;
+  if not (Sys.is_directory dir) then die "--artifact-dir %s: not a directory" dir;
+  (try Unix.access dir [ Unix.W_OK ]
+   with Unix.Unix_error _ -> die "--artifact-dir %s: directory not writable" dir);
+  dir
+
 let output flags ~default ~doc =
   Term.(const writable $ Arg.(value & opt string default & info flags ~docv:"FILE" ~doc))
 
@@ -905,9 +914,11 @@ let check_cmd =
                $(b,--budget)); a config that exceeds it stops cleanly and \
                its partial statistics still land in the report and the \
                $(b,--json) document."
-          $ Arg.(value & opt string "."
-                 & info [ "artifact-dir" ] ~docv:"DIR"
-                     ~doc:"Where to write <name>.counterexample.sexp on failure.")
+          $ Term.(const writable_dir
+                  $ Arg.(value & opt string "."
+                         & info [ "artifact-dir" ] ~docv:"DIR"
+                             ~doc:"Where to write <name>.counterexample.sexp on \
+                                   failure (an existing, writable directory)."))
           $ file_in [ "replay" ]
               "Replay a counterexample artifact instead of exploring; exits 0 \
                iff the violation reproduces."

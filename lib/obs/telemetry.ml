@@ -29,7 +29,8 @@ let dpor_backtracks = 16
 let checkpoints = 17
 let recovers = 18
 let plan_overrides_ignored = 19
-let ncounters = 20
+let code_pcs = 20
+let ncounters = 21
 
 let registry =
   [| ("leaves_complete", Sum);
@@ -51,7 +52,8 @@ let registry =
      ("dpor_backtracks", Sum);
      ("checkpoints", Sum);
      ("recovers", Sum);
-     ("plan_overrides_ignored", Sum) |]
+     ("plan_overrides_ignored", Sum);
+     ("code_pcs", Max) |]
 
 let () = assert (Array.length registry = ncounters)
 let name c = fst registry.(c)

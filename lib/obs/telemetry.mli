@@ -37,7 +37,10 @@ type counter = private int
    races the DPOR oracle detected; dpor_backtracks = backtrack-set
    candidates added; checkpoints = checkpoint frontiers saved;
    recovers = crash-recovery events applied; plan_overrides_ignored =
-   invalid Monte-Carlo fault-plan overrides degraded to plain steps.
+   invalid Monte-Carlo fault-plan overrides degraded to plain steps;
+   code_pcs (Max) = instructions the VM's code store interned, read
+   once at POR search exit (0 under the tree engine and for naive
+   runs, which compile a fresh store per path).
    Ids are append-only: new counters go at the end so persisted
    snapshots and dashboards never reinterpret an old id. *)
 
@@ -61,6 +64,7 @@ val dpor_backtracks : counter
 val checkpoints : counter
 val recovers : counter
 val plan_overrides_ignored : counter
+val code_pcs : counter
 
 val ncounters : int
 val name : counter -> string

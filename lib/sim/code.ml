@@ -29,25 +29,48 @@
    allocations (the truncating restore that made this state reachable
    again un-allocated them), and a traversal at a different store
    length interns a sibling successor (chained via [alt]) whose
-   instructions capture the right addresses. *)
+   instructions capture the right addresses.
+
+   Layout.  The store is one growable array with one record per pc:
+   the side data (pending descriptor, branching class, stage,
+   allocation record) in fixed fields, and the operation with its
+   operands and successor slots, so growth copies one array of
+   pointers.  A successor slot holds an encoded pc: [q >= 0] is a
+   successor that allocated nothing and so is valid at any store
+   length — the hot path returns it after one comparison — while [-1]
+   means nothing interned yet and [-q - 2] heads a chain of allocating
+   successors that must match the store length.  A [Write], [Prob] or
+   [Prob_detect] whose every successor is interned and allocates
+   nothing can never unfold again, so it drops its continuation and
+   whatever that closure kept alive.  Reads and collects keep theirs:
+   a new observation can always arrive. *)
 
 exception Collect_disallowed
 
-type 'r instr =
-  | Halt
+(* What an allocating successor must match and replay: the store length
+   it was unfolded at, the initial contents of the registers it
+   allocated, and the next entry of its edge's chain (another store
+   length).  Pcs that allocated nothing share [no_link]. *)
+type link = { prelen : int; inits : int option array; alt : int }
+
+let no_link = { prelen = -1; inits = [||]; alt = -1 }
+
+(* What a pc does, with its successor slots.  Reads and collects keep
+   their continuations; the writes' are mutable so they can be dropped. *)
+type 'r op =
+  | Halt of 'r option
   | Read of {
       loc : Memory.loc;
       k : int option -> 'r Program.t;
-      (* Successor chain heads indexed by the observation: slot 0 =
-         read ⊥, slot v+1 = read v ≥ 0; the rare negative values
-         overflow into the [neg] association list. *)
-      mutable tab : int array;
-      mutable neg : (int * int) list;
+      (* Successor slots by observation: empty until the first, then
+         slot 0 for ⊥ followed by (value, slot) pairs in first-seen
+         order — O(observations) words whatever the values are. *)
+      mutable obs : int array;
     }
   | Write of {
       loc : Memory.loc;
       value : int;
-      k : unit -> 'r Program.t;
+      mutable k : unit -> 'r Program.t;
       mutable next : int;
     }
   | Prob of {
@@ -56,13 +79,13 @@ type 'r instr =
          successor. *)
       loc : Memory.loc;
       value : int;
-      k : unit -> 'r Program.t;
+      mutable k : unit -> 'r Program.t;
       mutable next : int;
     }
   | Prob_detect of {
       loc : Memory.loc;
       value : int;
-      k : bool -> 'r Program.t;
+      mutable k : bool -> 'r Program.t;
       mutable hit : int;
       mutable miss : int;
     }
@@ -73,9 +96,43 @@ type 'r instr =
       mutable succs : (int option array * int) list;
     }
 
-(* Shared empty array: physical equality marks "this pc allocated no
-   registers", the overwhelmingly common case. *)
-let no_allocs : int option array = [||]
+(* One record per pc: the side data the machine reads at every step
+   sits in fixed fields, so reading it takes no dispatch. *)
+type 'r instr = {
+  pend : Op.any option;   (* pending descriptor, shared; [None] at halts *)
+  coin : int;             (* branching class *)
+  stage : string option;  (* absolute stage label here *)
+  link : link;            (* allocation record, [no_link] if none *)
+  op : 'r op;
+}
+
+(* Pending descriptors are shared between pcs pending the same
+   operation: a search interns hundreds of thousands of pcs over a
+   hundred or so distinct operations.  Probabilities compare by their
+   bits, so a shared descriptor serializes exactly like the op value it
+   stands for. *)
+module Ops = Hashtbl.Make (struct
+  type t = Op.any
+
+  let equal (Op.Any a) (Op.Any b) =
+    let same_p p q = Int64.equal (Int64.bits_of_float p) (Int64.bits_of_float q) in
+    match (a, b) with
+    | Op.Read l, Op.Read l' -> l = l'
+    | Op.Write (l, v), Op.Write (l', v') -> l = l' && v = v'
+    | Op.Prob_write (l, v, p), Op.Prob_write (l', v', p') ->
+      l = l' && v = v' && same_p p p'
+    | Op.Prob_write_detect (l, v, p), Op.Prob_write_detect (l', v', p') ->
+      l = l' && v = v' && same_p p p'
+    | Op.Collect (l, n), Op.Collect (l', n') -> l = l' && n = n'
+    | _ -> false
+
+  let hash = Hashtbl.hash
+end)
+
+let blank = { pend = None; coin = 0; stage = None; link = no_link; op = Halt None }
+
+(* Stands in for a continuation whose every successor is interned. *)
+let dropped _ = invalid_arg "Code: a dropped continuation was re-entered"
 
 type 'r t = {
   memory : Memory.t;
@@ -83,14 +140,8 @@ type 'r t = {
   (* Recover continuation entry per pid, -1 when the protocol declares
      none (a restarted process then re-enters at its main root). *)
   rec_roots : int array;
-  mutable instrs : 'r instr array;
-  mutable pend : Op.any option array;   (* pending descriptor, shared *)
-  mutable stages : string option array; (* absolute stage label here *)
-  mutable results : 'r option array;    (* [Some r] exactly at [Halt] *)
-  mutable coins : int array;            (* cached branching class *)
-  mutable allocs : int option array array;
-  mutable prelen : int array;           (* store length when unfolded *)
-  mutable alt : int array;              (* same-edge, other [prelen] *)
+  ops : Op.any option Ops.t;
+  mutable code : 'r instr array;
   mutable len : int;
   mutable last_observed : int option;
 }
@@ -99,53 +150,17 @@ type 'r t = {
    miss, 1 = forced landed, 2 = coin (0 < p < 1), 3 = weak-register
    read (forks on freshness).  Weakness is configuration fixed at setup
    time, so the class is a per-pc constant. *)
-let class_of : type a. Memory.t -> a Op.t -> int =
-  fun memory op ->
-  match op with
-  | Op.Prob_write (_, _, p) | Op.Prob_write_detect (_, _, p) ->
-    if p <= 0.0 then 0 else if p >= 1.0 then 1 else 2
-  | Op.Read l -> if Memory.is_weak memory l then 3 else 0
-  | Op.Write _ -> 1
-  | Op.Collect _ -> 0
+let prob_class p = if p <= 0.0 then 0 else if p >= 1.0 then 1 else 2
 
-let grow t =
-  let cap = 2 * Array.length t.instrs in
-  let instrs = Array.make cap Halt in
-  Array.blit t.instrs 0 instrs 0 t.len;
-  t.instrs <- instrs;
-  let pend = Array.make cap None in
-  Array.blit t.pend 0 pend 0 t.len;
-  t.pend <- pend;
-  let stages = Array.make cap None in
-  Array.blit t.stages 0 stages 0 t.len;
-  t.stages <- stages;
-  let results = Array.make cap None in
-  Array.blit t.results 0 results 0 t.len;
-  t.results <- results;
-  let coins = Array.make cap 0 in
-  Array.blit t.coins 0 coins 0 t.len;
-  t.coins <- coins;
-  let allocs = Array.make cap no_allocs in
-  Array.blit t.allocs 0 allocs 0 t.len;
-  t.allocs <- allocs;
-  let prelen = Array.make cap 0 in
-  Array.blit t.prelen 0 prelen 0 t.len;
-  t.prelen <- prelen;
-  let alt = Array.make cap (-1) in
-  Array.blit t.alt 0 alt 0 t.len;
-  t.alt <- alt
-
-let add t instr ~pend ~stage ~result ~coin ~allocs ~prelen =
-  if t.len = Array.length t.instrs then grow t;
+let add t instr =
+  let cap = Array.length t.code in
+  if t.len = cap then begin
+    let code = Array.make (2 * cap) blank in
+    Array.blit t.code 0 code 0 t.len;
+    t.code <- code
+  end;
   let pc = t.len in
-  t.instrs.(pc) <- instr;
-  t.pend.(pc) <- pend;
-  t.stages.(pc) <- stage;
-  t.results.(pc) <- result;
-  t.coins.(pc) <- coin;
-  t.allocs.(pc) <- allocs;
-  t.prelen.(pc) <- prelen;
-  t.alt.(pc) <- -1;
+  t.code.(pc) <- instr;
   t.len <- pc + 1;
   pc
 
@@ -157,7 +172,7 @@ let rec peel stage p =
   | Program.Label (s, p) -> peel (Some s) p
   | p -> (stage, p)
 
-let intern t ~stage ~prelen ~allocs p =
+let intern t ~stage ~link p =
   let stage, p = peel stage p in
   match p with
   | Program.Label _ -> assert false (* peeled *)
@@ -166,35 +181,41 @@ let intern t ~stage ~prelen ~allocs p =
        one reached mid-program escaped a protocol author's root. *)
     invalid_arg "Code: Recoverable below the protocol root"
   | Program.Done r ->
-    add t Halt ~pend:None ~stage ~result:(Some r) ~coin:0 ~allocs ~prelen
+    add t { pend = None; coin = 0; stage; link; op = Halt (Some r) }
   | Program.Step (op, k) ->
-    let coin = class_of t.memory op in
-    let instr =
-      match op with
-      | Op.Read loc -> Read { loc; k; tab = [||]; neg = [] }
-      | Op.Write (loc, value) -> Write { loc; value; k; next = -1 }
-      | Op.Prob_write (loc, value, _) -> Prob { loc; value; k; next = -1 }
-      | Op.Prob_write_detect (loc, value, _) ->
-        Prob_detect { loc; value; k; hit = -1; miss = -1 }
-      | Op.Collect (loc, len) -> Collect { loc; len; k; succs = [] }
+    (* The pending descriptor wraps an op value equal to the original
+       bit for bit, so traces and artifacts carry bit-identical floats
+       under either engine. *)
+    let any = Op.Any op in
+    let pend =
+      match Ops.find_opt t.ops any with
+      | Some pend -> pend
+      | None ->
+        let pend = Some any in
+        Ops.add t.ops any pend;
+        pend
     in
-    (* The pending descriptor wraps the *original* op value, so traces
-       and artifacts carry bit-identical floats under either engine. *)
-    add t instr ~pend:(Some (Op.Any op)) ~stage ~result:None ~coin ~allocs ~prelen
+    let coin, op =
+      match op with
+      | Op.Read loc ->
+        let coin = if Memory.is_weak t.memory loc then 3 else 0 in
+        (coin, Read { loc; k; obs = [||] })
+      | Op.Write (loc, value) -> (1, Write { loc; value; k; next = -1 })
+      | Op.Prob_write (loc, value, p) ->
+        (prob_class p, Prob { loc; value; k; next = -1 })
+      | Op.Prob_write_detect (loc, value, p) ->
+        (prob_class p, Prob_detect { loc; value; k; hit = -1; miss = -1 })
+      | Op.Collect (loc, len) -> (0, Collect { loc; len; k; succs = [] })
+    in
+    add t { pend; coin; stage; link; op }
 
 let compile ~memory ~n body =
   let t =
     { memory;
       roots = Array.make n (-1);
       rec_roots = Array.make n (-1);
-      instrs = Array.make 64 Halt;
-      pend = Array.make 64 None;
-      stages = Array.make 64 None;
-      results = Array.make 64 None;
-      coins = Array.make 64 0;
-      allocs = Array.make 64 no_allocs;
-      prelen = Array.make 64 0;
-      alt = Array.make 64 (-1);
+      ops = Ops.create 64;
+      code = Array.make 64 blank;
       len = 0;
       last_observed = None }
   in
@@ -207,13 +228,9 @@ let compile ~memory ~n body =
     let stage, p = peel None (body ~pid) in
     match p with
     | Program.Recoverable { main; recover } ->
-      t.roots.(pid) <-
-        intern t ~stage ~prelen:(Memory.size memory) ~allocs:no_allocs main;
-      t.rec_roots.(pid) <-
-        intern t ~stage ~prelen:(Memory.size memory) ~allocs:no_allocs recover
-    | p ->
-      t.roots.(pid) <-
-        intern t ~stage ~prelen:(Memory.size memory) ~allocs:no_allocs p
+      t.roots.(pid) <- intern t ~stage ~link:no_link main;
+      t.rec_roots.(pid) <- intern t ~stage ~link:no_link recover
+    | p -> t.roots.(pid) <- intern t ~stage ~link:no_link p
   done;
   t
 
@@ -223,143 +240,154 @@ let root t pid = t.roots.(pid)
    continuation, or the main root (restart from the top) without one. *)
 let rec_root t pid =
   if t.rec_roots.(pid) >= 0 then t.rec_roots.(pid) else t.roots.(pid)
-let pending t pc = t.pend.(pc)
-let stage t pc = t.stages.(pc)
-let result t pc = t.results.(pc)
-let coin_class t pc = t.coins.(pc)
+
+let pending t pc = t.code.(pc).pend
+let stage t pc = t.code.(pc).stage
+let result t pc = match t.code.(pc).op with Halt r -> r | _ -> None
+let coin_class t pc = t.code.(pc).coin
+
 let size t = t.len
 let last_observed t = t.last_observed
 
-(* First chain entry usable at store length [len0]: a pc that allocated
-   nothing is address-stable, otherwise its recorded unfold length must
-   match so that replayed allocations land at the addresses its
-   instructions captured. *)
-let rec chain_lookup t pc len0 =
-  if pc < 0 then -1
-  else if t.allocs.(pc) == no_allocs || t.prelen.(pc) = len0 then pc
-  else chain_lookup t t.alt.(pc) len0
-
 (* Memo hit on an allocating pc: the continuation is not re-invoked, so
    re-perform its recorded allocations. *)
-let replay_allocs t pc =
-  let inits = t.allocs.(pc) in
-  if inits != no_allocs then
-    for i = 0 to Array.length inits - 1 do
-      match inits.(i) with
-      | None -> ignore (Memory.alloc t.memory : Memory.loc)
-      | Some v -> ignore (Memory.alloc ~init:v t.memory : Memory.loc)
-    done
+let replay_allocs t inits =
+  for i = 0 to Array.length inits - 1 do
+    match inits.(i) with
+    | None -> ignore (Memory.alloc t.memory : Memory.loc)
+    | Some v -> ignore (Memory.alloc ~init:v t.memory : Memory.loc)
+  done
 
-let capture_allocs t len0 =
-  let len1 = Memory.size t.memory in
-  if len1 = len0 then no_allocs
-  else Array.init (len1 - len0) (fun i -> Memory.read t.memory (len0 + i))
+(* Slot encoding (see the layout note at the top): an allocating pc is
+   stored as [chained pc], a non-allocating one as itself, and -1 (=
+   [chained (-1)]) is the empty slot. *)
+let chained pc = -pc - 2
+let pc_of s = if s >= 0 then s else chained s
+
+(* First chain entry unfolded at store length [len0], with its
+   allocations replayed, or -1. *)
+let rec chain t pc len0 =
+  if pc < 0 then -1
+  else
+    let l = t.code.(pc).link in
+    if l.prelen = len0 then begin replay_allocs t l.inits; pc end
+    else chain t l.alt len0
+
+(* The successor in slot [s] usable at the current store length, or -1:
+   a successor that allocated nothing is valid at any length. *)
+let[@inline] lookup t s =
+  if s >= 0 then s else chain t (chained s) (Memory.size t.memory)
 
 (* Cold path: unfold one continuation, capturing any registers it
-   allocates, and intern the residual program at the head of the
-   edge's chain.  The caller installs the returned pc in its slot. *)
-let unfold : type a r. r t -> stage:string option -> len0:int ->
-  (a -> r Program.t) -> a -> int -> int =
-  fun t ~stage ~len0 k v head ->
+   allocates, and intern the residual program in front of slot [s]'s
+   chain.  Returns the new slot value; the caller installs it. *)
+let unfold : type a r. r t -> stage:string option -> (a -> r Program.t) -> a ->
+  int -> int =
+  fun t ~stage k v s ->
+  let len0 = Memory.size t.memory in
   let p = k v in
-  let allocs = capture_allocs t len0 in
-  let q = intern t ~stage ~prelen:len0 ~allocs p in
-  t.alt.(q) <- head;
-  q
+  let len1 = Memory.size t.memory in
+  if len1 = len0 then intern t ~stage ~link:no_link p
+  else begin
+    let inits = Array.init (len1 - len0) (fun i -> Memory.read t.memory (len0 + i)) in
+    chained (intern t ~stage ~link:{ prelen = len0; inits; alt = pc_of s } p)
+  end
+
+(* Read successor tables (see [Read.obs]): the index of observation
+   [v]'s slot, or -1 when [v] has none yet. *)
+let rec pair tab x i =
+  if i >= Array.length tab then -1
+  else if Array.unsafe_get tab i = x then i + 1
+  else pair tab x (i + 2)
+
+let slot tab v =
+  if Array.length tab = 0 then -1
+  else match v with None -> 0 | Some x -> pair tab x 1
+
+(* [tab] with [v]'s slot set to [s]; a new observation grows the table
+   by one pair. *)
+let set_obs tab v s =
+  let tab = if Array.length tab = 0 then [| -1 |] else tab in
+  let i = slot tab v in
+  if i >= 0 then begin tab.(i) <- s; tab end
+  else begin
+    let n = Array.length tab in
+    let grown = Array.make (n + 2) s in
+    Array.blit tab 0 grown 0 n;
+    grown.(n) <- Option.get v;
+    grown
+  end
 
 (* Execute the instruction at [pc] with the coin already decided,
    applying its memory effect and returning the successor pc.  What a
    read observed is left in [last_observed] (the cell's own option
    value — nothing is allocated) for the façade's trace recording. *)
 let step t ~cheap_collect ~pc ~landed =
-  let stage = t.stages.(pc) in
-  match t.instrs.(pc) with
-  | Halt -> invalid_arg "Code.step: process already halted"
+  let instr = t.code.(pc) in
+  match instr.op with
+  | Halt _ -> invalid_arg "Code.step: process already halted"
   | Read r ->
     let v =
       if landed then Memory.read_stale t.memory r.loc
       else Memory.read t.memory r.loc
     in
     t.last_observed <- v;
-    let len0 = Memory.size t.memory in
-    let e = match v with None -> 0 | Some x -> if x >= 0 then x + 1 else -1 in
-    if e >= 0 then begin
-      if e >= Array.length r.tab then begin
-        let cap = max (e + 1) (2 * Array.length r.tab + 1) in
-        let tab = Array.make cap (-1) in
-        Array.blit r.tab 0 tab 0 (Array.length r.tab);
-        r.tab <- tab
-      end;
-      let head = r.tab.(e) in
-      let q = chain_lookup t head len0 in
-      if q >= 0 then begin replay_allocs t q; q end
-      else begin
-        let q = unfold t ~stage ~len0 r.k v head in
-        r.tab.(e) <- q;
-        q
-      end
-    end
+    let i = slot r.obs v in
+    let s = if i < 0 then -1 else Array.unsafe_get r.obs i in
+    let q = lookup t s in
+    if q >= 0 then q
     else begin
-      let key = match v with Some x -> x | None -> assert false in
-      let head =
-        match List.assoc_opt key r.neg with Some h -> h | None -> -1
-      in
-      let q = chain_lookup t head len0 in
-      if q >= 0 then begin replay_allocs t q; q end
-      else begin
-        let q = unfold t ~stage ~len0 r.k v head in
-        r.neg <- (key, q) :: List.remove_assoc key r.neg;
-        q
-      end
+      let s = unfold t ~stage:instr.stage r.k v s in
+      r.obs <- set_obs r.obs v s;
+      pc_of s
     end
   | Write w ->
     Memory.write t.memory w.loc w.value;
     t.last_observed <- None;
-    let len0 = Memory.size t.memory in
-    let q = chain_lookup t w.next len0 in
-    if q >= 0 then begin replay_allocs t q; q end
+    let q = lookup t w.next in
+    if q >= 0 then q
     else begin
-      let q = unfold t ~stage ~len0 w.k () w.next in
-      w.next <- q;
-      q
+      let s = unfold t ~stage:instr.stage w.k () w.next in
+      w.next <- s;
+      if s >= 0 then w.k <- dropped;
+      pc_of s
     end
   | Prob w ->
     if landed then Memory.write t.memory w.loc w.value;
     t.last_observed <- None;
-    let len0 = Memory.size t.memory in
-    let q = chain_lookup t w.next len0 in
-    if q >= 0 then begin replay_allocs t q; q end
+    let q = lookup t w.next in
+    if q >= 0 then q
     else begin
-      let q = unfold t ~stage ~len0 w.k () w.next in
-      w.next <- q;
-      q
+      let s = unfold t ~stage:instr.stage w.k () w.next in
+      w.next <- s;
+      if s >= 0 then w.k <- dropped;
+      pc_of s
     end
   | Prob_detect w ->
     if landed then Memory.write t.memory w.loc w.value;
     t.last_observed <- None;
-    let len0 = Memory.size t.memory in
-    let head = if landed then w.hit else w.miss in
-    let q = chain_lookup t head len0 in
-    if q >= 0 then begin replay_allocs t q; q end
+    let s = if landed then w.hit else w.miss in
+    let q = lookup t s in
+    if q >= 0 then q
     else begin
-      let q = unfold t ~stage ~len0 w.k landed head in
-      (if landed then w.hit <- q else w.miss <- q);
-      q
+      let s = unfold t ~stage:instr.stage w.k landed s in
+      if landed then w.hit <- s else w.miss <- s;
+      if w.hit >= 0 && w.miss >= 0 then w.k <- dropped;
+      pc_of s
     end
   | Collect c ->
     if not cheap_collect then raise Collect_disallowed;
     let arr = Array.init c.len (fun i -> Memory.read t.memory (c.loc + i)) in
     t.last_observed <- None;
-    let len0 = Memory.size t.memory in
-    let head =
+    let s =
       match List.find_opt (fun (key, _) -> key = arr) c.succs with
-      | Some (_, h) -> h
+      | Some (_, s) -> s
       | None -> -1
     in
-    let q = chain_lookup t head len0 in
-    if q >= 0 then begin replay_allocs t q; q end
+    let q = lookup t s in
+    if q >= 0 then q
     else begin
-      let q = unfold t ~stage ~len0 c.k arr head in
-      c.succs <- (arr, q) :: List.filter (fun (key, _) -> key <> arr) c.succs;
-      q
+      let s = unfold t ~stage:instr.stage c.k arr s in
+      c.succs <- (arr, s) :: List.filter (fun (key, _) -> key <> arr) c.succs;
+      pc_of s
     end

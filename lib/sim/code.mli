@@ -19,16 +19,28 @@
     store length intern a separate successor capturing the right
     addresses.  Continuations must not otherwise read or write the
     store except through performed operations — the same contract the
-    backtracking tree explorer already imposes. *)
+    backtracking tree explorer already imposes.
+
+    Layout: one growable array with one record per pc, holding its
+    side data (pending descriptor, branching class, stage label,
+    allocation record) and its operation with operands and successor
+    slots; growth copies that one array.  A read's successors sit in
+    one table of (observation, successor) pairs, ⊥ included, whose size
+    follows the number of distinct observations, never their values.
+    Equal pending operations share one descriptor.  A write,
+    probabilistic write or detecting write drops its continuation once
+    every successor it can produce is interned and allocated nothing,
+    since such an edge never unfolds again; reads, collects and edges
+    whose successor allocates keep theirs. *)
 
 exception Collect_disallowed
 (** Raised when a program performs a collect without the cheap-collect
     model enabled (re-exported as [Machine.Collect_disallowed]). *)
 
 type 'r t
-(** A code store: the instruction array plus per-pc side tables
-    (pending-op descriptors, stage labels, results, branching classes),
-    growing as new edges are interned. *)
+(** A code store: one record per interned pc (pending-op descriptor,
+    branching class, stage label, operation with its successor slots or
+    result), growing as new edges are interned. *)
 
 val compile : memory:Memory.t -> n:int -> (pid:int -> 'r Program.t) -> 'r t
 (** Intern each process's entry point.  Bodies are evaluated in pid
@@ -46,8 +58,9 @@ val rec_root : 'r t -> int -> int
     length. *)
 
 val pending : 'r t -> int -> Op.any option
-(** The pending-operation descriptor at a pc — allocated once at intern
-    time and shared, wrapping the original [Op.t] value so serialized
+(** The pending-operation descriptor at a pc — allocated once per
+    distinct operation and shared by every pc pending it, wrapping an
+    [Op.t] value equal bit for bit to the protocol's, so serialized
     traces are bit-identical to the tree engine's.  [None] at halts. *)
 
 val stage : 'r t -> int -> string option

@@ -251,6 +251,8 @@ let coin_class t pid =
 let supports_state_hash t =
   match t.state with Compiled _ -> true | Tree _ -> false
 
+let code_size t = match t.state with Compiled vm -> Vm.code_size vm | Tree _ -> 0
+
 let hash_into t (h : int array) =
   match t.state with
   | Tree _ -> invalid_arg "Machine.hash_into: the tree engine has no state hash"

@@ -135,6 +135,11 @@ val supports_state_hash : 'r t -> bool
     none; that engine exists as the differential oracle, not for
     hashed exploration. *)
 
+val code_size : 'r t -> int
+(** Instructions the VM's code store has interned so far (see
+    {!Code.size}): the size behind its heap share, which grows with
+    every protocol edge a search crosses.  0 under the tree engine. *)
+
 val hash_into : 'r t -> int array -> unit
 (** [hash_into t h] writes two independent 62-bit hashes of the
     machine's semantic state into [h.(0)] and [h.(1)]: the pc file,

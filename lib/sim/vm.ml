@@ -28,6 +28,7 @@ let pending t pid = Code.pending t.code t.pcs.(pid)
 let stage t pid = Code.stage t.code t.pcs.(pid)
 let result t pid = Code.result t.code t.pcs.(pid)
 let coin_class t pid = Code.coin_class t.code t.pcs.(pid)
+let code_size t = Code.size t.code
 
 (* Fold the pc file into the two duplicate-detection accumulators (see
    {!Memory.hash_fold}): a pc is the whole per-process program state,

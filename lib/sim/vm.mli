@@ -42,6 +42,9 @@ val coin_class : 'r t -> int -> int
 (** Cached branching class of [pid]'s pending operation (see
     {!Code.coin_class}). *)
 
+val code_size : 'r t -> int
+(** Instructions interned in the code store so far ({!Code.size}). *)
+
 val hash_fold : 'r t -> int array -> unit
 (** Fold the pc file into the two duplicate-detection accumulators
     [h.(0)] and [h.(1)], in place (see {!Memory.hash_fold}): pcs are

@@ -840,6 +840,7 @@ let search ~source ?engine ?(max_depth = 200) ?(max_runs = 2_000_000)
        Telemetry.add p Telemetry.leaves_pruned (!pruned_count - c0_pruned);
        Telemetry.add p Telemetry.steps (max 0 (total_steps () - c0_steps));
        Telemetry.peak p Telemetry.snapshot_pool_high !pool_high;
+       Telemetry.peak p Telemetry.code_pcs (Machine.code_size machine);
        if dedup then begin
          Telemetry.peak p Telemetry.dedup_table_peak (Visited.count visited);
          match cov with

@@ -207,6 +207,18 @@ let () =
 
   expect "replay missing artifact" ~code:2 ~stderr_has:"cannot load"
     (run "check --replay /nonexistent/artifact.sexp");
+  (* A missing artifact directory is refused before the search runs,
+     not discovered when the counterexample is written. *)
+  let missing = Filename.concat tmpdir "no-such-dir" in
+  let code, out, err =
+    run (Printf.sprintf "check fallback_unstaked_n2 --artifact-dir %s"
+           (Filename.quote missing))
+  in
+  expect "check --artifact-dir missing" ~code:2 ~stderr_has:"no such directory"
+    (code, out, err);
+  if out <> "" || List.length (String.split_on_char '\n' (String.trim err)) <> 1 then
+    failf "check --artifact-dir missing: expected one stderr line and no search \
+           (stdout: %S, stderr: %S)" out err;
 
   (* --json -: the JSON document owns stdout, human lines move to
      stderr, and the capture must parse as one well-formed JSON value. *)
@@ -218,6 +230,9 @@ let () =
     failf "check --json -: document kind missing (got: %s)" out;
   if not (contains ~needle:"conciliator_n2" err) then
     failf "check --json -: per-config report missing from stderr (got: %s)" err;
+  (* The code-store gauge: binary_ratifier_n2's search interns 16 pcs. *)
+  if not (contains ~needle:"\"code_pcs\":16" out) then
+    failf "check --json -: code_pcs gauge missing (got: %s)" out;
 
   (* --quiet: success says nothing on stdout; failures still exit 1. *)
   let code, out, err = run "check --quiet binary_ratifier_n2" in

@@ -395,6 +395,168 @@ let fixture_files =
   |> List.sort compare
 
 (* ------------------------------------------------------------------ *)
+(* The code store: successor tables, dropped continuations, size       *)
+(* ------------------------------------------------------------------ *)
+
+(* Depth-first search over a machine by snapshot and restore: every
+   enabled pid, and both coin outcomes where the branching class has
+   two.  With [dedup] a state already entered at the same or a smaller
+   depth is skipped, which still crosses every edge within the bound.
+   Returns the leaves' outputs in DFS order. *)
+let dfs ?(dedup = false) ~max_depth machine =
+  let seen = Hashtbl.create 1024 and h = [| 0; 0 |] in
+  let leaves = ref [] in
+  let fresh depth =
+    (not dedup)
+    ||
+    (Machine.hash_into machine h;
+     match Hashtbl.find_opt seen (h.(0), h.(1)) with
+     | Some d when d <= depth -> false
+     | _ -> Hashtbl.replace seen (h.(0), h.(1)) depth; true)
+  in
+  let rec go depth =
+    let enabled = Array.copy (Machine.enabled machine) in
+    if not (fresh depth) then ()
+    else if Array.length enabled = 0 || depth = max_depth then
+      leaves := Machine.outputs machine :: !leaves
+    else
+      Array.iter
+        (fun pid ->
+          let coins =
+            match Machine.coin_class machine pid with
+            | 0 -> [ false ]
+            | 1 -> [ true ]
+            | _ -> [ true; false ]
+          in
+          List.iter
+            (fun landed ->
+              let snap = Machine.snapshot machine in
+              Machine.step_forced machine ~pid ~landed;
+              go (depth + 1);
+              Machine.restore machine snap)
+            coins)
+        enabled
+  in
+  go 0;
+  List.rev !leaves
+
+(* Heap words the machine holds beyond its memory: under the VM, the
+   code store (plus a few n-sized arrays). *)
+let code_words machine memory =
+  Obj.reachable_words (Obj.repr machine) - Obj.reachable_words (Obj.repr memory)
+
+(* Reads that observe ⊥, a negative value and 2^24.  A successor table
+   indexed by the value would take 2^24 words for the last; the store
+   must stay small, and agree with the tree interpreter. *)
+let test_observation_values () =
+  let setup () =
+    let memory = Memory.create () in
+    let r = Memory.alloc memory in
+    let body ~pid =
+      let open Program in
+      if pid = 0 then
+        let* () = write r (-7) in
+        let* () = write r (1 lsl 24) in
+        return (None, None)
+      else
+        let* a = read r in
+        let* b = read r in
+        return (a, b)
+    in
+    (memory, body)
+  in
+  let run engine =
+    let memory, body = setup () in
+    let machine = Machine.create ~engine ~n:2 ~memory body in
+    let leaves = dfs ~max_depth:10 machine in
+    (leaves, code_words machine memory, machine)
+  in
+  let vm, words, machine = run `Vm in
+  let tree, _, _ = run `Tree in
+  checkb "vm leaves = tree leaves" true (vm = tree);
+  let seen v =
+    List.exists
+      (fun o -> match o.(1) with Some (a, b) -> a = v || b = v | None -> false)
+      vm
+  in
+  checkb "reads observed ⊥, -7 and 2^24" true
+    (seen None && seen (Some (-7)) && seen (Some (1 lsl 24)));
+  if words >= 10_000 then Alcotest.failf "code store holds %d words (bound 10 000)" words;
+  (* Every edge is interned now, so retraversing a read allocates
+     nothing: a read of ⊥ (slot 0), then two reads of 2^24 (the table's
+     last pair).  Writes are left out of the loop because the store
+     boxes each written value. *)
+  let words_per_1000 cycle =
+    let measure k =
+      let before = Gc.minor_words () in
+      for _ = 1 to k do cycle () done;
+      Gc.minor_words () -. before
+    in
+    measure 1000 -. measure 0
+  in
+  let root = Machine.snapshot machine in
+  let read_bottom () =
+    Machine.step_forced machine ~pid:1 ~landed:false;
+    Machine.restore machine root
+  in
+  Alcotest.(check (float 0.)) "words per 1 000 reads of ⊥" 0.
+    (words_per_1000 read_bottom);
+  Machine.step_forced machine ~pid:0 ~landed:true;
+  Machine.step_forced machine ~pid:0 ~landed:true;
+  let written = Machine.snapshot machine in
+  let read_big () =
+    Machine.step_forced machine ~pid:1 ~landed:false;
+    Machine.step_forced machine ~pid:1 ~landed:false;
+    Machine.restore machine written
+  in
+  Alcotest.(check (float 0.)) "words per 1 000 read pairs of 2^24" 0.
+    (words_per_1000 read_big)
+
+(* A write whose continuation allocates a register, reached at two store
+   lengths: pid 0 first, its register lands at address 2; pid 1 first,
+   at 3.  The second traversal must unfold the continuation again, so
+   the write keeps it; dropping every resolved continuation would
+   re-enter a dropped one here. *)
+let test_allocating_write_keeps_continuation () =
+  let setup () =
+    let memory = Memory.create () in
+    let regs = Memory.alloc_n memory 2 in
+    let body ~pid =
+      let open Program in
+      let* () = write regs.(pid) 1 in
+      let mine = Memory.alloc memory in
+      let* () = write mine (10 + pid) in
+      let* v = read mine in
+      return (mine, v)
+    in
+    (memory, body)
+  in
+  let run engine =
+    let memory, body = setup () in
+    dfs ~max_depth:10 (Machine.create ~engine ~n:2 ~memory body)
+  in
+  let vm = run `Vm in
+  checkb "vm leaves = tree leaves" true (vm = run `Tree);
+  let addresses =
+    List.sort_uniq compare (List.filter_map (fun o -> Option.map fst o.(0)) vm)
+  in
+  checkb "pid 0's register lands at both store lengths" true (addresses = [ 2; 3 ])
+
+(* Words per interned pc on a search that crosses every fallback edge
+   to depth 20 (2 892 pcs): 44.3 with one record per pc.  The bound
+   fails a store of eight parallel per-pc arrays with value-indexed
+   read tables that keeps every continuation (66.6 here). *)
+let test_words_per_pc () =
+  let c = config "fallback_n2_d28" in
+  let memory, body = Checks.setup_of c ~n:c.Checks.n () in
+  let machine = Machine.create ~n:c.Checks.n ~memory body in
+  ignore (dfs ~dedup:true ~max_depth:20 machine);
+  let pcs = Machine.code_size machine in
+  let per_pc = float_of_int (code_words machine memory) /. float_of_int pcs in
+  checkb "the search interned pcs" true (pcs > 1_000);
+  if per_pc > 52. then Alcotest.failf "%.1f words per pc (bound 52)" per_pc
+
+(* ------------------------------------------------------------------ *)
 
 let () =
   Alcotest.run "conrat vm"
@@ -414,6 +576,11 @@ let () =
           (fun name -> tc name `Quick (test_cross_check_engines name))
           [ "binary_ratifier_n2"; "cheap_collect_ratifier_n2";
             "binary_ratifier_n2_f1"; "binary_ratifier_rec_n2_f1" ] );
+      ( "code store",
+        [ tc "reads of ⊥, negatives and 2^24" `Quick test_observation_values;
+          tc "allocating write keeps its continuation" `Quick
+            test_allocating_write_keeps_continuation;
+          tc "words per pc" `Quick test_words_per_pc ] );
       ( "checkpoint",
         [ tc "vm save, tree resume" `Quick
             (test_checkpoint_cross_engine ~from_engine:`Vm ~to_engine:`Tree
