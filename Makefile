@@ -33,14 +33,14 @@ smoke:
 	    || { echo "smoke: $$f differs from the committed results"; exit 1; }; \
 	done && echo "smoke: BENCH_E1..E10.json match the committed results"
 	$(DUNE) exec bin/conrat_cli.exe -- sweep -t 2 --json - | python3 -m json.tool >/dev/null
-	$(DUNE) exec bin/conrat_cli.exe -- telemetry binary_ratifier_n2 --out - \
+	$(DUNE) exec bin/conrat_cli.exe -- check binary_ratifier_n2 --jobs 2 --trace - \
 	  | python3 -m json.tool >/dev/null
 	$(DUNE) exec bin/conrat_cli.exe -- run --obs - | python3 -m json.tool >/dev/null
 	$(DUNE) exec bin/conrat_cli.exe -- trace composite_n2 --out - \
 	  | python3 -m json.tool >/dev/null
 	$(DUNE) exec bin/conrat_cli.exe -- check binary_ratifier_n2 --json - \
 	  | python3 -m json.tool >/dev/null
-	@echo "smoke: sweep, telemetry, run, trace and check JSON on stdout parse"
+	@echo "smoke: sweep, check --trace, run, trace and check JSON on stdout parse"
 
 # Exhaustive safety verification of every registered checker config
 # under the POR engine, within a wall-clock budget (seconds).  Every

@@ -104,14 +104,15 @@ let gates =
        may cost at most 3%. *)
     { name = "fault"; run = "fallback_n2_d28"; value = overhead "fault_inert"; unit_ = "%";
       limit = `Max 3.0; gated = true };
-    (* What `conrat check --json` pays on every row: uncontended atomic
-       adds at snapshot/dedup/checkpoint events plus exit-time delta
+    (* What the counter registry alone costs (a `check --progress`
+       heartbeat under --jobs or --dedup): uncontended atomic adds at
+       snapshot/dedup/checkpoint events plus exit-time delta
        accounting, nothing per leaf. *)
     { name = "counters"; run = "fallback_n2_d28"; value = overhead "counters"; unit_ = "%";
       limit = `Max 3.0; gated = true };
     (* Coverage does per-leaf work (depth histograms, stage signatures);
-       it is the priced artifact mode behind `conrat telemetry`, timed
-       for the record only (EXPERIMENTS.md). *)
+       it is what each `check --json` row pays for its telemetry
+       block, timed for the record only (EXPERIMENTS.md). *)
     { name = "coverage"; run = "fallback_n2_d28"; value = overhead "coverage"; unit_ = "%";
       limit = `Info; gated = false };
     (* Both engines run the identical search, so the ratio isolates the

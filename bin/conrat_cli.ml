@@ -4,8 +4,7 @@
      run         — run one consensus execution and print the outcome
      experiment  — run the E1..E10 paper-claim reproductions
      sweep       — Monte-Carlo sweep of a protocol at one configuration
-     check       — exhaustively verify a named checker configuration
-     telemetry   — one checker run with the full telemetry plane on
+     check       — exhaustively verify named checker configurations
      trace       — record one execution as a Chrome/Perfetto trace
      list        — list protocols, adversaries, workloads, experiments
 
@@ -18,7 +17,7 @@
    Output discipline: stdout carries results (tables, JSON documents);
    all human-facing progress and timing chatter goes to stderr via
    Report.info, so `--json -` output can be piped straight into a JSON
-   consumer. *)
+   consumer.  A document that cannot be written in full exits 2. *)
 
 open Cmdliner
 open Conrat_sim
@@ -165,13 +164,24 @@ let output_opt flags ~doc =
         $ Arg.(value & opt (some string) None & info flags ~docv:"FILE" ~doc))
 
 (* Write one output document to [file] ('-' = stdout); [wrote] tags the
-   stderr note for a file target. *)
+   stderr note for a file target.  The channel is closed with
+   [close_out], not [close_noerr], so a failed final flush (a full disk)
+   is an error, never a silently truncated document. *)
 let write_doc ?wrote file write =
-  if file = "-" then (write stdout; flush stdout)
-  else begin
-    Out_channel.with_open_text file write;
-    Option.iter (fun tag -> Report.info "[%s] wrote %s" tag file) wrote
-  end
+  try
+    if file = "-" then (write stdout; flush stdout)
+    else begin
+      let oc = open_out file in
+      Fun.protect ~finally:(fun () -> close_out_noerr oc) (fun () -> write oc; close_out oc);
+      Option.iter (fun tag -> Report.info "[%s] wrote %s" tag file) wrote
+    end
+  with
+  | Sys_error reason when file = "-" ->
+    (* stdout's buffer keeps the bytes it failed on, and the at-exit
+       flush would raise on them again: leave without running it. *)
+    prerr_endline ("conrat: cannot write stdout: " ^ reason);
+    Unix._exit 2
+  | Sys_error reason -> die "cannot write %s: %s" file reason
 
 (* SIGINT flips the returned flag, which the run polls between units of
    work; the caller flushes its partial results and exits 130. *)
@@ -198,18 +208,14 @@ let run_cmd =
     let rng = Rng.create seed in
     let memory = Memory.create () in
     let instance = (protocol ~m).Conrat_core.Consensus.instantiate ~n memory in
-    let chrome = Option.map (fun _ -> Chrome_trace.create ~n) obs in
-    let sink = Option.map Chrome_trace.sink chrome in
+    let chrome = Option.map (fun file -> (file, Chrome_trace.create ~n)) obs in
     let result =
-      Scheduler.run ~n ~adversary ~rng ~memory ~record:trace ?sink
+      Scheduler.run ~n ~adversary ~rng ~memory ~record:trace
+        ?sink:(Option.map (fun (_, ct) -> Chrome_trace.sink ct) chrome)
         (fun ~pid ~rng -> instance.Conrat_core.Consensus.decide ~pid ~rng inputs.(pid))
     in
-    (match (obs, chrome) with
-     | Some file, Some ct ->
-       write_doc file (Chrome_trace.write ct);
-       if file <> "-" then
-         Report.info "[run] wrote Chrome trace to %s (open in ui.perfetto.dev)" file
-     | _ -> ());
+    Option.iter (fun (file, ct) -> write_doc ~wrote:"run" file (Chrome_trace.write ct))
+      chrome;
     (* With `--obs -` the trace owns stdout, so the report goes to
        stderr. *)
     let oc, ppf =
@@ -341,16 +347,6 @@ let sweep_cmd =
                \"p95\":%.3f,\"max\":%.3f}"
               field_name s.mean s.stddev s.median s.p95 s.maximum
         in
-        (* Fold the fault totals into a counter registry under the same
-           names check --json uses ([recovers],
-           [plan_overrides_ignored]), so degraded plan overrides surface
-           in the shared telemetry vocabulary, not only as sweep-local
-           fields. *)
-        let telem = Telemetry.create ~domains:1 () in
-        let tp = Telemetry.probe telem ~domain:0 in
-        Telemetry.add tp Telemetry.recovers agg.recover_total;
-        Telemetry.add tp Telemetry.plan_overrides_ignored agg.plan_ignored_total;
-        Telemetry.finalize telem;
         let doc =
           Printf.sprintf
             "{\n  \"schema_version\": 1,\n  \"kind\": \"sweep\",\n  \
@@ -360,8 +356,7 @@ let sweep_cmd =
              \"trials_completed\": %d,\n  \"agreements\": %d,\n  \
              \"registers\": %d,\n  \"crash_total\": %d,\n  \
              \"recover_total\": %d,\n  \"plan_overrides_ignored\": %d,\n  \
-             \"interrupted\": %b,\n  %s,\n  %s,\n  %s,\n  %s,\n  \
-             \"telemetry\": %s\n}\n"
+             \"interrupted\": %b,\n  %s,\n  %s,\n  %s,\n  %s\n}\n"
             protocol adversary.Adversary.name workload.Workload.wname n m seed
             (Fault.to_string (Option.value faults ~default:Fault.none))
             trials agg.trials agg.agreements agg.space agg.crash_total
@@ -370,7 +365,6 @@ let sweep_cmd =
             (pairs_obj "quarantined" agg.quarantined)
             (works "total_work" (Engine.total_works agg))
             (works "individual_work" (Engine.individual_works agg))
-            (Telemetry.to_json telem)
         in
         write_doc ~wrote:"sweep" file (fun oc -> output_string oc doc))
       json;
@@ -437,56 +431,17 @@ let experiment_cmd =
   Cmd.v (Cmd.info "experiment" ~doc:"Run the paper-claim reproductions (E1..E10)")
     Term.(const action $ quick_arg $ jobs_arg $ json_arg $ progress_arg $ names_arg)
 
-(* Exploration: the run options check and telemetry share, and the one
-   dispatch over the four exploration algorithms. *)
-
-type run_opts = {
-  engine : Machine.engine;  (* program engine: VM or tree interpreter *)
-  jobs : int;
-  dedup : bool;
-  max_runs : int option;    (* overrides each config's budget *)
-}
+(* Exploration: the one dispatch over the four exploration algorithms. *)
 
 let engine_name = function `Vm -> "vm" | `Tree -> "tree"
-
-let run_opts_arg ~dedup_doc =
-  let make engine jobs dedup max_runs =
-    if dedup && engine = `Tree then
-      die "--dedup needs the VM engine's state hash (drop --engine tree)";
-    { engine; jobs; dedup; max_runs }
-  in
-  let engine_arg =
-    let parse = function
-      | "vm" -> `Vm
-      | "tree" -> `Tree
-      | other -> die "bad --engine %S (expected 'vm' or 'tree')" other
-    in
-    Term.(const parse
-          $ Arg.(value & opt string "vm"
-                 & info [ "engine" ] ~docv:"ENGINE"
-                     ~doc:"Program engine: 'vm' (compiled flat-instruction VM, the \
-                           default) or 'tree' (the direct Program.t interpreter, kept \
-                           as the differential oracle).  Results are bit-identical \
-                           under either."))
-  in
-  let max_runs_arg =
-    let check r = if r < 1 then die "bad --max-runs %d (expected at least 1)" r else r in
-    Term.(const (Option.map check)
-          $ Arg.(value & opt (some int) None
-                 & info [ "max-runs" ] ~docv:"RUNS"
-                     ~doc:"Override each config's execution budget."))
-  in
-  Term.(const make $ engine_arg $ jobs_arg
-        $ Arg.(value & flag & info [ "dedup" ] ~doc:dedup_doc)
-        $ max_runs_arg)
 
 type algo = [ `Por | `Naive | `Dpor | `Cross ]
 
 let algo_name = function
   | `Por -> "por" | `Naive -> "naive" | `Dpor -> "dpor" | `Cross -> "cross"
 
-(* One algorithm's statistics in the shape every renderer consumes:
-   check's report line and JSON row, telemetry's summary. *)
+(* One algorithm's statistics in the shape both renderers consume:
+   check's report line and its JSON row. *)
 type row = {
   algo : string;         (* the JSON "engine" key: por | naive | dpor *)
   complete : int;
@@ -516,17 +471,18 @@ let verdict_ok = function
   | Compared x -> x.Checks.outcomes_agree && x.Checks.engines_agree
   | Violation _ | Shrunk _ -> false
 
-(* Explore [config] under [algo]; [reporter label] is the progress
-   heartbeat for the algorithm named [label], if any.  Naive and POR go
-   through [Parallel], which alone picks the sequential or the fleet
-   path from [opts.jobs]; [resume] and [on_checkpoint] reach both,
-   [sink] the POR search. *)
-let explore opts ~(algo : algo) ?stop ?(reporter = fun _ -> None) ?telemetry ?sink
-    ?resume ?on_checkpoint (config : Checks.t) =
-  let { engine; jobs; dedup; _ } = opts in
+(* Explore [config] under [algo] with the [engine] program engine on
+   [jobs] domains; [max_runs] overrides the config's budget, and
+   [reporter label] is the progress heartbeat for the algorithm named
+   [label], if any.  Naive and POR go through [Parallel], which alone
+   picks the sequential or the fleet path from [jobs]; [resume] and
+   [on_checkpoint] reach both, [sink] the POR search. *)
+let explore ~engine ~jobs ~dedup ~max_runs ~(algo : algo) ?stop
+    ?(reporter = fun _ -> None) ?telemetry ?sink ?resume ?on_checkpoint
+    (config : Checks.t) =
   let n = config.n and max_depth = config.max_depth in
   let cheap_collect = config.cheap_collect and faults = config.faults in
-  let max_runs = Option.value opts.max_runs ~default:config.max_runs in
+  let max_runs = Option.value max_runs ~default:config.max_runs in
   let setup = Checks.setup_of config ~n and check = Checks.check_of config ~n in
   (* Heartbeat details: the base counts always; when a telemetry
      registry is live, the fleet extras — steal count and shards still
@@ -626,18 +582,25 @@ let replay_artifact engine file =
   with e -> die "artifact %s is not replayable: %s" file (Printexc.to_string e)
 
 let check_cmd =
-  let action algo opts faults budget timeout artifact_dir replay json checkpoint
-      resume no_telemetry progress progress_interval quiet names =
-    let { engine; jobs; dedup; _ } = opts in
+  let action algo engine jobs dedup max_runs faults budget timeout artifact_dir replay
+      json trace checkpoint resume no_telemetry progress progress_interval quiet names =
+    if dedup && engine = `Tree then
+      die "--dedup needs the VM engine's state hash (drop --engine tree)";
     match replay with
     | Some file -> replay_artifact engine file
     | None ->
       if checkpoint = Some "-" then
         die "--checkpoint needs a file name (it cannot be written to stdout)";
+      if trace = Some "-" && json = Some "-" then
+        die "--trace - and --json - cannot share stdout (write one of them to a FILE)";
       let configs =
         List.map (checker ~all:true)
           (if names = [] || names = [ "all" ] then Checks.names else names)
       in
+      if trace <> None && algo <> `Por then
+        die "--trace records the POR fleet (drop --naive, --cross and --dpor)";
+      if trace <> None && List.length configs <> 1 then
+        die "--trace needs exactly one checker name";
       let checkpointing = checkpoint <> None || resume <> None in
       if algo = `Dpor && (jobs > 1 || dedup || checkpointing) then
         die "--dpor is the sequential reduction oracle; it supports neither \
@@ -678,40 +641,35 @@ let check_cmd =
          final checkpoint (when asked), the partial JSON document is
          still written, and the process exits 130. *)
       let interrupted = on_sigint () in
-      (* With `--json -` the JSON document owns stdout, so every human
-         line is rerouted to stderr via Report.info. *)
-      let json_stdout = json = Some "-" in
+      (* With `--json -` or `--trace -` that document owns stdout, so
+         every human line is rerouted to stderr via Report.info. *)
+      let stdout_taken = json = Some "-" || trace = Some "-" in
       let say fmt =
         Printf.ksprintf
-          (fun s -> if json_stdout then Report.info "%s" s else print_endline s)
+          (fun s -> if stdout_taken then Report.info "%s" s else print_endline s)
           fmt
       in
       (* Progress heartbeats: on by default only on an interactive
          non-CI stderr; --progress forces them on, --quiet off. *)
       let progress_on = (progress || Progress.default_enabled ()) && not quiet in
-      let baselines =
-        if progress_on then Conrat_obs.Baseline.load Conrat_obs.Baseline.default_path
-        else []
-      in
-      let reporter name engine =
+      let reporter name algo_label =
         if not progress_on then None
-        else begin
-          let b = Conrat_obs.Baseline.find baselines ~name ~engine in
+        else
           (* A fleet's heartbeat arrives pre-batched (one call per
              worker flush, not one per leaf), so the tick countdown
              that amortises clock reads on the sequential per-leaf path
              would starve emission — check the clock every call. *)
           Some
             (Progress.create ?interval:progress_interval
-               ?expected:(Option.map (fun e -> e.Conrat_obs.Baseline.executions) b)
-               ?baseline_seconds:
-                 (Option.map (fun e -> e.Conrat_obs.Baseline.wall_clock_seconds) b)
                ?check_every:(if jobs > 1 then Some 1 else None)
                ~label:
-                 (if jobs > 1 then Printf.sprintf "%s/%s (j%d)" name engine jobs
-                  else Printf.sprintf "%s/%s" name engine)
+                 (if jobs > 1 then Printf.sprintf "%s/%s (j%d)" name algo_label jobs
+                  else Printf.sprintf "%s/%s" name algo_label)
                ())
-        end
+      in
+      (* The fleet trace of the one config --trace allows. *)
+      let chrome =
+        Option.map (fun file -> (file, Chrome_trace.create_fleet ~workers:jobs)) trace
       in
       let t0 = Unix.gettimeofday () in
       let past limit since =
@@ -720,12 +678,9 @@ let check_cmd =
       let failed = ref false in
       (* BENCH_VERIFY records: one JSON object per (config, algorithm)
          run — executions explored, machine steps executed, wall clock,
-         and (unless --no-telemetry) the schema-v3 telemetry block as the
-         row's LAST field: [Baseline.raw_field] takes the first
-         occurrence of a key in a row, so the nested block's own
-         "steps"/"executions" keys must come after the row's.  "engine"
-         stays the exploration algorithm, the key the baseline reader
-         has always parsed; "exec_engine" is the program engine. *)
+         and (unless --no-telemetry) the schema-v3 telemetry block.
+         "engine" is the exploration algorithm; "exec_engine" is the
+         program engine. *)
       let telemetry_json_on = json <> None && not no_telemetry in
       let any_telemetry = ref false in
       let json_rows = ref [] in
@@ -773,8 +728,9 @@ let check_cmd =
              ([Invalid_argument]); that is a bad-input condition, exit 2. *)
           let rows, verdict =
             try
-              explore opts ~algo ~stop ~reporter:(reporter name) ?telemetry ?resume
-                ?on_checkpoint:(on_checkpoint ~name) config
+              explore ~engine ~jobs ~dedup ~max_runs ~algo ~stop ~reporter:(reporter name)
+                ?telemetry ?sink:(Option.map (fun (_, ct) -> Chrome_trace.fleet_sink ct) chrome)
+                ?resume ?on_checkpoint:(on_checkpoint ~name) config
             with Invalid_argument _ when resume_file <> None ->
               die "checkpoint %s does not fit checker %s" (Option.get resume_file) name
           in
@@ -857,6 +813,8 @@ let check_cmd =
                 (if !any_telemetry then 3 else 1)
                 (String.concat ",\n    " (List.rev !json_rows))))
         json;
+      Option.iter (fun (file, ct) -> write_doc ~wrote:"check" file (Chrome_trace.write ct))
+        chrome;
       exit_if_interrupted "check" interrupted;
       if !failed then exit 1
   in
@@ -889,16 +847,38 @@ let check_cmd =
           $ Arg.(value & opt (some float) None & info [ flag_name ] ~docv:"SECONDS" ~doc))
   in
   let file_in names doc = Arg.(value & opt (some string) None & info names ~docv:"FILE" ~doc) in
+  let engine_arg =
+    let parse = function
+      | "vm" -> `Vm
+      | "tree" -> `Tree
+      | other -> die "bad --engine %S (expected 'vm' or 'tree')" other
+    in
+    Term.(const parse
+          $ Arg.(value & opt string "vm"
+                 & info [ "engine" ] ~docv:"ENGINE"
+                     ~doc:"Program engine: 'vm' (compiled flat-instruction VM, the \
+                           default) or 'tree' (the direct Program.t interpreter, kept \
+                           as the differential oracle).  Results are bit-identical \
+                           under either."))
+  in
+  let max_runs_arg =
+    let check r = if r < 1 then die "bad --max-runs %d (expected at least 1)" r else r in
+    Term.(const (Option.map check)
+          $ Arg.(value & opt (some int) None
+                 & info [ "max-runs" ] ~docv:"RUNS"
+                     ~doc:"Override each config's execution budget."))
+  in
   Cmd.v
     (Cmd.info "check"
        ~doc:"Exhaustively verify named checker configs (POR engine by default)")
-    Term.(const action $ algo_arg
-          $ run_opts_arg
-              ~dedup_doc:"Prune scheduling states already visited at the same depth \
-                          and crash budget (hashed VM snapshots: program counters, \
-                          memory, fault bits).  Preserves the complete-execution \
-                          outcome set; execution counts shrink.  VM engine only; \
-                          excludes --naive/--cross/--dpor and checkpointing."
+    Term.(const action $ algo_arg $ engine_arg $ jobs_arg
+          $ flag [ "dedup" ]
+              "Prune scheduling states already visited at the same depth and \
+               crash budget (hashed VM snapshots: program counters, memory, \
+               fault bits).  Preserves the complete-execution outcome set; \
+               execution counts shrink.  VM engine only; excludes \
+               --naive/--cross/--dpor and checkpointing."
+          $ max_runs_arg
           $ faults_arg
               ~doc:"Override every requested config's fault model: 'none', \
                     'crash:f=K' (crash-closed exploration of up to K \
@@ -924,9 +904,19 @@ let check_cmd =
                iff the violation reproduces."
           $ output_opt [ "json" ]
               ~doc:"Write per-config exploration statistics (executions, machine \
-                    steps, wall clock) as JSON, schema v1; see `make perf-verify` \
-                    and BENCH_VERIFY.json.  FILE '-' writes the document to \
-                    stdout and moves all human-facing lines to stderr."
+                    steps, wall clock) as JSON, each row with its telemetry \
+                    block (schema v3; v1 under $(b,--no-telemetry)); see `make \
+                    perf-verify` and BENCH_VERIFY.json.  FILE '-' writes the \
+                    document to stdout and moves all human-facing lines to \
+                    stderr."
+          $ output_opt [ "trace" ]
+              ~doc:"Also record the POR fleet as a Chrome trace-event JSON file \
+                    with one track per worker domain: a span per explored shard \
+                    (shard id, prefix depth) and instant markers at steals and \
+                    checkpoint saves.  Needs exactly one checker name and the \
+                    POR engine; meaningful with $(b,--jobs) > 1; loadable in \
+                    ui.perfetto.dev.  FILE '-' writes the trace to stdout and \
+                    moves all human-facing lines to stderr."
           $ output_opt [ "checkpoint" ]
               ~doc:"Periodically save the explorer's DFS frontier to FILE \
                     (atomically), and once more on SIGINT or budget exhaustion; \
@@ -944,79 +934,16 @@ let check_cmd =
                cost — used by `make perf-verify` to keep \
                BENCH_VERIFY.json timings comparable across releases."
           $ progress_arg
-              ~doc:"Force progress heartbeats on stderr (executions/sec, ETA \
-                    against the committed BENCH_VERIFY baseline).  Default: on \
-                    only when stderr is a TTY and \\$(b,CI) is unset."
+              ~doc:"Force progress heartbeats on stderr (executions, rate, \
+                    machine steps; steals under $(b,--jobs), the dedup hit rate \
+                    under $(b,--dedup)).  Default: on only when stderr is a TTY \
+                    and $(b,CI) is unset."
           $ seconds "progress-interval" "Seconds between progress lines (default 1.0)."
           $ flag [ "q"; "quiet" ]
               "Suppress per-config success lines and progress; violations \
                and the exit status still report failures."
           $ Arg.(value & pos_all string []
                  & info [] ~docv:"CHECKER" ~doc:"Checker config names, or 'all'."))
-
-(* telemetry *)
-
-let telemetry_cmd =
-  let action (config : Checks.t) opts out trace =
-    if out = "-" && trace = Some "-" then
-      die "--trace - needs --out FILE (both documents would go to stdout)";
-    let { jobs; dedup; _ } = opts in
-    let telemetry = Telemetry.create ~coverage:true ~domains:jobs () in
-    let chrome = Option.map (fun _ -> Chrome_trace.create_fleet ~workers:jobs) trace in
-    let t0 = Unix.gettimeofday () in
-    let rows, verdict =
-      explore opts ~algo:`Por ~telemetry ?sink:(Option.map Chrome_trace.fleet_sink chrome)
-        config
-    in
-    let elapsed = Unix.gettimeofday () -. t0 in
-    Telemetry.finalize telemetry;
-    write_doc ~wrote:"telemetry" out (fun oc ->
-        output_string oc (Telemetry.to_json telemetry ^ "\n"));
-    (match (trace, chrome) with
-     | Some file, Some ct ->
-       write_doc file (Chrome_trace.write ct);
-       if file <> "-" then
-         Report.info
-           "[telemetry] wrote fleet trace to %s (one track per worker \
-            domain; open in ui.perfetto.dev)"
-           file
-     | _ -> ());
-    match verdict with
-    | Shrunk f ->
-      Report.info "[telemetry] %s: VIOLATION: %s" config.name f.reason;
-      exit 1
-    | _ ->
-      List.iter
-        (fun r ->
-          Report.info
-            "[telemetry] %s: explored=%d pruned=%d steps=%d %s (%.1fs, jobs=%d%s)"
-            config.name (r.complete + r.truncated)
-            (Option.value r.pruned ~default:0)
-            r.steps
-            (if r.exhausted then "exhausted" else "budget exceeded")
-            elapsed jobs
-            (if dedup then ", dedup" else ""))
-        rows
-  in
-  Cmd.v
-    (Cmd.info "telemetry"
-       ~doc:"Exhaustively verify one checker config with the full telemetry \
-             plane on, and dump the counters/coverage document")
-    Term.(const action
-          $ checker_arg ~doc:"Checker config name to profile (see `conrat list`)."
-          $ run_opts_arg
-              ~dedup_doc:"Enable duplicate-state suppression (VM engine only), so the \
-                          dedup hit/miss/saturation telemetry is populated."
-          $ output [ "o"; "out" ] ~default:"-"
-              ~doc:"Where to write the schema-v3 telemetry document (fleet-total \
-                    counters, per-domain rows, per-shard records, coverage \
-                    signatures); '-' = stdout (the default)."
-          $ output_opt [ "trace" ]
-              ~doc:"Also record the fleet as a Chrome trace-event JSON file with \
-                    one track per worker domain: a span per explored shard \
-                    (shard id, prefix depth) and instant markers at steals and \
-                    checkpoint saves.  Meaningful with --jobs > 1; loadable in \
-                    ui.perfetto.dev.")
 
 (* trace *)
 
@@ -1068,5 +995,4 @@ let () =
   exit
     (Cmd.eval
        (Cmd.group info
-          [ run_cmd; sweep_cmd; experiment_cmd; check_cmd; telemetry_cmd;
-            trace_cmd; list_cmd ]))
+          [ run_cmd; sweep_cmd; experiment_cmd; check_cmd; trace_cmd; list_cmd ]))

@@ -3,10 +3,8 @@ type t = {
   interval : float;
   check_every : int;
   expected : int option;
-  baseline_seconds : float option;
   label : string;
   tty : bool;
-  started : float;
   mutable countdown : int;
   mutable last_emit : float;
   mutable last_done : int;
@@ -18,17 +16,14 @@ let default_enabled () =
   (try Unix.isatty Unix.stderr with _ -> false)
   && Sys.getenv_opt "CI" = None
 
-let create ?(out = stderr) ?(interval = 1.0) ?(check_every = 4096) ?expected
-    ?baseline_seconds ~label () =
+let create ?(out = stderr) ?(interval = 1.0) ?(check_every = 4096) ?expected ~label () =
   let now = Unix.gettimeofday () in
   { out;
     interval;
     check_every;
     expected;
-    baseline_seconds;
     label;
     tty = (try Unix.isatty (Unix.descr_of_out_channel out) with _ -> false);
-    started = now;
     countdown = check_every;
     last_emit = now;
     last_done = 0;
@@ -65,12 +60,6 @@ let emit t ~now ~done_ ~detail =
    | _ -> ());
   if rate > 0.0 then
     Buffer.add_string b (Printf.sprintf " %s/s" (human_count (int_of_float rate)));
-  (match t.baseline_seconds with
-   | Some s ->
-     Buffer.add_string b
-       (Printf.sprintf " (elapsed %s, baseline %s)"
-          (human_seconds (now -. t.started)) (human_seconds s))
-   | None -> ());
   let extra = detail () in
   if extra <> "" then begin
     Buffer.add_char b ' ';

@@ -10,12 +10,11 @@
 
     Lines look like
 
-    {v [fallback_n2_d40] 12.3M leaves 41% 890k/s ETA 3m12s (baseline 4m0s) v}
+    {v [sweep] 1234 41% ETA 12s 890/s of 3000 trials v}
 
-    where the percentage and ETA appear when [expected] is known (e.g.
-    from a committed {!Baseline} entry) and the baseline comparison when
-    [baseline] is given.  On a TTY the line redraws in place; otherwise
-    each emission is a full line. *)
+    where the percentage and ETA appear when [expected] (the total
+    number of units) is known.  On a TTY the line redraws in place;
+    otherwise each emission is a full line. *)
 
 type t
 
@@ -28,7 +27,6 @@ val create :
   ?interval:float ->
   ?check_every:int ->
   ?expected:int ->
-  ?baseline_seconds:float ->
   label:string ->
   unit ->
   t

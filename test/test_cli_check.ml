@@ -581,14 +581,17 @@ let () =
       (* a non-positive budget used to explore nothing and exit 0 *)
       ("check --max-runs=-5 binary_ratifier_n2", "bad --max-runs -5");
       ("check --max-runs 0 binary_ratifier_n2", "bad --max-runs 0");
-      ("telemetry --max-runs 0 binary_ratifier_n2", "bad --max-runs 0");
       ("check --timeout=-1 binary_ratifier_n2", "bad --timeout -1");
       ("check --budget=-3 binary_ratifier_n2", "bad --budget -3");
       ("check --budget 0 binary_ratifier_n2", "bad --budget 0");
       ("check --progress-interval=0 binary_ratifier_n2", "bad --progress-interval 0");
       ("check --progress-interval=-1 binary_ratifier_n2", "bad --progress-interval -1");
       (* two JSON documents cannot share one stdout *)
-      ("telemetry binary_ratifier_n2 --trace -", "--trace - needs --out FILE");
+      ("check binary_ratifier_n2 --trace - --json -", "cannot share stdout");
+      (* a fleet trace records one config's POR search *)
+      ("check binary_ratifier_n2 binary_ratifier_n3 --trace -",
+       "--trace needs exactly one checker name");
+      ("check --naive binary_ratifier_n2 --trace -", "--trace records the POR fleet");
       (* a checkpoint is a file to resume from, not a stream *)
       ("check binary_ratifier_n2 --checkpoint -", "--checkpoint needs a file name") ];
 
@@ -608,7 +611,7 @@ let () =
     [ (* would explore for minutes before writing, were it not probed *)
       Printf.sprintf "check fallback_n2_d40 --timeout 5 --json %s" missing;
       Printf.sprintf "sweep -t 2 --json %s" missing;
-      Printf.sprintf "telemetry binary_ratifier_n2 --out %s" missing;
+      Printf.sprintf "check binary_ratifier_n2 --trace %s" missing;
       Printf.sprintf "trace conciliator_n2 --out %s" missing;
       Printf.sprintf "run --obs %s" missing ];
   (* the probe leaves nothing behind when the run itself is refused *)
@@ -616,6 +619,60 @@ let () =
   expect "probe then unknown checker" ~code:2 ~stderr_has:"unknown checker"
     (run (Printf.sprintf "check --json %s definitely_not_a_checker" (Filename.quote probed)));
   if Sys.file_exists probed then failf "output probe left %s behind" probed;
+
+  (* ---- a document that cannot be written in full exits 2 --------- *)
+
+  if Sys.file_exists "/dev/full" then begin
+    let code, _, err = run "check binary_ratifier_n2 --json /dev/full" in
+    expect "check --json /dev/full" ~code:2 ~stderr_has:"cannot write /dev/full"
+      ~stderr_lacks:"wrote" (code, "", err);
+    let err_file = Filename.concat tmpdir "stderr" in
+    let code =
+      Sys.command
+        (Printf.sprintf "%s check binary_ratifier_n2 --json - > /dev/full 2> %s"
+           (Filename.quote cli) (Filename.quote err_file))
+    in
+    expect "check --json - to /dev/full" ~code:2 ~stderr_has:"cannot write stdout"
+      ~stderr_lacks:"uncaught" (code, "", read_file err_file)
+  end;
+
+  (* ---- check --trace: the fleet trace of one POR search ----------- *)
+
+  let fleet_trace = Filename.concat tmpdir "fleet_trace.json" in
+  let fleet_json = Filename.concat tmpdir "fleet.json" in
+  expect "check --trace" ~code:0 ~stdout_has:"exhausted"
+    (run (Printf.sprintf "check fallback_n2_d28 --jobs 2 --dedup --trace %s --json %s"
+            (Filename.quote fleet_trace) (Filename.quote fleet_json)));
+  let doc = read_file fleet_trace and report = read_file fleet_json in
+  if not (is_valid_json doc) then failf "check --trace: trace is not valid JSON";
+  (* Start offsets of [needle] in [s], left to right. *)
+  let offsets needle s =
+    let nl = String.length needle in
+    let rec go i =
+      if i + nl > String.length s then []
+      else if String.sub s i nl = needle then i :: go (i + nl)
+      else go (i + 1)
+    in
+    go 0
+  in
+  let count needle s = List.length (offsets needle s) in
+  if List.map (fun w -> count (Printf.sprintf "\"worker %d\"" w) doc) [ 0; 1; 2 ] <> [ 1; 1; 0 ]
+  then failf "check --trace: not one track per worker domain (got: %s)" doc;
+  (* One shard span per shard the fleet ran: the first "shards_done" of
+     the report is its fleet total. *)
+  (match offsets "\"shards_done\":" report with
+   | [] -> failf "check --trace: shards_done missing from the report (got: %s)" report
+   | i :: _ ->
+     let k = Scanf.sscanf (String.sub report (i + 14) 12) "%d" Fun.id in
+     let spans = count "\"ph\":\"B\"" doc in
+     if k = 0 || spans <> k then
+       failf "check --trace: %d shard spans for %d shards done" spans k);
+
+  (* --trace - owns stdout; human lines move to stderr *)
+  let code, out, err = run "check binary_ratifier_n2 --jobs 2 --trace -" in
+  expect "check --trace - runs" ~code:0 ~stderr_has:"exhausted" (code, out, err);
+  if not (is_valid_json out) then
+    failf "check --trace -: stdout is not one JSON document (got: %s)" out;
 
   (* ---- one checker resolver: extended configs listed everywhere --- *)
 

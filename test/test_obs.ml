@@ -1,6 +1,5 @@
 (* Observability subsystem tests: sinks, stage labels, the Chrome
-   trace exporter, the baseline parser, and
-   progress reporting.  Also the sealed-metrics property (adversary
+   trace exporter, and progress reporting.  Also the sealed-metrics property (adversary
    views cannot mutate scheduler counters) and Trace serialization
    round-trips over every operation kind, including traces from the
    snapshot-backtracking explorer whose restores truncate registers. *)
@@ -294,50 +293,6 @@ let qcheck_telemetry_monoid =
       && eq (s a +@ Telemetry.empty ()) (s a)
       && eq (Telemetry.empty () +@ s a) (s a))
 
-(* --- Baseline parser -------------------------------------------------- *)
-
-let test_baseline_parser () =
-  let file = Filename.temp_file "bench_verify" ".json" in
-  let oc = open_out file in
-  output_string oc
-    "{\n  \"schema_version\": 1,\n  \"kind\": \"verify-bench\",\n  \"results\": [\n\
-    \    {\"name\":\"fallback_n2_d28\",\"engine\":\"por\",\"executions\":1203084,\
-     \"complete\":1203084,\"truncated\":0,\"pruned\":23,\"steps\":31000000,\
-     \"wall_clock_seconds\":0.972,\"exhausted\":true,\"ok\":true},\n\
-    \    {\"name\":\"fallback_n2_d28\",\"engine\":\"naive\",\"executions\":1203084,\
-     \"complete\":1203084,\"truncated\":0,\"steps\":33000000,\
-     \"wall_clock_seconds\":4.5,\"exhausted\":true,\"ok\":true}\n  ]\n}\n";
-  close_out oc;
-  let entries = Baseline.load file in
-  Sys.remove file;
-  checki "two entries" 2 (List.length entries);
-  (match Baseline.find entries ~name:"fallback_n2_d28" ~engine:"por" with
-   | None -> Alcotest.fail "por entry not found"
-   | Some e ->
-     checki "executions" 1_203_084 e.Baseline.executions;
-     checkb "wall clock" true (Float.abs (e.Baseline.wall_clock_seconds -. 0.972) < 1e-9);
-     checkb "exhausted" true e.Baseline.exhausted);
-  checkb "missing engine is None" true
-    (Baseline.find entries ~name:"fallback_n2_d28" ~engine:"bogus" = None);
-  Alcotest.(check (list reject)) "unreadable file is empty" []
-    (Baseline.load "/nonexistent/BENCH_VERIFY.json")
-
-(* The committed baseline must stay parseable — progress ETAs feed on
-   it.  The test binary runs in the dune sandbox, so the file is
-   declared as a test dep and resolved relative to the workspace. *)
-let test_committed_baseline_parses () =
-  let file = "../BENCH_VERIFY.json" in
-  if not (Sys.file_exists file) then ()
-  else begin
-    let entries = Baseline.load file in
-    checkb "committed BENCH_VERIFY.json parses" true (entries <> []);
-    List.iter
-      (fun (e : Baseline.entry) ->
-        checkb (e.Baseline.name ^ ": counts sane") true
-          (e.Baseline.executions > 0 && e.Baseline.wall_clock_seconds >= 0.0))
-      entries
-  end
-
 (* --- Progress reporter ------------------------------------------------ *)
 
 let test_progress_reporter () =
@@ -345,7 +300,7 @@ let test_progress_reporter () =
   let oc = open_out file in
   let p =
     Progress.create ~out:oc ~interval:0.0 ~check_every:1 ~expected:1_000
-      ~baseline_seconds:10.0 ~label:"unit-test" ()
+      ~label:"unit-test" ()
   in
   for i = 1 to 500 do
     Progress.tick p ~done_:i ~detail:(fun () -> "detail-string")
@@ -365,8 +320,7 @@ let test_progress_reporter () =
   in
   checkb "emits the label" true (contains "[unit-test]");
   checkb "emits detail" true (contains "detail");
-  checkb "reaches 100%" true (contains "100%");
-  checkb "shows the baseline" true (contains "baseline")
+  checkb "reaches 100%" true (contains "100%")
 
 let test_progress_default_enabled_respects_ci () =
   (* The test runner's stderr is not a TTY (dune captures it), so the
@@ -394,9 +348,6 @@ let () =
             test_chrome_trace_fleet_structure ] );
       ( "telemetry",
         [ qc qcheck_telemetry_monoid ] );
-      ( "baseline",
-        [ tc "parses verify-bench JSON" `Quick test_baseline_parser;
-          tc "committed baseline parses" `Quick test_committed_baseline_parses ] );
       ( "progress",
         [ tc "rate-limited reporting" `Quick test_progress_reporter;
           tc "default off without TTY" `Quick
