@@ -18,7 +18,8 @@ test:
 # files), and each BENCH_E<k>.json must equal the committed one apart
 # from its "elapsed_seconds" and "jobs" fields.  Then every
 # JSON-emitting subcommand writing to stdout ('-'), which must parse as
-# one clean JSON document.
+# one clean JSON document; the fleet trace must also hold at least one
+# shard span, every span closed.
 SMOKE_MASK = sed -E 's/"elapsed_seconds": *[-+.eE0-9]+/"elapsed_seconds": _/; s/"jobs": *[0-9]+/"jobs": _/'
 smoke:
 	$(DUNE) build bin/conrat_cli.exe
@@ -34,7 +35,11 @@ smoke:
 	done && echo "smoke: BENCH_E1..E10.json match the committed results"
 	$(DUNE) exec bin/conrat_cli.exe -- sweep -t 2 --json - | python3 -m json.tool >/dev/null
 	$(DUNE) exec bin/conrat_cli.exe -- check binary_ratifier_n2 --jobs 2 --trace - \
-	  | python3 -m json.tool >/dev/null
+	  | python3 -c 'import json, sys; \
+	      ph = [e["ph"] for e in json.load(sys.stdin)["traceEvents"]]; \
+	      b = ph.count("B"); \
+	      sys.exit(0 if b >= 1 and b == ph.count("E") \
+	               else "smoke: check --trace: %d B vs %d E events" % (b, ph.count("E")))'
 	$(DUNE) exec bin/conrat_cli.exe -- run --obs - | python3 -m json.tool >/dev/null
 	$(DUNE) exec bin/conrat_cli.exe -- trace composite_n2 --out - \
 	  | python3 -m json.tool >/dev/null

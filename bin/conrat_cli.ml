@@ -17,7 +17,8 @@
    Output discipline: stdout carries results (tables, JSON documents);
    all human-facing progress and timing chatter goes to stderr via
    Report.info, so `--json -` output can be piped straight into a JSON
-   consumer.  A document that cannot be written in full exits 2. *)
+   consumer.  A document that cannot be written in full exits 2, and so
+   does a report to a stdout that cannot take it. *)
 
 open Cmdliner
 open Conrat_sim
@@ -27,9 +28,21 @@ module Telemetry = Conrat_obs.Telemetry
 module Progress = Conrat_obs.Progress
 module Chrome_trace = Conrat_obs.Chrome_trace
 
+(* A stdout that cannot be written: one line on stderr, exit 2.  Its
+   buffer keeps the bytes it failed on, and the at-exit flush would
+   raise on them again, so leave without running it. *)
+let stdout_failed reason =
+  prerr_endline ("conrat: cannot write stdout: " ^ reason);
+  Unix._exit 2
+
+(* Every exit goes through here: stdout is flushed first, so a full
+   stdout is reported like any other unwritable output and never
+   raises in the at-exit flush. *)
+let flush_stdout () = try flush stdout with Sys_error reason -> stdout_failed reason
+let quit code = flush_stdout (); exit code
+
 (* A usage error: one line on stderr, exit 2. *)
-let die fmt =
-  Printf.ksprintf (fun msg -> prerr_endline ("conrat: " ^ msg); exit 2) fmt
+let die fmt = Printf.ksprintf (fun msg -> prerr_endline ("conrat: " ^ msg); quit 2) fmt
 
 let protocols =
   [ ("standard", fun ~m -> Conrat_core.Consensus.standard ~m);
@@ -176,11 +189,7 @@ let write_doc ?wrote file write =
       Option.iter (fun tag -> Report.info "[%s] wrote %s" tag file) wrote
     end
   with
-  | Sys_error reason when file = "-" ->
-    (* stdout's buffer keeps the bytes it failed on, and the at-exit
-       flush would raise on them again: leave without running it. *)
-    prerr_endline ("conrat: cannot write stdout: " ^ reason);
-    Unix._exit 2
+  | Sys_error reason when file = "-" -> stdout_failed reason
   | Sys_error reason -> die "cannot write %s: %s" file reason
 
 (* SIGINT flips the returned flag, which the run polls between units of
@@ -197,7 +206,7 @@ let stop_countdown = Domain.DLS.new_key (fun () -> ref stop_clock_every)
 let exit_if_interrupted tag flag =
   if Atomic.get flag then begin
     Report.info "[%s] interrupted (SIGINT); partial results flushed" tag;
-    exit 130
+    quit 130
   end
 
 (* run *)
@@ -327,7 +336,7 @@ let sweep_cmd =
         (fun i (seed, reason) ->
           if i < 3 then Printf.printf "  violation (seed %d): %s\n" seed reason)
         agg.failures;
-      flush stdout
+      flush_stdout ()
     end;
     Option.iter
       (fun file ->
@@ -476,9 +485,9 @@ let verdict_ok = function
    [reporter label] is the progress heartbeat for the algorithm named
    [label], if any.  Naive and POR go through [Parallel], which alone
    picks the sequential or the fleet path from [jobs]; [resume] and
-   [on_checkpoint] reach both, [sink] the POR search. *)
+   [on_checkpoint] reach both. *)
 let explore ~engine ~jobs ~dedup ~max_runs ~(algo : algo) ?stop
-    ?(reporter = fun _ -> None) ?telemetry ?sink ?resume ?on_checkpoint
+    ?(reporter = fun _ -> None) ?telemetry ?resume ?on_checkpoint
     (config : Checks.t) =
   let n = config.n and max_depth = config.max_depth in
   let cheap_collect = config.cheap_collect and faults = config.faults in
@@ -548,7 +557,7 @@ let explore ~engine ~jobs ~dedup ~max_runs ~(algo : algo) ?stop
        | Error (reason, _path, s) -> ([ por_row "dpor" s ], Violation reason))
     | `Por ->
       (match
-         Checks.run ~engine ?stop ~max_runs ?sink ?heartbeat:(heartbeat "por")
+         Checks.run ~engine ?stop ~max_runs ?heartbeat:(heartbeat "por")
            ?resume ?on_checkpoint ~jobs ~dedup ?telemetry config
        with
        | Ok s -> ([ por_row "por" s ], Pass)
@@ -578,7 +587,7 @@ let replay_artifact engine file =
           | Error reason -> Printf.printf "%s: reproduced: %s\n" artifact.checker reason
           | Ok () ->
             Printf.printf "%s: did NOT reproduce (checker passed)\n" artifact.checker;
-            exit 1))
+            quit 1))
   with e -> die "artifact %s is not replayable: %s" file (Printexc.to_string e)
 
 let check_cmd =
@@ -667,10 +676,6 @@ let check_cmd =
                   else Printf.sprintf "%s/%s" name algo_label)
                ())
       in
-      (* The fleet trace of the one config --trace allows. *)
-      let chrome =
-        Option.map (fun file -> (file, Chrome_trace.create_fleet ~workers:jobs)) trace
-      in
       let t0 = Unix.gettimeofday () in
       let past limit since =
         match limit with None -> false | Some s -> Unix.gettimeofday () -. since > s
@@ -714,13 +719,14 @@ let check_cmd =
           in
           (* One registry per config run: coverage (the per-leaf work)
              only when the block lands in --json; counters alone when a
-             progress heartbeat wants the fleet extras.  --cross runs
-             two engines over the same config and gets none. *)
+             progress heartbeat wants the fleet extras or --trace wants
+             the shard records.  --cross runs two engines over the same
+             config and gets none. *)
           let telemetry =
             if algo = `Cross then None
             else if telemetry_json_on then
               Some (Telemetry.create ~coverage:true ~domains:jobs ())
-            else if progress_on && (jobs > 1 || dedup) then
+            else if trace <> None || (progress_on && (jobs > 1 || dedup)) then
               Some (Telemetry.create ~domains:jobs ())
             else None
           in
@@ -729,8 +735,7 @@ let check_cmd =
           let rows, verdict =
             try
               explore ~engine ~jobs ~dedup ~max_runs ~algo ~stop ~reporter:(reporter name)
-                ?telemetry ?sink:(Option.map (fun (_, ct) -> Chrome_trace.fleet_sink ct) chrome)
-                ?resume ?on_checkpoint:(on_checkpoint ~name) config
+                ?telemetry ?resume ?on_checkpoint:(on_checkpoint ~name) config
             with Invalid_argument _ when resume_file <> None ->
               die "checkpoint %s does not fit checker %s" (Option.get resume_file) name
           in
@@ -775,6 +780,12 @@ let check_cmd =
                f.shrink_replays;
              say "  counterexample written to %s" file
            | Violation reason -> say "%-26s VIOLATION: %s" name reason);
+          (* The fleet trace of the one config --trace allows. *)
+          (match (trace, telemetry) with
+           | Some file, Some t ->
+             write_doc ~wrote:"check" file (fun oc ->
+                 output_string oc (Chrome_trace.fleet ~workers:jobs (Telemetry.shards t)))
+           | _ -> ());
           let ok = verdict_ok verdict in
           if not ok then failed := true;
           let telemetry_field =
@@ -813,10 +824,8 @@ let check_cmd =
                 (if !any_telemetry then 3 else 1)
                 (String.concat ",\n    " (List.rev !json_rows))))
         json;
-      Option.iter (fun (file, ct) -> write_doc ~wrote:"check" file (Chrome_trace.write ct))
-        chrome;
       exit_if_interrupted "check" interrupted;
-      if !failed then exit 1
+      if !failed then quit 1
   in
   let flag names doc = Arg.(value & flag & info names ~doc) in
   let algo_arg =
@@ -912,9 +921,9 @@ let check_cmd =
           $ output_opt [ "trace" ]
               ~doc:"Also record the POR fleet as a Chrome trace-event JSON file \
                     with one track per worker domain: a span per explored shard \
-                    (shard id, prefix depth) and instant markers at steals and \
-                    checkpoint saves.  Needs exactly one checker name and the \
-                    POR engine; meaningful with $(b,--jobs) > 1; loadable in \
+                    (shard id, prefix depth, leaves, steps), each after an \
+                    instant marker at its steal.  Needs exactly one checker \
+                    name and the POR engine; meaningful with $(b,--jobs) > 1; loadable in \
                     ui.perfetto.dev.  FILE '-' writes the trace to stdout and \
                     moves all human-facing lines to stderr."
           $ output_opt [ "checkpoint" ]
@@ -992,7 +1001,17 @@ let list_cmd =
 let () =
   let doc = "modular shared-memory consensus (conciliators + ratifiers), Aspnes PODC 2010" in
   let info = Cmd.info "conrat" ~version:"1.0.0" ~doc in
-  exit
-    (Cmd.eval
-       (Cmd.group info
-          [ run_cmd; sweep_cmd; experiment_cmd; check_cmd; trace_cmd; list_cmd ]))
+  let code =
+    try
+      Cmd.eval ~catch:false
+        (Cmd.group info
+           [ run_cmd; sweep_cmd; experiment_cmd; check_cmd; trace_cmd; list_cmd ])
+    with e ->
+      (* A full stdout raises from whichever print met it first, and
+         [flush_stdout] meets it again and reports it.  Anything else is
+         an internal error, reported as Cmdliner would. *)
+      flush_stdout ();
+      prerr_endline ("conrat: internal error, uncaught exception:\n" ^ Printexc.to_string e);
+      Cmd.Exit.internal_error
+  in
+  quit code

@@ -8,36 +8,12 @@ let space (q : Quorum.t) = q.pool + 1
 let max_individual_work (q : Quorum.t) =
   Quorum.max_write_size q + Quorum.max_read_size q + 2
 
-let of_quorum (q : Quorum.t) =
-  let fname = Printf.sprintf "ratifier(%s,m=%d)" q.name q.m in
-  Deciding.make_factory fname (fun ~n:_ memory ->
-    let pool = Memory.alloc_n memory q.pool in
-    let proposal = Memory.alloc memory in
-    Deciding.instance fname ~space:(q.pool + 1) (fun ~pid:_ ~rng:_ v ->
-      (* Announce v by marking its whole write quorum. *)
-      let* () = iter_array (fun i -> write pool.(i) 1) (q.write_quorum v) in
-      let* proposed = read proposal in
-      let* preference =
-        match proposed with
-        | Some u -> return u
-        | None ->
-          let* () = write proposal v in
-          return v
-      in
-      let* conflict =
-        exists_array
-          (fun i ->
-            let* c = read pool.(i) in
-            return (c <> None))
-          (q.read_quorum preference)
-      in
-      return { Deciding.decide = not conflict; value = preference }))
+(* The quorum ratifier, plain or crash-recovery hardened.  Each
+   process announces v by marking its whole write quorum, adopts the
+   first durable proposal (proposing v if there is none), and decides
+   unless the preference's read quorum shows another announcement.
 
-let binary () = of_quorum Quorum.binary
-let bollobas ~m = of_quorum (Quorum.bollobas_optimal ~m)
-let bitvector ~m = of_quorum (Quorum.bitvector ~m)
-
-(* Crash-recovery hardening of [of_quorum], Golab-style: every
+   The hardening ([~recoverable:true]) is Golab-style: every
    decision-critical register — the announcement pool and the proposal
    — is persistent, so a recovery wipe removes nothing the protocol
    relies on; and the declared recovery continuation re-validates from
@@ -46,18 +22,22 @@ let bitvector ~m = of_quorum (Quorum.bitvector ~m)
    state or rewrites it idempotently: the re-announcement marks the
    same quorum cells, and the proposal read-or-write adopts whatever
    value was durably proposed first (possibly the recoverer's own
-   earlier write).  Contrast [of_quorum] under recovery: there the
-   wipe can erase a surviving process's announcement out from under a
-   concurrent conflict scan (the recoverer was the cell's last writer),
-   letting a decider miss the conflicting value — the coherence
-   violation the expected-fail fixture pins down. *)
-let of_quorum_rec (q : Quorum.t) =
-  let fname = Printf.sprintf "ratifier_rec(%s,m=%d)" q.name q.m in
+   earlier write).  Contrast the plain ratifier under recovery: there
+   the wipe can erase a surviving process's announcement out from under
+   a concurrent conflict scan (the recoverer was the cell's last
+   writer), letting a decider miss the conflicting value — the
+   coherence violation the expected-fail fixture pins down. *)
+let make ~recoverable:hardened (q : Quorum.t) =
+  let fname =
+    Printf.sprintf "%s(%s,m=%d)" (if hardened then "ratifier_rec" else "ratifier") q.name q.m
+  in
   Deciding.make_factory fname (fun ~n:_ memory ->
     let pool = Memory.alloc_n memory q.pool in
     let proposal = Memory.alloc memory in
-    Array.iter (fun loc -> Memory.mark_persistent memory loc) pool;
-    Memory.mark_persistent memory proposal;
+    if hardened then begin
+      Array.iter (fun loc -> Memory.mark_persistent memory loc) pool;
+      Memory.mark_persistent memory proposal
+    end;
     Deciding.instance fname ~space:(q.pool + 1) (fun ~pid:_ ~rng:_ v ->
       let validate () =
         let* () = iter_array (fun i -> write pool.(i) 1) (q.write_quorum v) in
@@ -78,8 +58,13 @@ let of_quorum_rec (q : Quorum.t) =
         in
         return { Deciding.decide = not conflict; value = preference }
       in
-      recoverable ~recover:(validate ()) (validate ())))
+      if hardened then recoverable ~recover:(validate ()) (validate ()) else validate ()))
 
+let of_quorum = make ~recoverable:false
+let of_quorum_rec = make ~recoverable:true
+let binary () = of_quorum Quorum.binary
+let bollobas ~m = of_quorum (Quorum.bollobas_optimal ~m)
+let bitvector ~m = of_quorum (Quorum.bitvector ~m)
 let binary_rec () = of_quorum_rec Quorum.binary
 
 (* Deliberately NOT wait-free: a §7-style test double for the fault

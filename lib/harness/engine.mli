@@ -25,8 +25,8 @@ type outcome = {
   recoveries : int;        (** crash-recovery events injected *)
   plan_ignored : int;
     (** invalid fault-plan overrides degraded to plain steps (the
-        scheduler's [plan_ignored], a.k.a. the [plan_overrides_ignored]
-        telemetry counter) *)
+        scheduler's [plan_ignored], reported as [sweep --json]'s
+        [plan_overrides_ignored] field) *)
   total_work : int;
   individual_work : int;
   steps : int;

@@ -4,18 +4,10 @@ type t = {
   n : int;
   buf : Buffer.t;
   mutable count : int;
-  (* Currently open stage span per pid: (stage, step it opened at).
-     In fleet mode the array is per worker domain and holds the open
-     shard span. *)
+  (* Currently open stage span per pid: (stage, step it opened at). *)
   open_stage : (string * int) option array;
   mutable last_step : int;
   mutable finalized : bool;
-  (* Fleet mode: tracks are worker domains, timestamps are wall-clock
-     microseconds since [t0], and events arrive from several domains —
-     hence the mutex (machine mode is single-domain and never locks). *)
-  fleet : bool;
-  t0 : float;
-  mutex : Mutex.t;
 }
 
 let json_string s =
@@ -57,47 +49,18 @@ let metadata t ~name ~tid ~value =
       strf "\"tid\":%d" tid;
       strf "\"args\":{\"name\":%s}" (json_string value) ]
 
+let collector ~n =
+  { n; buf = Buffer.create 4096; count = 0; open_stage = Array.make n None;
+    last_step = 0; finalized = false }
+
 let create ~n =
-  let t =
-    { n;
-      buf = Buffer.create 4096;
-      count = 0;
-      open_stage = Array.make n None;
-      last_step = 0;
-      finalized = false;
-      fleet = false;
-      t0 = 0.;
-      mutex = Mutex.create () }
-  in
+  let t = collector ~n in
   metadata t ~name:"process_name" ~tid:0 ~value:"conrat";
   for pid = 0 to n - 1 do
     metadata t ~name:"thread_name" ~tid:pid ~value:(strf "process %d" pid)
   done;
   metadata t ~name:"thread_name" ~tid:n ~value:"explorer";
   t
-
-let create_fleet ~workers =
-  let t =
-    { n = workers;
-      buf = Buffer.create 4096;
-      count = 0;
-      open_stage = Array.make (max workers 1) None;
-      last_step = 0;
-      finalized = false;
-      fleet = true;
-      t0 = Unix.gettimeofday ();
-      mutex = Mutex.create () }
-  in
-  metadata t ~name:"process_name" ~tid:0 ~value:"conrat fleet";
-  for w = 0 to workers - 1 do
-    metadata t ~name:"thread_name" ~tid:w ~value:(strf "worker %d" w)
-  done;
-  t
-
-let now_us t =
-  let us = int_of_float ((Unix.gettimeofday () -. t.t0) *. 1e6) in
-  if us > t.last_step then t.last_step <- us;
-  us
 
 let kind_name = function
   | Op.Read_op -> "read"
@@ -183,55 +146,6 @@ let sink t =
     ~on_crash:(fun ~step ~pid -> on_crash t ~step ~pid)
     ~on_snapshot:(fun ~step -> explorer_instant t "snapshot" ~step)
     ~on_restore:(fun ~step -> explorer_instant t "restore" ~step)
-    ~on_checkpoint:(fun ~step -> explorer_instant t "checkpoint" ~step)
-    ()
-
-(* Fleet events: a steal is an instant on the worker's track followed
-   by the opening of that shard's span; completion closes the span with
-   the shard's leaf/step counts in the closing args. *)
-
-let fleet_steal t ~domain ~shard ~prefix =
-  Mutex.protect t.mutex (fun () ->
-      let ts = now_us t in
-      close_span t domain ~step:ts;
-      event t
-        [ "\"name\":\"steal\"";
-          "\"ph\":\"i\"";
-          "\"s\":\"t\"";
-          "\"pid\":1";
-          strf "\"tid\":%d" domain;
-          strf "\"ts\":%d" ts;
-          strf "\"args\":{\"shard\":%d,\"prefix\":%d}" shard prefix ];
-      t.open_stage.(domain) <- Some (strf "shard %d" shard, ts);
-      event t
-        [ strf "\"name\":\"shard %d\"" shard;
-          "\"ph\":\"B\"";
-          "\"pid\":1";
-          strf "\"tid\":%d" domain;
-          strf "\"ts\":%d" ts;
-          strf "\"args\":{\"shard\":%d,\"prefix\":%d}" shard prefix ])
-
-let fleet_shard_done t ~domain ~shard:_ ~leaves ~steps =
-  Mutex.protect t.mutex (fun () ->
-      let ts = now_us t in
-      match t.open_stage.(domain) with
-      | None -> ()
-      | Some _ ->
-        t.open_stage.(domain) <- None;
-        event t
-          [ "\"ph\":\"E\"";
-            "\"pid\":1";
-            strf "\"tid\":%d" domain;
-            strf "\"ts\":%d" ts;
-            strf "\"args\":{\"leaves\":%d,\"steps\":%d}" leaves steps ])
-
-let fleet_sink t =
-  if not t.fleet then
-    invalid_arg "Chrome_trace.fleet_sink: not a fleet collector";
-  Sink.make
-    ~on_steal:(fun ~domain ~shard ~prefix -> fleet_steal t ~domain ~shard ~prefix)
-    ~on_shard_done:(fun ~domain ~shard ~leaves ~steps ->
-      fleet_shard_done t ~domain ~shard ~leaves ~steps)
     ()
 
 let events t = t.count
@@ -244,12 +158,43 @@ let finalize t =
     t.finalized <- true
   end
 
-let write t oc =
-  finalize t;
-  output_string oc "{\"traceEvents\":[\n";
-  output_string oc (Buffer.contents t.buf);
-  output_string oc "\n]}\n"
-
 let to_string t =
   finalize t;
   strf "{\"traceEvents\":[\n%s\n]}\n" (Buffer.contents t.buf)
+
+let write t oc = output_string oc (to_string t)
+
+(* A fleet trace is a rendering of the registry's shard records, on a
+   machine-mode collector with no processes (nothing to finalize).
+   Tracks are worker domains and timestamps wall-clock microseconds
+   since the registry's creation.  A worker runs its shards one after
+   another, so a track in start order is a sequence of disjoint spans;
+   each start is clamped to the previous end, so float rounding cannot
+   make two spans overlap. *)
+let fleet ~workers (shards : Telemetry.shard list) =
+  let t = collector ~n:0 in
+  let us s = int_of_float (s *. 1e6) in
+  metadata t ~name:"process_name" ~tid:0 ~value:"conrat fleet";
+  for w = 0 to workers - 1 do
+    metadata t ~name:"thread_name" ~tid:w ~value:(strf "worker %d" w)
+  done;
+  for w = 0 to workers - 1 do
+    let track =
+      List.stable_sort
+        (fun (a : Telemetry.shard) b -> Float.compare a.start b.start)
+        (List.filter (fun (sh : Telemetry.shard) -> sh.domain = w) shards)
+    in
+    let span floor (sh : Telemetry.shard) =
+      let b = max floor (us sh.start) in
+      let e = max b (us (sh.start +. sh.seconds)) in
+      let on_track ph ts = [ ph; "\"pid\":1"; strf "\"tid\":%d" w; strf "\"ts\":%d" ts ] in
+      let opened = strf "\"args\":{\"shard\":%d,\"prefix\":%d}" sh.shard sh.prefix in
+      let closed = strf "\"args\":{\"leaves\":%d,\"steps\":%d}" sh.leaves sh.steps in
+      event t ("\"name\":\"steal\"" :: on_track "\"ph\":\"i\",\"s\":\"t\"" b @ [ opened ]);
+      event t (strf "\"name\":\"shard %d\"" sh.shard :: on_track "\"ph\":\"B\"" b @ [ opened ]);
+      event t (on_track "\"ph\":\"E\"" e @ [ closed ]);
+      e
+    in
+    ignore (List.fold_left span 0 track)
+  done;
+  to_string t

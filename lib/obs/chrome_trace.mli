@@ -20,22 +20,7 @@ val create : n:int -> t
 
 val sink : t -> Conrat_sim.Sink.t
 (** The sink to install on a run ({!Conrat_sim.Scheduler.run},
-    [Conrat_verify.Por.explore], …).  Checkpoint saves appear as
-    instants on the explorer track. *)
-
-val create_fleet : workers:int -> t
-(** A collector for a {e parallel} exploration: one track per worker
-    domain (["worker 0"], …), timestamps in wall-clock microseconds
-    since creation.  Install {!fleet_sink} on
-    {!section-"Conrat_verify"}[.Parallel]; each stolen shard renders as
-    a duration span on its worker's track (shard id and prefix depth in
-    the opening args, leaf/step counts in the closing args) preceded by
-    a ["steal"] instant marker.  Thread-safe: events may arrive from
-    every worker domain. *)
-
-val fleet_sink : t -> Conrat_sim.Sink.t
-(** The fleet-event sink of a {!create_fleet} collector (raises
-    [Invalid_argument] on a machine-mode collector). *)
+    [Conrat_verify.Por.explore], …). *)
 
 val events : t -> int
 (** Trace events recorded so far (metadata included). *)
@@ -46,3 +31,13 @@ val write : t -> out_channel -> unit
 
 val to_string : t -> string
 (** As {!write}, into a string. *)
+
+val fleet : workers:int -> Telemetry.shard list -> string
+(** The trace of a {e parallel} exploration, rendered from the
+    registry's shard records ({!Telemetry.shards}): one track per
+    worker domain (["worker 0"], …), timestamps in wall-clock
+    microseconds since the registry's creation.  Each shard is a
+    ["steal"] instant followed by a duration span on its worker's
+    track, with the shard id and prefix depth in the opening args and
+    the leaf/step counts in the closing args.  A track's spans are in
+    start order and never overlap. *)

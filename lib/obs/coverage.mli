@@ -1,12 +1,13 @@
 (** Coverage signatures: what the search {e saw}, as opposed to how
     hard it worked ({!Telemetry}'s counters).
 
-    Three per-config artifacts, all aimed at ROADMAP item 5's
-    coverage-guided schedule fuzzing: a {e depth profile} (leaf count
-    per path depth, split by complete / truncated / pruned), {e stage
-    signatures} (how many complete or truncated executions ended with
-    each tuple of per-process {!Conrat_sim.Program.label} stages — the
-    interleaving-class fingerprint a fuzzer can bias against), and
+    Three per-config artifacts that answer "what did the search
+    cover" from the [check --json] report alone: a {e depth profile}
+    (leaf count per path depth, split by complete / truncated /
+    pruned), {e stage signatures} (how many complete or truncated
+    executions ended with each tuple of per-process
+    {!Conrat_sim.Program.label} stages — the interleaving-class
+    fingerprint of the explored tree), and
     {e dedup-saturation curves} (visited-table size as a function of
     leaves, one sawtooth curve per worker, showing when duplicate
     detection stops paying).

@@ -28,9 +28,8 @@ let dpor_races = 15
 let dpor_backtracks = 16
 let checkpoints = 17
 let recovers = 18
-let plan_overrides_ignored = 19
-let code_pcs = 20
-let ncounters = 21
+let code_pcs = 19
+let ncounters = 20
 
 let registry =
   [| ("leaves_complete", Sum);
@@ -52,7 +51,6 @@ let registry =
      ("dpor_backtracks", Sum);
      ("checkpoints", Sum);
      ("recovers", Sum);
-     ("plan_overrides_ignored", Sum);
      ("code_pcs", Max) |]
 
 let () = assert (Array.length registry = ncounters)
@@ -92,12 +90,14 @@ type shard = {
   prefix : int;
   leaves : int;
   steps : int;
+  start : float;
   seconds : float;
 }
 
 type t = {
   domains : int;
   coverage_on : bool;
+  created : float;
   rows : int Atomic.t array array; (* [domain].[counter] *)
   probes : probe option array;
   mutable shards : shard list;
@@ -110,6 +110,7 @@ let create ?(coverage = false) ~domains () =
   if domains < 1 then invalid_arg "Telemetry.create: domains must be >= 1";
   { domains;
     coverage_on = coverage;
+    created = Unix.gettimeofday ();
     rows = Array.init domains (fun _ -> fresh_cells ());
     probes = Array.make domains None;
     shards = [];
@@ -118,6 +119,7 @@ let create ?(coverage = false) ~domains () =
     mutex = Mutex.create () }
 
 let domains t = t.domains
+let created t = t.created
 let coverage_on t = t.coverage_on
 
 let probe t ~domain =
@@ -242,8 +244,8 @@ let snapshot_json (s : snapshot) =
 
 let shard_json sh =
   strf
-    "{\"shard\":%d,\"domain\":%d,\"prefix\":%d,\"leaves\":%d,\"steps\":%d,\"seconds\":%.6f}"
-    sh.shard sh.domain sh.prefix sh.leaves sh.steps sh.seconds
+    "{\"shard\":%d,\"domain\":%d,\"prefix\":%d,\"leaves\":%d,\"steps\":%d,\"start\":%.6f,\"seconds\":%.6f}"
+    sh.shard sh.domain sh.prefix sh.leaves sh.steps sh.start sh.seconds
 
 let to_json t =
   let b = Buffer.create 1024 in

@@ -36,13 +36,11 @@ type counter = private int
    snapshot_pool_high (Max) = deepest pool slot used; dpor_races =
    races the DPOR oracle detected; dpor_backtracks = backtrack-set
    candidates added; checkpoints = checkpoint frontiers saved;
-   recovers = crash-recovery events applied; plan_overrides_ignored =
-   invalid Monte-Carlo fault-plan overrides degraded to plain steps;
-   code_pcs (Max) = instructions the VM's code store interned, read
+   recovers = crash-recovery events applied; code_pcs (Max) = instructions the VM's code store interned, read
    once at POR search exit (0 under the tree engine and for naive
    runs, which compile a fresh store per path).
-   Ids are append-only: new counters go at the end so persisted
-   snapshots and dashboards never reinterpret an old id. *)
+   Ids are positions in this process only: every JSON document keys
+   counters by name, so a counter can be added or deleted anywhere. *)
 
 val leaves_complete : counter
 val leaves_truncated : counter
@@ -63,7 +61,6 @@ val dpor_races : counter
 val dpor_backtracks : counter
 val checkpoints : counter
 val recovers : counter
-val plan_overrides_ignored : counter
 val code_pcs : counter
 
 val ncounters : int
@@ -99,6 +96,11 @@ val create : ?coverage:bool -> domains:int -> unit -> t
     EXPERIMENTS.md). *)
 
 val domains : t -> int
+
+val created : t -> float
+(** The wall clock ([Unix.gettimeofday]) at {!create}: the origin of
+    every shard's [start]. *)
+
 val coverage_on : t -> bool
 
 val probe : t -> domain:int -> probe
@@ -114,6 +116,7 @@ type shard = {
   prefix : int;   (** shard path prefix depth *)
   leaves : int;   (** leaves in the shard subtree *)
   steps : int;    (** rebased VM steps (sums to the sequential total) *)
+  start : float;  (** seconds from {!create} to the steal *)
   seconds : float;  (** wall clock the worker spent on it *)
 }
 

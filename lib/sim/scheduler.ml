@@ -66,7 +66,7 @@ let run ?(engine = `Tree) ?(max_steps = 10_000_000) ?(record = false) ?(cheap_co
          a pid that is not down — degrade to the plain step, so plans
          never have to track enabledness.  Each degradation is counted
          in [plan_ignored] (surfaced as the [plan_overrides_ignored]
-         telemetry counter by the CLI), so silent downgrades are
+         field of [sweep --json] by the CLI), so silent downgrades are
          visible rather than silently shaping the fault mix. *)
       (match inject with
        | None -> Machine.step_random machine ~pid ~coin:write_coins.(pid)

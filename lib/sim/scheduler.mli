@@ -27,7 +27,7 @@ type 'r result = {
     (** fault-plan overrides that were invalid (crash of a non-enabled
         pid, stale delivery on a non-weak read, recovery of a pid that
         is not down) and degraded to a plain step — surfaced by the CLI
-        as the [plan_overrides_ignored] telemetry counter *)
+        as [sweep --json]'s [plan_overrides_ignored] field *)
   trace : Trace.t option; (** recorded when [~record:true] *)
   registers : int;        (** registers allocated at the end *)
 }

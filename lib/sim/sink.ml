@@ -7,23 +7,16 @@ type t = {
   on_recover : step:int -> pid:int -> unit;
   on_snapshot : step:int -> unit;
   on_restore : step:int -> unit;
-  on_steal : domain:int -> shard:int -> prefix:int -> unit;
-  on_shard_done : domain:int -> shard:int -> leaves:int -> steps:int -> unit;
-  on_checkpoint : step:int -> unit;
 }
 
 let nop_op ~step:_ ~pid:_ ~kind:_ ~loc:_ ~landed:_ ~stage:_ = ()
 let nop_step_pid ~step:_ ~pid:_ = ()
 let nop_step ~step:_ = ()
-let nop_steal ~domain:_ ~shard:_ ~prefix:_ = ()
-let nop_shard_done ~domain:_ ~shard:_ ~leaves:_ ~steps:_ = ()
 
 let make ?(on_op = nop_op) ?(on_decide = nop_step_pid) ?(on_crash = nop_step_pid)
     ?(on_recover = nop_step_pid) ?(on_snapshot = nop_step)
-    ?(on_restore = nop_step) ?(on_steal = nop_steal)
-    ?(on_shard_done = nop_shard_done) ?(on_checkpoint = nop_step) () =
-  { on_op; on_decide; on_crash; on_recover; on_snapshot; on_restore; on_steal;
-    on_shard_done; on_checkpoint }
+    ?(on_restore = nop_step) () =
+  { on_op; on_decide; on_crash; on_recover; on_snapshot; on_restore }
 
 let null = make ()
 
@@ -51,16 +44,4 @@ let tee a b =
     on_restore =
       (fun ~step ->
         a.on_restore ~step;
-        b.on_restore ~step);
-    on_steal =
-      (fun ~domain ~shard ~prefix ->
-        a.on_steal ~domain ~shard ~prefix;
-        b.on_steal ~domain ~shard ~prefix);
-    on_shard_done =
-      (fun ~domain ~shard ~leaves ~steps ->
-        a.on_shard_done ~domain ~shard ~leaves ~steps;
-        b.on_shard_done ~domain ~shard ~leaves ~steps);
-    on_checkpoint =
-      (fun ~step ->
-        a.on_checkpoint ~step;
-        b.on_checkpoint ~step) }
+        b.on_restore ~step) }

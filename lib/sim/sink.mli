@@ -8,11 +8,10 @@
     the whole mechanism costs a single branch per transition (see the
     [obs] gate in [bench/gates.ml]).
 
-    Three callbacks sit above the machine: the fleet-level steal and
-    shard-completion events fired by the parallel driver, and the
-    checkpoint-save event fired by a sequential explorer.  They share
-    the sink record so one tap (e.g. the Chrome-trace exporter in
-    [Conrat_obs]) can observe a whole run, sequential or sharded.
+    Only the machine fires these events.  Fleet-level events (shard
+    steals and completions under [--jobs]) are recorded by the
+    telemetry registry in [Conrat_obs], and checkpoint saves by its
+    [checkpoints] counter.
 
     Concrete sinks live in [Conrat_obs]: a Chrome trace-event exporter
     and a per-stage work histogram.  This
@@ -36,16 +35,6 @@ type t = {
           re-entered at the recover continuation). *)
   on_snapshot : step:int -> unit;  (** an explorer snapshotted the state *)
   on_restore : step:int -> unit;   (** an explorer backtracked to a snapshot *)
-  on_steal : domain:int -> shard:int -> prefix:int -> unit;
-      (** a parallel worker stole shard [shard] (frontier index) whose
-          path prefix has length [prefix] — fleet-level, fired by
-          {!section-"Conrat_verify"}[.Parallel], not the machine *)
-  on_shard_done : domain:int -> shard:int -> leaves:int -> steps:int -> unit;
-      (** the worker finished the shard: [leaves] leaves reached,
-          [steps] rebased machine transitions *)
-  on_checkpoint : step:int -> unit;
-      (** a sequential explorer saved a checkpoint frontier; [step] is
-          the current path depth *)
 }
 
 val make :
@@ -57,9 +46,6 @@ val make :
   ?on_recover:(step:int -> pid:int -> unit) ->
   ?on_snapshot:(step:int -> unit) ->
   ?on_restore:(step:int -> unit) ->
-  ?on_steal:(domain:int -> shard:int -> prefix:int -> unit) ->
-  ?on_shard_done:(domain:int -> shard:int -> leaves:int -> steps:int -> unit) ->
-  ?on_checkpoint:(step:int -> unit) ->
   unit ->
   t
 (** A sink with the given callbacks; omitted ones do nothing. *)

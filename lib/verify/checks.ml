@@ -267,13 +267,13 @@ type failure = {
 
 type outcome = (Por.stats, failure) result
 
-let run ?engine ?stop ?max_runs ?sink ?heartbeat ?resume ?checkpoint_every
+let run ?engine ?stop ?max_runs ?heartbeat ?resume ?checkpoint_every
     ?on_checkpoint ?(jobs = 1) ?dedup ?telemetry config =
   let max_runs = Option.value max_runs ~default:config.max_runs in
   let result =
     Parallel.explore_por ~jobs ?engine ~max_depth:config.max_depth ~max_runs
       ~cheap_collect:config.cheap_collect ~faults:config.faults ?stop ?heartbeat ?dedup
-      ?resume ?checkpoint_every ?on_checkpoint ?telemetry ?sink ~n:config.n
+      ?resume ?checkpoint_every ?on_checkpoint ?telemetry ~n:config.n
       ~setup:(setup_of config ~n:config.n)
       ~check:(check_of config ~n:config.n)
       ()

@@ -84,7 +84,6 @@ val run :
   ?engine:Conrat_sim.Machine.engine ->
   ?stop:(unit -> bool) ->
   ?max_runs:int ->
-  ?sink:Conrat_sim.Sink.t ->
   ?heartbeat:(runs:int -> pruned:int -> steps:int -> depth:int -> unit) ->
   ?resume:Checkpoint.counts ->
   ?checkpoint_every:int ->
@@ -94,7 +93,7 @@ val run :
   ?telemetry:Conrat_obs.Telemetry.t ->
   t -> outcome
 (** Explores the config through {!Parallel.explore_por}, which at
-    [jobs <= 1] is {!Por.explore} with [sink], [heartbeat], the
+    [jobs <= 1] is {!Por.explore} with [heartbeat], the
     checkpointing triple and [telemetry] (domain row [0]) passed
     straight through (the heartbeat fires per leaf; rate limiting is
     the callback's business).  The config's [faults] model is applied
@@ -105,9 +104,9 @@ val run :
 
     [jobs > 1] runs the fleet — same statistics, outcome set and
     failure artifacts for exhaustive runs; checkpointing is
-    unsupported there, [sink] degrades to the fleet-level steal/shard
-    events, the heartbeat switches to fleet-wide totals and worker [w]
-    bumps telemetry row [w].  [dedup] enables duplicate-state
+    unsupported there, the heartbeat switches to fleet-wide totals,
+    worker [w] bumps telemetry row [w] and every stolen shard leaves a
+    {!section-"obs"}[Telemetry.shard] record.  [dedup] enables duplicate-state
     suppression (VM engine only; see {!Por.explore}).  A parallel
     failure is shrunk and frozen exactly like a sequential one — the
     shard's path is a root path.  Shrinking replays after a violation

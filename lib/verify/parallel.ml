@@ -41,7 +41,7 @@ let probe_of telemetry ~domain =
    with [~cut:(Some _)] it is a {!Frontier.generate} pass, with
    [~shard:(Some path)] it explores exactly the subtree pinned under
    [path]. *)
-let fleet ~who ~jobs ~checkpointing ~max_runs ~stop ~heartbeat ~telemetry ~sink ~run =
+let fleet ~who ~jobs ~checkpointing ~max_runs ~stop ~heartbeat ~telemetry ~run =
   if checkpointing then invalid_arg (who ^ ": checkpointing needs jobs <= 1");
   (match telemetry with
    | Some t when Telemetry.domains t < jobs ->
@@ -115,7 +115,6 @@ let fleet ~who ~jobs ~checkpointing ~max_runs ~stop ~heartbeat ~telemetry ~sink 
           | Some (i, path) ->
             let prefix = List.length path in
             bump Telemetry.steals;
-            Option.iter (fun s -> s.Conrat_sim.Sink.on_steal ~domain:w ~shard:i ~prefix) sink;
             let t_start = Unix.gettimeofday () in
             let last_runs = ref 0 in
             let last_pruned = ref 0 in
@@ -142,13 +141,10 @@ let fleet ~who ~jobs ~checkpointing ~max_runs ~stop ~heartbeat ~telemetry ~sink 
               (fun t ->
                 Telemetry.record_shard t
                   { Telemetry.shard = i; domain = w; prefix; leaves; steps = s.Por.steps;
+                    start = t_start -. Telemetry.created t;
                     seconds = Unix.gettimeofday () -. t_start })
               telemetry;
             bump Telemetry.shards_done;
-            Option.iter
-              (fun sk -> sk.Conrat_sim.Sink.on_shard_done ~domain:w ~shard:i ~leaves
-                  ~steps:s.Por.steps)
-              sink;
             results.(i) <- Some res;
             loop ()
       in
@@ -167,6 +163,8 @@ let explore_por ~jobs ?engine ?max_depth ?(max_runs = 2_000_000) ?cheap_collect 
     Por.explore ?engine ?max_depth ~max_runs ?cheap_collect ?faults ~stop ?sink
       ?probe:(probe_of telemetry ~domain:0) ?heartbeat ?resume ?checkpoint_every
       ?on_checkpoint ~dedup ~n ~setup ~check ()
+  else if Option.is_some sink then
+    invalid_arg "Parallel.explore_por: a sink needs jobs <= 1"
   else
     let run ~probe ~heartbeat ~stop ~max_runs ~cut ~shard =
       match
@@ -181,7 +179,7 @@ let explore_por ~jobs ?engine ?max_depth ?(max_runs = 2_000_000) ?cheap_collect 
     match
       fleet ~who:"Parallel.explore_por" ~jobs
         ~checkpointing:(Option.is_some resume || Option.is_some on_checkpoint)
-        ~max_runs ~stop ~heartbeat ~telemetry ~sink ~run
+        ~max_runs ~stop ~heartbeat ~telemetry ~run
     with
     | Ok s -> Ok s
     | Error ((reason, path), s) -> Error (reason, path, s)
@@ -197,7 +195,7 @@ let to_naive (s : Por.stats) =
 
 let explore_naive ~jobs ?engine ?max_depth ?(max_runs = 2_000_000) ?cheap_collect ?faults
     ?(stop = fun () -> false) ?heartbeat ?resume ?checkpoint_every ?on_checkpoint
-    ?telemetry ?sink ~n ~setup ~check () =
+    ?telemetry ~n ~setup ~check () =
   if jobs <= 1 then
     Naive.explore ?engine ?max_depth ~max_runs ?cheap_collect ?faults ~stop
       ?probe:(probe_of telemetry ~domain:0) ?heartbeat ?resume ?checkpoint_every
@@ -215,7 +213,7 @@ let explore_naive ~jobs ?engine ?max_depth ?(max_runs = 2_000_000) ?cheap_collec
     match
       fleet ~who:"Parallel.explore_naive" ~jobs
         ~checkpointing:(Option.is_some resume || Option.is_some on_checkpoint)
-        ~max_runs ~stop ~heartbeat ~telemetry ~sink ~run
+        ~max_runs ~stop ~heartbeat ~telemetry ~run
     with
     | Ok s -> Ok (to_naive s)
     | Error (reason, s) -> Error (reason, to_naive s)

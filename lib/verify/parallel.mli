@@ -17,7 +17,8 @@
     verifies this differentially on the checker registry.
 
     - [jobs <= 1] is the sequential explorer itself: every argument,
-      [resume], [on_checkpoint] and [sink] included, passes straight
+      [resume], [on_checkpoint] and {!explore_por}'s [sink] included,
+      passes straight
       through, and [telemetry] feeds probe row 0.  This is the only
       place that picks between the sequential and the fleet path.
     - [heartbeat] receives {e fleet-wide} running totals, flushed by
@@ -32,12 +33,14 @@
       are pure).
     - [telemetry] must have at least [jobs] domain rows (else
       [Invalid_argument]); worker [w] bumps row [w], shard records
-      carry per-shard wall clock, and each generation pass runs on a
+      carry each shard's start and wall clock (the input of
+      {!section-"obs"}[Chrome_trace.fleet]'s per-domain Perfetto
+      tracks), and each generation pass runs on a
       fresh probe of which only the kept pass is absorbed, so
       work counters and coverage stay [jobs]-invariant.
-    - [sink] receives the {e fleet-level} events only ([on_steal],
-      [on_shard_done]); attach {!section-"obs"}[Chrome_trace.fleet_sink]
-      for per-domain Perfetto tracks.
+    - [sink] observes the machine of a sequential POR search only: a
+      [sink] with [jobs > 1] is [Invalid_argument], since shards run on
+      several machines at once.
     - No checkpointing under a fleet: [resume] or [on_checkpoint] with
       [jobs > 1] is [Invalid_argument] ([conrat check] restricts
       [--checkpoint]/[--resume] to sequential runs).
@@ -89,7 +92,6 @@ val explore_naive :
   ?checkpoint_every:int ->
   ?on_checkpoint:(Checkpoint.counts -> unit) ->
   ?telemetry:Conrat_obs.Telemetry.t ->
-  ?sink:Conrat_sim.Sink.t ->
   n:int ->
   setup:(unit -> Conrat_sim.Memory.t * (pid:int -> 'r Conrat_sim.Program.t)) ->
   check:(complete:bool -> 'r option array -> (unit, string) result) ->
@@ -97,5 +99,4 @@ val explore_naive :
   (Naive.stats, string * Naive.stats) result
 (** {!Naive.explore} under the fleet: shards come from its [~cut], and
     each worker re-enumerates a shard with [~path_floor] pinning the
-    prefix.  [heartbeat]'s [pruned] is always [0]; at [jobs <= 1]
-    [sink] is unused (the enumerator emits no machine events). *)
+    prefix.  [heartbeat]'s [pruned] is always [0]. *)

@@ -569,9 +569,6 @@ let search ~source ?engine ?(max_depth = 200) ?(max_runs = 2_000_000)
        (match probe with
         | Some p -> Telemetry.bump p Telemetry.checkpoints
         | None -> ());
-       (match sink with
-        | Some s -> s.Sink.on_checkpoint ~step:depth
-        | None -> ());
        last_saved := !runs
      | Some _ | None -> ());
     if stopping then raise Out_of_budget;

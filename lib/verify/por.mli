@@ -117,8 +117,8 @@ val explore :
     the leaf rate: the outputs array passed to [check] is a single
     buffer reused across every leaf — copy it to retain it beyond the
     call.  [sink] observes every
-    machine transition (including snapshot/restore backtracking), and
-    its [on_checkpoint] fires at each checkpoint save.  It sees no
+    machine transition (including snapshot/restore backtracking).  It
+    sees no
     [on_crash] for a crash child counted without running the crash, and
     no [on_restore] after such a child or after the stop
     pseudo-candidate: neither moves the machine.

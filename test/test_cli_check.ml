@@ -633,7 +633,25 @@ let () =
            (Filename.quote cli) (Filename.quote err_file))
     in
     expect "check --json - to /dev/full" ~code:2 ~stderr_has:"cannot write stdout"
-      ~stderr_lacks:"uncaught" (code, "", read_file err_file)
+      ~stderr_lacks:"uncaught" (code, "", read_file err_file);
+    (* Human output to a full stdout: stdout is flushed before every
+       exit, so each run ends with one diagnostic line, not a
+       backtrace from the at-exit flush. *)
+    List.iter
+      (fun args ->
+        let code =
+          Sys.command
+            (Printf.sprintf "%s %s > /dev/full 2> %s" (Filename.quote cli) args
+               (Filename.quote err_file))
+        in
+        let err = read_file err_file in
+        expect (args ^ " > /dev/full") ~code:2 ~stderr_has:"conrat: cannot write stdout"
+          (code, "", err);
+        if List.length (String.split_on_char '\n' (String.trim err)) <> 1 then
+          failf "%s > /dev/full: diagnostic is not one line (got: %s)" args err)
+      [ "check binary_ratifier_n2"; "sweep -t 2"; "list";
+        (* the exit-1 path of a failing check *)
+        Printf.sprintf "check fallback_unstaked_n2 --artifact-dir %s" (Filename.quote tmpdir) ]
   end;
 
   (* ---- check --trace: the fleet trace of one POR search ----------- *)
@@ -665,8 +683,55 @@ let () =
    | i :: _ ->
      let k = Scanf.sscanf (String.sub report (i + 14) 12) "%d" Fun.id in
      let spans = count "\"ph\":\"B\"" doc in
-     if k = 0 || spans <> k then
-       failf "check --trace: %d shard spans for %d shards done" spans k);
+     let ends = count "\"ph\":\"E\"" doc and steals = count "\"name\":\"steal\"" doc in
+     let records = count "{\"shard\":" report in
+     if k = 0 || spans <> k || ends <> k || steals <> k || records <> k then
+       failf "check --trace: %d spans, %d ends, %d steals, %d records for %d shards done"
+         spans ends steals records k);
+  (* The trace renders the report's shard records: each record's span
+     opens on its worker's track, and every track is a sequence of
+     closed spans in time order. *)
+  let lines = String.split_on_char '\n' doc in
+  let opened =
+    List.filter_map
+      (fun line ->
+        try
+          Some
+            (Scanf.sscanf line "{\"name\":\"shard %d\",\"ph\":\"B\",\"pid\":1,\"tid\":%d"
+               (fun shard tid -> (shard, tid)))
+        with Scanf.Scan_failure _ | End_of_file -> None)
+      lines
+  in
+  List.iter
+    (fun i ->
+      Scanf.sscanf (String.sub report i (min 64 (String.length report - i)))
+        "{\"shard\":%d,\"domain\":%d" (fun shard domain ->
+          if not (List.mem (shard, domain) opened) then
+            failf "check --trace: shard %d on domain %d has no span" shard domain))
+    (offsets "{\"shard\":" report);
+  let track_events tid =
+    List.filter_map
+      (fun line ->
+        let tid_field = Printf.sprintf "\"tid\":%d," tid in
+        match offsets "\"ph\":\"" line, offsets "\"ts\":" line with
+        | [ p ], [ t ] when contains ~needle:tid_field line ->
+          let rest = String.sub line (t + 5) (String.length line - t - 5) in
+          Some (line.[p + 6], Scanf.sscanf rest "%d" Fun.id)
+        | _ -> None)
+      lines
+  in
+  List.iter
+    (fun tid ->
+      let rec nested last open_ = function
+        | [] -> not open_
+        | (_, ts) :: _ when ts < last -> false
+        | ('B', ts) :: rest -> (not open_) && nested ts true rest
+        | ('E', ts) :: rest -> open_ && nested ts false rest
+        | (_, ts) :: rest -> nested ts open_ rest
+      in
+      if not (nested 0 false (track_events tid)) then
+        failf "check --trace: worker %d's spans do not nest in time order" tid)
+    [ 0; 1 ];
 
   (* --trace - owns stdout; human lines move to stderr *)
   let code, out, err = run "check binary_ratifier_n2 --jobs 2 --trace -" in

@@ -476,10 +476,15 @@ let leaf_profile c =
     unrun := (gap > !last_gap) :: !unrun;
     last_gap := gap
   in
-  match Checks.run ~sink ~heartbeat c with
+  (* [Checks.run]'s sequential search, with the sink attached. *)
+  match
+    Por.explore ~max_depth:c.Checks.max_depth ~max_runs:c.max_runs
+      ~cheap_collect:c.cheap_collect ~faults:c.faults ~sink ~heartbeat ~n:c.n
+      ~setup:(Checks.setup_of c ~n:c.n) ~check:(Checks.check_of c ~n:c.n) ()
+  with
   | Ok full ->
     (full, Array.of_list (List.rev !steps), Array.of_list (List.rev !unrun))
-  | Error f -> Alcotest.failf "unexpected violation: %s" f.Checks.reason
+  | Error (reason, _, _) -> Alcotest.failf "unexpected violation: %s" reason
 
 let test_resume_after_every_leaf () =
   (* Stop and resume at every single leaf ([max_runs] stepping by 1):

@@ -229,19 +229,17 @@ let test_chrome_trace_structure () =
     (count_occurrences "\"ph\":")
 
 let test_chrome_trace_fleet_structure () =
-  (* Drive the fleet collector through the Sink interface exactly as
-     Parallel does: a steal opens the shard's span on the worker's
-     track (closing any still-open one), completion closes it with the
-     leaf/step counts.  Domain 1 steals twice before reporting, so one
-     span is closed by the next steal rather than by shard_done. *)
-  let ct = Chrome_trace.create_fleet ~workers:2 in
-  let sink = Chrome_trace.fleet_sink ct in
-  sink.Sink.on_steal ~domain:0 ~shard:0 ~prefix:3;
-  sink.Sink.on_shard_done ~domain:0 ~shard:0 ~leaves:10 ~steps:40;
-  sink.Sink.on_steal ~domain:1 ~shard:1 ~prefix:2;
-  sink.Sink.on_steal ~domain:1 ~shard:2 ~prefix:2;
-  sink.Sink.on_shard_done ~domain:1 ~shard:2 ~leaves:5 ~steps:20;
-  let doc = Chrome_trace.to_string ct in
+  (* Render hand-built shard records: two shards on worker 0, listed
+     out of start order, the second starting a microsecond before the
+     first ends (clock rounding), and an idle worker 1. *)
+  let shard shard ~start ~seconds ~leaves =
+    { Telemetry.shard; domain = 0; prefix = 3; leaves; steps = 4 * leaves; start; seconds }
+  in
+  let doc =
+    Chrome_trace.fleet ~workers:2
+      [ shard 1 ~start:0.299999 ~seconds:0.2 ~leaves:5;
+        shard 0 ~start:0.1 ~seconds:0.2 ~leaves:10 ]
+  in
   let count_occurrences needle =
     let ln = String.length needle and n = String.length doc in
     let c = ref 0 in
@@ -258,15 +256,40 @@ let test_chrome_trace_fleet_structure () =
   checki "metadata events" 3 (count_occurrences "\"ph\":\"M\"");
   checkb "worker tracks named" true
     (count_occurrences "worker 0" = 1 && count_occurrences "worker 1" = 1);
-  checki "steal instants" 3 (count_occurrences "\"name\":\"steal\"");
-  checki "shard spans open per steal" 3 (count_occurrences "\"ph\":\"B\"");
-  checki "shard spans balanced" (count_occurrences "\"ph\":\"B\"")
-    (count_occurrences "\"ph\":\"E\"");
+  checki "steal instants" 2 (count_occurrences "\"name\":\"steal\"");
+  checki "one span per shard" 2 (count_occurrences "\"ph\":\"B\"");
+  checki "shard spans balanced" 2 (count_occurrences "\"ph\":\"E\"");
   checkb "completion args carried" true
     (count_occurrences "\"args\":{\"leaves\":10,\"steps\":40}" = 1
      && count_occurrences "\"args\":{\"leaves\":5,\"steps\":20}" = 1);
-  checki "events accessor agrees" (Chrome_trace.events ct)
-    (count_occurrences "\"ph\":")
+  checki "idle worker has no events" 0 (count_occurrences "\"tid\":1,\"ts\"");
+  (* Worker 0's events, one per line: (phase, ts, shard of an opening). *)
+  let field key line =
+    let k = String.length key in
+    let rec go i =
+      if i + k > String.length line then None
+      else if String.sub line i k = key then Some (String.sub line (i + k) (String.length line - i - k))
+      else go (i + 1)
+    in
+    go 0
+  in
+  let track =
+    List.filter_map
+      (fun line ->
+        match (field "\"ph\":\"" line, field "\"ts\":" line) with
+        | Some ph, Some ts when field "\"tid\":0," line <> None ->
+          Some
+            ( ph.[0],
+              Scanf.sscanf ts "%d" Fun.id,
+              Option.map (fun a -> Scanf.sscanf a "%d" Fun.id) (field "\"shard\":" line) )
+        | _ -> None)
+      (String.split_on_char '\n' doc)
+  in
+  Alcotest.(check (list (triple char int (option int))))
+    "track in start order, spans disjoint"
+    [ ('i', 100000, Some 0); ('B', 100000, Some 0); ('E', 300000, None);
+      ('i', 300000, Some 1); ('B', 300000, Some 1); ('E', 499999, None) ]
+    track
 
 (* --- Telemetry counter monoid and coverage signatures ---------------- *)
 

@@ -891,6 +891,48 @@ let test_fleet_heartbeat_totals () =
     checki "max heartbeat total = explored + pruned" (Por.explored s + s.Por.pruned)
       m
 
+let test_fleet_shard_records () =
+  (* The registry's shard records are the fleet's only event log (the
+     fleet trace is rendered from them): one per shard done, each after
+     the registry's creation, and a worker's shards back to back in
+     time.  A machine sink cannot follow several shards at once. *)
+  let c = config "binary_ratifier_n4" in
+  let explore ?sink ?telemetry () =
+    Parallel.explore_por ~jobs:2 ?sink ?telemetry ~max_depth:c.Checks.max_depth
+      ~max_runs:c.Checks.max_runs ~cheap_collect:c.Checks.cheap_collect
+      ~faults:c.Checks.faults ~n:c.Checks.n
+      ~setup:(Checks.setup_of c ~n:c.Checks.n)
+      ~check:(Checks.check_of c ~n:c.Checks.n)
+      ()
+  in
+  (match explore ~sink:Conrat_sim.Sink.null () with
+   | _ -> Alcotest.fail "a machine sink was accepted with jobs > 1"
+   | exception Invalid_argument _ -> ());
+  let t = Telemetry.create ~domains:2 () in
+  (match explore ~telemetry:t () with
+   | Error (reason, _, _) -> Alcotest.failf "unexpected violation: %s" reason
+   | Ok _ -> ());
+  let shards = Telemetry.shards t in
+  checki "one record per shard done"
+    (Telemetry.get (Telemetry.totals t) Telemetry.shards_done)
+    (List.length shards);
+  checkb "some shards" true (shards <> []);
+  List.iter
+    (fun d ->
+      let track =
+        List.sort
+          (fun (a : Telemetry.shard) b -> Float.compare a.start b.start)
+          (List.filter (fun (sh : Telemetry.shard) -> sh.domain = d) shards)
+      in
+      ignore
+        (List.fold_left
+           (fun floor (sh : Telemetry.shard) ->
+             (* 1 µs of slack for the float sum of start and seconds. *)
+             checkb "starts after the previous shard ends" true (sh.start >= floor -. 1e-6);
+             sh.start +. sh.seconds)
+           0. track))
+    [ 0; 1 ]
+
 (* ------------------------------------------------------------------ *)
 
 let () =
@@ -941,5 +983,6 @@ let () =
           tc "per-domain merge = grand total" `Quick
             test_telemetry_domain_merge_is_total ] );
       ( "fleet",
-        [ tc "heartbeat totals aggregate" `Quick test_fleet_heartbeat_totals ]
+        [ tc "heartbeat totals aggregate" `Quick test_fleet_heartbeat_totals;
+          tc "shard records, no machine sink" `Quick test_fleet_shard_records ]
       ) ]
