@@ -87,9 +87,14 @@ verify:
 # and `check --replay` of each artifact just written must exit 0.  The
 # exhausting configs' executions/complete/truncated/pruned/steps must
 # also equal their rows in the committed BENCH_VERIFY.json, so drift in
-# a fault config's counts fails here.
+# a fault config's counts fails here.  Last, the two searches of the
+# por_faults benchmark workload (perfbench/README.md), each run with its
+# --faults override, must reproduce that workload's explored/pruned/
+# steps counts (about 4 s together).
 FAULT_VERIFY_DIR ?= .
 FAULT_DEMOS = ratifier_await_ack binary_ratifier_n2_weak binary_ratifier_n3_rec
+POR_FAULTS = "binary_ratifier_n5 crash:f=1 457284/4836928/7373906" \
+	"binary_ratifier_rec_n3_f1 crash:f=2,recover 398081/883643/3776077"
 fault-verify:
 	$(DUNE) exec bin/conrat_cli.exe -- check \
 	  binary_ratifier_n2_f1 binary_ratifier_n3_f1 binary_ratifier_n3_f2 \
@@ -106,6 +111,12 @@ fault-verify:
 	  echo "fault-verify: $$d caught (expected)"; \
 	  $(DUNE) exec bin/conrat_cli.exe -- check --replay "$$a" \
 	    || { echo "fault-verify: $$d's counterexample does not replay"; exit 1; }; \
+	done
+	@for row in $(POR_FAULTS); do \
+	  set -- $$row; \
+	  $(CONRAT) check $$1 --faults $$2 --no-telemetry --json .fault-verify.json \
+	    && python3 bench/verify_counts.py --expect $$3 .fault-verify.json; \
+	  status=$$?; rm -f .fault-verify.json; [ $$status -eq 0 ] || exit $$status; \
 	done
 
 # Parallel determinism gate: the differential suite (every registry

@@ -39,7 +39,7 @@ let recovering ?(rate = 0.05) ~r () =
           if !left > 0 && Rng.float rng < rate then begin
             let down = ref [] in
             for p = n - 1 downto 0 do
-              if v.pending.(p) = None then down := p :: !down
+              if Option.is_none v.pending.(p) then down := p :: !down
             done;
             match !down with
             | [] -> Fault.Step chosen

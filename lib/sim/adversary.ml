@@ -112,16 +112,13 @@ let write_stalker =
       end)
 
 (* Whether some register at or after [i] holds a value, and whether one
-   holds exactly [x]: in-place scans that compare ints, not options. *)
+   holds exactly [x]: in-place scans that compare ints, not options, and
+   box nothing. *)
 let rec any_stored v i =
-  i < View.lo_registers v
-  && (match View.lo_cell v i with Some _ -> true | None -> any_stored v (i + 1))
+  i < View.lo_registers v && ((not (View.lo_empty v i)) || any_stored v (i + 1))
 
 let rec is_stored v x i =
-  i < View.lo_registers v
-  && (match View.lo_cell v i with
-      | Some y when y = x -> true
-      | Some _ | None -> is_stored v x (i + 1))
+  i < View.lo_registers v && (View.lo_holds v i x || is_stored v x (i + 1))
 
 (* The enabled pid whose pending write carries a value stored nowhere
    in memory, highest write probability first and lowest pid on ties;

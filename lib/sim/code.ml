@@ -143,7 +143,10 @@ type 'r t = {
   ops : Op.any option Ops.t;
   mutable code : 'r instr array;
   mutable len : int;
-  mutable last_observed : int option;
+  (* Raw cell contents the last read observed ([Memory.bot] for ⊥ and
+     after any other operation): an immediate, so the per-step store
+     skips the write barrier. *)
+  mutable last_observed : int;
 }
 
 (* Branching classes, shared with [Machine.coin_class]: 0 = forced
@@ -217,7 +220,7 @@ let compile ~memory ~n body =
       ops = Ops.create 64;
       code = Array.make 64 blank;
       len = 0;
-      last_observed = None }
+      last_observed = Memory.bot }
   in
   (* Bodies are evaluated in pid order, like the tree interpreter's
      [create]: any pure prefix (including register allocation) runs
@@ -293,57 +296,60 @@ let unfold : type a r. r t -> stage:string option -> (a -> r Program.t) -> a ->
     chained (intern t ~stage ~link:{ prelen = len0; inits; alt = pc_of s } p)
   end
 
-(* Read successor tables (see [Read.obs]): the index of observation
-   [v]'s slot, or -1 when [v] has none yet. *)
-let rec pair tab x i =
+(* Read successor tables (see [Read.obs]): the index of the slot of raw
+   observation [c] ([Memory.bot] for ⊥), or -1 when [c] has none yet. *)
+let rec pair (tab : int array) (x : int) i =
   if i >= Array.length tab then -1
   else if Array.unsafe_get tab i = x then i + 1
   else pair tab x (i + 2)
 
-let slot tab v =
+let slot tab c =
   if Array.length tab = 0 then -1
-  else match v with None -> 0 | Some x -> pair tab x 1
+  else if c = Memory.bot then 0
+  else pair tab c 1
 
-(* [tab] with [v]'s slot set to [s]; a new observation grows the table
-   by one pair. *)
-let set_obs tab v s =
+(* [tab] with raw observation [c]'s slot set to [s]; a new observation
+   grows the table by one pair. *)
+let set_obs tab c s =
   let tab = if Array.length tab = 0 then [| -1 |] else tab in
-  let i = slot tab v in
+  let i = slot tab c in
   if i >= 0 then begin tab.(i) <- s; tab end
   else begin
     let n = Array.length tab in
     let grown = Array.make (n + 2) s in
     Array.blit tab 0 grown 0 n;
-    grown.(n) <- Option.get v;
+    grown.(n) <- c;
     grown
   end
 
 (* Execute the instruction at [pc] with the coin already decided,
-   applying its memory effect and returning the successor pc.  What a
-   read observed is left in [last_observed] (the cell's own option
-   value — nothing is allocated) for the façade's trace recording. *)
+   applying its memory effect and returning the successor pc.  A read
+   dispatches on the raw cell, so a memo hit allocates nothing; the
+   option the continuation takes is built only on a miss.  What the
+   read observed is left in [last_observed] for the façade's trace
+   recording. *)
 let step t ~cheap_collect ~pc ~landed =
   let instr = t.code.(pc) in
   match instr.op with
   | Halt _ -> invalid_arg "Code.step: process already halted"
   | Read r ->
-    let v =
-      if landed then Memory.read_stale t.memory r.loc
-      else Memory.read t.memory r.loc
+    let c =
+      if landed then Memory.stale_cell t.memory r.loc
+      else Memory.cell t.memory r.loc
     in
-    t.last_observed <- v;
-    let i = slot r.obs v in
+    t.last_observed <- c;
+    let i = slot r.obs c in
     let s = if i < 0 then -1 else Array.unsafe_get r.obs i in
     let q = lookup t s in
     if q >= 0 then q
     else begin
-      let s = unfold t ~stage:instr.stage r.k v s in
-      r.obs <- set_obs r.obs v s;
+      let s = unfold t ~stage:instr.stage r.k (Memory.decode c) s in
+      r.obs <- set_obs r.obs c s;
       pc_of s
     end
   | Write w ->
     Memory.write t.memory w.loc w.value;
-    t.last_observed <- None;
+    t.last_observed <- Memory.bot;
     let q = lookup t w.next in
     if q >= 0 then q
     else begin
@@ -354,7 +360,7 @@ let step t ~cheap_collect ~pc ~landed =
     end
   | Prob w ->
     if landed then Memory.write t.memory w.loc w.value;
-    t.last_observed <- None;
+    t.last_observed <- Memory.bot;
     let q = lookup t w.next in
     if q >= 0 then q
     else begin
@@ -365,7 +371,7 @@ let step t ~cheap_collect ~pc ~landed =
     end
   | Prob_detect w ->
     if landed then Memory.write t.memory w.loc w.value;
-    t.last_observed <- None;
+    t.last_observed <- Memory.bot;
     let s = if landed then w.hit else w.miss in
     let q = lookup t s in
     if q >= 0 then q
@@ -378,7 +384,7 @@ let step t ~cheap_collect ~pc ~landed =
   | Collect c ->
     if not cheap_collect then raise Collect_disallowed;
     let arr = Array.init c.len (fun i -> Memory.read t.memory (c.loc + i)) in
-    t.last_observed <- None;
+    t.last_observed <- Memory.bot;
     let s =
       match List.find_opt (fun (key, _) -> key = arr) c.succs with
       | Some (_, s) -> s

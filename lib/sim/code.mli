@@ -89,7 +89,8 @@ val step : 'r t -> cheap_collect:bool -> pc:int -> landed:bool -> int
     miss.  Raises [Invalid_argument] at a halt pc and
     {!Collect_disallowed} on a collect without [cheap_collect]. *)
 
-val last_observed : 'r t -> int option
-(** What the most recent {!step}'s read observed ([None] for other
-    operations) — the cell's own option value, exposed separately so
-    the hot path allocates nothing. *)
+val last_observed : 'r t -> int
+(** What the most recent {!step}'s read observed, as the raw cell
+    ({!Memory.cell}: {!Memory.bot} for ⊥ and after other operations) —
+    an immediate, so recording it per step neither allocates nor pays
+    the write barrier. *)

@@ -40,10 +40,11 @@ type 'r t = {
      crashed, snapshots keep capturing the array.) *)
   mutable ever_crashed : bool;
   mutable enabled : int array;
-  (* All [2^n] possible enabled sets, interned at creation and indexed
-     by the liveness bitmask — [enabled] always aliases one of them (or
-     a fresh array when [n] is too large to tabulate).  Interning keeps
-     the they-are-shared-immutably invariant that lets snapshots alias
+  (* All [2^n] possible enabled sets, indexed by the liveness bitmask
+     and shared by every machine of this [n] (see [shared_tab]) —
+     [enabled] always aliases one of them (or a fresh array when [n] is
+     too large to tabulate).  Interning keeps the
+     they-are-shared-immutably invariant that lets snapshots alias
      [enabled] without copying, while making a process's decide/crash
      transition allocation-free. *)
   enabled_tab : int array array option;
@@ -54,28 +55,43 @@ type 'r t = {
   sink : Sink.t option;
 }
 
-let enabled_of_mask n mask =
+(* The pids satisfying [mem], ascending: count, then fill. *)
+let pids_where n (mem : int -> bool) =
   let k = ref 0 in
   for pid = 0 to n - 1 do
-    if mask land (1 lsl pid) <> 0 then incr k
+    if mem pid then incr k
   done;
   let a = Array.make !k 0 in
   let j = ref 0 in
   for pid = 0 to n - 1 do
-    if mask land (1 lsl pid) <> 0 then begin a.(!j) <- pid; incr j end
+    if mem pid then begin a.(!j) <- pid; incr j end
   done;
   a
+
+let enabled_of_mask n mask = pids_where n (fun pid -> mask land (1 lsl pid) <> 0)
 
 (* Beyond this the table would dwarf the machine; no current protocol
    config comes close. *)
 let max_tabulated_n = 10
 
+(* One table per [n], built on the first [create] at that [n] and
+   immutable after: a Monte-Carlo run builds a machine per trial, and
+   rebuilding 2^n arrays each time was most of [create]'s cost at
+   n = 8.  Trials run on several domains, so the table is published by
+   compare-and-set; a domain that loses the race adopts the winner's. *)
+let shared_tabs = Array.init (max_tabulated_n + 1) (fun _ -> Atomic.make None)
+
+let shared_tab n =
+  let cell = shared_tabs.(n) in
+  match Atomic.get cell with
+  | Some tab -> tab
+  | None ->
+    let tab = Some (Array.init (1 lsl n) (enabled_of_mask n)) in
+    ignore (Atomic.compare_and_set cell None tab : bool);
+    Option.get (Atomic.get cell)
+
 let rebuild_enabled_alloc pending n =
-  let pids = ref [] in
-  for pid = n - 1 downto 0 do
-    if Option.is_some pending.(pid) then pids := pid :: !pids
-  done;
-  Array.of_list !pids
+  pids_where n (fun pid -> Option.is_some pending.(pid))
 
 (* Peel stage labels off the front of a program, recording the
    innermost one as [pid]'s current stage.  A root-level [Recoverable]
@@ -140,11 +156,7 @@ let create ?(engine = `Vm) ?(cheap_collect = false) ?metrics ?trace ?sink ~n
     | Compiled vm -> Array.init n (fun pid -> Vm.pending vm pid)
     | Tree { programs; _ } -> Array.map Program.pending programs
   in
-  let enabled_tab =
-    if n <= max_tabulated_n then
-      Some (Array.init (1 lsl n) (enabled_of_mask n))
-    else None
-  in
+  let enabled_tab = if n <= max_tabulated_n then Some (shared_tab n) else None in
   { n;
     memory;
     cheap_collect;
@@ -169,7 +181,8 @@ let rebuild_enabled t =
     for pid = 0 to t.n - 1 do
       if Option.is_some t.pending.(pid) then mask := !mask lor (1 lsl pid)
     done;
-    t.enabled <- tab.(!mask)
+    let en = tab.(!mask) in
+    if en != t.enabled then t.enabled <- en
   | None -> t.enabled <- rebuild_enabled_alloc t.pending t.n
 
 let n t = t.n
@@ -196,11 +209,15 @@ let output t pid =
 
 let outputs t = Array.init t.n (fun pid -> output t pid)
 
+(* Per leaf, most outputs equal the previous leaf's, and the results
+   are shared per pc: storing only what changed skips the write
+   barrier on the rest. *)
 let outputs_into t buf =
   if Array.length buf <> t.n then
     invalid_arg "Machine.outputs_into: buffer length is not n";
   for pid = 0 to t.n - 1 do
-    buf.(pid) <- output t pid
+    let o = output t pid in
+    if buf.(pid) != o then buf.(pid) <- o
   done
 let crashes t = t.crash_count
 let recovers t = t.recover_count
@@ -209,14 +226,15 @@ let is_crashed t pid = t.crashed.(pid)
 (* The crashed set is a pid set like the enabled set, so it is served
    from the same interned table, indexed by its bitmask. *)
 let crashed_pids t =
-  let mask = ref 0 in
-  if t.ever_crashed then
-    for pid = 0 to t.n - 1 do
-      if t.crashed.(pid) then mask := !mask lor (1 lsl pid)
-    done;
   match t.enabled_tab with
-  | Some tab -> tab.(!mask)
-  | None -> enabled_of_mask t.n !mask
+  | Some tab ->
+    let mask = ref 0 in
+    if t.ever_crashed then
+      for pid = 0 to t.n - 1 do
+        if t.crashed.(pid) then mask := !mask lor (1 lsl pid)
+      done;
+    tab.(!mask)
+  | None -> pids_where t.n (fun pid -> t.crashed.(pid))
 
 let classify t pid =
   if t.crashed.(pid) then `Crashed
@@ -282,24 +300,24 @@ let state_hash t =
    stale pre-write value.  Engines only offer that choice on registers
    the setup marked weak, so atomic executions are unchanged ([landed]
    is always [false] for reads on the legacy paths). *)
-let apply : type a. _ -> a Op.t -> landed:bool -> a * int option =
+let apply : type a. _ -> a Op.t -> landed:bool -> a * int =
   fun t op ~landed ->
   match op with
   | Op.Read l ->
-    let v = if landed then Memory.read_stale t.memory l else Memory.read t.memory l in
-    (v, v)
+    let c = if landed then Memory.stale_cell t.memory l else Memory.cell t.memory l in
+    (Memory.decode c, c)
   | Op.Write (l, v) ->
     Memory.write t.memory l v;
-    ((), None)
+    ((), Memory.bot)
   | Op.Prob_write (l, v, _) ->
     if landed then Memory.write t.memory l v;
-    ((), None)
+    ((), Memory.bot)
   | Op.Prob_write_detect (l, v, _) ->
     if landed then Memory.write t.memory l v;
-    (landed, None)
+    (landed, Memory.bot)
   | Op.Collect (l, len) ->
     if not t.cheap_collect then raise Collect_disallowed;
-    (Array.init len (fun i -> Memory.read t.memory (l + i)), None)
+    (Array.init len (fun i -> Memory.read t.memory (l + i)), Memory.bot)
 
 let step_forced t ~pid ~landed =
   match t.pending.(pid) with
@@ -316,6 +334,8 @@ let step_forced t ~pid ~landed =
        predictable branch when tracking is off (the recovery-free
        case). *)
     if Memory.tracking t.memory then Memory.set_actor t.memory pid;
+    (* [observed] is the raw cell a read saw ([Memory.bot] otherwise),
+       boxed only for the trace. *)
     let observed, stage =
       match t.state with
       | Compiled vm ->
@@ -342,7 +362,9 @@ let step_forced t ~pid ~landed =
     (match t.trace with
      | None -> ()
      | Some tr ->
-       Trace.add tr { Trace.step = t.steps; pid; op = Some any; landed; observed });
+       Trace.add tr
+         { Trace.step = t.steps; pid; op = Some any; landed;
+           observed = Memory.decode observed });
     (match t.sink with
      | None -> ()
      | Some s ->
@@ -355,7 +377,7 @@ let step_forced t ~pid ~landed =
       | Compiled vm -> Vm.pending vm pid
       | Tree { programs; _ } -> Program.pending programs.(pid)
     in
-    t.pending.(pid) <- pending';
+    if t.pending.(pid) != pending' then t.pending.(pid) <- pending';
     match pending' with
     | Some _ -> ()
     | None ->
@@ -495,10 +517,12 @@ let snapshot t =
     s_steps = t.steps }
 
 (* Refresh a pooled snapshot in place — semantically [snapshot], minus
-   the allocations: the VM engine blits [n] pcs and restamps the O(1)
-   memory mark, so a branch point costs zero heap words once its pool
-   slot exists.  The tree oracle refreshes by the same historical
-   copies it pays for a fresh snapshot. *)
+   the allocations and the write barrier: the VM engine copies [n] pcs
+   with an int loop and restamps the O(1) memory mark, and the pointer
+   fields are stored only when they changed, so a branch point costs
+   zero heap words and no [caml_modify] once its pool slot exists.  The
+   tree oracle refreshes by the same historical copies it pays for a
+   fresh snapshot. *)
 let snapshot_into t s =
   (match t.sink with
    | None -> ()
@@ -511,42 +535,57 @@ let snapshot_into t s =
      Array.blit stages 0 snap.stages 0 t.n
    | Compiled _, Tree_snap _ | Tree _, Vm_snap _ ->
      invalid_arg "Machine.snapshot_into: snapshot from a different engine");
-  (if not t.ever_crashed then s.s_crashed <- None
-   else
+  (if t.ever_crashed then
      match s.s_crashed with
-     | Some crashed -> Array.blit t.crashed 0 crashed 0 t.n
-     | None -> s.s_crashed <- Some (Array.copy t.crashed));
+     | Some crashed ->
+       for pid = 0 to t.n - 1 do
+         crashed.(pid) <- t.crashed.(pid)
+       done
+     | None -> s.s_crashed <- Some (Array.copy t.crashed)
+   else if Option.is_some s.s_crashed then s.s_crashed <- None);
   s.s_crash_count <- t.crash_count;
   s.s_recover_count <- t.recover_count;
-  s.s_enabled <- t.enabled;
+  if s.s_enabled != t.enabled then s.s_enabled <- t.enabled;
   Memory.backup_into t.memory s.s_memory;
   s.s_steps <- t.steps
 
+(* [pid]'s crash bit as of the snapshot; [true] iff that changed it. *)
+let restore_crashed t s pid =
+  t.ever_crashed
+  &&
+  let down = match s.s_crashed with Some c -> c.(pid) | None -> false in
+  down <> t.crashed.(pid)
+  && begin
+       t.crashed.(pid) <- down;
+       true
+     end
+
 (* [total_steps] is deliberately not restored: it counts transitions
-   ever applied, the explorer's work measure. *)
+   ever applied, the explorer's work measure.  Under the VM a pid's
+   pending descriptor is a function of its pc and crash bit, so it is
+   re-derived only for the pids where one of the two moved. *)
 let restore t s =
   (match t.sink with
    | None -> ()
    | Some k -> k.Sink.on_restore ~step:t.steps);
-  (match s.s_crashed with
-   | Some crashed -> Array.blit crashed 0 t.crashed 0 t.n
-   | None -> if t.ever_crashed then Array.fill t.crashed 0 t.n false);
   t.crash_count <- s.s_crash_count;
   t.recover_count <- s.s_recover_count;
   (match t.state, s.s_engine with
    | Compiled vm, Vm_snap pcs ->
-     Vm.restore vm pcs;
-     (* Crashed state is already rolled back above: a crashed process
-        keeps its pc but pends nothing. *)
      for pid = 0 to t.n - 1 do
-       t.pending.(pid) <- (if t.crashed.(pid) then None else Vm.pending vm pid)
+       let moved = Vm.restore_pid vm pcs pid in
+       if restore_crashed t s pid || moved then
+         t.pending.(pid) <- (if t.crashed.(pid) then None else Vm.pending vm pid)
      done
    | Tree { programs; stages; _ }, Tree_snap snap ->
+     for pid = 0 to t.n - 1 do
+       ignore (restore_crashed t s pid : bool)
+     done;
      Array.blit snap.programs 0 programs 0 t.n;
      Array.blit snap.pending 0 t.pending 0 t.n;
      Array.blit snap.stages 0 stages 0 t.n
    | Compiled _, Tree_snap _ | Tree _, Vm_snap _ ->
      invalid_arg "Machine.restore: snapshot taken under a different engine");
-  t.enabled <- s.s_enabled;
+  if t.enabled != s.s_enabled then t.enabled <- s.s_enabled;
   Memory.restore_backup t.memory s.s_memory;
   t.steps <- s.s_steps

@@ -21,7 +21,20 @@
     the VM a snapshot is [n] integers plus an O(1) memory delta mark,
     so backtracking costs O(changes undone) rather than O(|memory| +
     n).  [restore] also rolls back registers allocated since the
-    snapshot (see {!Memory.restore_backup}). *)
+    snapshot (see {!Memory.restore_backup}).
+
+    Under the VM the state that {!step_forced}, {!snapshot_into} and
+    {!restore} store into is pointer-free: program counters, crash
+    bits, memory cells (⊥ as the sentinel {!Memory.bot}) and the undo
+    journals are immediate integers, copied with typed loops rather
+    than [Array.blit].  OCaml's write barrier ([caml_modify]) runs on
+    every store of a pointer-typed value into the major heap, and the
+    explorers make these stores millions of times, so a search
+    step/snapshot/restore cycle neither allocates nor pays the barrier.
+    The pointer fields that remain (pending descriptors, the enabled
+    set, a pooled snapshot's enabled set) are stored only when they
+    change, and [restore] re-derives a pid's pending descriptor only
+    when its pc or crash bit moved. *)
 
 exception Collect_disallowed
 (** Raised when a program performs a collect but the machine was not

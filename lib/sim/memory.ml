@@ -23,10 +23,20 @@ type loc = int
    pops writes back in LIFO order.  Backtracking thus costs O(writes
    undone) — the delta — instead of O(|memory|), and executions that
    never back up (the Monte Carlo scheduler) never pay for journaling
-   at all. *)
+   at all.
+
+   Every array that a write, a journal push or a restore stores into
+   holds immediate integers: a cell is its value, or [bot] (min_int)
+   for ⊥.  OCaml stores into an [int array] without the write barrier,
+   so the explorers' step, backup and restore paths never call
+   [caml_modify] here and never box a value; [read]/[read_stale] build
+   the [int option] only at the API edge.  [bot] itself can never be
+   written (see [write]), so the encoding is exact. *)
+let bot = min_int
+
 type t = {
-  mutable cells : int option array;
-  mutable prev : int option array;
+  mutable cells : int array;
+  mutable prev : int array;
   mutable weak : bool array;
   (* Crash-recovery plane: [persistent] marks registers that survive
      the owner's crash (configuration, like [weak]); [writers] records
@@ -49,7 +59,7 @@ type t = {
      cost identical to a build without the fault plane. *)
   mutable has_weak : bool;
   mutable jlocs : int array;
-  mutable jvals : int option array;
+  mutable jvals : int array;
   mutable jlen : int;
   (* Cell-contents undo journal; maintained only once a backup exists.
      [cjwrs] rides along with the cell journal and holds the overwritten
@@ -57,14 +67,14 @@ type t = {
      journaling never touches it. *)
   mutable journaling : bool;
   mutable cjlocs : int array;
-  mutable cjvals : int option array;
+  mutable cjvals : int array;
   mutable cjwrs : int array;
   mutable cjlen : int;
 }
 
 let create () =
-  { cells = Array.make 16 None;
-    prev = Array.make 16 None;
+  { cells = Array.make 16 bot;
+    prev = Array.make 16 bot;
     weak = Array.make 16 false;
     persistent = Array.make 16 false;
     writers = Array.make 16 (-1);
@@ -73,42 +83,65 @@ let create () =
     len = 0;
     weak_default = false;
     has_weak = false;
-    jlocs = Array.make 16 0;
-    jvals = Array.make 16 None;
+    (* The journals are allocated by their first push: a store that
+       never journals (a Monte-Carlo trial without weak registers)
+       never pays for them. *)
+    jlocs = [||];
+    jvals = [||];
     jlen = 0;
     journaling = false;
-    cjlocs = Array.make 16 0;
-    cjvals = Array.make 16 None;
-    cjwrs = Array.make 16 (-1);
+    cjlocs = [||];
+    cjvals = [||];
+    cjwrs = [||];
     cjlen = 0 }
+
+(* [Array.blit] cannot tell an [int array] from a pointer array, so
+   into a major-heap destination it stores each element through
+   [caml_modify]; this typed loop compiles to plain stores. *)
+let blit_ints (src : int array) (dst : int array) len =
+  for i = 0 to len - 1 do
+    Array.unsafe_set dst i (Array.unsafe_get src i)
+  done
+
+let sub_ints (src : int array) len =
+  let dst = Array.make len 0 in
+  blit_ints src dst len;
+  dst
+
+let grow_ints (a : int array) cap len fill =
+  let b = Array.make cap fill in
+  blit_ints a b len;
+  b
 
 let ensure_capacity t needed =
   if needed > Array.length t.cells then begin
     let cap = max needed (2 * Array.length t.cells) in
-    let cells = Array.make cap None in
-    let prev = Array.make cap None in
     let weak = Array.make cap false in
     let persistent = Array.make cap false in
-    let writers = Array.make cap (-1) in
-    Array.blit t.cells 0 cells 0 t.len;
-    Array.blit t.prev 0 prev 0 t.len;
     Array.blit t.weak 0 weak 0 t.len;
     Array.blit t.persistent 0 persistent 0 t.len;
-    Array.blit t.writers 0 writers 0 t.len;
-    t.cells <- cells;
-    t.prev <- prev;
+    t.cells <- grow_ints t.cells cap t.len bot;
+    t.prev <- grow_ints t.prev cap t.len bot;
     t.weak <- weak;
     t.persistent <- persistent;
-    t.writers <- writers
+    t.writers <- grow_ints t.writers cap t.len (-1)
   end
 
+(* A value to store: anything but the sentinel. *)
+let value v =
+  if v = bot then invalid_arg "Memory: min_int encodes ⊥ and cannot be stored";
+  v
+
+let decode c = if c = bot then None else Some c
+
 let alloc ?init t =
+  let c = match init with None -> bot | Some v -> value v in
   ensure_capacity t (t.len + 1);
   let loc = t.len in
-  t.cells.(loc) <- init;
+  t.cells.(loc) <- c;
   (* A register that has never been written has no older value to
      return: its stale view is its initial contents. *)
-  t.prev.(loc) <- init;
+  t.prev.(loc) <- c;
   t.weak.(loc) <- t.weak_default;
   t.persistent.(loc) <- false;
   t.writers.(loc) <- -1;
@@ -122,23 +155,22 @@ let check t loc =
   if loc < 0 || loc >= t.len then
     invalid_arg (Printf.sprintf "Memory: address %d out of bounds (size %d)" loc t.len)
 
-let read t loc =
+let cell t loc =
   check t loc;
   t.cells.(loc)
 
-let read_stale t loc =
+let stale_cell t loc =
   check t loc;
   t.prev.(loc)
 
+let read t loc = decode (cell t loc)
+let read_stale t loc = decode (stale_cell t loc)
+
 let journal_push t loc v =
   if t.jlen = Array.length t.jlocs then begin
-    let cap = 2 * t.jlen in
-    let jlocs = Array.make cap 0 in
-    let jvals = Array.make cap None in
-    Array.blit t.jlocs 0 jlocs 0 t.jlen;
-    Array.blit t.jvals 0 jvals 0 t.jlen;
-    t.jlocs <- jlocs;
-    t.jvals <- jvals
+    let cap = max 16 (2 * t.jlen) in
+    t.jlocs <- grow_ints t.jlocs cap t.jlen 0;
+    t.jvals <- grow_ints t.jvals cap t.jlen bot
   end;
   t.jlocs.(t.jlen) <- loc;
   t.jvals.(t.jlen) <- v;
@@ -146,31 +178,30 @@ let journal_push t loc v =
 
 let cjournal_push t loc v =
   if t.cjlen = Array.length t.cjlocs then begin
-    let cap = 2 * t.cjlen in
-    let cjlocs = Array.make cap 0 in
-    let cjvals = Array.make cap None in
-    let cjwrs = Array.make cap (-1) in
-    Array.blit t.cjlocs 0 cjlocs 0 t.cjlen;
-    Array.blit t.cjvals 0 cjvals 0 t.cjlen;
-    Array.blit t.cjwrs 0 cjwrs 0 t.cjlen;
-    t.cjlocs <- cjlocs;
-    t.cjvals <- cjvals;
-    t.cjwrs <- cjwrs
+    let cap = max 16 (2 * t.cjlen) in
+    t.cjlocs <- grow_ints t.cjlocs cap t.cjlen 0;
+    t.cjvals <- grow_ints t.cjvals cap t.cjlen bot;
+    t.cjwrs <- grow_ints t.cjwrs cap t.cjlen (-1)
   end;
   t.cjlocs.(t.cjlen) <- loc;
   t.cjvals.(t.cjlen) <- v;
   if t.track_writers then t.cjwrs.(t.cjlen) <- t.writers.(loc);
   t.cjlen <- t.cjlen + 1
 
-let write t loc v =
-  check t loc;
+(* Store cell contents [c] (a value or [bot]) through both undo
+   journals: the write path and the recovery wipe share it. *)
+let set_cell t loc c =
   if t.journaling then cjournal_push t loc t.cells.(loc);
   if t.has_weak && t.weak.(loc) then begin
     journal_push t loc t.prev.(loc);
     t.prev.(loc) <- t.cells.(loc)
   end;
-  if t.track_writers then t.writers.(loc) <- t.actor;
-  t.cells.(loc) <- Some v
+  t.cells.(loc) <- c
+
+let write t loc v =
+  check t loc;
+  set_cell t loc (value v);
+  if t.track_writers then t.writers.(loc) <- t.actor
 
 (* Weakness is configuration: [mark_weak]/[weaken_all] are meant to run
    at setup time, before any exploration branches.  Syncing the shadow
@@ -229,12 +260,7 @@ let wipe_volatile t ~pid =
     invalid_arg "Memory.wipe_volatile: writer tracking not engaged";
   for loc = 0 to t.len - 1 do
     if t.writers.(loc) = pid && not t.persistent.(loc) then begin
-      if t.journaling then cjournal_push t loc t.cells.(loc);
-      if t.has_weak && t.weak.(loc) then begin
-        journal_push t loc t.prev.(loc);
-        t.prev.(loc) <- t.cells.(loc)
-      end;
-      t.cells.(loc) <- None;
+      set_cell t loc bot;
       t.writers.(loc) <- -1
     end
   done
@@ -279,7 +305,7 @@ type backup = {
   (* [Some cells] = full backup; [None] = delta mark.  Mutable so the
      explorers can refresh a pooled backup in place ({!backup_into})
      instead of allocating one per branch point. *)
-  mutable b_full : int option array option;
+  mutable b_full : int array option;
   (* Full backups capture ownership alongside contents when tracking
      (they never journal, so a blit is their only undo); delta marks
      leave this [None] — the writer journal rides the cell journal. *)
@@ -295,9 +321,8 @@ let backup t =
     b_jlen = t.jlen }
 
 let full_backup t =
-  { b_full = Some (Array.sub t.cells 0 t.len);
-    b_writers =
-      (if t.track_writers then Some (Array.sub t.writers 0 t.len) else None);
+  { b_full = Some (sub_ints t.cells t.len);
+    b_writers = (if t.track_writers then Some (sub_ints t.writers t.len) else None);
     b_len = t.len;
     b_cjlen = 0;
     b_jlen = t.jlen }
@@ -311,13 +336,13 @@ let backup_into t b =
      b.b_len <- t.len;
      b.b_cjlen <- t.cjlen
    | Some cells ->
-     if Array.length cells = t.len then Array.blit t.cells 0 cells 0 t.len
-     else b.b_full <- Some (Array.sub t.cells 0 t.len);
+     if Array.length cells = t.len then blit_ints t.cells cells t.len
+     else b.b_full <- Some (sub_ints t.cells t.len);
      (if t.track_writers then
         match b.b_writers with
         | Some writers when Array.length writers = t.len ->
-          Array.blit t.writers 0 writers 0 t.len
-        | Some _ | None -> b.b_writers <- Some (Array.sub t.writers 0 t.len));
+          blit_ints t.writers writers t.len
+        | Some _ | None -> b.b_writers <- Some (sub_ints t.writers t.len));
      b.b_len <- t.len);
   b.b_jlen <- t.jlen
 
@@ -350,9 +375,9 @@ let restore_backup t b =
          t.writers.(t.cjlocs.(t.cjlen)) <- t.cjwrs.(t.cjlen)
      done
    | Some cells ->
-     Array.blit cells 0 t.cells 0 b.b_len;
+     blit_ints cells t.cells b.b_len;
      (match b.b_writers with
-      | Some writers -> Array.blit writers 0 t.writers 0 b.b_len
+      | Some writers -> blit_ints writers t.writers b.b_len
       | None -> ()));
   pop_weak_journal t b.b_jlen;
   (* Registers allocated since the backup are dropped; [alloc] never
@@ -371,8 +396,10 @@ let restore_backup t b =
 let mix1 h v = ((h lxor v) * 0x100000001B3) land max_int
 let mix2 h v = ((h lxor v) * 0x27D4EB2F165667C5) land max_int
 
-(* [None] (never-written) and [Some v] must hash apart for every v. *)
-let enc = function None -> 0x5bd1e995 | Some v -> (v lsl 1) lor 1
+(* ⊥ (never-written) and every value v must hash apart.  Dedup keys
+   and the visited table's layout follow these words, so they are
+   pinned (test/test_vm.ml, "hash_into pinned"). *)
+let enc c = if c = bot then 0x5bd1e995 else (c lsl 1) lor 1
 
 let hash_fold t (h : int array) =
   let h1 = ref (mix1 h.(0) t.len) and h2 = ref (mix2 h.(1) t.len) in

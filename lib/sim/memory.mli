@@ -7,7 +7,20 @@
 
     Reads and writes here are raw accessors used by the scheduler; they
     do {e not} count as protocol operations by themselves — accounting
-    happens when the scheduler applies an {!Op.t}. *)
+    happens when the scheduler applies an {!Op.t}.
+
+    {b Representation.}  The store is pointer-free: cells, stale-read
+    shadows, the undo journals and full backups are [int array]s, with
+    ⊥ encoded as the sentinel {!bot} ([min_int]).  OCaml stores an
+    immediate integer into an [int array] without its write barrier, so
+    a write, a backup and a restore — millions per exhaustive search —
+    neither allocate nor call [caml_modify]; an [int option] cell would
+    box [Some v] on every write and pay the barrier on every store into
+    the major-heap arrays.  {!read} and {!read_stale} build the option
+    at the API edge (the tree engine, adversary views, continuations),
+    and {!cell}/{!stale_cell} give the raw encoding to the VM.  The
+    sentinel itself cannot be stored: {!write} and {!alloc} raise on
+    it. *)
 
 type loc = int
 (** A register address. *)
@@ -17,9 +30,14 @@ type t
 val create : unit -> t
 (** An empty store. *)
 
+val bot : int
+(** The raw encoding of ⊥ returned by {!cell} and {!stale_cell}:
+    [min_int], which no register may hold. *)
+
 val alloc : ?init:int -> t -> loc
 (** [alloc t] allocates a fresh register initialised to ⊥ (or to
-    [Some init] when [~init] is given) and returns its address. *)
+    [Some init] when [~init] is given) and returns its address.  Raises
+    [Invalid_argument] when [init] is {!bot}. *)
 
 val alloc_n : ?init:int -> t -> int -> loc array
 (** [alloc_n t k] allocates [k] fresh consecutive registers. *)
@@ -37,8 +55,20 @@ val read_stale : t -> loc -> int option
     on an atomic register this returns the contents as of the register
     becoming weak, i.e. its initial contents if it never does. *)
 
+val cell : t -> loc -> int
+(** {!read} without the option: the value, or {!bot} for ⊥.  Allocates
+    nothing. *)
+
+val stale_cell : t -> loc -> int
+(** {!read_stale} without the option, like {!cell}. *)
+
+val decode : int -> int option
+(** The contents a raw cell stands for: [None] for {!bot}, else
+    [Some c]. *)
+
 val write : t -> loc -> int -> unit
-(** Overwrite a register with [Some v]. *)
+(** Overwrite a register with [Some v].  Raises [Invalid_argument] when
+    [v] is {!bot}, the ⊥ sentinel. *)
 
 val mark_weak : t -> loc -> unit
 (** Mark one register as regular (non-atomic): fault-aware drivers may

@@ -55,7 +55,7 @@ let run ?(engine = `Tree) ?(max_steps = 10_000_000) ?(record = false) ?(cheap_co
       in
       let choice = choose view in
       let pid =
-        if choice >= 0 && choice < n && Machine.pending_op machine choice <> None
+        if choice >= 0 && choice < n && Option.is_some (Machine.pending_op machine choice)
         then choice
         else Adversary.next_enabled_from en n (((choice mod n) + n) mod n)
       in
@@ -72,7 +72,7 @@ let run ?(engine = `Tree) ?(max_steps = 10_000_000) ?(record = false) ?(cheap_co
        | None -> Machine.step_random machine ~pid ~coin:write_coins.(pid)
        | Some inject ->
          (match inject view ~chosen:pid with
-          | Fault.Crash p when Machine.pending_op machine p <> None ->
+          | Fault.Crash p when Option.is_some (Machine.pending_op machine p) ->
             Machine.crash machine ~pid:p
           | Fault.Stale p
             when p = pid

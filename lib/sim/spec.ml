@@ -11,7 +11,9 @@ let errf fmt = Format.kasprintf (fun s -> Error s) fmt
    (which build the message) are cold.  Each reports the same violation
    the historical fold did: the first bad process in pid order. *)
 
-let rec mem_input inputs v i =
+(* Typed on [int] so [=] compiles to an integer compare, not a
+   polymorphic [compare_val] call per input. *)
+let rec mem_input (inputs : int array) (v : int) i =
   i < Array.length inputs && (inputs.(i) = v || mem_input inputs v (i + 1))
 
 let mem_input inputs v = mem_input inputs v 0
@@ -93,7 +95,7 @@ let rec coherence_decider (outputs : decision option array) n pid =
 
 let coherence ~outputs = coherence_decider outputs (Array.length outputs) 0
 
-let rec all_inputs_equal inputs v0 i =
+let rec all_inputs_equal (inputs : int array) (v0 : int) i =
   i >= Array.length inputs || (inputs.(i) = v0 && all_inputs_equal inputs v0 (i + 1))
 
 let rec acceptance_scan (outputs : decision option array) n v0 pid =

@@ -58,4 +58,7 @@ let lo_value v pid =
 let lo_prob = prob
 let lo_registers v = Memory.size v.memory
 let lo_cell v i = Memory.read v.memory i
+
+let lo_empty v i = Memory.cell v.memory i = Memory.bot
+let lo_holds v i x = x <> Memory.bot && Memory.cell v.memory i = x
 let lo_op_count = op_count

@@ -100,4 +100,11 @@ val lo_cell : location_oblivious -> int -> int option
 (** Current contents of register [i], [0 <= i < lo_registers v];
     [None] = ⊥. *)
 
+val lo_empty : location_oblivious -> int -> bool
+val lo_holds : location_oblivious -> int -> int -> bool
+(** [lo_empty v i] is [lo_cell v i = None] and [lo_holds v i x] is
+    [lo_cell v i = Some x], read off the raw cell ({!Memory.cell}) so
+    the location-oblivious adversaries' per-step memory scans allocate
+    nothing. *)
+
 val lo_op_count : location_oblivious -> int -> int

@@ -44,8 +44,21 @@ let hash_fold t (h : int array) =
   h.(0) <- !h1;
   h.(1) <- !h2
 
+(* Snapshots copy the pc file with typed loops, not [Array.blit], which
+   stores through [caml_modify] into a major-heap destination. *)
 type snapshot = int array
 
 let snapshot t = Array.copy t.pcs
-let snapshot_into t (s : snapshot) = Array.blit t.pcs 0 s 0 (Array.length s)
-let restore t (s : snapshot) = Array.blit s 0 t.pcs 0 (Array.length s)
+
+let snapshot_into t (s : snapshot) =
+  for pid = 0 to Array.length s - 1 do
+    s.(pid) <- t.pcs.(pid)
+  done
+
+let restore_pid t (s : snapshot) pid =
+  let pc = s.(pid) in
+  pc <> t.pcs.(pid)
+  && begin
+       t.pcs.(pid) <- pc;
+       true
+     end

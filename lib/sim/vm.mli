@@ -21,11 +21,12 @@ val create :
     exactly like the tree interpreter) and place every pc at its
     root. *)
 
-val exec : 'r t -> pid:int -> landed:bool -> int option
+val exec : 'r t -> pid:int -> landed:bool -> int
 (** Execute [pid]'s pending operation with the coin outcome already
-    decided, advancing its pc.  Returns what a read observed ([None]
-    for other operations) for trace recording — the cell's own option
-    value, so the no-instrumentation path allocates nothing. *)
+    decided, advancing its pc.  Returns what a read observed as a raw
+    cell ({!Memory.cell}; {!Memory.bot} for ⊥ and for other
+    operations), for trace recording: an immediate, so the
+    no-instrumentation path allocates nothing. *)
 
 val reenter : 'r t -> pid:int -> unit
 (** Crash-recovery re-entry: place [pid]'s pc at its recover
@@ -59,4 +60,7 @@ val snapshot_into : 'r t -> snapshot -> unit
 (** Refresh a snapshot of this VM in place (same [n]) — the pooled
     no-allocation path. *)
 
-val restore : 'r t -> snapshot -> unit
+val restore_pid : 'r t -> snapshot -> int -> bool
+(** Restore one pid's pc from a snapshot; [true] iff it changed, so the
+    façade re-derives pending descriptors only for the pids that
+    moved. *)

@@ -198,6 +198,66 @@ let test_memory_bounds () =
     (Invalid_argument "Memory: address 3 out of bounds (size 1)")
     (fun () -> ignore (Memory.read mem 3))
 
+(* ⊥, a negative value and 2^24 survive a backup and restore of either
+   kind, in the cells, the weak shadows and the writers a recovery wipe
+   keys on: the store encodes ⊥ as a sentinel integer, so a value that
+   collided with it, or a journal that dropped one, would show here. *)
+let test_memory_backup_roundtrip kind () =
+  let mem = Memory.create () in
+  let r = Memory.alloc_n mem 3 in
+  Memory.mark_weak mem r.(0);
+  Memory.track_writers mem;
+  Memory.set_actor mem 1;
+  Memory.write mem r.(1) (-7);
+  let view () =
+    Array.map (fun l -> (Memory.read mem l, Memory.read_stale mem l)) r
+  in
+  let backup () =
+    match kind with `Delta -> Memory.backup mem | `Full -> Memory.full_backup mem
+  in
+  let b0 = backup () in
+  let v0 = view () in
+  Memory.set_actor mem 2;
+  Memory.write mem r.(0) (1 lsl 24);
+  Memory.write mem r.(0) (-1);
+  Memory.write mem r.(1) (1 lsl 24);
+  Memory.write mem r.(2) (1 lsl 24);
+  ignore (Memory.alloc ~init:(-3) mem : Memory.loc);
+  let b1 = backup () in
+  let v1 = view () in
+  check Alcotest.(option int) "stale view of the weak register" (Some (1 lsl 24))
+    (Memory.read_stale mem r.(0));
+  Memory.wipe_volatile mem ~pid:2;
+  Alcotest.(check (array (option int))) "the wipe leaves ⊥ behind"
+    [| None; None; None |] (Array.map (Memory.read mem) r);
+  Memory.restore_backup mem b1;
+  checkb "views after the wipe is undone" true (view () = v1);
+  check Alcotest.int "allocated register kept" 4 (Memory.size mem);
+  check Alcotest.(option int) "negative initial contents" (Some (-3)) (Memory.read mem 3);
+  Memory.restore_backup mem b0;
+  checkb "views after every write is undone" true (view () = v0);
+  check Alcotest.int "allocation undone" 3 (Memory.size mem);
+  Alcotest.(check (array (option int))) "⊥, -7, ⊥" [| None; Some (-7); None |]
+    (Array.map (Memory.read mem) r);
+  Memory.wipe_volatile mem ~pid:1;
+  Alcotest.(check (array (option int))) "pid 1 owns its write again"
+    [| None; None; None |] (Array.map (Memory.read mem) r)
+
+(* ⊥ is stored as [Memory.bot]; the store refuses to hold that value,
+   so no write can alias never-written. *)
+let test_memory_sentinel_raises () =
+  let mem = Memory.create () in
+  let r = Memory.alloc mem in
+  let raises f = match f () with exception Invalid_argument _ -> true | _ -> false in
+  checkb "write of the sentinel raises" true (raises (fun () -> Memory.write mem r Memory.bot));
+  checkb "alloc ~init of the sentinel raises" true
+    (raises (fun () -> Memory.alloc ~init:Memory.bot mem));
+  check Alcotest.(option int) "register still ⊥" None (Memory.read mem r);
+  check Alcotest.int "nothing allocated" 1 (Memory.size mem);
+  Memory.write mem r (Memory.bot + 1);
+  check Alcotest.(option int) "its neighbour is a value" (Some (Memory.bot + 1))
+    (Memory.read mem r)
+
 (* ------------------------------------------------------------------ *)
 (* Op descriptors                                                      *)
 (* ------------------------------------------------------------------ *)
@@ -819,7 +879,10 @@ let () =
           tc "write read" `Quick test_memory_write_read;
           tc "growth" `Quick test_memory_growth;
           tc "alloc_n" `Quick test_memory_alloc_n;
-          tc "bounds" `Quick test_memory_bounds ] );
+          tc "bounds" `Quick test_memory_bounds;
+          tc "values through delta backups" `Quick (test_memory_backup_roundtrip `Delta);
+          tc "values through full backups" `Quick (test_memory_backup_roundtrip `Full);
+          tc "sentinel write raises" `Quick test_memory_sentinel_raises ] );
       ("op", [ tc "descriptors" `Quick test_op_descriptors ]);
       ( "scheduler",
         [ tc "runs all" `Quick test_scheduler_runs_all;

@@ -484,8 +484,8 @@ let test_observation_values () =
   if words >= 10_000 then Alcotest.failf "code store holds %d words (bound 10 000)" words;
   (* Every edge is interned now, so retraversing a read allocates
      nothing: a read of ⊥ (slot 0), then two reads of 2^24 (the table's
-     last pair).  Writes are left out of the loop because the store
-     boxes each written value. *)
+     last pair).  Cycles with writes are covered under "machine
+     state". *)
   let words_per_1000 cycle =
     let measure k =
       let before = Gc.minor_words () in
@@ -557,6 +557,91 @@ let test_words_per_pc () =
   if per_pc > 52. then Alcotest.failf "%.1f words per pc (bound 52)" per_pc
 
 (* ------------------------------------------------------------------ *)
+(* Pointer-free machine state                                          *)
+(* ------------------------------------------------------------------ *)
+
+(* [k] steps round-robin over the enabled pids, every coin landed (on a
+   weak register, the stale value delivered). *)
+let drive machine k =
+  for i = 0 to k - 1 do
+    let en = Machine.enabled machine in
+    if Array.length en > 0 then begin
+      let pid = en.(i mod Array.length en) in
+      Machine.step_forced machine ~pid ~landed:(Machine.coin_class machine pid <> 0)
+    end
+  done
+
+let machine_of name =
+  let c = config name in
+  let memory, body = Checks.setup_of c ~n:c.Checks.n () in
+  Machine.create ~n:c.Checks.n ~memory body
+
+(* A step/snapshot/restore cycle of the VM stores only immediates: the
+   cells, journals and pc file are int arrays, so once the path is
+   interned a cycle allocates nothing.  The nine steps include writes;
+   an option-valued store boxed each written value (12 words a cycle
+   here). *)
+let test_cycle_allocates_nothing () =
+  let machine = machine_of "binary_ratifier_n3" in
+  let pooled = Machine.snapshot machine in
+  let writes = ref 0 in
+  let cycle () =
+    Machine.snapshot_into machine pooled;
+    for i = 0 to 8 do
+      let en = Machine.enabled machine in
+      let pid = en.(i mod Array.length en) in
+      (match Machine.pending_op machine pid with
+       | Some op when Op.is_write op -> incr writes
+       | Some _ | None -> ());
+      Machine.step_forced machine ~pid ~landed:(Machine.coin_class machine pid <> 0)
+    done;
+    Machine.restore machine pooled
+  in
+  cycle ();
+  checkb "the cycle writes" true (!writes > 0);
+  let measure k =
+    let before = Gc.minor_words () in
+    for _ = 1 to k do cycle () done;
+    Gc.minor_words () -. before
+  in
+  Alcotest.(check (float 0.)) "minor words per 1 000 cycles" 0.
+    (measure 1000 -. measure 0)
+
+(* [Machine.hash_into] is the dedup key: its pairs are pinned to the
+   values an [int option] store produced, so the integer encoding of ⊥
+   and of the weak shadows and writers cannot drift the visited table's
+   layout or any dedup count. *)
+let pinned_states =
+  [ ("initial", "binary_ratifier_n3", fun _ -> ());
+    ("after writes", "binary_ratifier_n3", fun m -> drive m 9);
+    ("weak shadow", "binary_ratifier_n2_weak", fun m -> drive m 7);
+    ( "writer tracking",
+      "binary_ratifier_rec_n2_f1",
+      fun m ->
+        drive m 3;
+        Machine.crash m ~pid:0;
+        Machine.recover m ~pid:0;
+        drive m 2 ) ]
+
+let pinned_hashes =
+  [ (3982683234373450361, 2039196410929921979);
+    (4421994652566974546, 1425994317869759756);
+    (3127528733307261606, 3837246048487979048);
+    (1873244960219215353, 2271032636981999215) ]
+
+let test_hash_pinned () =
+  let got =
+    List.map
+      (fun (label, name, go) ->
+        let m = machine_of name in
+        go m;
+        (label, Machine.state_hash m))
+      pinned_states
+  in
+  let want = List.map2 (fun (label, _, _) h -> (label, h)) pinned_states pinned_hashes in
+  Alcotest.(check (list (pair string (pair int int)))) "state hashes" want got
+
+(* ------------------------------------------------------------------ *)
 
 let () =
   Alcotest.run "conrat vm"
@@ -581,6 +666,10 @@ let () =
           tc "allocating write keeps its continuation" `Quick
             test_allocating_write_keeps_continuation;
           tc "words per pc" `Quick test_words_per_pc ] );
+      ( "machine state",
+        [ tc "step/snapshot/restore allocates nothing" `Quick
+            test_cycle_allocates_nothing;
+          tc "hash_into pinned" `Quick test_hash_pinned ] );
       ( "checkpoint",
         [ tc "vm save, tree resume" `Quick
             (test_checkpoint_cross_engine ~from_engine:`Vm ~to_engine:`Tree
