@@ -666,7 +666,7 @@ let () =
           tc "allocating write keeps its continuation" `Quick
             test_allocating_write_keeps_continuation;
           tc "words per pc" `Quick test_words_per_pc ] );
-      ( "machine state",
+      ( "machine",
         [ tc "step/snapshot/restore allocates nothing" `Quick
             test_cycle_allocates_nothing;
           tc "hash_into pinned" `Quick test_hash_pinned ] );
