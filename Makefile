@@ -121,16 +121,17 @@ fault-verify:
 
 # Parallel determinism gate: the differential suite (every registry
 # config at --jobs N vs sequential, dedup on/off, DPOR cross-checks,
-# steal/resume bit-identity, hash soundness), then end-to-end CLI
-# smokes, one per explorer the fleet runs (POR on fallback_n2_d28, the
-# naive enumerator on binary_ratifier_n3_f2): the same config explored
-# sequentially and at --jobs 2 must produce byte-identical JSON reports
-# once wall clock and the jobs field are masked.
+# steal/resume bit-identity, hash soundness), then two end-to-end CLI
+# smokes: POR on fallback_n2_d28, and --cross on binary_ratifier_n3_f2
+# (the sequential naive oracle next to a POR side the fleet runs at
+# --jobs 2).  The same config explored sequentially and at --jobs 2
+# must produce byte-identical JSON reports once wall clock and the jobs
+# field are masked.
 PAR_MASK = sed -E 's/"jobs":[0-9]+/"jobs":_/; s/"wall_clock_seconds":[0-9.]+/"wall_clock_seconds":_/'
 par-verify:
 	$(DUNE) exec test/test_parallel.exe
 	$(DUNE) build bin/conrat_cli.exe
-	@for smoke in "fallback_n2_d28" "--naive binary_ratifier_n3_f2"; do \
+	@for smoke in "fallback_n2_d28" "--cross binary_ratifier_n3_f2"; do \
 	  for j in 1 2; do \
 	    $(CURDIR)/_build/default/bin/conrat_cli.exe check $$smoke --jobs $$j \
 	      --no-telemetry --json .par-verify-j$$j.json || exit 1; \

@@ -124,8 +124,9 @@ let workload_arg =
   named ~what:"workload" workload_names Workload.by_name "split_half"
     [ "w"; "workload" ] ~docv:"WL"
 
-(* Resolved domain count: 0 means every core. *)
-let jobs_arg =
+(* Resolved domain count: 0 means every core.  [doc] says what the
+   domains run and what stays invariant across counts. *)
+let jobs_arg ~doc =
   let resolve j =
     if j < 0 then die "bad --jobs %d (expected 0 for all cores, or a positive count)" j
     else if j = 0 then Engine.default_jobs ()
@@ -134,8 +135,13 @@ let jobs_arg =
   Term.(const resolve
         $ Arg.(value & opt int 1
                & info [ "j"; "jobs" ] ~docv:"JOBS"
-                   ~doc:"Domains to run trials on (0 = all cores). Results are \
-                         byte-identical for every value; timing is reported on stderr."))
+                   ~doc:("Domains to run on (0 = all cores). " ^ doc)))
+
+(* Monte-Carlo trials are seeded per trial, not per domain. *)
+let trials_jobs_arg =
+  jobs_arg
+    ~doc:"Trials are spread over the domains; results are byte-identical for \
+          every value, and timing is reported on stderr."
 
 let faults_arg ~doc =
   let parse s =
@@ -406,7 +412,7 @@ let sweep_cmd =
   let progress_arg = progress_arg ~doc:"Show a progress line on stderr while sweeping." in
   Cmd.v (Cmd.info "sweep" ~doc:"Monte-Carlo sweep at one configuration")
     Term.(const action $ n_arg $ m_arg $ seed_arg $ protocol_arg
-          $ adversary_arg "overwrite_attacker" $ workload_arg $ trials_arg $ jobs_arg
+          $ adversary_arg "overwrite_attacker" $ workload_arg $ trials_arg $ trials_jobs_arg
           $ stages_arg $ faults_arg $ json_arg $ progress_arg)
 
 (* experiment *)
@@ -438,7 +444,7 @@ let experiment_cmd =
     Arg.(value & pos_all string [] & info [] ~docv:"EXPERIMENT" ~doc:"E1..E10, or 'all'.")
   in
   Cmd.v (Cmd.info "experiment" ~doc:"Run the paper-claim reproductions (E1..E10)")
-    Term.(const action $ quick_arg $ jobs_arg $ json_arg $ progress_arg $ names_arg)
+    Term.(const action $ quick_arg $ trials_jobs_arg $ json_arg $ progress_arg $ names_arg)
 
 (* Exploration: the one dispatch over the four exploration algorithms. *)
 
@@ -483,9 +489,10 @@ let verdict_ok = function
 (* Explore [config] under [algo] with the [engine] program engine on
    [jobs] domains; [max_runs] overrides the config's budget, and
    [reporter label] is the progress heartbeat for the algorithm named
-   [label], if any.  Naive and POR go through [Parallel], which alone
-   picks the sequential or the fleet path from [jobs]; [resume] and
-   [on_checkpoint] reach both. *)
+   [label], if any.  POR goes through [Parallel] (via [Checks.run]),
+   which alone picks the sequential or the fleet path from [jobs], and
+   alone takes [resume] and [on_checkpoint]; the naive and dpor oracles
+   always run sequentially. *)
 let explore ~engine ~jobs ~dedup ~max_runs ~(algo : algo) ?stop
     ?(reporter = fun _ -> None) ?telemetry ?resume ?on_checkpoint
     (config : Checks.t) =
@@ -540,9 +547,8 @@ let explore ~engine ~jobs ~dedup ~max_runs ~(algo : algo) ?stop
        | Error reason -> ([], Violation reason))
     | `Naive ->
       (match
-         Parallel.explore_naive ~jobs ~engine ~max_depth ~max_runs ~cheap_collect ~faults
-           ?stop ?heartbeat:(heartbeat "naive") ?resume ?on_checkpoint ?telemetry ~n
-           ~setup ~check ()
+         Naive.explore ~engine ~max_depth ~max_runs ~cheap_collect ~faults ?stop
+           ?heartbeat:(heartbeat "naive") ~n ~setup ~check ()
        with
        | Ok s -> ([ naive_row s ], Pass)
        | Error (reason, s) -> ([ naive_row s ], Violation reason))
@@ -614,6 +620,9 @@ let check_cmd =
       if algo = `Dpor && (jobs > 1 || dedup || checkpointing) then
         die "--dpor is the sequential reduction oracle; it supports neither \
              --jobs, --dedup nor checkpointing";
+      if algo = `Naive && (jobs > 1 || checkpointing) then
+        die "--naive is the sequential unreduced oracle; it supports neither \
+             --jobs nor checkpointing";
       if dedup && (algo = `Naive || algo = `Cross) then
         die "--dedup applies to the POR engine only";
       if dedup && checkpointing then
@@ -721,16 +730,17 @@ let check_cmd =
              only when the block lands in --json; counters alone when a
              progress heartbeat wants the fleet extras or --trace wants
              the shard records.  --cross runs two engines over the same
-             config and gets none. *)
+             config and the naive oracle carries no probe, so neither gets
+             one. *)
           let telemetry =
-            if algo = `Cross then None
+            if algo = `Cross || algo = `Naive then None
             else if telemetry_json_on then
               Some (Telemetry.create ~coverage:true ~domains:jobs ())
             else if trace <> None || (progress_on && (jobs > 1 || dedup)) then
               Some (Telemetry.create ~domains:jobs ())
             else None
           in
-          (* Both explorers reject a resume path their tree cannot take
+          (* The POR search rejects a resume path its tree cannot take
              ([Invalid_argument]); that is a bad-input condition, exit 2. *)
           let rows, verdict =
             try
@@ -834,7 +844,10 @@ let check_cmd =
       if cross then `Cross else if naive then `Naive else if dpor then `Dpor else `Por
     in
     Term.(const pick
-          $ flag [ "naive" ] "Use the unreduced enumerator instead of the POR engine."
+          $ flag [ "naive" ]
+              "Use the unreduced re-execution enumerator instead of the POR \
+               engine.  Sequential oracle only — excludes --jobs, --dedup and \
+               checkpointing."
           $ flag [ "cross" ]
               "Run both exploration algorithms (naive and POR) and compare \
                complete-execution outcome sets; also repeats the POR search \
@@ -880,7 +893,16 @@ let check_cmd =
   Cmd.v
     (Cmd.info "check"
        ~doc:"Exhaustively verify named checker configs (POR engine by default)")
-    Term.(const action $ algo_arg $ engine_arg $ jobs_arg
+    Term.(const action $ algo_arg $ engine_arg
+          $ jobs_arg
+              ~doc:"Workers steal subtree shards of the POR search.  Statistics \
+                    and the complete-execution outcome set of an exhaustive run \
+                    are identical for every value, except under $(b,--dedup), \
+                    whose visited-state table is per shard: there only the \
+                    verdict and the outcome set stay invariant, and execution \
+                    counts vary with JOBS.  $(b,--naive) and $(b,--dpor) are \
+                    sequential oracles (JOBS = 1); $(b,--cross) runs only its \
+                    POR side on JOBS domains."
           $ flag [ "dedup" ]
               "Prune scheduling states already visited at the same depth and \
                crash budget (hashed VM snapshots: program counters, memory, \
@@ -914,7 +936,8 @@ let check_cmd =
           $ output_opt [ "json" ]
               ~doc:"Write per-config exploration statistics (executions, machine \
                     steps, wall clock) as JSON, each row with its telemetry \
-                    block (schema v3; v1 under $(b,--no-telemetry)); see `make \
+                    block (schema v3; v1 under $(b,--no-telemetry), \
+                    $(b,--naive) and $(b,--cross)); see `make \
                     perf-verify` and BENCH_VERIFY.json.  FILE '-' writes the \
                     document to stdout and moves all human-facing lines to \
                     stderr."

@@ -36,9 +36,10 @@ type counter = private int
    snapshot_pool_high (Max) = deepest pool slot used; dpor_races =
    races the DPOR oracle detected; dpor_backtracks = backtrack-set
    candidates added; checkpoints = checkpoint frontiers saved;
-   recovers = crash-recovery events applied; code_pcs (Max) = instructions the VM's code store interned, read
-   once at POR search exit (0 under the tree engine and for naive
-   runs, which compile a fresh store per path).
+   recovers = crash-recovery events applied; code_pcs (Max) =
+   instructions the VM's code store interned, read once at POR search
+   exit (0 under the tree engine).  The naive enumerator carries no
+   probe.
    Ids are positions in this process only: every JSON document keys
    counters by name, so a counter can be added or deleted anywhere. *)
 

@@ -92,19 +92,15 @@ let run_path ?engine ?(record = false) ?(max_depth = 200) ?(cheap_collect = fals
     trace;
     steps = Machine.steps machine }
 
-(* The lexicographically next unexplored path after [recorded], never
-   bumping a branch point before position [lo]: the enumeration stays
-   inside the subtree whose first [lo] choices are pinned, and returns
-   [None] once the subtree is exhausted.  [lo = 0] is the classic full
-   enumeration: bump the deepest branch point that still has an untried
-   alternative and drop everything after it. *)
-let next_path_from ~lo recorded =
-  let pos = List.length recorded in
-  let rec go pos = function
+(* The lexicographically next unexplored path after [recorded]: bump
+   the deepest branch point that still has an untried alternative and
+   drop everything after it. *)
+let next_path recorded =
+  let rec go = function
     | [] -> None
     | (c, arity) :: shallower_rev ->
-      if pos > lo && c + 1 < arity
+      if c + 1 < arity
       then Some (List.rev_append (List.map fst shallower_rev) [ c + 1 ])
-      else go (pos - 1) shallower_rev
+      else go shallower_rev
   in
-  go pos (List.rev recorded)
+  go (List.rev recorded)

@@ -10,8 +10,7 @@
     This module fixes the tree's path encoding and replays single paths
     over {!Machine}.  [run_path] executes one deterministically-chosen
     path (the replay core used by counterexample artifacts and the
-    shrinker), and [next_path_from] computes its lexicographic
-    successor.
+    shrinker), and [next_path] computes its lexicographic successor.
     Two enumerators walk the tree: [Conrat_verify.Naive] re-executes
     every path from the root with these two functions (the small
     independent oracle), and [Conrat_verify.Por] walks it statefully,
@@ -82,12 +81,8 @@ val run_path :
     effect here — weakness lives in the registers the setup marked via
     {!Memory.mark_weak} / {!Memory.weaken_all}. *)
 
-val next_path_from : lo:int -> (int * int) list -> int list option
+val next_path : (int * int) list -> int list option
 (** The lexicographically next unexplored path after the given
-    [branches] record, with branch points at positions [< lo] (from the
-    root) pinned and never bumped: the enumeration covers exactly the
-    subtree sharing the record's first [lo] choices and returns [None]
-    when that subtree is exhausted.  With {!run_path} and [~lo:0] this
-    is the historical re-execution enumerator (see
-    [Conrat_verify.Naive]); a positive [lo] is the unit of sharded
-    naive enumeration (see [Conrat_verify.Parallel]). *)
+    [branches] record, or [None] when the tree is exhausted.  With
+    {!run_path} this is the re-execution enumerator (see
+    [Conrat_verify.Naive]). *)

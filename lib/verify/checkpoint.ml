@@ -18,7 +18,7 @@ type counts = {
 }
 
 type t = {
-  engine : string;   (* "por" or "naive" *)
+  engine : string;   (* "por"; an older build's "naive" is refused on resume *)
   checker : string;  (* registry config name, to refuse cross-config resumes *)
   counts : counts;
 }

@@ -9,8 +9,8 @@
     statistics bit-identical to an uninterrupted one (the guarantee the
     round-trip tests lock in).
 
-    The engines accept and emit the bare {!counts}; this record adds
-    the engine and checker names so the CLI can refuse to resume a
+    {!Por.explore} accepts and emits the bare {!counts}; this record
+    adds the engine and checker names so the CLI can refuse to resume a
     checkpoint against the wrong config or engine, plus durable
     save/load (write-then-rename, so interrupting a save never leaves a
     torn file). *)
@@ -19,12 +19,14 @@ type counts = {
   path : int list;    (** branch choices to the first uncounted leaf *)
   complete : int;
   truncated : int;
-  pruned : int;       (** 0 for the naive engine *)
+  pruned : int;
   steps : int;        (** machine transitions, including backtracked *)
 }
 
 type t = {
-  engine : string;    (** ["por"] or ["naive"] *)
+  engine : string;
+    (** ["por"], the one engine that checkpoints ([conrat check] refuses
+        to resume the ["naive"] an older build wrote) *)
   checker : string;   (** registry config name *)
   counts : counts;
 }

@@ -329,8 +329,9 @@ let cross_check ?(engine = `Vm) ?stop ?max_runs ?naive_heartbeat ?por_heartbeat
   let collect () = Hashtbl.create 64 in
   (* Copy before keying: explorers reuse the outputs buffer across
      leaves, and a hashtable key must not mutate after insertion.  With
-     [jobs > 1] the collecting check runs from several domains, so the
-     outcome table is mutex-guarded (membership peeks included). *)
+     [jobs > 1] the POR side's collecting check runs from several
+     domains, so the outcome table is mutex-guarded (membership peeks
+     included). *)
   let lock = Mutex.create () in
   let noting outcomes ~complete outputs =
     if complete then
@@ -345,7 +346,7 @@ let cross_check ?(engine = `Vm) ?stop ?max_runs ?naive_heartbeat ?por_heartbeat
   in
   let naive_outcomes = collect () in
   let naive =
-    Parallel.explore_naive ~jobs ~engine ~max_depth:config.max_depth ~max_runs
+    Naive.explore ~engine ~max_depth:config.max_depth ~max_runs
       ~cheap_collect:config.cheap_collect ~faults:config.faults ?stop
       ?heartbeat:naive_heartbeat ~n:config.n
       ~setup:(setup_of config ~n:config.n)

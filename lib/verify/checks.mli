@@ -150,7 +150,8 @@ val cross_check :
     naive-vs-POR comparison, the POR search is repeated under the other
     program engine ([engine] names the primary; default [`Vm]) and the
     results compared — so one cross-check validates both the reduction
-    and the compiler.  [jobs > 1] runs the naive and primary POR sweeps
-    under {!Parallel} (statistics are [jobs]-invariant for exhaustive
-    runs, so the differential is unaffected); the oracle-engine sweep
-    stays sequential. *)
+    and the compiler.  The naive sweep always runs sequentially, so the
+    oracle shares no fleet with the search it checks; [jobs > 1] runs
+    only the primary POR sweep under {!Parallel} (its statistics are
+    [jobs]-invariant for exhaustive runs, so the differential is
+    unaffected), and the oracle-engine sweep stays sequential. *)

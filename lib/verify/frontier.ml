@@ -4,17 +4,18 @@ type t = int list array
 
 let target ~jobs = max 64 (16 * jobs)
 
-(* Deepening heuristic: a cut at branch level [lvl] (POR: frame
-   nesting; naive: branch position) yields one shard per explored
-   candidate of each first-branch-point-at-or-below [lvl]; going deeper multiplies shards by the branching beneath, at
-   the price of the generator exploring longer corridors itself.  We
-   start shallow and deepen by two frames while the count still grows
-   and remains short of [target]; a pass whose count stops growing
-   (same branch points, or a narrow chain) is kept as-is — each pass is
-   a complete partition, so any pass is correct, and the stagnation
-   pass is the cheapest correct one.  Zero shards means the cut never
-   fired: the whole tree sits above the cut and the residue statistics
-   of that pass already cover it. *)
+(* Deepening heuristic: a cut at branch level [lvl] (POR's frame
+   nesting) yields one shard per explored candidate of each
+   first-branch-point-at-or-below [lvl]; going deeper multiplies
+   shards by the branching beneath, at the price of the generator
+   exploring longer corridors itself.  We start shallow and deepen by
+   two frames while the count still grows and remains short of
+   [target]; a pass whose count stops growing (same branch points, or
+   a narrow chain) is kept as-is — each pass is a complete partition,
+   so any pass is correct, and the stagnation pass is the cheapest
+   correct one.  Zero shards means the cut never fired: the whole tree
+   sits above the cut and the residue statistics of that pass already
+   cover it. *)
 let generate ?probe ~target ~run () =
   let rec go lvl prev_count =
     let shards = ref [] in

@@ -5,14 +5,13 @@
     {!Conrat_sim.Explore.run_path}'s encoding — the same encoding as
     {!Checkpoint} frontiers, and deliberately so: a shard handed to
     {!Por.explore} as [~resume:{path; zero counts}]
-    [~subtree_prefix:(List.length path)], or to {!Naive.explore} with
-    [~path_floor:(List.length path)], pins the prefix and explores
+    [~subtree_prefix:(List.length path)] pins the prefix and explores
     exactly the subtree below it, and an interrupted shard's checkpoint
     is itself a deeper path in the same encoding.  The generator is
-    either explorer's [~cut]: it emits shards in sequential DFS order
+    {!Por.explore}'s [~cut]: it emits shards in sequential DFS order
     while exploring the {e residue} — leaves shallower than the cut —
     itself, so residue statistics plus per-shard statistics sum to
-    exactly the unsharded search's (verified for both explorers in
+    exactly the unsharded search's (verified in
     [test/test_parallel.ml]). *)
 
 type t = int list array

@@ -24,29 +24,32 @@ let merge residue results =
   let fold (err, total) = function
     | None -> (err, { total with Por.exhausted = false })
     | Some (Ok s) -> (err, add total s)
-    | Some (Error (e, s)) ->
-      ((if Option.is_none err then Some e else err),
+    | Some (Error (reason, path, s)) ->
+      ((if Option.is_none err then Some (reason, path) else err),
        { (add total s) with exhausted = false })
   in
   match Array.fold_left fold (None, residue) results with
   | None, total -> Ok total
-  | Some e, total -> Error (e, total)
+  | Some (reason, path), total -> Error (reason, path, total)
 
 let probe_of telemetry ~domain =
   Option.map (fun t -> Telemetry.probe t ~domain) telemetry
 
-(* The one work-stealing fleet behind both entries.  [run ~probe
-   ~heartbeat ~stop ~max_runs ~cut ~shard] is the caller's sequential
-   explorer with every other parameter applied, counting in [Por.stats]:
-   with [~cut:(Some _)] it is a {!Frontier.generate} pass, with
-   [~shard:(Some path)] it explores exactly the subtree pinned under
-   [path]. *)
-let fleet ~who ~jobs ~checkpointing ~max_runs ~stop ~heartbeat ~telemetry ~run =
-  if checkpointing then invalid_arg (who ^ ": checkpointing needs jobs <= 1");
+(* The work-stealing fleet over {!Por.explore}: [shard_search] with
+   [~cut] is a {!Frontier.generate} pass, with [~shard:path] it explores
+   exactly the subtree pinned under [path]. *)
+let fleet ~jobs ?engine ?max_depth ~max_runs ?cheap_collect ?faults ~stop ?heartbeat
+    ~dedup ?telemetry ~n ~setup ~check () =
   (match telemetry with
    | Some t when Telemetry.domains t < jobs ->
-     invalid_arg (who ^ ": telemetry registry has fewer domains than jobs")
+     invalid_arg "Parallel.explore_por: telemetry registry has fewer domains than jobs"
    | _ -> ());
+  let shard_search ?probe ?heartbeat ~stop ~max_runs ?cut ?shard () =
+    Por.explore ?engine ?max_depth ~max_runs ?cheap_collect ?faults ~stop ?probe
+      ?heartbeat ?resume:(Option.map zero_counts shard)
+      ?subtree_prefix:(Option.map List.length shard) ?cut
+      ~dedup:(dedup && Option.is_none cut) ~n ~setup ~check ()
+  in
   (* Each generator deepening pass explores the residue afresh, and
      only the last pass's statistics survive — so each pass gets a
      fresh free-standing probe and only the last is absorbed, or
@@ -61,7 +64,7 @@ let fleet ~who ~jobs ~checkpointing ~max_runs ~stop ~heartbeat ~telemetry ~run =
             Option.map
               (fun t -> Telemetry.fresh_probe ~coverage:(Telemetry.coverage_on t) ())
               telemetry;
-          run ~probe:!gen_probe ~heartbeat ~stop ~max_runs ~cut:(Some cut) ~shard:None)
+          shard_search ?probe:!gen_probe ?heartbeat ~stop ~max_runs ~cut ())
       ()
   in
   (match (telemetry, !gen_probe) with
@@ -131,11 +134,10 @@ let fleet ~who ~jobs ~checkpointing ~max_runs ~stop ~heartbeat ~telemetry ~run =
               if !pending_runs >= flush_every then flush depth
             in
             let res =
-              run ~probe ~heartbeat:(Some hb) ~stop:stop_w ~max_runs:max_int ~cut:None
-                ~shard:(Some path)
+              shard_search ?probe ~heartbeat:hb ~stop:stop_w ~max_runs:max_int ~shard:path ()
             in
             flush !last_depth;
-            let s = match res with Ok s | Error (_, s) -> s in
+            let s = match res with Ok s | Error (_, _, s) -> s in
             let leaves = Por.explored s + s.Por.pruned in
             Option.iter
               (fun t ->
@@ -165,55 +167,7 @@ let explore_por ~jobs ?engine ?max_depth ?(max_runs = 2_000_000) ?cheap_collect 
       ?on_checkpoint ~dedup ~n ~setup ~check ()
   else if Option.is_some sink then
     invalid_arg "Parallel.explore_por: a sink needs jobs <= 1"
-  else
-    let run ~probe ~heartbeat ~stop ~max_runs ~cut ~shard =
-      match
-        Por.explore ?engine ?max_depth ~max_runs ?cheap_collect ?faults ~stop ?probe
-          ?heartbeat ?resume:(Option.map zero_counts shard)
-          ?subtree_prefix:(Option.map List.length shard) ?cut
-          ~dedup:(dedup && Option.is_none cut) ~n ~setup ~check ()
-      with
-      | Ok s -> Ok s
-      | Error (reason, path, s) -> Error ((reason, path), s)
-    in
-    match
-      fleet ~who:"Parallel.explore_por" ~jobs
-        ~checkpointing:(Option.is_some resume || Option.is_some on_checkpoint)
-        ~max_runs ~stop ~heartbeat ~telemetry ~run
-    with
-    | Ok s -> Ok s
-    | Error ((reason, path), s) -> Error (reason, path, s)
-
-(* Naive shards count in [Por.stats] with nothing pruned. *)
-let of_naive (s : Naive.stats) =
-  { Por.complete = s.complete; truncated = s.truncated; pruned = 0; dedup_hits = 0;
-    exhausted = s.exhausted; steps = s.steps }
-
-let to_naive (s : Por.stats) =
-  { Naive.complete = s.complete; truncated = s.truncated; exhausted = s.exhausted;
-    steps = s.steps }
-
-let explore_naive ~jobs ?engine ?max_depth ?(max_runs = 2_000_000) ?cheap_collect ?faults
-    ?(stop = fun () -> false) ?heartbeat ?resume ?checkpoint_every ?on_checkpoint
-    ?telemetry ~n ~setup ~check () =
-  if jobs <= 1 then
-    Naive.explore ?engine ?max_depth ~max_runs ?cheap_collect ?faults ~stop
-      ?probe:(probe_of telemetry ~domain:0) ?heartbeat ?resume ?checkpoint_every
-      ?on_checkpoint ~n ~setup ~check ()
-  else
-    let run ~probe ~heartbeat ~stop ~max_runs ~cut ~shard =
-      match
-        Naive.explore ?engine ?max_depth ~max_runs ?cheap_collect ?faults ~stop ?probe
-          ?heartbeat ?resume:(Option.map zero_counts shard)
-          ?path_floor:(Option.map List.length shard) ?cut ~n ~setup ~check ()
-      with
-      | Ok s -> Ok (of_naive s)
-      | Error (reason, s) -> Error (reason, of_naive s)
-    in
-    match
-      fleet ~who:"Parallel.explore_naive" ~jobs
-        ~checkpointing:(Option.is_some resume || Option.is_some on_checkpoint)
-        ~max_runs ~stop ~heartbeat ~telemetry ~run
-    with
-    | Ok s -> Ok (to_naive s)
-    | Error (reason, s) -> Error (reason, to_naive s)
+  else if Option.is_some resume || Option.is_some on_checkpoint then
+    invalid_arg "Parallel.explore_por: checkpointing needs jobs <= 1"
+  else fleet ~jobs ?engine ?max_depth ~max_runs ?cheap_collect ?faults ~stop ?heartbeat
+      ~dedup ?telemetry ~n ~setup ~check ()

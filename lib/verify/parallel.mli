@@ -1,26 +1,26 @@
 (** Domain-parallel exhaustive verification.
 
-    One work-stealing fleet, run over either sequential explorer: the
-    snapshot-backtracking POR search ({!explore_por}) or the naive
-    re-execution enumerator ({!explore_naive}).
+    One work-stealing fleet over the snapshot-backtracking POR search
+    ({!explore_por}).  The naive re-execution enumerator deliberately
+    stays off it: {!Naive} is the sequential oracle the fleet is checked
+    against, so the two share no plumbing.
 
-    {b The fleet contract}, shared by both entries.  A single-domain
-    {e generation} pass ({!Frontier.generate} driving the explorer's
-    [~cut]) carves the tree into disjoint subtree shards while counting
-    the shallow residue itself; then [jobs] workers steal shards from
-    the pool and explore each with the same sequential explorer pinned
-    under the shard's prefix.  Per-shard statistics are merged in shard
-    (sequential DFS) order, and counts partition exactly, so for any
-    search that runs to exhaustion the merged report — leaf counts,
-    steps, and the complete-execution outcome set — is bit-identical
-    to the sequential explorer's at any [jobs].  [test/test_parallel.ml]
-    verifies this differentially on the checker registry.
+    {b The fleet contract.}  A single-domain {e generation} pass
+    ({!Frontier.generate} driving {!Por.explore}'s [~cut]) carves the
+    tree into disjoint subtree shards while counting the shallow residue
+    itself; then [jobs] workers steal shards from the pool and explore
+    each with {!Por.explore} pinned under the shard's prefix.  Per-shard
+    statistics are merged in shard (sequential DFS) order, and counts
+    partition exactly, so for any search that runs to exhaustion the
+    merged report — leaf counts, steps, and the complete-execution
+    outcome set — is bit-identical to the sequential search's at any
+    [jobs] (with [dedup] off).  [test/test_parallel.ml] verifies this
+    differentially on the checker registry.
 
-    - [jobs <= 1] is the sequential explorer itself: every argument,
-      [resume], [on_checkpoint] and {!explore_por}'s [sink] included,
-      passes straight
-      through, and [telemetry] feeds probe row 0.  This is the only
-      place that picks between the sequential and the fleet path.
+    - [jobs <= 1] is {!Por.explore} itself: every argument, [resume],
+      [on_checkpoint] and [sink] included, passes straight through, and
+      [telemetry] feeds probe row 0.  This is the only place that picks
+      between the sequential and the fleet path.
     - [heartbeat] receives {e fleet-wide} running totals, flushed by
       each worker in batches (so [runs] advances in jumps of up to
       ~1024 per worker) and called under a mutex; [depth] is the
@@ -38,7 +38,7 @@
       tracks), and each generation pass runs on a
       fresh probe of which only the kept pass is absorbed, so
       work counters and coverage stay [jobs]-invariant.
-    - [sink] observes the machine of a sequential POR search only: a
+    - [sink] observes the machine of a sequential search only: a
       [sink] with [jobs > 1] is [Invalid_argument], since shards run on
       several machines at once.
     - No checkpointing under a fleet: [resume] or [on_checkpoint] with
@@ -78,25 +78,3 @@ val explore_por :
     generation passes run without it — duplicate suppression then
     depends on the sharding, so [pruned]/[dedup_hits] counts (unlike
     outcome sets) are only [jobs]-independent with dedup off. *)
-
-val explore_naive :
-  jobs:int ->
-  ?engine:Conrat_sim.Machine.engine ->
-  ?max_depth:int ->
-  ?max_runs:int ->
-  ?cheap_collect:bool ->
-  ?faults:Conrat_sim.Fault.model ->
-  ?stop:(unit -> bool) ->
-  ?heartbeat:(runs:int -> pruned:int -> steps:int -> depth:int -> unit) ->
-  ?resume:Checkpoint.counts ->
-  ?checkpoint_every:int ->
-  ?on_checkpoint:(Checkpoint.counts -> unit) ->
-  ?telemetry:Conrat_obs.Telemetry.t ->
-  n:int ->
-  setup:(unit -> Conrat_sim.Memory.t * (pid:int -> 'r Conrat_sim.Program.t)) ->
-  check:(complete:bool -> 'r option array -> (unit, string) result) ->
-  unit ->
-  (Naive.stats, string * Naive.stats) result
-(** {!Naive.explore} under the fleet: shards come from its [~cut], and
-    each worker re-enumerates a shard with [~path_floor] pinning the
-    prefix.  [heartbeat]'s [pruned] is always [0]. *)

@@ -389,7 +389,9 @@ let search ~source ?engine ?(max_depth = 200) ?(max_runs = 2_000_000)
      so it is dead and can be refreshed in place.  This turns the
      ~2 snapshots-per-leaf allocation stream of a big search into
      [max_depth] allocations total; the LIFO restore discipline
-     required by {!Memory.restore_backup} is unchanged. *)
+     required by {!Memory.restore_backup} is unchanged.  [take_snapshot]
+     returns the slot's own [Some], which the sibling loop hands to its
+     transitions as is, so entering a branch point allocates nothing. *)
   let snaps = ref (Array.make 64 None) in
   (* Telemetry accumulators for the per-branch-point events.  Plain
      (non-atomic) increments, cheaper than the events they count; the
@@ -411,15 +413,15 @@ let search ~source ?engine ?(max_depth = 200) ?(max_runs = 2_000_000)
       snaps := bigger
     end;
     match !snaps.(lvl) with
-    | Some s ->
+    | Some s as slot ->
       incr hot_refreshes;
-      Machine.snapshot_into machine s; s
+      Machine.snapshot_into machine s; slot
     | None ->
       incr hot_snapshots;
       if lvl > !pool_high then pool_high := lvl;
-      let s = Machine.snapshot machine in
-      !snaps.(lvl) <- Some s;
-      s
+      let slot = Some (Machine.snapshot machine) in
+      !snaps.(lvl) <- slot;
+      slot
   in
   let complete_count = ref 0 in
   let truncated_count = ref 0 in
@@ -670,8 +672,8 @@ let search ~source ?engine ?(max_depth = 200) ?(max_runs = 2_000_000)
             leaf `Pruned
           end
           else begin
-            let snap = take_snapshot () in
-            let snapo = Some snap in
+            let snapo = take_snapshot () in
+            let snap = Option.get snapo in
             push i;
             if rc.on then enter_node rc fi en k base rec_pids ncands i;
             let sleep0 =
@@ -808,7 +810,7 @@ let search ~source ?engine ?(max_depth = 200) ?(max_runs = 2_000_000)
         pop ()
       end
       else begin
-        let snap = match snap with Some s -> s | None -> take_snapshot () in
+        let snap = match snap with Some s -> s | None -> Option.get (take_snapshot ()) in
         push 0;
         let start = match take_rail () with None -> 0 | Some c -> c in
         if start < 0 || start > 1 then corrupt ();

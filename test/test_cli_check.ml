@@ -234,6 +234,16 @@ let () =
   if not (contains ~needle:"\"code_pcs\":16" out) then
     failf "check --json -: code_pcs gauge missing (got: %s)" out;
 
+  (* The naive oracle carries no telemetry: its rows are schema v1. *)
+  let code, out, err = run "check --naive binary_ratifier_n2 --json -" in
+  expect "check --naive --json - runs" ~code:0 ~stderr_has:"exhausted" (code, out, err);
+  if not (is_valid_json out) then
+    failf "check --naive --json -: stdout is not one JSON document (got: %s)" out;
+  if not (contains ~needle:"\"schema_version\": 1," out) then
+    failf "check --naive --json -: not schema v1 (got: %s)" out;
+  if contains ~needle:"\"telemetry\"" out then
+    failf "check --naive --json -: unexpected telemetry block (got: %s)" out;
+
   (* --quiet: success says nothing on stdout; failures still exit 1. *)
   let code, out, err = run "check --quiet binary_ratifier_n2" in
   expect "check --quiet" ~code:0 (code, out, err);
@@ -410,9 +420,32 @@ let () =
     failf "resume not bit-identical: %S vs %S" (stats_of full_out)
       (stats_of resumed_out);
 
-  expect "resume engine mismatch" ~code:2 ~stderr_has:"engine"
-    (run (Printf.sprintf "check --naive --resume %s binary_ratifier_n3_f1"
-            (Filename.quote ck)));
+  (* The naive oracle is sequential and keeps no checkpoints, like
+     --dpor: each request is a one-line exit 2. *)
+  List.iter
+    (fun (what, args) ->
+      let code, out, err = run args in
+      expect what ~code:2 ~stderr_has:"--naive is the sequential unreduced oracle"
+        (code, out, err);
+      if List.length (String.split_on_char '\n' (String.trim err)) <> 1 then
+        failf "%s: diagnostic is not one line (got: %s)" what err)
+    [ ("naive with --jobs 2", "check --naive --jobs 2 binary_ratifier_n2");
+      ("naive with --checkpoint",
+       Printf.sprintf "check --naive --checkpoint %s binary_ratifier_n2"
+         (Filename.quote (Filename.concat tmpdir "naive.sexp")));
+      ("naive with --resume",
+       Printf.sprintf "check --naive --resume %s binary_ratifier_n3_f1" (Filename.quote ck)) ];
+  (* A checkpoint an earlier build's naive engine wrote is refused by
+     the POR engine, naming the engine. *)
+  let naive_ck = Filename.concat tmpdir "naive_ck.sexp" in
+  write_file naive_ck (replace ~sub:"(engine por)" ~by:"(engine naive)" (read_file ck));
+  let code, out, err =
+    run (Printf.sprintf "check --resume %s binary_ratifier_n3_f1" (Filename.quote naive_ck))
+  in
+  expect "resume engine mismatch" ~code:2 ~stderr_has:"written by the naive engine"
+    (code, out, err);
+  if List.length (String.split_on_char '\n' (String.trim err)) <> 1 then
+    failf "resume engine mismatch: diagnostic is not one line (got: %s)" err;
   expect "checkpoint with --cross" ~code:2 ~stderr_has:"--cross"
     (run (Printf.sprintf "check --cross --checkpoint %s binary_ratifier_n2"
             (Filename.quote ck)));
@@ -425,37 +458,35 @@ let () =
   (* A real checkpoint, mutated: negative counts and path entries must
      not load, and a path the tree cannot take (out-of-range choices
      clamp to 0 on replay) must not resume to wrong totals or a
-     backtrace — exit 2 with one line, under either explorer. *)
+     backtrace — exit 2 with one line. *)
   let last_path_entry_9 s =
     let rec find i = if String.sub s i 6 = "(path " then i else find (i + 1) in
     let close = String.index_from s (find 0) ')' in
     let space = String.rindex_from s close ' ' in
     String.sub s 0 (space + 1) ^ "9" ^ String.sub s close (String.length s - close)
   in
+  let ck = Filename.concat tmpdir "mutated.sexp" in
+  let config = "fallback_n2_d28" in
+  expect "checkpoint to mutate" ~code:0 ~stdout_has:"budget exceeded"
+    (run (Printf.sprintf "check --checkpoint %s --max-runs 100 %s" (Filename.quote ck)
+            config));
+  let real = read_file ck in
   List.iter
-    (fun (algo, config) ->
-      let ck = Filename.concat tmpdir "mutated.sexp" in
-      expect (algo ^ " checkpoint to mutate") ~code:0 ~stdout_has:"budget exceeded"
-        (run (Printf.sprintf "check %s --checkpoint %s --max-runs 100 %s" algo
-                (Filename.quote ck) config));
-      let real = read_file ck in
-      List.iter
-        (fun (what, contents, needle) ->
-          write_file ck contents;
-          let code, out, err =
-            run (Printf.sprintf "check %s --resume %s %s" algo (Filename.quote ck) config)
-          in
-          expect (Printf.sprintf "%s resume %s" config what) ~code:2 ~stderr_has:needle
-            (code, out, err);
-          if List.length (String.split_on_char '\n' (String.trim err)) > 1 then
-            failf "%s resume %s: diagnostic is not one line (got: %s)" config what err)
-        [ ("negative complete", replace ~sub:"(complete " ~by:"(complete -" real,
-           "bad field complete");
-          ("negative steps", replace ~sub:"(steps " ~by:"(steps -" real, "bad field steps");
-          ("negative path entry", replace ~sub:"(path 0" ~by:"(path -1" real,
-           "bad field path");
-          ("inconsistent path", last_path_entry_9 real, "does not fit checker " ^ config) ])
-    [ ("--naive", "binary_ratifier_n3"); ("", "fallback_n2_d28") ];
+    (fun (what, contents, needle) ->
+      write_file ck contents;
+      let code, out, err =
+        run (Printf.sprintf "check --resume %s %s" (Filename.quote ck) config)
+      in
+      expect (Printf.sprintf "%s resume %s" config what) ~code:2 ~stderr_has:needle
+        (code, out, err);
+      if List.length (String.split_on_char '\n' (String.trim err)) > 1 then
+        failf "%s resume %s: diagnostic is not one line (got: %s)" config what err)
+    [ ("negative complete", replace ~sub:"(complete " ~by:"(complete -" real,
+       "bad field complete");
+      ("negative steps", replace ~sub:"(steps " ~by:"(steps -" real, "bad field steps");
+      ("negative path entry", replace ~sub:"(path 0" ~by:"(path -1" real,
+       "bad field path");
+      ("inconsistent path", last_path_entry_9 real, "does not fit checker " ^ config) ];
 
   (* ---- program engine (vm vs tree) -------------------------------- *)
 

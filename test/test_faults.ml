@@ -394,40 +394,6 @@ let test_recovery_checkpoint_resume_bit_identical () =
   checkb "≥ 2 segments actually exercised resume" true (!segments >= 2);
   checkb "segmented statistics bit-identical" true (Option.get !final = full)
 
-let test_naive_checkpoint_resume_bit_identical () =
-  let c = config "binary_ratifier_n2_f1" in
-  let explore ?max_runs ?resume ?on_checkpoint () =
-    Naive.explore ~max_depth:c.Checks.max_depth ?max_runs
-      ~cheap_collect:c.Checks.cheap_collect ~faults:c.Checks.faults ?resume
-      ~checkpoint_every:max_int ?on_checkpoint ~n:c.Checks.n
-      ~setup:(Checks.setup_of c ~n:c.Checks.n)
-      ~check:(Checks.check_of c ~n:c.Checks.n)
-      ()
-  in
-  let full =
-    match explore () with
-    | Ok s -> s
-    | Error (r, _) -> Alcotest.failf "unexpected violation: %s" r
-  in
-  let saved = ref None in
-  let budget = ref 40 in
-  let final = ref None in
-  let segments = ref 0 in
-  while !final = None do
-    incr segments;
-    if !segments > 100 then Alcotest.fail "segmented run does not converge";
-    match
-      explore ~max_runs:!budget ?resume:!saved
-        ~on_checkpoint:(fun counts -> saved := Some counts)
-        ()
-    with
-    | Ok s when s.Naive.exhausted -> final := Some s
-    | Ok _ -> budget := !budget + 40
-    | Error (r, _) -> Alcotest.failf "violation mid-segment: %s" r
-  done;
-  checkb "≥ 2 segments actually exercised resume" true (!segments >= 2);
-  checkb "segmented statistics bit-identical" true (Option.get !final = full)
-
 let test_resume_rejects_corrupt_path () =
   let c = config "binary_ratifier_n2_f1" in
   let bogus =
@@ -913,8 +879,6 @@ let () =
             test_por_checkpoint_resume_bit_identical;
           tc "recovery resume bit-identical" `Quick
             test_recovery_checkpoint_resume_bit_identical;
-          tc "naive resume bit-identical" `Quick
-            test_naive_checkpoint_resume_bit_identical;
           tc "corrupt path rejected" `Quick test_resume_rejects_corrupt_path;
           tc "sexp round-trip" `Quick test_checkpoint_sexp_roundtrip;
           tc "resume after every leaf" `Quick test_resume_after_every_leaf ] );

@@ -7,7 +7,7 @@
 
    - jobs-invariance: Parallel.explore_por at any --jobs reports the
      exact statistics and complete-execution outcome set of the
-     sequential search (and Parallel.explore_naive likewise).
+     sequential search.
    - partition exactness: a generated frontier's residue plus its
      per-shard subtree runs sum to the sequential totals, steps
      included.
@@ -75,10 +75,10 @@ let por ?(jobs = 1) ?(dedup = false) c =
   | Ok s -> (s, sorted ())
   | Error (reason, _, _) -> Alcotest.failf "%s violated: %s" c.Checks.name reason
 
-let naive ?(jobs = 1) ?max_runs c =
+let naive ?max_runs c =
   let wrap, sorted = outcomes () in
   match
-    Parallel.explore_naive ~jobs ~max_depth:c.Checks.max_depth
+    Naive.explore ~max_depth:c.Checks.max_depth
       ~max_runs:(Option.value max_runs ~default:c.Checks.max_runs)
       ~cheap_collect:c.Checks.cheap_collect ~faults:c.Checks.faults
       ~n:c.Checks.n
@@ -124,25 +124,6 @@ let test_por_jobs_invariant () =
             true (oj = o1))
         [ 2; 4 ])
     configs
-
-let test_naive_jobs_invariant () =
-  (* Naive enumeration re-executes every prefix, so gate the comparison
-     to configs whose full naive tree fits a small budget (the heavy
-     fallback trees would dominate the suite's wall clock). *)
-  let compared = ref 0 in
-  List.iter
-    (fun c ->
-      let s1, o1 = naive ~max_runs:100_000 c in
-      if s1.Naive.exhausted then begin
-        incr compared;
-        let s3, o3 = naive ~jobs:3 c in
-        checkb (c.Checks.name ^ " naive jobs=3 statistics bit-identical") true
-          (s3 = s1);
-        checkb (c.Checks.name ^ " naive jobs=3 outcome set identical") true
-          (o3 = o1)
-      end)
-    configs;
-  checkb "the gate left a meaningful sample" true (!compared >= 5)
 
 let test_jobs_exceed_frontier () =
   (* More workers than the tree has shards (here: than it has leaves):
@@ -192,12 +173,6 @@ let add_stats (a : Por.stats) (b : Por.stats) =
     exhausted = a.exhausted && b.exhausted;
     steps = a.steps + b.steps }
 
-let add_naive (a : Naive.stats) (b : Naive.stats) =
-  { Naive.complete = a.complete + b.complete;
-    truncated = a.truncated + b.truncated;
-    exhausted = a.exhausted && b.exhausted;
-    steps = a.steps + b.steps }
-
 (* A checked leaf in visit order, or the place where a generator pass
    emitted shard [i] instead of descending. *)
 type 'o visit = Leaf of bool * 'o list | Shard of int
@@ -207,13 +182,13 @@ let recorder () =
   let note ~complete outputs = seq := Leaf (complete, Array.to_list outputs) :: !seq in
   (seq, note)
 
-(* [explore ~note ~cut ~shard] runs one sequential explorer over the
+(* [explore ~note ~cut ~shard] runs one sequential POR search over the
    whole tree, as a generator pass ([cut]) or pinned under a shard
    path ([shard]), calling [note] at every checked leaf.  Residue plus
    per-shard statistics must equal the whole search's, and splicing
    each shard's leaf sequence in at its marker must replay the whole
    search's leaf sequence exactly. *)
-let check_partition name ~add ~explore =
+let check_partition name ~explore =
   let whole_seq, note = recorder () in
   let whole = explore ~note ~cut:None ~shard:None in
   let residue_seq = ref (ref []) in
@@ -243,7 +218,7 @@ let check_partition name ~add ~explore =
         (s, List.rev !seq))
       shards
   in
-  let total = Array.fold_left (fun acc (s, _) -> add acc s) residue parts in
+  let total = Array.fold_left (fun acc (s, _) -> add_stats acc s) residue parts in
   checkb (name ^ " residue + shards = sequential, steps included") true (total = whole);
   let spliced =
     List.concat_map
@@ -252,11 +227,6 @@ let check_partition name ~add ~explore =
   in
   checkb (name ^ " spliced shard sequences replay the sequential one") true
     (spliced = List.rev !whole_seq)
-
-(* Naive re-execution cannot exhaust the two ratifier trees POR
-   handles here, so its partition runs under a depth cap there (which
-   also puts truncated leaves into the sequence). *)
-let naive_partition_depth = [ ("binary_ratifier_n4", 7); ("binary_ratifier_n3_f2", 8) ]
 
 let test_shard_partition_exact () =
   List.iter
@@ -267,7 +237,7 @@ let test_shard_partition_exact () =
         note ~complete outputs;
         Checks.check_of c ~n ~complete outputs
       in
-      check_partition (name ^ " por") ~add:add_stats ~explore:(fun ~note ~cut ~shard ->
+      check_partition (name ^ " por") ~explore:(fun ~note ~cut ~shard ->
           match
             Por.explore ~max_depth:c.Checks.max_depth ~max_runs:c.Checks.max_runs
               ~cheap_collect:c.Checks.cheap_collect ~faults:c.Checks.faults ?cut
@@ -276,21 +246,7 @@ let test_shard_partition_exact () =
               ~setup:(Checks.setup_of c ~n) ~check:(noting note) ()
           with
           | Ok s -> s
-          | Error (reason, _, _) -> Alcotest.failf "%s por violated: %s" name reason);
-      let max_depth =
-        Option.value (List.assoc_opt name naive_partition_depth)
-          ~default:c.Checks.max_depth
-      in
-      check_partition (name ^ " naive") ~add:add_naive ~explore:(fun ~note ~cut ~shard ->
-          match
-            Naive.explore ~max_depth ~max_runs:c.Checks.max_runs
-              ~cheap_collect:c.Checks.cheap_collect ~faults:c.Checks.faults ?cut
-              ?resume:(Option.map zero_counts shard)
-              ?path_floor:(Option.map List.length shard) ~n
-              ~setup:(Checks.setup_of c ~n) ~check:(noting note) ()
-          with
-          | Ok s -> s
-          | Error (reason, _) -> Alcotest.failf "%s naive violated: %s" name reason))
+          | Error (reason, _, _) -> Alcotest.failf "%s por violated: %s" name reason))
     [ "binary_ratifier_n4"; "binary_ratifier_n3_f2"; "conciliator_n2";
       "composite_n2" ]
 
@@ -744,19 +700,6 @@ let por_telemetry ~jobs c =
   | Ok s -> (s, t)
   | Error (reason, _, _) -> Alcotest.failf "%s violated: %s" c.Checks.name reason
 
-let naive_telemetry ~jobs c =
-  let t = Telemetry.create ~coverage:true ~domains:(max 1 jobs) () in
-  match
-    Parallel.explore_naive ~jobs ~max_depth:c.Checks.max_depth
-      ~max_runs:c.Checks.max_runs ~cheap_collect:c.Checks.cheap_collect
-      ~faults:c.Checks.faults ~telemetry:t ~n:c.Checks.n
-      ~setup:(Checks.setup_of c ~n:c.Checks.n)
-      ~check:(Checks.check_of c ~n:c.Checks.n)
-      ()
-  with
-  | Ok s -> (s, t)
-  | Error (reason, _) -> Alcotest.failf "%s naive violated: %s" c.Checks.name reason
-
 (* The work counters: what the search did, as opposed to how it was
    scheduled (steals, snapshots, refreshes all legitimately vary with
    shard placement).  Dedup stays off here — duplicate suppression
@@ -766,12 +709,6 @@ let work_counters =
     ("leaves_truncated", Telemetry.leaves_truncated);
     ("leaves_pruned", Telemetry.leaves_pruned);
     ("steps", Telemetry.steps) ]
-
-let coverage_of t =
-  Telemetry.finalize t;
-  match Telemetry.merged_coverage t with
-  | Some cov -> cov
-  | None -> Alcotest.fail "coverage registry carries no coverage"
 
 let test_telemetry_jobs_invariant () =
   List.iter
@@ -801,43 +738,7 @@ let test_telemetry_jobs_invariant () =
                 (Telemetry.get g1 ctr) (Telemetry.get gj ctr))
             work_counters)
         [ 2; 4 ])
-    [ "binary_ratifier_n4"; "conciliator_n2"; "composite_n2" ];
-  (* The naive enumerator through the same fleet: work counters and the
-     whole coverage document (depth profile and stage signatures) are
-     jobs-invariant, and every leaf lands in the depth profile. *)
-  List.iter
-    (fun name ->
-      let c = config name in
-      let s1, t1 = naive_telemetry ~jobs:1 c in
-      let g1 = Telemetry.totals t1 in
-      let cov1 = coverage_of t1 in
-      checkb (name ^ " naive sequential exhausts") true s1.Naive.exhausted;
-      checki (name ^ " naive complete counter = stats") s1.Naive.complete
-        (Telemetry.get g1 Telemetry.leaves_complete);
-      checki (name ^ " naive truncated counter = stats") s1.Naive.truncated
-        (Telemetry.get g1 Telemetry.leaves_truncated);
-      checki (name ^ " naive steps counter = stats") s1.Naive.steps
-        (Telemetry.get g1 Telemetry.steps);
-      checki (name ^ " naive depth profile = complete + truncated")
-        (s1.Naive.complete + s1.Naive.truncated)
-        (Conrat_obs.Coverage.leaves cov1);
-      List.iter
-        (fun jobs ->
-          let sj, tj = naive_telemetry ~jobs c in
-          let gj = Telemetry.totals tj in
-          checkb (Printf.sprintf "%s naive jobs=%d stats bit-identical" name jobs) true
-            (sj = s1);
-          List.iter
-            (fun (cname, ctr) ->
-              checki
-                (Printf.sprintf "%s naive jobs=%d %s grand total invariant" name jobs
-                   cname)
-                (Telemetry.get g1 ctr) (Telemetry.get gj ctr))
-            work_counters;
-          checkb (Printf.sprintf "%s naive jobs=%d coverage invariant" name jobs) true
-            (Conrat_obs.Coverage.equal cov1 (coverage_of tj)))
-        [ 2; 4 ])
-    [ "binary_ratifier_n3"; "conciliator_n2"; "binary_ratifier_rec_n2_f1" ]
+    [ "binary_ratifier_n4"; "conciliator_n2"; "composite_n2" ]
 
 let test_telemetry_domain_merge_is_total () =
   let c = config "binary_ratifier_n4" in
@@ -941,8 +842,6 @@ let () =
     [ ( "jobs_invariance",
         [ tc "por jobs 2/4 vs sequential, all configs" `Quick
             test_por_jobs_invariant;
-          tc "naive jobs 3 vs sequential, small configs" `Quick
-            test_naive_jobs_invariant;
           tc "jobs exceed frontier" `Quick test_jobs_exceed_frontier ] );
       ( "sharding",
         [ tc "partition exact incl. steps" `Quick test_shard_partition_exact;

@@ -118,6 +118,21 @@ let test_cross_check name () =
       (Por.explored x.por < x.naive.Naive.complete + x.naive.truncated);
     checkb (name ^ ": at least one outcome") true (x.outcome_count > 0)
 
+(* Only the POR side of a cross-check takes [jobs]; the naive oracle
+   runs sequentially either way, so the report is [jobs]-invariant. *)
+let test_cross_check_jobs () =
+  let c = config "binary_ratifier_n3_f1" in
+  match (Checks.cross_check ~jobs:1 c, Checks.cross_check ~jobs:2 c) with
+  | Ok x1, Ok x2 ->
+    checkb "naive stats equal" true (x1.Checks.naive = x2.Checks.naive);
+    checkb "por stats equal" true (x1.por = x2.por);
+    checki "outcome count equal" x1.outcome_count x2.outcome_count;
+    checkb "outcome sets agree at jobs 1" true x1.outcomes_agree;
+    checkb "outcome sets agree at jobs 2" true x2.outcomes_agree;
+    checkb "engines agree at jobs 1" true x1.engines_agree;
+    checkb "engines agree at jobs 2" true x2.engines_agree
+  | Error e, _ | _, Error e -> Alcotest.failf "binary_ratifier_n3_f1: %s" e
+
 (* A hand-sized sanity check of the sleep sets themselves: two processes
    touching disjoint registers have C(4,2) = 6 naive interleavings of
    their 2+2 writes but only one Mazurkiewicz class, so POR must run
@@ -358,27 +373,6 @@ let test_checkpoint_rejects_negatives () =
       ("pruned", { ck.counts with pruned = -1 });
       ("steps", { ck.counts with steps = -100_000 }) ]
 
-(* [run_path] clamps an out-of-range choice to 0; a resume path the
-   tree cannot take must be refused, not enumerated as another subtree
-   under the checkpoint's totals. *)
-let test_naive_rejects_bad_resume_path () =
-  let c = config "binary_ratifier_n3" in
-  let n = c.Checks.n in
-  let explore ?resume ?max_runs ?on_checkpoint () =
-    Naive.explore ~max_depth:c.Checks.max_depth ?max_runs ?resume ?on_checkpoint ~n
-      ~setup:(Checks.setup_of c ~n) ~check:(Checks.check_of c ~n) ()
-  in
-  let saved = ref None in
-  ignore (explore ~max_runs:100 ~on_checkpoint:(fun ck -> saved := Some ck) ());
-  let ck = Option.get !saved in
-  (match (explore ~resume:ck (), explore ()) with
-   | Ok resumed, Ok full -> checkb "genuine resume is bit-identical" true (resumed = full)
-   | _ -> Alcotest.fail "binary_ratifier_n3 failed");
-  let bad = { ck with path = List.mapi (fun i b -> if i = 3 then 9 else b) ck.path } in
-  match explore ~resume:bad () with
-  | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "inconsistent resume path accepted"
-
 let () =
   Alcotest.run "conrat verify"
     [ ( "sexp",
@@ -393,7 +387,8 @@ let () =
             cross_check_names
         @ [ tc "binary ratifier n=4 exhausts" `Quick
               test_binary_ratifier_n4_exhausts;
-            tc "fallback depth 28 exhausts" `Slow test_fallback_d28_exhausts ] );
+            tc "fallback depth 28 exhausts" `Slow test_fallback_d28_exhausts;
+            tc "cross-check jobs 2 = jobs 1" `Quick test_cross_check_jobs ] );
       ( "shrink",
         [ tc "planted bug found and shrunk" `Quick test_por_finds_planted_bug;
           tc "shrunk path still fails" `Quick test_shrinker_output_still_fails ] );
@@ -404,5 +399,4 @@ let () =
           tc "run_path clamps choices" `Quick test_run_path_clamps;
           tc "mismatched artifact rejected" `Quick test_fixture_mismatch_rejected ] );
       ( "checkpoint",
-        [ tc "negative fields rejected" `Quick test_checkpoint_rejects_negatives;
-          tc "naive bad resume path rejected" `Quick test_naive_rejects_bad_resume_path ] ) ]
+        [ tc "negative fields rejected" `Quick test_checkpoint_rejects_negatives ] ) ]
