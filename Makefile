@@ -19,7 +19,9 @@ test:
 # from its "elapsed_seconds" and "jobs" fields.  Then every
 # JSON-emitting subcommand writing to stdout ('-'), which must parse as
 # one clean JSON document; the fleet trace must also hold at least one
-# shard span, every span closed.
+# shard span, every span closed, and a crash-recovery sweep must count
+# at least one crash per recovery (every recovered process crashed
+# first) and some recovery.
 SMOKE_MASK = sed -E 's/"elapsed_seconds": *[-+.eE0-9]+/"elapsed_seconds": _/; s/"jobs": *[0-9]+/"jobs": _/'
 smoke:
 	$(DUNE) build bin/conrat_cli.exe
@@ -34,6 +36,11 @@ smoke:
 	    || { echo "smoke: $$f differs from the committed results"; exit 1; }; \
 	done && echo "smoke: BENCH_E1..E10.json match the committed results"
 	$(DUNE) exec bin/conrat_cli.exe -- sweep -t 2 --json - | python3 -m json.tool >/dev/null
+	$(DUNE) exec bin/conrat_cli.exe -- sweep -n 8 -t 200 --faults crash:f=1,recover --json - \
+	  | python3 -c 'import json, sys; d = json.load(sys.stdin); \
+	      c, r = d["crash_total"], d["recover_total"]; \
+	      sys.exit(0 if c >= r > 0 \
+	               else "smoke: sweep --faults recover: crash_total %d, recover_total %d" % (c, r))'
 	$(DUNE) exec bin/conrat_cli.exe -- check binary_ratifier_n2 --jobs 2 --trace - \
 	  | python3 -c 'import json, sys; \
 	      ph = [e["ph"] for e in json.load(sys.stdin)["traceEvents"]]; \

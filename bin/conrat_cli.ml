@@ -333,7 +333,9 @@ let sweep_cmd =
         end
       end;
       print_endline summary;
-      if agg.crash_total > 0 || agg.quarantined <> [] then
+      if agg.crash_total > 0 || agg.recover_total > 0 || agg.plan_ignored_total > 0
+         || agg.quarantined <> []
+      then
         Printf.printf
           "faults:    crashes=%d recoveries=%d overrides_ignored=%d quarantined=%d\n"
           agg.crash_total agg.recover_total agg.plan_ignored_total

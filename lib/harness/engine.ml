@@ -52,9 +52,6 @@ let fault_setup faults memory =
       Some (Conrat_faults.Injector.of_model m)
     end
 
-let count_crashed crashed =
-  Array.fold_left (fun acc c -> if c then acc + 1 else acc) 0 crashed
-
 let run_consensus ?max_steps ?cheap_collect ?(stages = false) ?faults ~n
     ~adversary ~inputs ~seed (protocol : Conrat_core.Consensus.factory) =
   let rng = Rng.create seed in
@@ -74,7 +71,7 @@ let run_consensus ?max_steps ?cheap_collect ?(stages = false) ?faults ~n
       Spec.consensus_execution ~inputs ~outputs:result.outputs
         ~completed:result.completed;
     completed = result.completed;
-    crashes = count_crashed result.crashed;
+    crashes = result.crashes;
     recoveries = result.recoveries;
     plan_ignored = result.plan_ignored;
     total_work = Metrics.total result.metrics;
@@ -110,7 +107,7 @@ let run_deciding ?max_steps ?cheap_collect ?(stages = false) ?faults ~n
           [ Spec.validity ~inputs ~outputs:values;
             Spec.coherence ~outputs:decisions ];
       completed = result.completed;
-      crashes = count_crashed result.crashed;
+      crashes = result.crashes;
       recoveries = result.recoveries;
       plan_ignored = result.plan_ignored;
       total_work = Metrics.total result.metrics;

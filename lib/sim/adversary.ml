@@ -27,23 +27,26 @@ let location_oblivious name fresh =
    allocate nothing: scans are loops over the live view, never lists or
    copies, and helpers are top-level functions rather than closures. *)
 
-(* The first enabled pid at or cyclically after [start]: [enabled] is
-   ascending, so that is its first entry >= [start mod n], or its first
-   entry when there is none. *)
-let next_enabled_from enabled n start =
-  let s = start mod n in
-  let i = ref 0 in
-  while !i < Array.length enabled && enabled.(!i) < s do incr i done;
-  if !i < Array.length enabled then enabled.(!i) else enabled.(0)
-
-(* Membership in an ascending pid array, by binary search. *)
-let mem_sorted enabled pid =
+(* The first index of the ascending [enabled] whose entry is >= [pid],
+   by binary search. *)
+let lower_bound enabled pid =
   let lo = ref 0 and hi = ref (Array.length enabled) in
   while !lo < !hi do
     let mid = (!lo + !hi) lsr 1 in
     if enabled.(mid) < pid then lo := mid + 1 else hi := mid
   done;
-  !lo < Array.length enabled && enabled.(!lo) = pid
+  !lo
+
+(* The first enabled pid at or cyclically after [start]: its first
+   entry >= [start mod n], or its first entry when there is none. *)
+let next_enabled_from enabled n start =
+  let i = lower_bound enabled (start mod n) in
+  if i < Array.length enabled then enabled.(i) else enabled.(0)
+
+(* Membership in an ascending pid array. *)
+let mem_sorted enabled pid =
+  let i = lower_bound enabled pid in
+  i < Array.length enabled && enabled.(i) = pid
 
 (* The next pid of a plain rotation over [enabled]. *)
 let rotate cursor enabled =
@@ -81,32 +84,23 @@ let fixed_permutation ?perm () =
       done;
       if !pid >= 0 then !pid else enabled.(0))
 
-let is_reader v pid =
-  match View.vo_kind v pid with
-  | Op.Read_op | Op.Collect_op -> true
-  | Op.Write_op | Op.Prob_write_op -> false
-
-(* The [k]-th pending reader among [enabled.(i..)]. *)
-let rec nth_reader v enabled i k =
-  let pid = enabled.(i) in
-  if not (is_reader v pid) then nth_reader v enabled (i + 1) k
+(* The [k]-th pending reader at or after [pid], in pid order. *)
+let rec nth_reader v pid k =
+  if not (View.vo_is_reader v pid) then nth_reader v (pid + 1) k
   else if k = 0 then pid
-  else nth_reader v enabled (i + 1) (k - 1)
+  else nth_reader v (pid + 1) (k - 1)
 
 let write_stalker =
   value_oblivious "write_stalker" (fun ~n:_ _rng ->
     let cursor = ref 0 in
     fun v ->
       (* Rotate over the pending readers in pid order, or over every
-         enabled pid when there are none. *)
-      let enabled = View.vo_enabled v in
-      let readers = ref 0 in
-      for i = 0 to Array.length enabled - 1 do
-        if is_reader v enabled.(i) then incr readers
-      done;
-      if !readers = 0 then rotate cursor enabled
+         enabled pid when there are none.  The scheduler keeps the
+         reader count, so only finding the chosen reader scans. *)
+      let readers = View.vo_readers v in
+      if readers = 0 then rotate cursor (View.vo_enabled v)
       else begin
-        let pid = nth_reader v enabled 0 (!cursor mod !readers) in
+        let pid = nth_reader v 0 (!cursor mod readers) in
         incr cursor;
         pid
       end)

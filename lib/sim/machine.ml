@@ -90,9 +90,6 @@ let shared_tab n =
     ignore (Atomic.compare_and_set cell None tab : bool);
     Option.get (Atomic.get cell)
 
-let rebuild_enabled_alloc pending n =
-  pids_where n (fun pid -> Option.is_some pending.(pid))
-
 (* Peel stage labels off the front of a program, recording the
    innermost one as [pid]'s current stage.  A root-level [Recoverable]
    declaration is transparent here (its recover branch is peeled off by
@@ -166,7 +163,7 @@ let create ?(engine = `Vm) ?(cheap_collect = false) ?metrics ?trace ?sink ~n
     crash_count = 0;
     recover_count = 0;
     ever_crashed = false;
-    enabled = rebuild_enabled_alloc pending n;
+    enabled = pids_where n (fun pid -> Option.is_some pending.(pid));
     enabled_tab;
     steps = 0;
     total_steps = 0;
@@ -174,16 +171,48 @@ let create ?(engine = `Vm) ?(cheap_collect = false) ?metrics ?trace ?sink ~n
     trace;
     sink }
 
-let rebuild_enabled t =
+(* The first index of the ascending [a] whose entry is >= [pid]. *)
+let lower_bound a pid =
+  let lo = ref 0 and hi = ref (Array.length a) in
+  while !lo < !hi do
+    let mid = (!lo + !hi) lsr 1 in
+    if a.(mid) < pid then lo := mid + 1 else hi := mid
+  done;
+  !lo
+
+(* Bring the enabled set up to date after [pid]'s pending descriptor
+   changed, the only one a transition changes.  Tabulated sizes look
+   the set up by liveness mask.  Above them [pid] is dropped from or
+   inserted into a fresh array (never in place: snapshots alias the
+   old one), so a decide, crash or recovery costs one allocation and
+   two blits rather than an O(n) rebuild. *)
+let rebuild_enabled t pid =
   match t.enabled_tab with
   | Some tab ->
     let mask = ref 0 in
-    for pid = 0 to t.n - 1 do
-      if Option.is_some t.pending.(pid) then mask := !mask lor (1 lsl pid)
+    for p = 0 to t.n - 1 do
+      if Option.is_some t.pending.(p) then mask := !mask lor (1 lsl p)
     done;
     let en = tab.(!mask) in
     if en != t.enabled then t.enabled <- en
-  | None -> t.enabled <- rebuild_enabled_alloc t.pending t.n
+  | None ->
+    let en = t.enabled in
+    let k = Array.length en in
+    let i = lower_bound en pid in
+    let present = i < k && en.(i) = pid in
+    let live = Option.is_some t.pending.(pid) in
+    if present && not live then begin
+      let a = Array.make (k - 1) 0 in
+      Array.blit en 0 a 0 i;
+      Array.blit en (i + 1) a i (k - 1 - i);
+      t.enabled <- a
+    end
+    else if live && not present then begin
+      let a = Array.make (k + 1) pid in
+      Array.blit en 0 a 0 i;
+      Array.blit en i a (i + 1) (k - i);
+      t.enabled <- a
+    end
 
 let n t = t.n
 let memory t = t.memory
@@ -381,7 +410,7 @@ let step_forced t ~pid ~landed =
     match pending' with
     | Some _ -> ()
     | None ->
-      rebuild_enabled t;
+      rebuild_enabled t pid;
       (match t.sink with
        | None -> ()
        | Some s -> s.Sink.on_decide ~step:t.steps ~pid)
@@ -412,7 +441,7 @@ let crash t ~pid =
   t.crash_count <- t.crash_count + 1;
   t.ever_crashed <- true;
   t.pending.(pid) <- None;
-  rebuild_enabled t;
+  rebuild_enabled t pid;
   (match t.trace with
    | None -> ()
    | Some tr ->
@@ -446,7 +475,7 @@ let recover t ~pid =
     (match t.state with
      | Compiled vm -> Vm.pending vm pid
      | Tree { programs; _ } -> Program.pending programs.(pid));
-  rebuild_enabled t;
+  rebuild_enabled t pid;
   (match t.trace with
    | None -> ()
    | Some tr ->

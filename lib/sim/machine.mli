@@ -77,8 +77,10 @@ val engine : 'r t -> engine
 
 val enabled : 'r t -> int array
 (** Enabled pids, ascending.  The returned array is the machine's own
-    (rebuilt only when a process finishes); callers that mutate the
-    machine while iterating must copy it first. *)
+    and is never changed in place: a decide, crash or recovery replaces
+    it (by table lookup up to n = 10, above that by dropping or
+    inserting the one pid that moved), so an array read before a
+    transition keeps its contents. *)
 
 val unsafe_pending : 'r t -> Op.any option array
 (** The live per-pid pending-operation descriptors (shared, not a

@@ -22,6 +22,9 @@ type 'r result = {
   steps : int;            (** operations executed (= [Metrics.total]) *)
   completed : bool;       (** no process still runnable before [max_steps] *)
   crashed : bool array;   (** which pids a fault plan left crash-stopped *)
+  crashes : int;
+    (** crash-stop events a fault plan injected, including those of
+        pids that later recovered ({!Machine.crashes}) *)
   recoveries : int;       (** recovery events a fault plan injected *)
   plan_ignored : int;
     (** fault-plan overrides that were invalid (crash of a non-enabled

@@ -1,8 +1,10 @@
 type full = {
-  step : int;
+  mutable step : int;
   n : int;
-  enabled : int array;
+  mutable enabled : int array;
   pending : Op.any option array;
+  reading : bool array;
+  mutable readers : int;
   memory : Memory.t;
   op_counts : Metrics.counts;
 }
@@ -39,6 +41,8 @@ let vo_step v = v.step
 let vo_n v = v.n
 let vo_enabled v = v.enabled
 let vo_kind = kind
+let vo_readers v = v.readers
+let vo_is_reader v pid = v.reading.(pid)
 let vo_loc v pid = Op.loc (pending_of v pid)
 let vo_prob = prob
 let vo_op_count = op_count

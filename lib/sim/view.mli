@@ -13,8 +13,12 @@
     is the accessors listed for that class.  Projecting costs nothing
     and an accessor reads the scheduler's own state in place, so a
     choice allocates nothing the adversary does not allocate itself.
-    Like {!full}, a restricted view is valid only for the choice it was
-    passed to.
+
+    {!Scheduler.run} builds one {!full} record per trial and mutates it
+    in place between choices ([step], [enabled], the reader index), so
+    a view — full or restricted — is valid only during the call it was
+    passed to: an adversary or fault plan that keeps it sees later
+    states, not the one it chose in.
 
     One deliberate deviation, documented here and tested: every view
     includes the set of {e enabled} processes (those that have not yet
@@ -23,13 +27,21 @@
     simply skips halted processes. *)
 
 type full = {
-  step : int;                     (** operations executed so far *)
+  mutable step : int;             (** operations executed so far *)
   n : int;                        (** number of processes *)
-  enabled : int array;            (** pids still running, ascending *)
+  mutable enabled : int array;    (** pids still running, ascending *)
   pending : Op.any option array;  (** pending op per pid; [None] = halted *)
+  reading : bool array;
+    (** per pid: the pending operation is a read or a collect *)
+  mutable readers : int;          (** how many [reading] flags are set *)
   memory : Memory.t;              (** the shared store (adaptive only) *)
   op_counts : Metrics.counts;     (** per-pid work so far (read-only) *)
 }
+(** The scheduler's own state, read in place.  [reading] and [readers]
+    are the reader index: {!Scheduler.run} refreshes them for the one
+    pid each transition moves, so they always agree with [pending]
+    without a per-step scan.  Every field belongs to the scheduler;
+    adversaries and fault plans only read it. *)
 
 type oblivious
 (** What an oblivious adversary sees: nothing but time and liveness. *)
@@ -67,6 +79,16 @@ val vo_step : value_oblivious -> int
 val vo_n : value_oblivious -> int
 val vo_enabled : value_oblivious -> int array
 val vo_kind : value_oblivious -> int -> Op.kind
+
+val vo_readers : value_oblivious -> int
+(** How many enabled pids have a pending read or collect, in O(1): the
+    count {!vo_kind} would give by scanning {!vo_enabled}. *)
+
+val vo_is_reader : value_oblivious -> int -> bool
+(** Whether [pid]'s pending operation is a read or a collect — one
+    flag load.  Unlike {!vo_kind} it is total: [false] for a pid with
+    no pending operation. *)
+
 val vo_loc : value_oblivious -> int -> Memory.loc
 
 val vo_prob : value_oblivious -> int -> float

@@ -694,6 +694,7 @@ let test_recover_at () =
   checkb "run completed" true result.Scheduler.completed;
   checki "one recovery fired" 1 result.Scheduler.recoveries;
   checkb "p0 is live again" true (not result.Scheduler.crashed.(0));
+  checki "its crash still counts" 1 result.Scheduler.crashes;
   checkb "restarted p0 finished" true (result.Scheduler.outputs.(0) <> None)
 
 let test_invalid_recover_overrides_degrade () =

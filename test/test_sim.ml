@@ -663,6 +663,191 @@ let qcheck_priority_invariance =
   qcheck_oblivious_schedule_invariance "priority" (fun () -> Adversary.priority ())
 
 (* ------------------------------------------------------------------ *)
+(* Pinned adversary choices                                            *)
+(* ------------------------------------------------------------------ *)
+
+(* Every adversary's whole schedule, pinned by digest: each registered
+   adversary runs Theorem 7's consensus (and its cheap-collect variant,
+   so readers include collects) at n = 3, 12 and 40 — the last two above
+   [Machine]'s tabulated enabled sets — with no fault plan, with
+   crash:f=2,recover and with weak registers.  The digest covers the
+   recorded trace (every pid, op, coin and observed value) and the
+   result counters, so any change to a choice, to the enabled-set
+   bookkeeping or to the fault plumbing shows here.  The expected
+   digests come from the scheduler that rescanned every pending
+   operation at every step, so they pin the incremental one to it. *)
+let pin_plans = [ "none"; "crash:f=2,recover"; "weak" ]
+
+let pin_run ~adversary ~cheap ~n ~plan ~seed =
+  let memory = Memory.create () in
+  let model =
+    match Fault.of_string plan with Ok m -> m | Error e -> Alcotest.fail e
+  in
+  if model.Fault.weak_reads then Memory.weaken_all memory;
+  if model.Fault.recoveries > 0 then Memory.track_writers memory;
+  let faults =
+    if Fault.is_none model then None else Some (Conrat_faults.Injector.of_model model)
+  in
+  let protocol =
+    if cheap then Conrat_core.Consensus.standard_cheap_collect ~m:2
+    else Conrat_core.Consensus.standard ~m:2
+  in
+  let instance = protocol.Conrat_core.Consensus.instantiate ~n memory in
+  let result =
+    Scheduler.run ~record:true ~cheap_collect:cheap ?faults ~n
+      ~adversary:(Adversary.by_name adversary) ~rng:(Rng.create seed) ~memory
+      (fun ~pid ~rng -> instance.Conrat_core.Consensus.decide ~pid ~rng (pid land 1))
+  in
+  let trace =
+    match result.trace with Some t -> Sexp.to_string (Trace.to_sexp t) | None -> ""
+  in
+  Printf.sprintf "%s|%d|%d|%d|%b|%s" trace result.steps result.recoveries
+    result.plan_ignored result.completed
+    (String.concat ","
+       (Array.to_list
+          (Array.map (function Some v -> string_of_int v | None -> "-") result.outputs)))
+
+let pin_digest adversary =
+  let parts =
+    List.concat_map
+      (fun cheap ->
+        List.concat_map
+          (fun n ->
+            List.mapi
+              (fun i plan ->
+                pin_run ~adversary ~cheap ~n ~plan ~seed:((n * 31) + (i * 7) + Bool.to_int cheap))
+              pin_plans)
+          [ 3; 12; 40 ])
+      [ false; true ]
+  in
+  Digest.to_hex (Digest.string (String.concat "\n" parts))
+
+let expected_pin_digests =
+  [ ("round_robin", "dbedfd61ba1f5a16258b087161cd8f0e");
+    ("random_uniform", "c991caf1da2601d4bfbf225ff1c38bfd");
+    ("fixed_permutation", "9560e2c0a8d50c914a84f6bbaba0c842");
+    ("write_stalker", "f30e2974e259d32038d60f286b323d3a");
+    ("overwrite_attacker", "36e327a85b2af54a6ff5d15120902b89");
+    ("adaptive_overwriter", "c0475e623d9bd44a1494479a0ea5a9bd");
+    ("noisy", "48c2771e7fdefc9c668e05277892fd51");
+    ("priority", "b8c3f285d5126dbbc9f259b3269ca6a0") ]
+
+let test_adversary_choices_pinned () =
+  List.iter
+    (fun (name, want) ->
+      check Alcotest.string (name ^ " schedule digest") want (pin_digest name))
+    expected_pin_digests
+
+(* The scheduler's incremental bookkeeping — the machine's enabled set,
+   updated for one pid per transition, and the view's reader index —
+   must always equal what a full scan of the pending operations gives.
+   Bodies are random straight-line programs over four registers mixing
+   reads, writes, probabilistic writes and two-register collects; the
+   sizes include two above the machine's tabulated enabled sets. *)
+let random_ops rng n =
+  Array.init n (fun _ ->
+    Array.init (1 + Rng.int rng 6) (fun _ -> (Rng.int rng 4, Rng.int rng 3, Rng.int rng 50)))
+
+let body_of ops regs =
+  let open Program in
+  let* () =
+    iter_array
+      (fun (kind, reg, value) ->
+        match kind with
+        | 0 -> map ignore (read regs.(reg))
+        | 1 -> write regs.(reg) value
+        | 2 -> prob_write regs.(reg) value ~p:0.5
+        | _ -> map ignore (collect regs.(reg) 2))
+      ops
+  in
+  return 0
+
+let incremental_sizes = QCheck.oneofl [ 4; 11; 24 ]
+
+(* A random walk of steps, crashes, recoveries, snapshots and restores
+   on a bare machine, checking the enabled set after every transition. *)
+let qcheck_enabled_set_incremental =
+  QCheck.Test.make ~name:"enabled set = scan of pending ops" ~count:150
+    QCheck.(triple incremental_sizes bool (int_range 0 1_000_000))
+    (fun (n, vm, seed) ->
+      let rng = Rng.create seed in
+      let memory = Memory.create () in
+      let regs = Memory.alloc_n memory 4 in
+      Memory.track_writers memory;
+      let ops = random_ops rng n in
+      let m =
+        Machine.create ~engine:(if vm then `Vm else `Tree) ~cheap_collect:true ~n ~memory
+          (fun ~pid -> body_of ops.(pid) regs)
+      in
+      let pick a = a.(Rng.int rng (Array.length a)) in
+      let agrees () =
+        Array.to_list (Machine.enabled m)
+        = List.filter (fun pid -> Option.is_some (Machine.pending_op m pid)) (List.init n Fun.id)
+      in
+      let snap = ref None in
+      let ok = ref (agrees ()) and budget = ref 300 in
+      while !ok && !budget > 0 do
+        decr budget;
+        let enabled = Machine.enabled m and down = Machine.crashed_pids m in
+        (match Rng.int rng 6 with
+         | (0 | 1 | 2) when Array.length enabled > 0 ->
+           Machine.step_random m ~pid:(pick enabled) ~coin:rng
+         | 3 when Array.length enabled > 0 -> Machine.crash m ~pid:(pick enabled)
+         | 4 when Array.length down > 0 -> Machine.recover m ~pid:(pick down)
+         | 5 ->
+           (match !snap with
+            | Some s when Rng.bool rng -> Machine.restore m s
+            | _ -> snap := Some (Machine.snapshot m))
+         | _ -> ());
+        ok := agrees ()
+      done;
+      !ok)
+
+(* [write_stalker] behind a checker that compares the reader index
+   with a scan of the enabled pids at every choice, under each fault
+   plan (with rates raised so crashes and recoveries happen often). *)
+let qcheck_reader_index_incremental =
+  QCheck.Test.make ~name:"reader index = scan of enabled pids" ~count:150
+    QCheck.(triple incremental_sizes (oneofl pin_plans) (int_range 0 1_000_000))
+    (fun (n, plan, seed) ->
+      let rng = Rng.create seed in
+      let memory = Memory.create () in
+      let regs = Memory.alloc_n memory 4 in
+      let model = Result.get_ok (Fault.of_string plan) in
+      if model.Fault.weak_reads then Memory.weaken_all memory;
+      if model.Fault.recoveries > 0 then Memory.track_writers memory;
+      let faults =
+        if Fault.is_none model then None
+        else
+          Some (Conrat_faults.Injector.of_model ~crash_rate:0.2 ~recover_rate:0.3 model)
+      in
+      let ops = random_ops rng n in
+      let mismatches = ref 0 and choices = ref 0 in
+      let checking =
+        Adversary.adaptive "checking_write_stalker" (fun ~n rng ->
+          let stalk = Adversary.write_stalker.Adversary.fresh ~n rng in
+          fun (v : View.full) ->
+            let vo = View.to_value_oblivious v in
+            let is_reader pid =
+              match v.pending.(pid) with
+              | Some any -> Op.kind any = Op.Read_op || Op.kind any = Op.Collect_op
+              | None -> false
+            in
+            let scan = Array.fold_left (fun k pid -> if is_reader pid then k + 1 else k) 0 v.enabled in
+            if scan <> View.vo_readers vo then incr mismatches;
+            for pid = 0 to n - 1 do
+              if is_reader pid <> View.vo_is_reader vo pid then incr mismatches
+            done;
+            incr choices;
+            stalk v)
+      in
+      let result =
+        Scheduler.run ~cheap_collect:true ?faults ~n ~adversary:checking ~rng ~memory
+          (fun ~pid ~rng:_ -> body_of ops.(pid) regs)
+      in
+      result.completed && !choices = result.steps && !mismatches = 0)
+
+(* ------------------------------------------------------------------ *)
 (* Views                                                               *)
 (* ------------------------------------------------------------------ *)
 
@@ -675,6 +860,8 @@ let make_full_view () =
     enabled = [| 0; 1 |];
     pending =
       [| Some (Op.Any (Op.Prob_write (l, 7, 0.5))); Some (Op.Any (Op.Read l)) |];
+    reading = [| false; true |];
+    readers = 1;
     memory;
     op_counts = Metrics.counts_of_array [| 2; 1 |] }
 
@@ -897,7 +1084,10 @@ let () =
           tc "determinism" `Quick test_scheduler_determinism;
           tc "local rngs differ" `Quick test_scheduler_local_rngs_differ;
           QCheck_alcotest.to_alcotest qcheck_scheduler_all_finish;
-          QCheck_alcotest.to_alcotest qcheck_prob_write_never_other_value ] );
+          QCheck_alcotest.to_alcotest qcheck_prob_write_never_other_value;
+          tc "adversary choices pinned" `Quick test_adversary_choices_pinned;
+          QCheck_alcotest.to_alcotest qcheck_enabled_set_incremental;
+          QCheck_alcotest.to_alcotest qcheck_reader_index_incremental ] );
       ( "adversary",
         [ tc "round robin order" `Quick test_round_robin_order;
           tc "fixed permutation order" `Quick test_fixed_permutation_order;
