@@ -13,10 +13,13 @@ test:
 	$(DUNE) runtest
 
 # End-to-end smoke of the plan/engine/report pipeline.  First the lock
-# on the Monte-Carlo outputs: every quick experiment on a 2-domain pool,
-# with JSON written to a temporary directory (never over the committed
-# files), and each BENCH_E<k>.json must equal the committed one apart
-# from its "elapsed_seconds" and "jobs" fields.  Then every
+# on the Monte-Carlo outputs: every quick experiment on the calling
+# domain alone (--jobs 1) and on a 2-domain pool, with JSON written to
+# a temporary directory (never over the committed files), and each
+# BENCH_E<k>.json must equal the committed one apart from its
+# "elapsed_seconds" and "jobs" fields.  A 20 000-trial sweep's JSON
+# must be byte-identical at --jobs 1 and --jobs 2 (and finish in
+# seconds: the engine's seed fold is O(T log T)).  Then every
 # JSON-emitting subcommand writing to stdout ('-'), which must parse as
 # one clean JSON document; the fleet trace must also hold at least one
 # shard span, every span closed, and a crash-recovery sweep must count
@@ -26,15 +29,21 @@ SMOKE_MASK = sed -E 's/"elapsed_seconds": *[-+.eE0-9]+/"elapsed_seconds": _/; s/
 smoke:
 	$(DUNE) build bin/conrat_cli.exe
 	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
-	(cd "$$tmp" && $(CURDIR)/_build/default/bin/conrat_cli.exe \
-	   experiment --quick all --jobs 2 --json >/dev/null) && \
-	for k in 1 2 3 4 5 6 7 8 9 10; do \
-	  f=BENCH_E$$k.json; \
-	  $(SMOKE_MASK) "$$tmp/$$f" > "$$tmp/$$f.fresh" && \
-	  $(SMOKE_MASK) "$$f" > "$$tmp/$$f.committed" && \
-	  diff -u "$$tmp/$$f.committed" "$$tmp/$$f.fresh" \
-	    || { echo "smoke: $$f differs from the committed results"; exit 1; }; \
-	done && echo "smoke: BENCH_E1..E10.json match the committed results"
+	for j in 1 2; do \
+	  (cd "$$tmp" && $(CONRAT) experiment --quick all --jobs $$j --json >/dev/null) && \
+	  for k in 1 2 3 4 5 6 7 8 9 10; do \
+	    f=BENCH_E$$k.json; \
+	    $(SMOKE_MASK) "$$tmp/$$f" > "$$tmp/$$f.fresh" && \
+	    $(SMOKE_MASK) "$$f" > "$$tmp/$$f.committed" && \
+	    diff -u "$$tmp/$$f.committed" "$$tmp/$$f.fresh" \
+	      || { echo "smoke: $$f at --jobs $$j differs from the committed results"; exit 1; }; \
+	  done && echo "smoke: BENCH_E1..E10.json at --jobs $$j match the committed results" \
+	  || exit 1; \
+	  $(CONRAT) sweep -n 8 -t 20000 --jobs $$j --json "$$tmp/sweep-j$$j.json" >/dev/null \
+	    || exit 1; \
+	done && \
+	cmp "$$tmp/sweep-j1.json" "$$tmp/sweep-j2.json" \
+	  && echo "smoke: sweep -t 20000 JSON identical at --jobs 1 and 2"
 	$(DUNE) exec bin/conrat_cli.exe -- sweep -t 2 --json - | python3 -m json.tool >/dev/null
 	$(DUNE) exec bin/conrat_cli.exe -- sweep -n 8 -t 200 --faults crash:f=1,recover --json - \
 	  | python3 -c 'import json, sys; d = json.load(sys.stdin); \

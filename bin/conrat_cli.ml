@@ -428,7 +428,16 @@ let experiment_cmd =
        die "unknown experiment %s (expected %s or 'all')" bad
          (String.concat ", " Experiments.all_names)
      | None -> ());
-    List.iter (Experiments.run ~mode ~jobs ~json ~progress) names
+    (* Every BENCH_E<k>.json is probed before the first trial runs, and
+       written with the same checked close as every other document. *)
+    let json =
+      if not json then None
+      else begin
+        List.iter (fun name -> ignore (writable (Report.bench_file name))) names;
+        Some (fun file doc -> write_doc file (fun oc -> output_string oc doc))
+      end
+    in
+    List.iter (Experiments.run ~mode ~jobs ?json ~progress) names
   in
   let quick_arg =
     Arg.(value & flag & info [ "quick" ] ~doc:"Small sweeps (seconds instead of minutes).")

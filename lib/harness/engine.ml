@@ -40,36 +40,40 @@ let stage_sink ~stages ~n =
    means every *surviving* process finished. *)
 let fault_setup faults memory =
   match faults with
-  | None -> None
-  | Some (m : Fault.model) ->
-    if Fault.is_none m then None
-    else begin
-      if m.Fault.weak_reads then Memory.weaken_all memory;
-      (* Recovery wipes need last-writer ownership (Machine.recover
-         consults it to erase exactly the crashed pid's volatile
-         writes); engage tracking before the protocol's first write. *)
-      if m.Fault.recoveries > 0 then Memory.track_writers memory;
-      Some (Conrat_faults.Injector.of_model m)
-    end
+  | Some (m : Fault.model) when not (Fault.is_none m) ->
+    if m.Fault.weak_reads then Memory.weaken_all memory;
+    (* Recovery wipes need last-writer ownership (Machine.recover
+       consults it to erase exactly the crashed pid's volatile writes);
+       engage tracking before the protocol's first write. *)
+    if m.Fault.recoveries > 0 then Memory.track_writers memory;
+    Some (Conrat_faults.Injector.of_model m)
+  | _ -> None
 
-let run_consensus ?max_steps ?cheap_collect ?(stages = false) ?faults ~n
-    ~adversary ~inputs ~seed (protocol : Conrat_core.Consensus.factory) =
+(* What a runner kind supplies to the one object runner: the per-pid
+   program of an instance built on the trial's memory, and the judge
+   that maps the scheduler's result to the outcome's values and its
+   safety verdict. *)
+type 'a obj = {
+  program : Memory.t -> pid:int -> rng:Rng.t -> 'a Program.t;
+  judge : 'a Scheduler.result -> int option array * (unit, string) result;
+}
+
+let run_object ?max_steps ?cheap_collect ?(stages = false) ?faults ~n ~adversary
+    ~inputs ~seed obj =
   let rng = Rng.create seed in
   let memory = Memory.create () in
   let plan = fault_setup faults memory in
-  let instance = protocol.instantiate ~n memory in
+  let program = obj.program memory in
   let sink, stage_totals = stage_sink ~stages ~n in
   let result =
-    Scheduler.run ?max_steps ?cheap_collect ?faults:plan ?sink ~n ~adversary
-      ~rng ~memory
-      (fun ~pid ~rng -> instance.Conrat_core.Consensus.decide ~pid ~rng inputs.(pid))
+    Scheduler.run ?max_steps ?cheap_collect ?faults:plan ?sink ~n ~adversary ~rng
+      ~memory program
   in
+  let outputs, safety = obj.judge result in
   { inputs;
-    outputs = result.outputs;
-    agreed = all_agree result.outputs;
-    safety =
-      Spec.consensus_execution ~inputs ~outputs:result.outputs
-        ~completed:result.completed;
+    outputs;
+    agreed = all_agree outputs;
+    safety;
     completed = result.completed;
     crashes = result.crashes;
     recoveries = result.recoveries;
@@ -80,43 +84,39 @@ let run_consensus ?max_steps ?cheap_collect ?(stages = false) ?faults ~n
     registers = result.registers;
     stage_work = stage_totals () }
 
-let run_deciding ?max_steps ?cheap_collect ?(stages = false) ?faults ~n
-    ~adversary ~inputs ~seed (factory : Conrat_objects.Deciding.factory) =
-  let rng = Rng.create seed in
-  let memory = Memory.create () in
-  let plan = fault_setup faults memory in
-  let instance = factory.instantiate ~n memory in
-  let sink, stage_totals = stage_sink ~stages ~n in
-  let result =
-    Scheduler.run ?max_steps ?cheap_collect ?faults:plan ?sink ~n ~adversary
-      ~rng ~memory
-      (fun ~pid ~rng ->
-        Program.map
-          (fun out ->
-            (out.Conrat_objects.Deciding.decide, out.Conrat_objects.Deciding.value))
-          (instance.Conrat_objects.Deciding.run ~pid ~rng inputs.(pid)))
-  in
-  let decisions = result.outputs in
-  let values = Array.map (Option.map snd) decisions in
-  let outcome =
-    { inputs;
-      outputs = values;
-      agreed = all_agree values;
-      safety =
-        Spec.all
-          [ Spec.validity ~inputs ~outputs:values;
-            Spec.coherence ~outputs:decisions ];
-      completed = result.completed;
-      crashes = result.crashes;
-      recoveries = result.recoveries;
-      plan_ignored = result.plan_ignored;
-      total_work = Metrics.total result.metrics;
-      individual_work = Metrics.individual result.metrics;
-      steps = result.steps;
-      registers = result.registers;
-      stage_work = stage_totals () }
-  in
-  (outcome, decisions)
+(* A consensus protocol is judged by the full consensus contract. *)
+let consensus ~n ~inputs (protocol : Conrat_core.Consensus.factory) =
+  { program =
+      (fun memory ->
+        let instance = protocol.instantiate ~n memory in
+        fun ~pid ~rng -> instance.Conrat_core.Consensus.decide ~pid ~rng inputs.(pid));
+    judge =
+      (fun (r : _ Scheduler.result) ->
+        ( r.outputs,
+          Spec.consensus_execution ~inputs ~outputs:r.outputs ~completed:r.completed )) }
+
+(* A bare deciding object is judged by validity of its values and
+   coherence of its (decide, value) pairs. *)
+let deciding ~n ~inputs (factory : Conrat_objects.Deciding.factory) =
+  { program =
+      (fun memory ->
+        let instance = factory.instantiate ~n memory in
+        fun ~pid ~rng ->
+          Program.map
+            (fun out ->
+              (out.Conrat_objects.Deciding.decide, out.Conrat_objects.Deciding.value))
+            (instance.Conrat_objects.Deciding.run ~pid ~rng inputs.(pid)));
+    judge =
+      (fun (r : _ Scheduler.result) ->
+        let values = Array.map (Option.map snd) r.outputs in
+        ( values,
+          Spec.all
+            [ Spec.validity ~inputs ~outputs:values; Spec.coherence ~outputs:r.outputs ] )) }
+
+let run_consensus ?max_steps ?cheap_collect ?stages ?faults ~n ~adversary ~inputs
+    ~seed protocol =
+  run_object ?max_steps ?cheap_collect ?stages ?faults ~n ~adversary ~inputs ~seed
+    (consensus ~n ~inputs protocol)
 
 (* ------------------------------------------------------------------ *)
 (* Aggregates: a commutative monoid over per-seed trial results        *)
@@ -182,6 +182,16 @@ let merge a b =
        covers it too. *)
     stage_work = Conrat_obs.Stage_work.merge a.stage_work b.stage_work }
 
+(* Pairwise rounds of [merge]: the aggregate a left fold builds (the
+   merge is associative and commutative), in O(T log T) list cells for
+   T trials where the left fold rebuilds the running lists every time. *)
+let rec merge_all = function
+  | [] -> empty_aggregate
+  | [ agg ] -> agg
+  | aggs ->
+    let rec pairs = function a :: b :: rest -> merge a b :: pairs rest | rest -> rest in
+    merge_all (pairs aggs)
+
 let of_outcome ~seed ~probe (o : outcome) =
   { trials = 1;
     agreements = (if o.agreed then 1 else 0);
@@ -208,140 +218,105 @@ let individual_works a = List.map (fun s -> s.s_indiv) a.samples
 (* ------------------------------------------------------------------ *)
 
 let run_trial (spec : Plan.spec) seed =
-  let inputs =
-    spec.workload.Workload.generate ~n:spec.n ~m:spec.m (Plan.workload_rng seed)
+  let n = spec.n in
+  let inputs = spec.workload.Workload.generate ~n ~m:spec.m (Plan.workload_rng seed) in
+  let run obj =
+    run_object ?max_steps:spec.max_steps ~cheap_collect:spec.cheap_collect
+      ~stages:spec.stages ~faults:spec.faults ~n ~adversary:spec.adversary ~inputs
+      ~seed obj
   in
   match spec.runner with
-  | Plan.Consensus protocol ->
-    let o =
-      run_consensus ?max_steps:spec.max_steps ~cheap_collect:spec.cheap_collect
-        ~stages:spec.stages ~faults:spec.faults ~n:spec.n
-        ~adversary:spec.adversary ~inputs ~seed protocol
-    in
-    of_outcome ~seed ~probe:0 o
-  | Plan.Deciding factory ->
-    let o, _ =
-      run_deciding ?max_steps:spec.max_steps ~cheap_collect:spec.cheap_collect
-        ~stages:spec.stages ~faults:spec.faults ~n:spec.n
-        ~adversary:spec.adversary ~inputs ~seed factory
-    in
-    of_outcome ~seed ~probe:0 o
+  | Plan.Consensus protocol -> of_outcome ~seed ~probe:0 (run (consensus ~n ~inputs protocol))
+  | Plan.Deciding factory -> of_outcome ~seed ~probe:0 (run (deciding ~n ~inputs factory))
   | Plan.Probed build ->
     let protocol, read_probe = build () in
-    let o =
-      run_consensus ?max_steps:spec.max_steps ~cheap_collect:spec.cheap_collect
-        ~stages:spec.stages ~faults:spec.faults ~n:spec.n
-        ~adversary:spec.adversary ~inputs ~seed protocol
-    in
+    let o = run (consensus ~n ~inputs protocol) in
     of_outcome ~seed ~probe:(read_probe ()) o
 
-let run_seeds ?notify ?(stop = fun () -> false) ?(quarantine = false) spec seeds
-    =
-  List.fold_left
-    (fun acc seed ->
-      if stop () then acc
-      else begin
-        let one =
-          if quarantine then
-            (* A raising trial is recorded, not fatal: the seed lands in
-               [quarantined] (a sorted singleton, so the merge stays a
-               commutative monoid) and the remaining seeds still run. *)
-            match run_trial spec seed with
-            | agg -> agg
-            | exception e -> of_quarantined ~seed e
-          else run_trial spec seed
-        in
-        let agg = merge acc one in
-        (match notify with None -> () | Some f -> f ());
-        agg
-      end)
-    empty_aggregate seeds
+(* The first [count] trials of [seeds], polling [stop] before each.
+   With [quarantine] a raising trial is recorded, not fatal: the seed
+   lands in [quarantined] and the remaining seeds still run. *)
+let run_seeds ?notify ?(stop = fun () -> false) ?(quarantine = false) spec ~count seeds =
+  let rec go acc k = function
+    | seed :: rest when k > 0 && not (stop ()) ->
+      let one =
+        if quarantine then try run_trial spec seed with e -> of_quarantined ~seed e
+        else run_trial spec seed
+      in
+      Option.iter (fun f -> f ()) notify;
+      go (one :: acc) (k - 1) rest
+    | _ -> merge_all acc
+  in
+  go [] count seeds
 
 let default_jobs () = max 1 (Domain.recommended_domain_count ())
 
-(* Split [seeds] into chunks of at most [chunk] seeds. *)
-let chunk_seeds ~chunk seeds =
-  let rec go acc current k = function
-    | [] -> List.rev (if current = [] then acc else List.rev current :: acc)
-    | s :: rest ->
-      if k = chunk then go (List.rev current :: acc) [ s ] 1 rest
-      else go acc (s :: current) (k + 1) rest
+(* Where each chunk of [chunk] seeds starts: the tails of [seeds] at
+   every [chunk]-th seed, so no seed list is copied. *)
+let rec chunk_starts ~chunk seeds =
+  let rec drop k l = match l with _ :: rest when k > 0 -> drop (k - 1) rest | _ -> l in
+  if seeds = [] then [] else seeds :: chunk_starts ~chunk (drop chunk seeds)
+
+let run_plan ?(jobs = 1) ?on_progress ?stop ?quarantine (plan : Plan.t) =
+  let jobs = if jobs = 0 then default_jobs () else max 1 jobs in
+  (* Each completed trial bumps one shared atomic count and hands the
+     running total to [on_progress]. *)
+  let notify =
+    Option.map
+      (fun f ->
+        let done_ = Atomic.make 0 and total = Plan.trial_count plan in
+        fun () -> f ~done_:(Atomic.fetch_and_add done_ 1 + 1) ~total)
+      on_progress
   in
-  go [] [] 0 seeds
-
-(* Progress plumbing: a shared atomic trial counter; each completed
-   trial bumps it and invokes the caller's callback with the running
-   total.  The callback must be domain-safe when [jobs > 1] (the
-   [Conrat_obs.Progress] reporter is). *)
-let progress_notify ~on_progress ~total =
-  match on_progress with
-  | None -> None
-  | Some f ->
-    let done_ = Atomic.make 0 in
-    Some (fun () -> f ~done_:(Atomic.fetch_and_add done_ 1 + 1) ~total)
-
-let run_plan_parallel ?notify ?stop ?quarantine ~jobs (plan : Plan.t) =
   let specs = Array.of_list plan.Plan.specs in
-  (* One task per (spec, seed chunk); chunks keep the work queue fine
-     grained enough to balance trials of very different cost. *)
+  (* One task per (spec, seed chunk), in plan order; chunks keep the
+     work queue fine grained enough to balance trials of very different
+     cost. *)
   let tasks =
     Array.of_list
       (List.concat
          (List.mapi
             (fun si (spec : Plan.spec) ->
-              let nseeds = List.length spec.Plan.seeds in
-              let chunk = max 1 (min 64 (nseeds / (jobs * 4))) in
-              List.map (fun seeds -> (si, seeds))
-                (chunk_seeds ~chunk spec.Plan.seeds))
-            (Array.to_list specs)))
+              let chunk = max 1 (min 64 (List.length spec.Plan.seeds / (jobs * 4))) in
+              List.map (fun seeds -> (si, chunk, seeds)) (chunk_starts ~chunk spec.Plan.seeds))
+            plan.Plan.specs))
   in
-  let partials = Array.make (Array.length tasks) empty_aggregate in
+  let partials = Array.make (Array.length tasks) (Ok empty_aggregate) in
   let next = Atomic.make 0 in
-  let failure = Atomic.make None in
-  let worker () =
-    let rec loop () =
-      if Atomic.get failure = None then begin
-        let i = Atomic.fetch_and_add next 1 in
-        if i < Array.length tasks then begin
-          let si, seeds = tasks.(i) in
-          (match run_seeds ?notify ?stop ?quarantine specs.(si) seeds with
-           | agg -> partials.(i) <- agg
-           | exception e -> Atomic.set failure (Some e));
-          loop ()
-        end
+  let failed = Atomic.make false in
+  let rec worker () =
+    if not (Atomic.get failed) then begin
+      let i = Atomic.fetch_and_add next 1 in
+      if i < Array.length tasks then begin
+        let si, count, seeds = tasks.(i) in
+        (match run_seeds ?notify ?stop ?quarantine specs.(si) ~count seeds with
+         | agg -> partials.(i) <- Ok agg
+         | exception e ->
+           partials.(i) <- Error (e, Printexc.get_raw_backtrace ());
+           Atomic.set failed true);
+        worker ()
       end
-    in
-    loop ()
+    end
   in
+  (* The calling domain is always a worker; [jobs = 1] spawns no
+     helper. *)
   let helpers =
-    List.init (min (jobs - 1) (max 0 (Array.length tasks - 1)))
-      (fun _ -> Domain.spawn worker)
+    List.init (max 0 (min (jobs - 1) (Array.length tasks - 1))) (fun _ -> Domain.spawn worker)
   in
   worker ();
   List.iter Domain.join helpers;
-  (match Atomic.get failure with Some e -> raise e | None -> ());
-  (* The merge is order-canonical (sorted by seed), so folding the
-     chunk partials in task order gives the same aggregate a
-     sequential run produces. *)
-  Array.to_list
-    (Array.mapi
-       (fun si (spec : Plan.spec) ->
-         let acc = ref empty_aggregate in
-         Array.iteri
-           (fun i (sj, _) -> if sj = si then acc := merge !acc partials.(i))
-           tasks;
-         (spec.Plan.sid, !acc))
-       specs)
-
-let run_plan ?(jobs = 1) ?on_progress ?stop ?quarantine (plan : Plan.t) =
-  let jobs = if jobs = 0 then default_jobs () else max 1 jobs in
-  let notify = progress_notify ~on_progress ~total:(Plan.trial_count plan) in
-  if jobs = 1 then
-    List.map
-      (fun (spec : Plan.spec) ->
-        (spec.Plan.sid, run_seeds ?notify ?stop ?quarantine spec spec.Plan.seeds))
-      plan.Plan.specs
-  else run_plan_parallel ?notify ?stop ?quarantine ~jobs plan
+  (* Tasks are fetched in plan order and a fetched task always runs to
+     its end, so every task before a failing one ran: the first failure
+     in plan order is the same for every [jobs]. *)
+  let per_spec = Array.make (Array.length specs) [] in
+  Array.iteri
+    (fun i (si, _, _) ->
+      match partials.(i) with
+      | Ok agg -> per_spec.(si) <- agg :: per_spec.(si)
+      | Error (e, bt) -> Printexc.raise_with_backtrace e bt)
+    tasks;
+  List.mapi (fun si (spec : Plan.spec) -> (spec.Plan.sid, merge_all per_spec.(si)))
+    plan.Plan.specs
 
 let run_spec ?jobs (spec : Plan.spec) =
   match run_plan ?jobs (Plan.make ~name:spec.Plan.sid [ spec ]) with

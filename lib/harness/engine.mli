@@ -1,5 +1,5 @@
-(** The engine layer: executes a {!Plan} sequentially or across an
-    OCaml 5 domain pool, producing one {!aggregate} per spec.
+(** The engine layer: executes a {!Plan} on an OCaml 5 domain pool,
+    producing one {!aggregate} per spec.
 
     Determinism contract: a trial is a pure function of its spec and
     seed — every trial gets a fresh [Rng], [Memory], scheduler and
@@ -7,11 +7,15 @@
     plan.  Per-seed results are combined with an {e order-canonical}
     merge ({!merge} keeps samples and failures sorted by seed), which
     makes the merge commutative and associative with identity
-    {!empty_aggregate}; parallel output is therefore bit-identical to
-    sequential output regardless of how the domain pool interleaves
-    trials.  Determinism is per {e seed}, not per schedule-order: the
-    wall-clock order in which trials execute is irrelevant by
-    construction. *)
+    {!empty_aggregate}; the output is therefore bit-identical for every
+    [jobs] value, however the pool interleaves trials.
+
+    There is one execution path.  Every [jobs] value, [1] included,
+    runs the same queue of (spec, seed chunk) tasks; [jobs = 1] runs it
+    on the calling domain alone.  A chunk's trials and a spec's chunks
+    are combined by pairwise rounds of {!merge}, O(T log T) for T
+    trials.  A failing run re-raises the exception of the first failing
+    task in plan order, the same for every [jobs]. *)
 
 type outcome = {
   inputs : int array;
@@ -54,21 +58,6 @@ val run_consensus :
     collects the per-stage work breakdown.  [faults] (default none)
     weakens registers when asked and injects the default
     [Conrat_faults.Injector.of_model] plan. *)
-
-val run_deciding :
-  ?max_steps:int ->
-  ?cheap_collect:bool ->
-  ?stages:bool ->
-  ?faults:Conrat_sim.Fault.model ->
-  n:int ->
-  adversary:Conrat_sim.Adversary.t ->
-  inputs:int array ->
-  seed:int ->
-  Conrat_objects.Deciding.factory ->
-  outcome * Conrat_sim.Spec.decision option array
-(** One execution of a bare deciding object.  [outcome.safety] checks
-    validity and coherence; the raw decision outputs are also returned
-    for object-specific checks. *)
 
 type sample = {
   s_seed : int;
@@ -125,23 +114,19 @@ val run_plan :
   Plan.t ->
   (string * aggregate) list
 (** Execute every trial of the plan and return the per-spec aggregates
-    keyed by spec id, in plan order.  [jobs] (default 1) > 1 runs the
-    trials on that many domains over a shared work queue of seed
-    chunks; [jobs = 0] means {!default_jobs}.  Output is identical for
-    every [jobs] value.  An exception in any trial (e.g.
-    [Scheduler.Collect_disallowed]) is re-raised after the pool
-    drains — unless [quarantine] is true, in which case the trial's
-    seed and exception are recorded in the aggregate's [quarantined]
-    list and every other trial still runs (worker-domain isolation; the
-    quarantined entries merge order-canonically like failures, so the
-    parallel = sequential byte-identity is preserved).  [stop] is
-    polled between trials (domain-safely; use an [Atomic] flag from a
-    signal handler): once it returns true, remaining trials are
-    skipped and the partial aggregates are returned well-formed — what
-    a SIGINT-interrupted sweep flushes.  [on_progress] is invoked once
-    per completed trial with the running count; with [jobs > 1] it
-    runs on worker domains and must be domain-safe
-    ([Conrat_obs.Progress.tick] is). *)
+    keyed by spec id, in plan order, identical for every [jobs] value
+    (default 1; [jobs = 0] means {!default_jobs}).  An exception in a
+    trial (e.g. [Scheduler.Collect_disallowed]) stops the fetching of
+    new tasks; the fetched ones finish and the first failure in plan
+    order is re-raised.  With [quarantine] the trial's seed and
+    exception go to its aggregate's [quarantined] list instead, and
+    every other trial still runs.  [stop] is polled before each trial
+    (domain-safely; use an [Atomic] flag from a signal handler): once
+    it returns true, remaining trials are skipped and the partial
+    aggregates are returned well-formed — what a SIGINT-interrupted
+    sweep flushes.  [on_progress] is invoked once per completed trial
+    with the running count; with [jobs > 1] it runs on worker domains
+    and must be domain-safe ([Conrat_obs.Progress.tick] is). *)
 
 val default_jobs : unit -> int
 (** [Domain.recommended_domain_count ()], at least 1. *)

@@ -743,7 +743,7 @@ let build ?(mode = Full) name =
   | Some f -> f mode
   | None -> raise Not_found
 
-let run ?(mode = Full) ?(jobs = 1) ?(json = false) ?(progress = false) name =
+let run ?(mode = Full) ?(jobs = 1) ?json ?(progress = false) name =
   let plan, render = build ~mode name in
   let t0 = Unix.gettimeofday () in
   let on_progress =
@@ -759,12 +759,15 @@ let run ?(mode = Full) ?(jobs = 1) ?(json = false) ?(progress = false) name =
   let results = Engine.run_plan ~jobs ?on_progress plan in
   let elapsed = Unix.gettimeofday () -. t0 in
   render results;
-  if json then
-    Report.write_json ~file:(Report.bench_file name) ~experiment:name
-      ~mode:(mode_name mode) ~jobs ~elapsed plan results;
+  Option.iter
+    (fun write ->
+      write (Report.bench_file name)
+        (Report.json_of_run ~experiment:name ~mode:(mode_name mode) ~jobs ~elapsed plan
+           results))
+    json;
   (* Timing goes to stderr (via Report.info) so stdout (the tables) is a
      pure function of the plan, byte-identical for every jobs value. *)
   Report.info "[%s] %d trials in %.2fs (jobs=%d%s)" name
     (Plan.trial_count plan) elapsed
     (if jobs = 0 then Engine.default_jobs () else max 1 jobs)
-    (if json then ", wrote " ^ Report.bench_file name else "")
+    (if Option.is_none json then "" else ", wrote " ^ Report.bench_file name)

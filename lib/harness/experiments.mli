@@ -10,9 +10,9 @@
     into a {!Plan.t} (the trial grid as data — no experiment owns a
     seed loop) plus a render function over the merged
     {!Engine.aggregate}s.  {!run} executes the plan via
-    {!Engine.run_plan} (optionally on a domain pool), prints the
-    tables, and can additionally write the structured results as
-    [BENCH_E<k>.json] through {!Report}.
+    {!Engine.run_plan} on its domain pool, prints the tables, and can
+    additionally hand the structured results ({!Report}) to a writer
+    for [BENCH_E<k>.json].
 
     - E1  Theorem 7: the impatient conciliator's agreement probability,
           individual-work cap and total-work bound.
@@ -46,15 +46,17 @@ val build :
 (** The experiment's plan and table renderer.  Raises [Not_found] for
     unknown names. *)
 
-val run : ?mode:mode -> ?jobs:int -> ?json:bool -> ?progress:bool -> string -> unit
+val run :
+  ?mode:mode -> ?jobs:int -> ?json:(string -> string -> unit) -> ?progress:bool ->
+  string -> unit
 (** Run one experiment by name and print its tables to stdout.  [jobs]
     (default 1) sizes the engine's domain pool ([0] = all cores);
     stdout is byte-identical for every [jobs] value — elapsed
     wall-clock time and the jobs used are reported on stderr (via
-    {!Report.info}).  [json] additionally writes [BENCH_<name>.json]
-    in the working directory.  [progress] (default false) shows a
-    rate-limited per-trial progress line on stderr.  Raises
-    [Not_found] for unknown names. *)
+    {!Report.info}).  [json], when given, is handed the file name
+    [BENCH_<name>.json] and its document ({!Report.json_of_run}) to
+    write.  [progress] (default false) shows a rate-limited per-trial
+    progress line on stderr.  Raises [Not_found] for unknown names. *)
 
 val delta_bound : float
 (** Theorem 7's agreement probability, re-exported for the bench. *)

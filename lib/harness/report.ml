@@ -118,9 +118,4 @@ let json_of_run ~experiment ~mode ~jobs ~elapsed (plan : Plan.t) results =
   Buffer.add_string buf "\n  ]\n}\n";
   Buffer.contents buf
 
-let write_json ~file ~experiment ~mode ~jobs ~elapsed plan results =
-  let oc = open_out file in
-  output_string oc (json_of_run ~experiment ~mode ~jobs ~elapsed plan results);
-  close_out oc
-
 let bench_file experiment = Printf.sprintf "BENCH_%s.json" experiment

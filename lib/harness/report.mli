@@ -28,15 +28,5 @@ val json_of_run :
     agreement rate, register space, probe totals, total/individual
     work summaries and the (seed, reason) safety failures. *)
 
-val write_json :
-  file:string ->
-  experiment:string ->
-  mode:string ->
-  jobs:int ->
-  elapsed:float ->
-  Plan.t ->
-  (string * Engine.aggregate) list ->
-  unit
-
 val bench_file : string -> string
 (** [bench_file "E1"] = ["BENCH_E1.json"]. *)

@@ -650,6 +650,30 @@ let () =
   expect "probe then unknown checker" ~code:2 ~stderr_has:"unknown checker"
     (run (Printf.sprintf "check --json %s definitely_not_a_checker" (Filename.quote probed)));
   if Sys.file_exists probed then failf "output probe left %s behind" probed;
+  (* experiment --json writes BENCH_E<k>.json into its working
+     directory; every one is probed before the first trial runs *)
+  let exp_dir = Filename.concat tmpdir "experiment" in
+  Sys.mkdir exp_dir 0o700;
+  let in_exp_dir args =
+    let cli = if Filename.is_relative cli then Filename.concat (Sys.getcwd ()) cli else cli in
+    let out = Filename.concat tmpdir "stdout" and err = Filename.concat tmpdir "stderr" in
+    let code =
+      Sys.command
+        (Printf.sprintf "cd %s && %s %s > %s 2> %s" (Filename.quote exp_dir)
+           (Filename.quote cli) args (Filename.quote out) (Filename.quote err))
+    in
+    (code, read_file out, read_file err)
+  in
+  let bench_e10 = Filename.concat exp_dir "BENCH_E10.json" in
+  Sys.mkdir bench_e10 0o700;
+  let code, out, err = in_exp_dir "experiment --quick E3 E10 --json" in
+  expect "experiment --json, BENCH_E10.json a directory" ~code:2
+    ~stderr_has:"cannot write BENCH_E10.json" ~stderr_lacks:"uncaught"
+    (one_line "experiment --json" (code, out, err));
+  if out <> "" then failf "experiment --json: ran before its probe failed (stdout: %s)" out;
+  if Sys.file_exists (Filename.concat exp_dir "BENCH_E3.json") then
+    failf "experiment --json: wrote BENCH_E3.json before its probe failed";
+  Sys.rmdir bench_e10;
 
   (* ---- a document that cannot be written in full exits 2 --------- *)
 
@@ -665,6 +689,14 @@ let () =
     in
     expect "check --json - to /dev/full" ~code:2 ~stderr_has:"cannot write stdout"
       ~stderr_lacks:"uncaught" (code, "", read_file err_file);
+    (* a BENCH_E<k>.json that takes the probe but not the document *)
+    if Sys.command (Printf.sprintf "ln -s /dev/full %s" (Filename.quote bench_e10)) = 0
+    then begin
+      expect "experiment --json to /dev/full" ~code:2
+        ~stderr_has:"cannot write BENCH_E10.json" ~stderr_lacks:"uncaught"
+        (in_exp_dir "experiment --quick E10 --json");
+      Sys.remove bench_e10
+    end;
     (* Human output to a full stdout: stdout is flushed before every
        exit, so each run ends with one diagnostic line, not a
        backtrace from the at-exit flush. *)

@@ -180,6 +180,23 @@ let test_run_spec_sample_order () =
   Alcotest.check Alcotest.(list int) "seed-ascending totals" per_seed
     (Engine.total_works agg)
 
+(* The engine's chunked, pairwise fold against its definition: the left
+   fold of [merge] over every seed's trial, for seed lists in any order
+   and with repeats. *)
+let run_spec_is_left_fold =
+  QCheck.Test.make ~name:"run_spec = left fold of merge" ~count:20
+    QCheck.(list_of_size Gen.(int_range 1 200) (int_bound 60))
+    (fun seeds ->
+      List.for_all
+        (fun (spec : Plan.spec) ->
+          let spec = { spec with Plan.seeds } in
+          let folded =
+            List.fold_left Engine.merge Engine.empty_aggregate
+              (List.map (Engine.run_trial spec) seeds)
+          in
+          Engine.run_spec ~jobs:1 spec = folded && Engine.run_spec ~jobs:3 spec = folded)
+        (small_plan ()).Plan.specs)
+
 let test_workload_rng_derivation () =
   (* The CLI and the harness must derive workload inputs identically. *)
   checkb "state matches lxor derivation" true
@@ -231,7 +248,8 @@ let () =
       ( "run_spec",
         [ tc "jobs identical" `Quick test_run_spec_jobs_identical;
           tc "sample order" `Quick test_run_spec_sample_order;
-          tc "workload rng" `Quick test_workload_rng_derivation ] );
+          tc "workload rng" `Quick test_workload_rng_derivation;
+          qt run_spec_is_left_fold ] );
       ( "plan",
         [ tc "validation" `Quick test_plan_validation;
           tc "all experiments build" `Quick test_all_experiments_build ] ) ]

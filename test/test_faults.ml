@@ -851,6 +851,42 @@ let test_engine_stop_flushes_partial () =
   checki "partial aggregate is well-formed" agg.Engine.trials
     (List.length agg.Engine.samples)
 
+exception Seed_failed of int
+
+let test_engine_first_failure_in_plan_order () =
+  (* Seeds 7 and 30 raise different exceptions from different chunks at
+     jobs 1, 2 and 4 (40 seeds make chunks of 10, 5 and 2).  Seed 30's
+     trial raises later in wall time, after seed 7's has, whenever a
+     second domain reaches it first; the run must still re-raise seed
+     7's. *)
+  let raise_at seed delay rng =
+    if Rng.state rng = Rng.state (Plan.workload_rng seed) then begin
+      Unix.sleepf delay;
+      raise (Seed_failed seed)
+    end
+  in
+  let workload =
+    { Workload.wname = "raising";
+      generate =
+        (fun ~n ~m rng ->
+          raise_at 7 0.02 rng;
+          raise_at 30 0.1 rng;
+          Workload.split_half.Workload.generate ~n ~m rng) }
+  in
+  let plan =
+    Plan.make ~name:"f"
+      [ Plan.spec ~sid:"f"
+          ~runner:(Plan.Consensus (Conrat_core.Consensus.standard ~m:2))
+          ~adversary:Adversary.round_robin ~workload ~n:2 ~m:2 ~seeds:(Plan.seeds ~base:0 40) () ]
+  in
+  List.iter
+    (fun jobs ->
+      match Engine.run_plan ~jobs plan with
+      | _ -> Alcotest.failf "jobs %d: no trial exception surfaced" jobs
+      | exception Seed_failed seed ->
+        checki (Printf.sprintf "jobs %d re-raises the lower seed's exception" jobs) 7 seed)
+    [ 1; 2; 4 ]
+
 (* ------------------------------------------------------------------ *)
 
 let () =
@@ -904,4 +940,6 @@ let () =
       ( "engine",
         [ tc "faulted trials safe" `Quick test_engine_faulted_trials_stay_safe;
           tc "quarantine" `Quick test_engine_quarantine;
-          tc "stop flushes partial" `Quick test_engine_stop_flushes_partial ] ) ]
+          tc "stop flushes partial" `Quick test_engine_stop_flushes_partial;
+          tc "first failure in plan order" `Quick
+            test_engine_first_failure_in_plan_order ] ) ]
