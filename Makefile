@@ -6,8 +6,19 @@ DUNE ?= dune
 
 all: build
 
+# The root dune-workspace pins the release profile: dune's dev profile
+# compiles every module -opaque, which turns each cross-module call on
+# the hot path into a closure call that is never inlined.  A build that
+# lost the workspace (or ran --profile dev) leaves Machine's .cmx with
+# no inlining information, printed by ocamlobjinfo as a bare `_`.
+MACHINE_CMX = _build/default/lib/sim/.conrat_sim.objs/native/conrat_sim__Machine.cmx
+
 build:
 	$(DUNE) build @all
+	@info=$$(ocamlobjinfo $(MACHINE_CMX)) || exit 1; \
+	if printf '%s\n' "$$info" | sed -n '/^Clambda approximation:/{n;p;}' | grep -qx ' *_'; then \
+	  echo "build: $(MACHINE_CMX) was compiled -opaque (no inlining information); build with the root dune-workspace's release profile"; exit 1; \
+	fi
 
 test:
 	$(DUNE) runtest

@@ -64,7 +64,7 @@ let runs =
           ("coverage",
            arm ~telemetry:(fun () -> Telemetry.create ~coverage:true ~domains:1 ()) ());
           ("tree", arm ~engine:`Tree ()) ] };
-    (* One ~9s search per arm, no warmup: the jobs floor is coarse. *)
+    (* One ~7s search per arm, no warmup: the jobs floor is coarse. *)
     { config = "fallback_n2_d34"; clock = Wall; reps = 1; warmup = false;
       arms =
         [ ("jobs1", arm ~jobs:1 ()); ("jobs2", arm ~jobs:2 ()); ("jobs4", arm ~jobs:4 ()) ] } ]
@@ -84,14 +84,15 @@ let overhead arm best = (best arm -. best "baseline") /. best "baseline" *. 100.
 let speedup ~slow ~fast best = best slow /. best fast
 
 let gates =
-  [ (* The tap's absolute cost is one option branch, a stage fetch, the
-       kind/loc decode and an indirect closure call per event — ~10ns,
-       at ~1.8 events per step — and it has not moved since the gate
-       was introduced.  What moved is the denominator: the VM spends
-       ~160ns per step where the tree engine spends ~260, so the same
-       tap measures ~10% on the VM and 0–4% on the tree oracle.  A 3%
-       budget against the VM would allow ~5ns/step, less than one
-       indirect call.  Re-measured after the telemetry plane (best-of-5
+  [ (* The tap's cost is one option branch, a stage fetch, the kind/loc
+       decode and an indirect closure call per event, at ~1.8 events
+       per step.  What moves is the denominator: built as the root
+       dune-workspace builds it (no -opaque), the VM spends ~105–120ns
+       per step of this run where the tree engine spends ~210–245
+       (best-of-5 CPU time over 3.18M steps, 2-core host), and the
+       null-sink arm adds 5–7ns per step, 4–7% on the VM.  A 3% budget
+       against the VM would allow ~3.5ns/step, less than one indirect
+       call.  Re-measured after the telemetry plane (best-of-5
        interleaved, repeated runs) the null-sink arm spans 0.5–6.8% on a
        noisy single-core host: 9% is max observed plus headroom, still
        tight enough that an accidental allocation or a second call on
@@ -119,7 +120,7 @@ let gates =
        engine and its snapshot discipline under a workload that reaches
        a leaf every ~2.6 steps; it understates the ~2.4x end-to-end win
        over the pre-VM driver (EXPERIMENTS.md).  1.4x is headroom under
-       the ~1.6x measured, so noise does not trip it but an engine
+       the 1.7–2.1x measured, so noise does not trip it but an engine
        regression does. *)
     { name = "vm_over_tree"; run = "fallback_n2_d28";
       value = speedup ~slow:"tree" ~fast:"baseline"; unit_ = "x"; limit = `Min 1.4;
