@@ -30,7 +30,10 @@ test:
 # BENCH_E<k>.json must equal the committed one apart from its
 # "elapsed_seconds" and "jobs" fields.  A 20 000-trial sweep's JSON
 # must be byte-identical at --jobs 1 and --jobs 2 (and finish in
-# seconds: the engine's seed fold is O(T log T)).  Then every
+# seconds: the engine's seed fold is O(T log T)).  So must a weak-
+# register sweep (the Monte-Carlo stale-read path, which no experiment
+# runs), whose trial, agreement and violation counts are pinned: 300,
+# 177 and 123 for the bounded protocol at n = 2.  Then every
 # JSON-emitting subcommand writing to stdout ('-'), which must parse as
 # one clean JSON document; the fleet trace must also hold at least one
 # shard span, every span closed, and a crash-recovery sweep must count
@@ -54,7 +57,18 @@ smoke:
 	    || exit 1; \
 	done && \
 	cmp "$$tmp/sweep-j1.json" "$$tmp/sweep-j2.json" \
-	  && echo "smoke: sweep -t 20000 JSON identical at --jobs 1 and 2"
+	  && echo "smoke: sweep -t 20000 JSON identical at --jobs 1 and 2" && \
+	for j in 1 2; do \
+	  $(CONRAT) sweep -p bounded -n 2 --faults weak -t 300 --jobs $$j --json \
+	    "$$tmp/weak-j$$j.json" >/dev/null || exit 1; \
+	done && \
+	cmp "$$tmp/weak-j1.json" "$$tmp/weak-j2.json" && \
+	python3 -c 'import json, sys; d = json.load(open(sys.argv[1])); \
+	    got = (d["trials_completed"], d["agreements"], len(d["violations"])); \
+	    sys.exit(0 if got == (300, 177, 123) \
+	             else "smoke: sweep --faults weak: trials/agreements/violations %s, pinned (300, 177, 123)" % (got,))' \
+	  "$$tmp/weak-j1.json" \
+	  && echo "smoke: sweep --faults weak JSON identical at --jobs 1 and 2, 300/177/123 as pinned"
 	$(DUNE) exec bin/conrat_cli.exe -- sweep -t 2 --json - | python3 -m json.tool >/dev/null
 	$(DUNE) exec bin/conrat_cli.exe -- sweep -n 8 -t 200 --faults crash:f=1,recover --json - \
 	  | python3 -c 'import json, sys; d = json.load(sys.stdin); \

@@ -27,6 +27,7 @@ open Conrat_verify
 module Telemetry = Conrat_obs.Telemetry
 module Progress = Conrat_obs.Progress
 module Chrome_trace = Conrat_obs.Chrome_trace
+module Json = Conrat_obs.Json
 
 (* A stdout that cannot be written: one line on stderr, exit 2.  Its
    buffer keeps the bytes it failed on, and the at-exit flush would
@@ -352,7 +353,8 @@ let sweep_cmd =
           Printf.sprintf "\"%s\": [%s]" field_name
             (String.concat ", "
                (List.map
-                  (fun (seed, text) -> Printf.sprintf "{\"seed\":%d,\"detail\":%S}" seed text)
+                  (fun (seed, text) ->
+                    Printf.sprintf "{\"seed\":%d,\"detail\":%s}" seed (Json.string text))
                   pairs))
         in
         let works field_name samples =
@@ -367,15 +369,16 @@ let sweep_cmd =
         let doc =
           Printf.sprintf
             "{\n  \"schema_version\": 1,\n  \"kind\": \"sweep\",\n  \
-             \"protocol\": %S,\n  \"adversary\": %S,\n  \"workload\": %S,\n  \
+             \"protocol\": %s,\n  \"adversary\": %s,\n  \"workload\": %s,\n  \
              \"n\": %d,\n  \"m\": %d,\n  \"seed\": %d,\n  \
-             \"faults\": %S,\n  \"trials_requested\": %d,\n  \
+             \"faults\": %s,\n  \"trials_requested\": %d,\n  \
              \"trials_completed\": %d,\n  \"agreements\": %d,\n  \
              \"registers\": %d,\n  \"crash_total\": %d,\n  \
              \"recover_total\": %d,\n  \"plan_overrides_ignored\": %d,\n  \
              \"interrupted\": %b,\n  %s,\n  %s,\n  %s,\n  %s\n}\n"
-            protocol adversary.Adversary.name workload.Workload.wname n m seed
-            (Fault.to_string (Option.value faults ~default:Fault.none))
+            (Json.string protocol) (Json.string adversary.Adversary.name)
+            (Json.string workload.Workload.wname) n m seed
+            (Json.string (Fault.to_string (Option.value faults ~default:Fault.none)))
             trials agg.trials agg.agreements agg.space agg.crash_total
             agg.recover_total agg.plan_ignored_total (Atomic.get interrupted)
             (pairs_obj "violations" agg.failures)
@@ -821,10 +824,11 @@ let check_cmd =
             (fun r ->
               json_rows :=
                 Printf.sprintf
-                  "{\"name\":%S,\"engine\":%S,\"exec_engine\":%S,\"jobs\":%d,\
+                  "{\"name\":%s,\"engine\":%s,\"exec_engine\":%s,\"jobs\":%d,\
                    \"executions\":%d,\"complete\":%d,\"truncated\":%d%s,\"steps\":%d,\
                    \"wall_clock_seconds\":%.3f,\"exhausted\":%b,\"ok\":%b%s}"
-                  name r.algo (engine_name engine) jobs (r.complete + r.truncated)
+                  (Json.string name) (Json.string r.algo) (Json.string (engine_name engine))
+                  jobs (r.complete + r.truncated)
                   r.complete r.truncated
                   (match r.pruned with
                    | Some p -> Printf.sprintf ",\"pruned\":%d" p

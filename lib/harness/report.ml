@@ -9,6 +9,8 @@
    consumers that ignore unknown keys keep working. *)
 let schema_version = 2
 
+module Json = Conrat_obs.Json
+
 (* All human-facing progress/wall-clock chatter from the harness goes
    through here so that [--json -] output on stdout stays machine-clean
    and tests can assert on one stream. *)
@@ -20,22 +22,6 @@ let info fmt =
       flush stderr)
     fmt
 
-let buf_add_json_string buf s =
-  Buffer.add_char buf '"';
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.add_char buf '"'
-
 let fl x =
   (* %.17g round-trips every float; trim the common integral case. *)
   if Float.is_integer x && Float.abs x < 1e15 then
@@ -44,22 +30,23 @@ let fl x =
 
 let add_summary buf label xs =
   let s = Stats.of_ints xs in
+  Json.add_string buf label;
   Buffer.add_string buf
     (Printf.sprintf
-       "%S:{\"mean\":%s,\"stddev\":%s,\"min\":%s,\"median\":%s,\"p95\":%s,\"max\":%s}"
-       label (fl s.Stats.mean) (fl s.Stats.stddev) (fl s.Stats.minimum)
+       ":{\"mean\":%s,\"stddev\":%s,\"min\":%s,\"median\":%s,\"p95\":%s,\"max\":%s}"
+       (fl s.Stats.mean) (fl s.Stats.stddev) (fl s.Stats.minimum)
        (fl s.Stats.median) (fl s.Stats.p95) (fl s.Stats.maximum))
 
 let add_result buf (spec : Plan.spec) (agg : Engine.aggregate) =
   Buffer.add_string buf "    {";
   Buffer.add_string buf "\"id\":";
-  buf_add_json_string buf spec.Plan.sid;
+  Json.add_string buf spec.Plan.sid;
   Buffer.add_string buf ",\"protocol\":";
-  buf_add_json_string buf (Plan.runner_name spec.Plan.runner);
+  Json.add_string buf (Plan.runner_name spec.Plan.runner);
   Buffer.add_string buf ",\"adversary\":";
-  buf_add_json_string buf spec.Plan.adversary.Conrat_sim.Adversary.name;
+  Json.add_string buf spec.Plan.adversary.Conrat_sim.Adversary.name;
   Buffer.add_string buf ",\"workload\":";
-  buf_add_json_string buf spec.Plan.workload.Workload.wname;
+  Json.add_string buf spec.Plan.workload.Workload.wname;
   Buffer.add_string buf
     (Printf.sprintf ",\"n\":%d,\"m\":%d,\"cheap_collect\":%b"
        spec.Plan.n spec.Plan.m spec.Plan.cheap_collect);
@@ -83,7 +70,7 @@ let add_result buf (spec : Plan.spec) (agg : Engine.aggregate) =
      List.iteri
        (fun i (stage, (total, indiv)) ->
          if i > 0 then Buffer.add_char buf ',';
-         buf_add_json_string buf stage;
+         Json.add_string buf stage;
          Buffer.add_string buf
            (Printf.sprintf ":{\"total\":%d,\"max_individual\":%d}" total indiv))
        stages;
@@ -93,7 +80,7 @@ let add_result buf (spec : Plan.spec) (agg : Engine.aggregate) =
     (fun i (seed, reason) ->
       if i > 0 then Buffer.add_char buf ',';
       Buffer.add_string buf (Printf.sprintf "{\"seed\":%d,\"reason\":" seed);
-      buf_add_json_string buf reason;
+      Json.add_string buf reason;
       Buffer.add_char buf '}')
     agg.Engine.failures;
   Buffer.add_string buf "]}"
@@ -103,9 +90,9 @@ let json_of_run ~experiment ~mode ~jobs ~elapsed (plan : Plan.t) results =
   Buffer.add_string buf "{\n";
   Buffer.add_string buf (Printf.sprintf "  \"schema_version\": %d,\n" schema_version);
   Buffer.add_string buf "  \"experiment\": ";
-  buf_add_json_string buf experiment;
+  Json.add_string buf experiment;
   Buffer.add_string buf ",\n  \"mode\": ";
-  buf_add_json_string buf mode;
+  Json.add_string buf mode;
   Buffer.add_string buf
     (Printf.sprintf ",\n  \"jobs\": %d,\n  \"elapsed_seconds\": %s,\n  \"trials\": %d,\n"
        jobs (fl elapsed) (Plan.trial_count plan));

@@ -10,23 +10,6 @@ type t = {
   mutable finalized : bool;
 }
 
-let json_string s =
-  let b = Buffer.create (String.length s + 2) in
-  Buffer.add_char b '"';
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.add_char b '"';
-  Buffer.contents b
-
 let strf = Printf.sprintf
 
 (* One event object; [fields] are pre-rendered ["key":value] pairs. *)
@@ -43,11 +26,11 @@ let event t fields =
 
 let metadata t ~name ~tid ~value =
   event t
-    [ strf "\"name\":%s" (json_string name);
+    [ strf "\"name\":%s" (Json.string name);
       "\"ph\":\"M\"";
       "\"pid\":1";
       strf "\"tid\":%d" tid;
-      strf "\"args\":{\"name\":%s}" (json_string value) ]
+      strf "\"args\":{\"name\":%s}" (Json.string value) ]
 
 let collector ~n =
   { n; buf = Buffer.create 4096; count = 0; open_stage = Array.make n None;
@@ -79,7 +62,7 @@ let close_span t pid ~step =
 let open_span t pid stage ~step =
   t.open_stage.(pid) <- Some (stage, step);
   event t
-    [ strf "\"name\":%s" (json_string stage);
+    [ strf "\"name\":%s" (Json.string stage);
       "\"ph\":\"B\"";
       "\"pid\":1";
       strf "\"tid\":%d" pid;
@@ -104,7 +87,7 @@ let on_op t ~step ~pid ~kind ~loc ~landed ~stage =
       strf "\"args\":{\"loc\":%d,\"landed\":%b%s}" loc landed
         (match stage with
          | None -> ""
-         | Some s -> strf ",\"stage\":%s" (json_string s)) ]
+         | Some s -> strf ",\"stage\":%s" (Json.string s)) ]
 
 let on_decide t ~step ~pid =
   t.last_step <- max t.last_step step;

@@ -154,23 +154,6 @@ let merge a b =
 (* JSON                                                                *)
 (* ------------------------------------------------------------------ *)
 
-let json_string s =
-  let b = Buffer.create (String.length s + 2) in
-  Buffer.add_char b '"';
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.add_char b '"';
-  Buffer.contents b
-
 let trim arr =
   let len = ref (Array.length arr) in
   while !len > 0 && arr.(!len - 1) = 0 do
@@ -184,7 +167,7 @@ let int_array_json arr =
 (* Canonical rendering: depth arrays trimmed of trailing zeros,
    signatures sorted by their rendered name tuples, curves sorted
    structurally — so [to_json] is a function of the abstract contents,
-   not of interning or merge order, and {!equal} can compare documents
+   not of interning or merge order, and two documents can be compared
    as strings. *)
 let to_json t =
   seal t;
@@ -209,7 +192,7 @@ let to_json t =
       Array.iteri
         (fun j s ->
           if j > 0 then Buffer.add_char b ',';
-          Buffer.add_string b (json_string s))
+          Buffer.add_string b (Json.string s))
         names;
       Buffer.add_string b (Printf.sprintf "],\"count\":%d}" count))
     sigs;
@@ -229,8 +212,6 @@ let to_json t =
     curves;
   Buffer.add_string b "]}";
   Buffer.contents b
-
-let equal a b = String.equal (to_json a) (to_json b)
 
 let signatures t = Hashtbl.length t.sigs
 

@@ -46,9 +46,6 @@ val to_json : t -> string
     trimmed, signatures sorted, curves sorted — a function of the
     contents, not of interning or merge order. *)
 
-val equal : t -> t -> bool
-(** Content equality, via the canonical rendering. *)
-
 val signatures : t -> int
 (** Distinct stage signatures seen. *)
 

@@ -1,6 +1,7 @@
 (* The explorer counters registry.  Counters are a fixed, named set;
-   cells are per-domain [Atomic.t]s so a worker bumps its own row
-   without contention, and snapshots merge rows in domain (= DFS shard
+   each domain has its own row, a plain [int array] with exactly one
+   writer (the explorer holding that row's probe), so a bump is an
+   ordinary increment, and snapshots merge rows in domain (= DFS shard
    emission) order so fleet totals are reproducible.  A probe is one
    row handed to one explorer; the registry aggregates. *)
 
@@ -62,21 +63,20 @@ let kind c = snd registry.(c)
 (* ------------------------------------------------------------------ *)
 
 type probe = {
-  cells : int Atomic.t array; (* one per counter; single-writer *)
+  cells : int array; (* one per counter; single-writer *)
   cov : Coverage.t option;
 }
 
-let fresh_cells () = Array.init ncounters (fun _ -> Atomic.make 0)
+let fresh_cells () = Array.make ncounters 0
 
 let fresh_probe ?(coverage = false) () =
   { cells = fresh_cells ();
     cov = (if coverage then Some (Coverage.create ()) else None) }
 
-let bump p c = ignore (Atomic.fetch_and_add p.cells.(c) 1)
-let add p c v = ignore (Atomic.fetch_and_add p.cells.(c) v)
-
-(* Single-writer cells: a plain read-compare-set max is race-free. *)
-let peak p c v = if v > Atomic.get p.cells.(c) then Atomic.set p.cells.(c) v
+let bump p c = p.cells.(c) <- p.cells.(c) + 1
+let add p c v = p.cells.(c) <- p.cells.(c) + v
+let peak p c v = if v > p.cells.(c) then p.cells.(c) <- v
+let count p c = p.cells.(c)
 
 let coverage p = p.cov
 
@@ -98,7 +98,7 @@ type t = {
   domains : int;
   coverage_on : bool;
   created : float;
-  rows : int Atomic.t array array; (* [domain].[counter] *)
+  rows : int array array; (* [domain].[counter] *)
   probes : probe option array;
   mutable shards : shard list;
   mutable merged_cov : Coverage.t option;
@@ -153,10 +153,10 @@ let absorb t ~domain p =
     invalid_arg "Telemetry.absorb: domain out of range";
   let row = t.rows.(domain) in
   for c = 0 to ncounters - 1 do
-    let v = Atomic.get p.cells.(c) in
+    let v = p.cells.(c) in
     match kind c with
-    | Sum -> if v <> 0 then ignore (Atomic.fetch_and_add row.(c) v)
-    | Max -> if v > Atomic.get row.(c) then Atomic.set row.(c) v
+    | Sum -> row.(c) <- row.(c) + v
+    | Max -> if v > row.(c) then row.(c) <- v
   done;
   match p.cov with
   | None -> ()
@@ -183,12 +183,14 @@ let finalize t =
 
 let merged_coverage t = t.merged_cov
 
-(* Live fleet-wide read (racy but monotone per cell): Sum counters sum
-   over domains, Max counters max. *)
+(* Live fleet-wide read while the rows' writers run: a racy read of
+   plain ints, which OCaml's memory model makes safe (each read returns
+   some value the cell held), monotone per cell.  Sum counters sum over
+   domains, Max counters max. *)
 let live t c =
   let acc = ref 0 in
   for d = 0 to t.domains - 1 do
-    let v = Atomic.get t.rows.(d).(c) in
+    let v = t.rows.(d).(c) in
     match kind c with
     | Sum -> acc := !acc + v
     | Max -> if v > !acc then acc := v
@@ -217,8 +219,7 @@ let merge (a : snapshot) (b : snapshot) : snapshot =
   Array.init ncounters (fun c ->
       match kind c with Sum -> a.(c) + b.(c) | Max -> max a.(c) b.(c))
 
-let snapshot_of_domain t ~domain : snapshot =
-  Array.init ncounters (fun c -> Atomic.get t.rows.(domain).(c))
+let snapshot_of_domain t ~domain : snapshot = Array.copy t.rows.(domain)
 
 (* Domain rows merged in index order — shard-emission (DFS) order, so
    [--jobs N] totals are reproducible wherever the semantics are

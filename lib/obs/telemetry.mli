@@ -2,10 +2,11 @@
     for the explorers.
 
     Counters form a fixed set registered by name; the registry holds
-    one row of [Atomic.t] cells per worker domain, and a {e probe} is
-    one such row handed to one explorer — bumping a counter is a single
-    uncontended atomic add, and an explorer run with no probe pays one
-    branch per instrumentation point (the [counters] gate in
+    one row per worker domain, a plain [int array] with a single
+    writer, and a {e probe} is one such row handed to one explorer —
+    bumping a counter is one ordinary increment.  An explorer given no
+    probe counts into a private row of its own, so a run with a probe
+    costs what a run without one does (the [counters] gate in
     [bench/gates.ml], recorded in [BENCH_GATES.json]).
 
     Aggregation is explicit: {!snapshot_of_domain} reads one row,
@@ -71,13 +72,17 @@ val kind : counter -> kind
 (** {2 Probes} *)
 
 type probe
-(** One domain's cell row (plus its {!Coverage.t} when enabled).
-    Single-writer: exactly one explorer bumps a probe at a time. *)
+(** One domain's counter row (plus its {!Coverage.t} when enabled).
+    Single-writer: exactly one explorer bumps a probe at a time, and
+    nothing but {!live} reads it while that explorer runs. *)
 
 val bump : probe -> counter -> unit
 val add : probe -> counter -> int -> unit
 val peak : probe -> counter -> int -> unit
 (** Raise a [Max] gauge to [v] if below it. *)
+
+val count : probe -> counter -> int
+(** The probe's current value of one counter, for its writer. *)
 
 val coverage : probe -> Coverage.t option
 
@@ -133,8 +138,12 @@ val merged_coverage : t -> Coverage.t option
 (** Available after {!finalize} (or [None] without [~coverage:true]). *)
 
 val live : t -> counter -> int
-(** Racy fleet-wide read for progress heartbeats: [Sum] counters summed
-    over domains, [Max] gauges maxed. *)
+(** Fleet-wide read for progress heartbeats while the fleet runs: [Sum]
+    counters summed over domains, [Max] gauges maxed.  Racy by design —
+    the rows are plain ints their writers bump without synchronisation,
+    so a read may miss the latest bumps (each cell still reads a value
+    it held, and never decreases); exact totals come from {!totals}
+    after the fleet has joined. *)
 
 (** {2 Snapshots — the counter monoid} *)
 
@@ -159,7 +168,6 @@ val of_values : int array -> snapshot
 
 (** {2 JSON} *)
 
-val snapshot_json : snapshot -> string
 val to_json : t -> string
 (** The schema-v3 telemetry block: fleet-total counters, per-domain
     rows, per-shard records and — after {!finalize}, when coverage was

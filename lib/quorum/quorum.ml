@@ -108,7 +108,3 @@ let max_size quorum t =
 
 let max_write_size t = max_size t.write_quorum t
 let max_read_size t = max_size t.read_quorum t
-
-let pp ppf t =
-  Format.fprintf ppf "%s(m=%d, pool=%d, |W|<=%d, |R|<=%d)"
-    t.name t.m t.pool (max_write_size t) (max_read_size t)

@@ -49,5 +49,3 @@ val valid : t -> bool
 
 val max_write_size : t -> int
 val max_read_size : t -> int
-
-val pp : Format.formatter -> t -> unit

@@ -214,8 +214,6 @@ let rebuild_enabled t pid =
       t.enabled <- a
     end
 
-let n t = t.n
-let memory t = t.memory
 let engine t : engine =
   match t.state with Compiled _ -> `Vm | Tree _ -> `Tree
 let enabled t = t.enabled
@@ -264,11 +262,6 @@ let crashed_pids t =
       done;
     tab.(!mask)
   | None -> pids_where t.n (fun pid -> t.crashed.(pid))
-
-let classify t pid =
-  if t.crashed.(pid) then `Crashed
-  else if Option.is_some t.pending.(pid) then `Running
-  else `Decided
 
 (* Branching class of [pid]'s pending operation as a nonallocating
    int (0 = forced miss, 1 = forced landed, 2 = coin, 3 = weak-register
@@ -387,7 +380,7 @@ let step_forced t ~pid ~landed =
     in
     (match t.metrics with
      | None -> ()
-     | Some m -> Metrics.record m ~pid (Op.kind any));
+     | Some m -> Metrics.record m ~pid);
     (match t.trace with
      | None -> ()
      | Some tr ->

@@ -69,9 +69,6 @@ val create :
     costs a single branch per transition.  [engine] selects the program
     engine (default [`Vm]). *)
 
-val n : 'r t -> int
-val memory : 'r t -> Memory.t
-
 val engine : 'r t -> engine
 (** Which program engine this machine runs on. *)
 
@@ -102,7 +99,6 @@ val total_steps : 'r t -> int
 
 val running : 'r t -> bool
 val outputs : 'r t -> 'r option array
-val output : 'r t -> int -> 'r option
 
 val outputs_into : 'r t -> 'r option array -> unit
 (** Fill a caller-owned buffer of length [n] with the current outputs —
@@ -128,12 +124,6 @@ val crashed_pids : 'r t -> int array
     from the table of interned pid sets, so for [n <= 10] the call
     allocates nothing (beyond, it builds a fresh array); the array must
     not be mutated. *)
-
-val classify : 'r t -> int -> [ `Running | `Decided | `Crashed ]
-(** What a pid's [None] output means at a leaf: still running (pending
-    operation, truncated execution), decided (program returned), or
-    crash-stopped.  Lets checkers excuse crashed processes from
-    completion-conditional properties without excusing live ones. *)
 
 val coin_class : 'r t -> int -> int
 (** Branching class of [pid]'s pending operation, as a nonallocating

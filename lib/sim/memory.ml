@@ -8,22 +8,15 @@ type loc = int
    allocation time), not execution state, so the shadow is maintained
    for exactly the registers where it is observable.
 
-   Shadow maintenance is undone on backtracking through an undo
-   journal ([jlocs]/[jvals]): each shadow update pushes the overwritten
-   shadow value, a {!backup} records just the journal length, and
-   {!restore_backup} pops back to it.  That keeps the per-snapshot cost
-   of the fault plane at one integer — O(weak writes undone) instead of
-   O(|memory|) — and exactly zero stores on stores with no weak
-   register.
-
-   Cell contents are rolled back the same way: once the first {!backup}
-   is taken ([journaling] flips on and stays on), every write pushes the
-   overwritten contents onto a second journal ([cjlocs]/[cjvals]), a
-   backup records only the three journal/length marks, and a restore
-   pops writes back in LIFO order.  Backtracking thus costs O(writes
+   Backtracking goes through one undo journal.  Once the first {!backup}
+   is taken ([journaling] flips on and stays on), every cell store —
+   a write or a recovery wipe — pushes one entry: the register, its
+   overwritten contents, its overwritten writer (while tracking) and
+   its overwritten shadow (when the register is weak).  A backup
+   records only the journal length and the store length, and a restore
+   pops entries back in LIFO order.  Backtracking thus costs O(writes
    undone) — the delta — instead of O(|memory|), and executions that
-   never back up (the Monte Carlo scheduler) never pay for journaling
-   at all.
+   never back up (the Monte Carlo scheduler) never journal at all.
 
    Every array that a write, a journal push or a restore stores into
    holds immediate integers: a cell is its value, or [bot] (min_int)
@@ -58,18 +51,18 @@ type t = {
      single predictable branch, keeping the atomic model's per-step
      cost identical to a build without the fault plane. *)
   mutable has_weak : bool;
-  mutable jlocs : int array;
-  mutable jvals : int array;
-  mutable jlen : int;
-  (* Cell-contents undo journal; maintained only once a backup exists.
-     [cjwrs] rides along with the cell journal and holds the overwritten
-     writer — populated (and popped) only while tracking, so untracked
-     journaling never touches it. *)
+  (* The undo journal, one entry per cell store once a backup exists:
+     [undo_locs]/[undo_cells] always, [undo_writers] only while
+     tracking and [undo_prevs] only on weak registers, so an atomic,
+     untracked search touches two arrays per write.  An entry that
+     carries a shadow stores its register as [lnot loc] (negative), so
+     undoing it needs no weakness test. *)
   mutable journaling : bool;
-  mutable cjlocs : int array;
-  mutable cjvals : int array;
-  mutable cjwrs : int array;
-  mutable cjlen : int;
+  mutable undo_locs : int array;
+  mutable undo_cells : int array;
+  mutable undo_writers : int array;
+  mutable undo_prevs : int array;
+  mutable undo_len : int;
 }
 
 let create () =
@@ -83,17 +76,14 @@ let create () =
     len = 0;
     weak_default = false;
     has_weak = false;
-    (* The journals are allocated by their first push: a store that
-       never journals (a Monte-Carlo trial without weak registers)
-       never pays for them. *)
-    jlocs = [||];
-    jvals = [||];
-    jlen = 0;
+    (* The journal is allocated by its first push: a store that never
+       backs up (a Monte-Carlo trial's) never pays for it. *)
     journaling = false;
-    cjlocs = [||];
-    cjvals = [||];
-    cjwrs = [||];
-    cjlen = 0 }
+    undo_locs = [||];
+    undo_cells = [||];
+    undo_writers = [||];
+    undo_prevs = [||];
+    undo_len = 0 }
 
 (* [Array.blit] cannot tell an [int array] from a pointer array, so
    into a major-heap destination it stores each element through
@@ -166,36 +156,31 @@ let stale_cell t loc =
 let read t loc = decode (cell t loc)
 let read_stale t loc = decode (stale_cell t loc)
 
-let journal_push t loc v =
-  if t.jlen = Array.length t.jlocs then begin
-    let cap = max 16 (2 * t.jlen) in
-    t.jlocs <- grow_ints t.jlocs cap t.jlen 0;
-    t.jvals <- grow_ints t.jvals cap t.jlen bot
+(* Journal everything a store to [loc] is about to overwrite. *)
+let journal_push t loc weak =
+  let n = t.undo_len in
+  if n = Array.length t.undo_locs then begin
+    let cap = max 16 (2 * n) in
+    t.undo_locs <- grow_ints t.undo_locs cap n 0;
+    t.undo_cells <- grow_ints t.undo_cells cap n bot;
+    t.undo_writers <- grow_ints t.undo_writers cap n (-1);
+    t.undo_prevs <- grow_ints t.undo_prevs cap n bot
   end;
-  t.jlocs.(t.jlen) <- loc;
-  t.jvals.(t.jlen) <- v;
-  t.jlen <- t.jlen + 1
+  if weak then begin
+    t.undo_locs.(n) <- lnot loc;
+    t.undo_prevs.(n) <- t.prev.(loc)
+  end
+  else t.undo_locs.(n) <- loc;
+  t.undo_cells.(n) <- t.cells.(loc);
+  if t.track_writers then t.undo_writers.(n) <- t.writers.(loc);
+  t.undo_len <- n + 1
 
-let cjournal_push t loc v =
-  if t.cjlen = Array.length t.cjlocs then begin
-    let cap = max 16 (2 * t.cjlen) in
-    t.cjlocs <- grow_ints t.cjlocs cap t.cjlen 0;
-    t.cjvals <- grow_ints t.cjvals cap t.cjlen bot;
-    t.cjwrs <- grow_ints t.cjwrs cap t.cjlen (-1)
-  end;
-  t.cjlocs.(t.cjlen) <- loc;
-  t.cjvals.(t.cjlen) <- v;
-  if t.track_writers then t.cjwrs.(t.cjlen) <- t.writers.(loc);
-  t.cjlen <- t.cjlen + 1
-
-(* Store cell contents [c] (a value or [bot]) through both undo
-   journals: the write path and the recovery wipe share it. *)
+(* Store cell contents [c] (a value or [bot]) through the journal: the
+   write path and the recovery wipe share it. *)
 let set_cell t loc c =
-  if t.journaling then cjournal_push t loc t.cells.(loc);
-  if t.has_weak && t.weak.(loc) then begin
-    journal_push t loc t.prev.(loc);
-    t.prev.(loc) <- t.cells.(loc)
-  end;
+  let weak = t.has_weak && t.weak.(loc) in
+  if t.journaling then journal_push t loc weak;
+  if weak then t.prev.(loc) <- t.cells.(loc);
   t.cells.(loc) <- c
 
 let write t loc v =
@@ -224,7 +209,7 @@ let is_weak t loc =
 
 (* Bench/test hook: force the weak-register conditionals onto their
    deepest disabled-path evaluation (every write tests its register's
-   weakness, every backup captures the journal mark) without weakening
+   weakness, every full backup copies the shadows) without weakening
    any register, so observable behaviour — and the explored tree — is
    exactly the atomic model.  The "engaged but inert" arm of the
    fault-plane overhead gate (bench/gates.ml), mirroring what
@@ -251,8 +236,8 @@ let set_actor t pid = t.actor <- pid
 
 (* Crash-recovery wipe: every volatile register last written by [pid]
    reverts to never-written.  Each wiped cell goes through the same
-   undo machinery as a write (cell journal, weak shadow, writer
-   journal), so backtracking over a recovery restores the pre-wipe
+   journal entry as a write (contents, weak shadow, writer), so
+   backtracking over a recovery restores the pre-wipe
    state exactly.  Requires tracking — without ownership there is
    nothing sound to wipe. *)
 let wipe_volatile t ~pid =
@@ -278,26 +263,28 @@ let weaken_all t =
 let size t = t.len
 
 (* Full-fidelity backup for the exhaustive explorers: a backup captures
-   the cell contents and also pins the previous-value shadow so stale
-   reads replay identically after backtracking.  Two representations
-   coexist:
+   the cell contents, the stale-read shadow (so stale reads replay
+   identically after backtracking) and, while tracking, ownership.  Two
+   representations coexist:
 
-   [backup] is a pure delta mark — three journal/length integers.
-   Taking one is O(1); the first one flips [journaling] on so that
-   subsequent writes push their overwritten contents, and restoring
-   pops both journals back to the marks, undoing exactly the writes
-   since the backup.  Restores must follow the explorers' LIFO
-   discipline (a backup is restored only while every journal entry
-   younger than it belongs to writes being undone), which
-   snapshot-and-backtrack search satisfies by construction.
+   [backup] is a pure delta mark — the journal length and the store
+   length.  Taking one is O(1); the first one flips [journaling] on so
+   that subsequent stores push what they overwrite, and restoring pops
+   the journal back to the mark, undoing exactly the stores since the
+   backup.  Restores must follow the explorers' LIFO discipline (a
+   backup is restored only while every journal entry younger than it
+   belongs to stores being undone), which snapshot-and-backtrack search
+   satisfies by construction.
 
    [full_backup] is the historical O(|memory|) copy, preserved for the
    tree-interpreter oracle so that differential benchmarks measure the
    engine the codebase actually shipped before the VM: it copies the
-   live cells and never turns journaling on, leaving the write path
-   untouched.  The two kinds must not be mixed on one store (a store
-   that has ever taken a delta mark journals writes that a full restore
-   would not pop); each [Machine] takes only its own engine's kind.
+   live cells (and the writers while tracking, the shadows when any
+   register is weak) and never turns journaling on, leaving the write
+   path untouched.  The two kinds must not be mixed on one store (a
+   store that has ever taken a delta mark journals stores that a full
+   restore would not pop); each [Machine] takes only its own engine's
+   kind.
 
    Weak flags need no capture either way — they only change via
    allocation, and truncation plus re-allocation recomputes them. *)
@@ -305,81 +292,70 @@ type backup = {
   (* [Some cells] = full backup; [None] = delta mark.  Mutable so the
      explorers can refresh a pooled backup in place ({!backup_into})
      instead of allocating one per branch point. *)
-  mutable b_full : int array option;
-  (* Full backups capture ownership alongside contents when tracking
-     (they never journal, so a blit is their only undo); delta marks
-     leave this [None] — the writer journal rides the cell journal. *)
+  mutable b_cells : int array option;
   mutable b_writers : int array option;
+  mutable b_prev : int array option;
   mutable b_len : int;
-  mutable b_cjlen : int;
-  mutable b_jlen : int;
+  mutable b_undo : int;
 }
 
 let backup t =
   t.journaling <- true;
-  { b_full = None; b_writers = None; b_len = t.len; b_cjlen = t.cjlen;
-    b_jlen = t.jlen }
+  { b_cells = None; b_writers = None; b_prev = None; b_len = t.len;
+    b_undo = t.undo_len }
+
+(* A copy of [src]'s first [len] ints, reusing [into]'s array when it
+   has that length. *)
+let copy_into into (src : int array) len =
+  match into with
+  | Some dst when Array.length dst = len -> blit_ints src dst len; into
+  | Some _ | None -> Some (sub_ints src len)
+
+let copy_full t b =
+  b.b_cells <- copy_into b.b_cells t.cells t.len;
+  if t.track_writers then b.b_writers <- copy_into b.b_writers t.writers t.len;
+  if t.has_weak then b.b_prev <- copy_into b.b_prev t.prev t.len
 
 let full_backup t =
-  { b_full = Some (sub_ints t.cells t.len);
-    b_writers = (if t.track_writers then Some (sub_ints t.writers t.len) else None);
-    b_len = t.len;
-    b_cjlen = 0;
-    b_jlen = t.jlen }
+  let b = { b_cells = None; b_writers = None; b_prev = None; b_len = t.len; b_undo = 0 } in
+  copy_full t b;
+  b
 
 (* Refresh [b] to capture the current state, keeping its kind: a pooled
-   delta mark is three integer stores; a pooled full backup reuses its
-   cells array when the store length hasn't changed. *)
+   delta mark is two integer stores; a pooled full backup reuses its
+   arrays when the store length hasn't changed. *)
 let backup_into t b =
-  (match b.b_full with
-   | None ->
-     b.b_len <- t.len;
-     b.b_cjlen <- t.cjlen
-   | Some cells ->
-     if Array.length cells = t.len then blit_ints t.cells cells t.len
-     else b.b_full <- Some (sub_ints t.cells t.len);
-     (if t.track_writers then
-        match b.b_writers with
-        | Some writers when Array.length writers = t.len ->
-          blit_ints t.writers writers t.len
-        | Some _ | None -> b.b_writers <- Some (sub_ints t.writers t.len));
-     b.b_len <- t.len);
-  b.b_jlen <- t.jlen
+  b.b_len <- t.len;
+  match b.b_cells with
+  | None -> b.b_undo <- t.undo_len
+  | Some _ -> copy_full t b
 
-let pop_weak_journal t b_jlen =
-  if b_jlen > t.jlen then
-    invalid_arg "Memory.restore_backup: journal shorter than at backup time";
-  while t.jlen > b_jlen do
-    t.jlen <- t.jlen - 1;
-    (* A journaled register may have been deallocated by an earlier
-       truncating restore on this path; its shadow slot still exists
-       (capacity never shrinks) and [alloc] re-initialises it, so the
-       undo store is harmless. *)
-    t.prev.(t.jlocs.(t.jlen)) <- t.jvals.(t.jlen)
-  done
+let blit_opt src (dst : int array) len =
+  match src with Some src -> blit_ints src dst len | None -> ()
 
 let restore_backup t b =
   if b.b_len > t.len then
     invalid_arg "Memory.restore_backup: backup longer than store";
-  (match b.b_full with
+  (match b.b_cells with
    | None ->
-     if b.b_cjlen > t.cjlen then
+     if b.b_undo > t.undo_len then
        invalid_arg "Memory.restore_backup: journal shorter than at backup time";
-     while t.cjlen > b.b_cjlen do
-       t.cjlen <- t.cjlen - 1;
-       (* Popping in LIFO order ends each cell at its oldest journaled
-          value — the contents as of backup time, however many times it
-          was written since. *)
-       t.cells.(t.cjlocs.(t.cjlen)) <- t.cjvals.(t.cjlen);
-       if t.track_writers then
-         t.writers.(t.cjlocs.(t.cjlen)) <- t.cjwrs.(t.cjlen)
+     while t.undo_len > b.b_undo do
+       let n = t.undo_len - 1 in
+       t.undo_len <- n;
+       (* Popping in LIFO order ends each register at its oldest
+          journaled contents — its state as of backup time, however many
+          times it was stored to since. *)
+       let e = t.undo_locs.(n) in
+       let loc = if e < 0 then lnot e else e in
+       t.cells.(loc) <- t.undo_cells.(n);
+       if t.track_writers then t.writers.(loc) <- t.undo_writers.(n);
+       if e < 0 then t.prev.(loc) <- t.undo_prevs.(n)
      done
    | Some cells ->
      blit_ints cells t.cells b.b_len;
-     (match b.b_writers with
-      | Some writers -> blit_ints writers t.writers b.b_len
-      | None -> ()));
-  pop_weak_journal t b.b_jlen;
+     blit_opt b.b_writers t.writers b.b_len;
+     blit_opt b.b_prev t.prev b.b_len);
   (* Registers allocated since the backup are dropped; [alloc] never
      journals (truncation is its undo). *)
   t.len <- b.b_len

@@ -10,7 +10,7 @@
     happens when the scheduler applies an {!Op.t}.
 
     {b Representation.}  The store is pointer-free: cells, stale-read
-    shadows, the undo journals and full backups are [int array]s, with
+    shadows, the undo journal and full backups are [int array]s, with
     ⊥ encoded as the sentinel {!bot} ([min_int]).  OCaml stores an
     immediate integer into an [int array] without its write barrier, so
     a write, a backup and a restore — millions per exhaustive search —
@@ -118,7 +118,7 @@ val set_actor : t -> int -> unit
 val wipe_volatile : t -> pid:int -> unit
 (** The crash-recovery wipe: revert every volatile register last
     written by [pid] to never-written (⊥, no owner).  Wipes go through
-    the same undo journals as writes, so backtracking over a recovery
+    the same undo journal as writes, so backtracking over a recovery
     restores the pre-wipe state exactly.  Raises [Invalid_argument] if
     tracking is not engaged. *)
 
@@ -128,19 +128,22 @@ val size : t -> int
 
 type backup
 (** Full-fidelity state capture for explorer backtracking, as a pure
-    delta mark: three journal/length integers, so taking one is O(1)
-    and restoring costs O(writes undone) instead of O(|memory|).  The
-    first backup on a store permanently enables write journaling (every
-    later write pushes its overwritten contents); stores that never
-    back up — the Monte Carlo scheduler's — never pay for it.  A backup
-    also pins the previous-value shadow consulted by {!read_stale}, so
-    stale reads replay identically after backtracking. *)
+    delta mark: the journal length and the store length, so taking one
+    is O(1) and restoring costs O(writes undone) instead of
+    O(|memory|).  The first backup on a store permanently enables the
+    undo journal: every later write or wipe pushes one entry holding
+    the register's overwritten contents, its overwritten writer (under
+    {!track_writers}) and, on a weak register, its overwritten
+    previous-value shadow, so ownership and {!read_stale} replay
+    identically after backtracking.  Stores that never back up — the
+    Monte Carlo scheduler's — never journal. *)
 
 val backup : t -> backup
 
 val full_backup : t -> backup
-(** The historical O(|memory|) capture: copies the live cells and pins
-    the stale-read shadow, without enabling write journaling.  Kept for
+(** The historical O(|memory|) capture: copies the live cells — and the
+    writers under {!track_writers}, the stale-read shadows when any
+    register is weak — without enabling the journal.  Kept for
     the tree-interpreter oracle so differential benchmarks charge it
     the snapshot cost the pre-VM engine actually paid.  Do not mix the
     two kinds on one store: once {!backup} has enabled journaling, a

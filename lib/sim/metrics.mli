@@ -8,7 +8,7 @@ type t
 
 val create : n:int -> t
 
-val record : t -> pid:int -> Op.kind -> unit
+val record : t -> pid:int -> unit
 (** Called by the scheduler once per executed operation. *)
 
 val total : t -> int
@@ -16,9 +16,6 @@ val total : t -> int
 
 val individual : t -> int
 (** Individual work: [max_p] (operations by process [p]). *)
-
-val per_process : t -> int array
-(** A copy of the per-process operation counts. *)
 
 type counts
 (** A read-only view of the live per-process counter array.  It is the
@@ -34,19 +31,9 @@ val counts : t -> counts
 val count : counts -> int -> int
 (** [count c pid] is the number of operations executed by [pid]. *)
 
-val counts_length : counts -> int
-
 val counts_to_array : counts -> int array
 (** A fresh mutable copy; mutating it cannot affect the scheduler. *)
 
 val counts_of_array : int array -> counts
 (** A read-only view of a copy of [a] (for tests and hand-built
     views). *)
-
-val ops_of : t -> pid:int -> int
-(** Operations executed by one process. *)
-
-val reads : t -> int
-val writes : t -> int
-val prob_writes : t -> int
-val collects : t -> int

@@ -161,3 +161,14 @@ let of_string s =
     if !pos < n then Error (Printf.sprintf "trailing input at offset %d" !pos)
     else Ok sexp
   | exception Parse_error msg -> Error msg
+
+let save file ~comment t =
+  let tmp = file ^ ".tmp" in
+  Out_channel.with_open_text tmp (fun oc ->
+      Format.fprintf (Format.formatter_of_out_channel oc) "; %s@.%a@." comment pp t);
+  Sys.rename tmp file
+
+let load file =
+  match In_channel.with_open_text file In_channel.input_all with
+  | contents -> of_string contents
+  | exception Sys_error msg -> Error msg

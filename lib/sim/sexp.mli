@@ -35,3 +35,12 @@ val to_string : t -> string
 val of_string : string -> (t, string) result
 (** Parses exactly one s-expression (plus surrounding whitespace and
     comments); anything else is an [Error] with an offset message. *)
+
+val save : string -> comment:string -> t -> unit
+(** [save file ~comment t] writes a [; comment] line and then [t] to
+    [file] through [file ^ ".tmp"], renamed into place once written, so
+    an interrupted save leaves the previous file or the new one on
+    disk, never a torn one.  Raises [Sys_error] when it cannot write. *)
+
+val load : string -> (t, string) result
+(** {!of_string} of a whole file; an unreadable file is an [Error]. *)

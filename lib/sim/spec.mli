@@ -45,9 +45,9 @@ val acceptance_survivors :
   inputs:int array -> outputs:decision option array -> (unit, string) result
 (** Crash-robust acceptance: like {!acceptance}, but processes with no
     output are excused.  Meaningful at crash-complete leaves, where
-    [None] outputs are exactly the crash-stopped processes (see
-    {!Machine.classify}): every {e survivor} must accept the common
-    input; crashed processes owe nothing. *)
+    [None] outputs are exactly the crash-stopped processes: every
+    {e survivor} must accept the common input; crashed processes owe
+    nothing. *)
 
 val consensus_execution :
   inputs:int array -> outputs:int option array -> completed:bool -> (unit, string) result

@@ -92,20 +92,12 @@ let of_sexp sexp =
   | _ -> Error "Artifact.of_sexp: expected (counterexample ...)"
 
 let save file a =
-  let oc = open_out file in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () ->
-      let ppf = Format.formatter_of_out_channel oc in
-      Format.fprintf ppf
-        "; conrat counterexample artifact (replay with `conrat check --replay %s`)@.%a@."
-        (Filename.basename file) Sexp.pp (to_sexp a))
+  Sexp.save file (to_sexp a)
+    ~comment:
+      (Printf.sprintf "conrat counterexample artifact (replay with `conrat check --replay %s`)"
+         (Filename.basename file))
 
-let load file =
-  match In_channel.with_open_text file In_channel.input_all with
-  | contents ->
-    Result.bind (Sexp.of_string contents) of_sexp
-  | exception Sys_error msg -> Error msg
+let load file = Result.bind (Sexp.load file) of_sexp
 
 let replay ?engine ~setup ~check a =
   let r =

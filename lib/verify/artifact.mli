@@ -39,6 +39,9 @@ val to_sexp : t -> Conrat_sim.Sexp.t
 val of_sexp : Conrat_sim.Sexp.t -> (t, string) result
 
 val save : string -> t -> unit
+(** Write-then-rename ({!Conrat_sim.Sexp.save}): an interrupted save
+    never leaves a torn counterexample file. *)
+
 val load : string -> (t, string) result
 
 val replay :

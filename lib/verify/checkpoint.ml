@@ -85,21 +85,10 @@ let of_sexp sexp =
       Ok { engine; checker; counts = { path; complete; truncated; pruned; steps } }
   | _ -> Error "Checkpoint.of_sexp: expected (checkpoint ...)"
 
-(* Write-then-rename so a SIGINT (or kill) mid-save leaves either the
-   previous checkpoint or the new one on disk, never a torn file. *)
 let save file t =
-  let tmp = file ^ ".tmp" in
-  let oc = open_out tmp in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () ->
-      let ppf = Format.formatter_of_out_channel oc in
-      Format.fprintf ppf
-        "; conrat explorer checkpoint (resume with `conrat check %s --resume %s`)@.%a@."
-        t.checker (Filename.basename file) Sexp.pp (to_sexp t));
-  Sys.rename tmp file
+  Sexp.save file (to_sexp t)
+    ~comment:
+      (Printf.sprintf "conrat explorer checkpoint (resume with `conrat check %s --resume %s`)"
+         t.checker (Filename.basename file))
 
-let load file =
-  match In_channel.with_open_text file In_channel.input_all with
-  | contents -> Result.bind (Sexp.of_string contents) of_sexp
-  | exception Sys_error msg -> Error msg
+let load file = Result.bind (Sexp.load file) of_sexp

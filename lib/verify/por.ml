@@ -50,21 +50,10 @@ let stop_bit = 60
 let exec_bits = 0x1249249249249249
 let recover_bits = 0x1249249249249249 lsl 2
 
-let cand_kind k base c =
-  if k = 0 then (if c = 0 then kind_stop else kind_recover)
-  else if c < k then kind_exec
-  else if c < base then kind_crash
-  else kind_recover
-
-let cand_pid en k base rec_pids c =
-  if k = 0 then (if c = 0 then 0 else rec_pids.(c - 1))
-  else if c < k then en.(c)
-  else if c < base then en.(c - k)
-  else rec_pids.(c - base)
-
-(* [key ~pid:(cand_pid ..) ~kind:(cand_kind ..)], or [stop_bit] for the
-   stop pseudo-candidate, with the band tests done once: this is the
-   inner loop of every sibling scan. *)
+(* Candidate [c]'s sleep-set element: [key ~pid ~kind], or [stop_bit]
+   for the stop pseudo-candidate, with the band tests done once: this
+   is the inner loop of every sibling scan, and [bit / 3] and
+   [bit mod 3] give the candidate's pid and kind back. *)
 let[@inline] cand_bit en k base rec_pids c =
   if k = 0 then (if c = 0 then stop_bit else 3 * rec_pids.(c - 1) + kind_recover)
   else if c < k then 3 * en.(c)
@@ -161,11 +150,10 @@ let corrupt () =
   invalid_arg "Por.explore: checkpoint path inconsistent with this config"
 
 (* Replay a node's sibling progression from its first awake candidate
-   [i] to the checkpointed or pinned candidate [c], growing the sleep
-   set from [z] exactly as the run that saved the path did while
-   exploring nothing; the sleep set [c] is tried under. *)
+   [i] to the checkpointed or pinned candidate [c] (a valid index),
+   growing the sleep set from [z] exactly as the run that saved the
+   path did while exploring nothing; the sleep set [c] is tried under. *)
 let advance z en k base rec_pids ncands i c =
-  if c < 0 || c >= ncands then corrupt ();
   let rec go sleep i =
     if i = c then sleep
     else
@@ -215,7 +203,7 @@ let advance z en k base rec_pids ncands i c =
    frame and a fork frame per depth. *)
 type races = {
   on : bool;
-  probe : Telemetry.probe option;
+  probe : Telemetry.probe;
   pending : Op.any option array;
   ev_pid : int array;
   ev_lo : int array;
@@ -227,7 +215,7 @@ type races = {
 }
 
 let no_races =
-  { on = false; probe = None; pending = [||]; ev_pid = [||]; ev_lo = [||];
+  { on = false; probe = Telemetry.fresh_probe (); pending = [||]; ev_pid = [||]; ev_lo = [||];
     ev_hi = [||]; ev_writes = [||]; ev_node = [||]; bt = [||]; node_en = [||] }
 
 let rec popcount x = if x = 0 then 0 else (x land 1) + popcount (x lsr 1)
@@ -243,10 +231,7 @@ let add_backtrack rc lvl p =
     else Array.fold_left (fun m q -> m lor (1 lsl key ~pid:q ~kind:kind_exec)) before en
   in
   rc.bt.(lvl) <- m;
-  match rc.probe with
-  | Some pr when m <> before ->
-    Telemetry.add pr Telemetry.dpor_backtracks (popcount (m land lnot before))
-  | Some _ | None -> ()
+  Telemetry.add rc.probe Telemetry.dpor_backtracks (popcount (m land lnot before))
 
 (* The latest event before depth [d] of another process whose footprint
    conflicts with [pid]'s operation; request [pid] at its pre-state
@@ -262,9 +247,7 @@ let race rc pid d =
         && (writes || rc.ev_writes.(j))
         && rc.ev_lo.(j) < hi && lo < rc.ev_hi.(j)
       then begin
-        (match rc.probe with
-         | Some pr -> Telemetry.bump pr Telemetry.dpor_races
-         | None -> ());
+        Telemetry.bump rc.probe Telemetry.dpor_races;
         if rc.ev_node.(j) >= 0 then add_backtrack rc rc.ev_node.(j) pid
       end
       else scan (j - 1)
@@ -346,6 +329,9 @@ let search ~source ?engine ?(max_depth = 200) ?(max_runs = 2_000_000)
         interrupted run, losing bit-identical resume. *)
      invalid_arg "Por.explore: dedup cannot resume mid-subtree"
    | _ -> ());
+  (* Every event is counted where it happens, into the given probe's
+     row or, without one, into a private row nobody reads. *)
+  let probe = match probe with Some p -> p | None -> Telemetry.fresh_probe () in
   let memory, body = setup () in
   let machine = Machine.create ?engine ~cheap_collect ?sink ~n ~memory body in
   if dedup && not (Machine.supports_state_hash machine) then
@@ -393,18 +379,6 @@ let search ~source ?engine ?(max_depth = 200) ?(max_runs = 2_000_000)
      returns the slot's own [Some], which the sibling loop hands to its
      transitions as is, so entering a branch point allocates nothing. *)
   let snaps = ref (Array.make 64 None) in
-  (* Telemetry accumulators for the per-branch-point events.  Plain
-     (non-atomic) increments, cheaper than the events they count; the
-     probe's atomic cells only see them in batches — every 4096 leaves
-     (so fleet heartbeats lag boundedly) and at exit — keeping the
-     probe-attached hot path within the counters gate's budget.  The
-     deepest pool slot is likewise gauged locally and peaked at exit. *)
-  let pool_high = ref 0 in
-  let hot_refreshes = ref 0 in
-  let hot_snapshots = ref 0 in
-  let hot_dedup_misses = ref 0 in
-  let hot_dedup_inters = ref 0 in
-  let hot_recovers = ref 0 in
   let take_snapshot () =
     let lvl = !nframes in
     if lvl >= Array.length !snaps then begin
@@ -414,11 +388,11 @@ let search ~source ?engine ?(max_depth = 200) ?(max_runs = 2_000_000)
     end;
     match !snaps.(lvl) with
     | Some s as slot ->
-      incr hot_refreshes;
+      Telemetry.bump probe Telemetry.snapshot_refreshes;
       Machine.snapshot_into machine s; slot
     | None ->
-      incr hot_snapshots;
-      if lvl > !pool_high then pool_high := lvl;
+      Telemetry.bump probe Telemetry.snapshots;
+      Telemetry.peak probe Telemetry.snapshot_pool_high lvl;
       let slot = Some (Machine.snapshot machine) in
       !snaps.(lvl) <- slot;
       slot
@@ -445,28 +419,33 @@ let search ~source ?engine ?(max_depth = 200) ?(max_runs = 2_000_000)
      runs := c.complete + c.truncated + c.pruned;
      rail := c.path;
      pending_offset := Some c.steps);
-  let take_rail () =
-    match !rail with [] -> None | c :: tl -> rail := tl; Some c
-  in
   let total_steps () = !steps_offset + Machine.total_steps machine in
-  (* Crossing into the shard subtree on a fresh shard (the rail was
-     exactly the pinned prefix): the transitions replayed so far are
-     the shard generator's work, already counted by the generator, not
-     this shard's — rebase the step counter right here so the pinned
-     choice at the deepest prefix frame and everything below it are
-     what this run's statistics measure.  A mid-shard resume (rail
-     longer than the pin) keeps the standard first-leaf rebase
-     instead, continuing the interrupted shard's totals. *)
-  let entry_rebased = ref false in
-  let maybe_entry_rebase fi =
-    if fi = subtree_prefix - 1 && !rail = [] && not !entry_rebased then begin
-      entry_rebased := true;
-      match !pending_offset with
-      | Some prior ->
-        steps_offset := prior - Machine.total_steps machine;
-        pending_offset := None
-      | None -> ()
-    end
+  let rebase () =
+    match !pending_offset with
+    | Some prior ->
+      steps_offset := prior - Machine.total_steps machine;
+      pending_offset := None
+    | None -> ()
+  in
+  (* The frame [fi] just pushed takes the next rail entry, if any, as
+     its current choice, which must be below [arity]; a [pinned] frame
+     must have one.  Taking the last entry at the deepest pinned frame
+     crosses into a fresh shard's subtree (the rail was exactly the
+     pinned prefix): the transitions replayed so far are the shard
+     generator's work, already counted by the generator, not this
+     shard's — so the step counter is rebased right here, and the
+     pinned choice and everything below it are what this run's
+     statistics measure.  A mid-shard resume (rail longer than the pin)
+     keeps the first-leaf rebase instead, continuing the interrupted
+     shard's totals. *)
+  let take_rail fi ~pinned arity =
+    match !rail with
+    | [] -> if pinned then corrupt ()
+    | c :: tl ->
+      if c < 0 || c >= arity then corrupt ();
+      rail := tl;
+      !frames.(fi) <- c;
+      if tl = [] && fi = subtree_prefix - 1 then rebase ()
   in
   (* Duplicate detection: a {!Visited} table over (state hash, depth,
      crash budget, recovery budget) at marked scheduling nodes, storing
@@ -483,16 +462,16 @@ let search ~source ?engine ?(max_depth = 200) ?(max_runs = 2_000_000)
      [Parallel]: shard counts stay deterministic regardless of how
      shards land on workers. *)
   let visited = Visited.create () in
-  let dedup_hits = ref 0 in
+  let hits0 = Telemetry.count probe Telemetry.dedup_hits in
   let hash = [| 0; 0 |] in
   let dedup_covered z depth crashes_left recoveries_left =
     Machine.hash_into machine hash;
     let h1 = Memory.mix1 (Memory.mix1 (Memory.mix1 hash.(0) depth) crashes_left) recoveries_left in
     let h2 = Memory.mix2 (Memory.mix2 (Memory.mix2 hash.(1) depth) crashes_left) recoveries_left in
     match Visited.visit visited h1 h2 z with
-    | Visited.Covered -> true
-    | Visited.Added -> incr hot_dedup_misses; false
-    | Visited.Narrowed -> incr hot_dedup_inters; false
+    | Visited.Covered -> Telemetry.bump probe Telemetry.dedup_hits; true
+    | Visited.Added -> Telemetry.bump probe Telemetry.dedup_misses; false
+    | Visited.Narrowed -> Telemetry.bump probe Telemetry.dedup_intersections; false
   in
   let last_saved = ref !runs in
   (* Telemetry baseline: counts carried in by [resume] are the
@@ -503,13 +482,13 @@ let search ~source ?engine ?(max_depth = 200) ?(max_runs = 2_000_000)
   let c0_truncated = !truncated_count in
   let c0_pruned = !pruned_count in
   let c0_steps = match resume with None -> 0 | Some c -> c.Checkpoint.steps in
-  let cov = match probe with Some p -> Telemetry.coverage p | None -> None in
+  let cov = Telemetry.coverage probe in
   let stage_of pid = Machine.stage machine pid in
   let stats exhausted =
     { complete = !complete_count;
       truncated = !truncated_count;
       pruned = !pruned_count;
-      dedup_hits = !dedup_hits;
+      dedup_hits = Telemetry.count probe Telemetry.dedup_hits - hits0;
       exhausted;
       steps = total_steps () }
   in
@@ -521,29 +500,6 @@ let search ~source ?engine ?(max_depth = 200) ?(max_runs = 2_000_000)
   (* One leaf-outputs buffer for the whole search: checks see the live
      contents and must copy what they retain (see the mli). *)
   let out_buf = Array.make n None in
-  (* Drain the hot accumulators into the probe: only the growth since
-     the last drain, so repeated flushes never double-count. *)
-  let f_refreshes = ref 0 in
-  let f_snapshots = ref 0 in
-  let f_dedup_hits = ref 0 in
-  let f_dedup_misses = ref 0 in
-  let f_dedup_inters = ref 0 in
-  let f_recovers = ref 0 in
-  let flush_hot p =
-    let drain r f c =
-      let v = !r - !f in
-      if v > 0 then begin
-        Telemetry.add p c v;
-        f := !r
-      end
-    in
-    drain hot_refreshes f_refreshes Telemetry.snapshot_refreshes;
-    drain hot_snapshots f_snapshots Telemetry.snapshots;
-    drain dedup_hits f_dedup_hits Telemetry.dedup_hits;
-    drain hot_dedup_misses f_dedup_misses Telemetry.dedup_misses;
-    drain hot_dedup_inters f_dedup_inters Telemetry.dedup_intersections;
-    drain hot_recovers f_recovers Telemetry.recovers
-  in
   (* [leaf_at ghost kind] counts a leaf.  [ghost] is 1 for a crash child
      counted without running the crash (see [transition]) and 0
      otherwise: the unapplied crash still counts as one transition, in
@@ -551,10 +507,7 @@ let search ~source ?engine ?(max_depth = 200) ?(max_runs = 2_000_000)
      checkpoint and callback reads as if it had run. *)
   let leaf_at ghost kind =
     steps_offset := !steps_offset + ghost;
-    (match !pending_offset with
-     | Some prior -> steps_offset := prior - Machine.total_steps machine;
-       pending_offset := None
-     | None -> ());
+    rebase ();
     let depth = Machine.steps machine + ghost in
     let stopping = !runs >= max_runs || stop () in
     (match on_checkpoint with
@@ -568,16 +521,11 @@ let search ~source ?engine ?(max_depth = 200) ?(max_runs = 2_000_000)
            truncated = !truncated_count;
            pruned = !pruned_count;
            steps = total_steps () };
-       (match probe with
-        | Some p -> Telemetry.bump p Telemetry.checkpoints
-        | None -> ());
+       Telemetry.bump probe Telemetry.checkpoints;
        last_saved := !runs
      | Some _ | None -> ());
     if stopping then raise Out_of_budget;
     incr runs;
-    (match probe with
-     | Some p when !runs land 4095 = 0 -> flush_hot p
-     | Some _ | None -> ());
     (match cov with
      | None -> ()
      | Some cv ->
@@ -650,43 +598,24 @@ let search ~source ?engine ?(max_depth = 200) ?(max_runs = 2_000_000)
              explore nothing below. *)
           emit_cut emit z en k base rec_pids ncands i
         | _ ->
+          (* A pinned shard-prefix frame replays exactly its railed
+             candidate, rebuilding the sleep progression the shard
+             generator walked when it emitted this path; it takes no
+             snapshot, so it explores no sibling and nothing backtracks
+             to it. *)
           let fi = !nframes in
-          if fi < subtree_prefix then begin
-            (* Pinned shard-prefix frame: replay exactly the railed
-               candidate, rebuilding the sleep progression the shard
-               generator walked when it emitted this path, exploring
-               no sibling.  No snapshot: nothing backtracks to here. *)
-            let c = match take_rail () with Some c -> c | None -> corrupt () in
-            push c;
-            let sleep = advance z en k base rec_pids ncands i c in
-            maybe_entry_rebase fi;
-            ignore
-              (transition ~pid:(cand_pid en k base rec_pids c)
-                 ~kind:(cand_kind k base c) ~node:fi ~sleep ~snap:None ~crashes_left
-                 ~recoveries_left ~depth);
-            pop ()
-          end
-          else if dedup && dedup_covered z depth crashes_left recoveries_left
-          then begin
-            incr dedup_hits;
-            leaf `Pruned
-          end
+          let pinned = fi < subtree_prefix in
+          if (not pinned) && dedup && dedup_covered z depth crashes_left recoveries_left
+          then leaf `Pruned
           else begin
-            let snapo = take_snapshot () in
-            let snap = Option.get snapo in
+            let snapo = if pinned then None else take_snapshot () in
             push i;
             if rc.on then enter_node rc fi en k base rec_pids ncands i;
-            let sleep0 =
-              match take_rail () with
-              | None -> z
-              | Some c ->
-                (* Fast-forward to the checkpointed choice. *)
-                let sleep = advance z en k base rec_pids ncands i c in
-                !frames.(fi) <- c;
-                sleep
-            in
-            siblings fi en k base rec_pids ncands snap snapo crashes_left
-              recoveries_left depth sleep0;
+            take_rail fi ~pinned ncands;
+            let c = !frames.(fi) in
+            let sleep = if c = i then z else advance z en k base rec_pids ncands i c in
+            siblings fi en k base rec_pids ncands snapo crashes_left recoveries_left
+              depth sleep;
             pop ()
           end
       end
@@ -708,28 +637,33 @@ let search ~source ?engine ?(max_depth = 200) ?(max_runs = 2_000_000)
      or the stop pseudo-candidate) needs no restore before the next.
      The next sibling is the first awake candidate past this one, or
      under source-set DPOR ([rc.on]) the lowest-index requested
-     candidate not asleep. *)
-  and siblings fi en k base rec_pids ncands snap snapo crashes_left
-      recoveries_left depth sleep =
+     candidate not asleep.  A node without a snapshot (a pinned frame)
+     has no next sibling. *)
+  and siblings fi en k base rec_pids ncands snapo crashes_left recoveries_left depth
+      sleep =
     let i = !frames.(fi) in
+    let bit = cand_bit en k base rec_pids i in
     let ran =
-      transition ~pid:(cand_pid en k base rec_pids i) ~kind:(cand_kind k base i)
+      transition ~pid:(bit / 3) ~kind:(if bit = stop_bit then kind_stop else bit mod 3)
         ~node:fi ~sleep ~snap:snapo ~crashes_left ~recoveries_left ~depth
     in
-    let sleep = sleep lor (1 lsl cand_bit en k base rec_pids i) in
-    let j =
-      (* Race detection below may have grown the node's backtracking
-         set, so source-set DPOR rescans from 0, unrequested candidates
-         counting as asleep. *)
-      if rc.on then first_awake (sleep lor lnot rc.bt.(fi)) en k base rec_pids ncands 0
-      else first_awake sleep en k base rec_pids ncands (i + 1)
-    in
-    if j >= 0 then begin
-      !frames.(fi) <- j;
-      if ran then Machine.restore machine snap;
-      siblings fi en k base rec_pids ncands snap snapo crashes_left
-        recoveries_left depth sleep
-    end
+    match snapo with
+    | None -> ()
+    | Some snap ->
+      let sleep = sleep lor (1 lsl bit) in
+      let j =
+        (* Race detection below may have grown the node's backtracking
+           set, so source-set DPOR rescans from 0, unrequested candidates
+           counting as asleep. *)
+        if rc.on then first_awake (sleep lor lnot rc.bt.(fi)) en k base rec_pids ncands 0
+        else first_awake sleep en k base rec_pids ncands (i + 1)
+      in
+      if j >= 0 then begin
+        !frames.(fi) <- j;
+        if ran then Machine.restore machine snap;
+        siblings fi en k base rec_pids ncands snapo crashes_left recoveries_left depth
+          sleep
+      end
   (* Descend through one chosen transition: candidates that commute with
      it (fault-aware relation) stay asleep below.  A probabilistic write
      with 0 < p < 1 forks on the coin and a weak-register read forks on
@@ -763,7 +697,7 @@ let search ~source ?engine ?(max_depth = 200) ?(max_runs = 2_000_000)
          descend z' (crashes_left - 1) recoveries_left (depth + 1)
        end
        else if kind = kind_recover then begin
-         incr hot_recovers;
+         Telemetry.bump probe Telemetry.recovers;
          Machine.recover machine ~pid;
          descend z' crashes_left (recoveries_left - 1) (depth + 1)
        end
@@ -797,56 +731,45 @@ let search ~source ?engine ?(max_depth = 200) ?(max_runs = 2_000_000)
       emit (current_path ());
       pop ()
     | _ ->
+      (* A pinned fork frame replays its railed outcome only. *)
       let fi = !nframes in
-      if fi < subtree_prefix then begin
-        (* Pinned fork frame: replay the railed outcome only. *)
-        let c = match take_rail () with Some c -> c | None -> corrupt () in
-        if c < 0 || c > 1 then corrupt ();
-        push c;
-        maybe_entry_rebase fi;
-        Machine.step_forced machine ~pid
-          ~landed:(if c = 0 then landed0 else not landed0);
+      let pinned = fi < subtree_prefix in
+      let snap =
+        if pinned then None else match snap with Some _ -> snap | None -> take_snapshot ()
+      in
+      push 0;
+      take_rail fi ~pinned 2;
+      if !frames.(fi) = 0 then begin
+        Machine.step_forced machine ~pid ~landed:landed0;
         descend z' crashes_left recoveries_left (depth + 1);
-        pop ()
-      end
-      else begin
-        let snap = match snap with Some s -> s | None -> Option.get (take_snapshot ()) in
-        push 0;
-        let start = match take_rail () with None -> 0 | Some c -> c in
-        if start < 0 || start > 1 then corrupt ();
-        if start = 0 then begin
-          Machine.step_forced machine ~pid ~landed:landed0;
-          descend z' crashes_left recoveries_left (depth + 1);
-          Machine.restore machine snap
-        end;
-        !frames.(fi) <- 1;
+        match snap with
+        | Some s ->
+          Machine.restore machine s;
+          !frames.(fi) <- 1
+        | None -> ()
+      end;
+      if !frames.(fi) = 1 then begin
         Machine.step_forced machine ~pid ~landed:(not landed0);
-        descend z' crashes_left recoveries_left (depth + 1);
-        pop ()
-      end
+        descend z' crashes_left recoveries_left (depth + 1)
+      end;
+      pop ()
   in
   (* Leaf and step totals land in the probe once, on the way out —
-     deltas against the resume baseline, so the disabled-probe hot path
-     stays branch-only and shard contributions sum to the sequential
-     totals ([--jobs]-invariance, asserted in test/test_parallel.ml). *)
+     deltas against the resume baseline, so shard contributions sum to
+     the sequential totals ([--jobs]-invariance, asserted in
+     test/test_parallel.ml). *)
   let finish r =
-    (match probe with
-     | None -> ()
-     | Some p ->
-       flush_hot p;
-       Telemetry.add p Telemetry.leaves_complete (!complete_count - c0_complete);
-       Telemetry.add p Telemetry.leaves_truncated (!truncated_count - c0_truncated);
-       Telemetry.add p Telemetry.leaves_pruned (!pruned_count - c0_pruned);
-       Telemetry.add p Telemetry.steps (max 0 (total_steps () - c0_steps));
-       Telemetry.peak p Telemetry.snapshot_pool_high !pool_high;
-       Telemetry.peak p Telemetry.code_pcs (Machine.code_size machine);
-       if dedup then begin
-         Telemetry.peak p Telemetry.dedup_table_peak (Visited.count visited);
-         match cov with
-         | Some cv ->
-           Coverage.saturate cv ~leaves:!runs ~table:(Visited.count visited)
-         | None -> ()
-       end);
+    Telemetry.add probe Telemetry.leaves_complete (!complete_count - c0_complete);
+    Telemetry.add probe Telemetry.leaves_truncated (!truncated_count - c0_truncated);
+    Telemetry.add probe Telemetry.leaves_pruned (!pruned_count - c0_pruned);
+    Telemetry.add probe Telemetry.steps (max 0 (total_steps () - c0_steps));
+    Telemetry.peak probe Telemetry.code_pcs (Machine.code_size machine);
+    if dedup then begin
+      Telemetry.peak probe Telemetry.dedup_table_peak (Visited.count visited);
+      match cov with
+      | Some cv -> Coverage.saturate cv ~leaves:!runs ~table:(Visited.count visited)
+      | None -> ()
+    end;
     r
   in
   match descend 0 faults.Fault.crashes faults.Fault.recoveries 0 with

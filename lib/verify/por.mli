@@ -130,15 +130,13 @@ val explore :
     table-peak counters, snapshot-pool allocation/refresh/high-water,
     checkpoint saves, and — on the way out, as deltas against the
     [resume] baseline so shard contributions sum to sequential totals —
-    leaf and step counts.  The per-branch-point counters (snapshots,
-    refreshes, dedup outcomes) accumulate in plain locals and flush to
-    the probe's atomic cells every 4096 leaves and at exit, so live
-    fleet reads lag by a bounded window while the probe-attached hot
-    path stays within the [counters] gate's budget.  When the probe
-    carries a {!section-"obs"}[Coverage.t], every counted leaf also
-    lands in the depth-profile and stage-signature histograms (per-leaf
-    cost; the counters alone are branch-only when disabled — see
-    [bench/gates.ml]).
+    leaf and step counts.  Every other counter is bumped in the
+    probe's row where its event happens, so live fleet reads are
+    current; without a probe the search counts into a private row, at
+    the same cost.  When the probe carries a
+    {!section-"obs"}[Coverage.t], every counted leaf also lands in the
+    depth-profile and stage-signature histograms (per-leaf cost, priced
+    by the [coverage] arm of [bench/gates.ml]).
 
     [faults] closes the tree under crash-stops and weak-register reads
     (default {!Conrat_sim.Fault.none}; registers must additionally be

@@ -543,14 +543,17 @@ let () =
   if not (contains ~needle:"\"plan_overrides_ignored\"" out) then
     failf "recovery sweep --json -: plan_overrides_ignored missing (got: %s)" out;
 
-  (* SIGINT mid-sweep: partial JSON still lands, well-formed, exit 130 *)
+  (* SIGINT mid-sweep: partial JSON still lands, well-formed, exit 130.
+     The sweep must still be running when the signal lands: at n = 64 a
+     trial takes ~0.3 ms on one core, so 40 000 trials run for over ten
+     times the one-second delay, in about 15 MB. *)
   let sweep_json = Filename.concat tmpdir "sweep.json" in
   let out = Filename.concat tmpdir "stdout" in
   let err = Filename.concat tmpdir "stderr" in
   let code =
     Sys.command
       (Printf.sprintf
-         "%s sweep -n 3 -t 100000 --json %s > %s 2> %s & pid=$!; \
+         "%s sweep -n 64 -t 40000 --json %s > %s 2> %s & pid=$!; \
           sleep 1; kill -INT $pid 2>/dev/null; wait $pid"
          (Filename.quote cli) (Filename.quote sweep_json) (Filename.quote out)
          (Filename.quote err))
