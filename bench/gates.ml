@@ -2,14 +2,14 @@
 
    A run is one committed checker config, a clock and a list of arms;
    every arm is one {!Parallel.explore_por} call on that config that
-   varies only the program engine, the sink, the telemetry probe, the
-   number of domains or the memory setup.  The driver gives each arm
-   one untimed warmup (when the run asks for it), then times [reps]
-   repetitions interleaved arm by arm, so all arms see the same
-   thermal and allocator conditions, and keeps the best (minimum) of
-   each.  Every call of every arm must return the same {!Por.stats} as
-   the run's first arm, and that arm must exhaust the config; anything
-   else is exit 2.  A gate compares two arms' best times against a
+   varies only the sink, the telemetry probe, the number of domains or
+   the memory setup, or that search under the tree interpreter.  The
+   driver gives each arm one untimed warmup (when the run asks for it),
+   then times [reps] repetitions interleaved arm by arm, so all arms
+   see the same thermal and allocator conditions, and keeps the best
+   (minimum) of each.  Every call of every arm must return the same
+   {!Por.stats} as the run's first arm, and that arm must exhaust the
+   config; anything else is exit 2.  A gate compares two arms' best times against a
    budget; any gate over budget is exit 1.
 
    The CPU clock ([Sys.time]) is for the single-domain arms: since the
@@ -39,7 +39,7 @@ type run = {
    shadow and writer bookkeeping without weakening or wiping anything,
    so the explored tree is bit-identical.  [telemetry] builds a fresh
    registry per call. *)
-let arm ?engine ?sink ?telemetry ?(jobs = 1) ?(inert_faults = false) () (c : Checks.t) =
+let arm ?sink ?telemetry ?(jobs = 1) ?(inert_faults = false) () (c : Checks.t) =
   let n = c.n in
   let setup () =
     let ((memory, _) as s) = Checks.setup_of c ~n () in
@@ -49,10 +49,19 @@ let arm ?engine ?sink ?telemetry ?(jobs = 1) ?(inert_faults = false) () (c : Che
     end;
     s
   in
-  Parallel.explore_por ~jobs ?engine ?sink
+  Parallel.explore_por ~jobs ?sink
     ?telemetry:(Option.map (fun mk -> mk ()) telemetry)
     ~max_depth:c.max_depth ~max_runs:c.max_runs ~cheap_collect:c.cheap_collect
     ~faults:c.faults ~n ~setup ~check:(Checks.check_of c ~n) ()
+
+(* The baseline arm's search under the tree interpreter: at [jobs = 1],
+   [Parallel.explore_por] is exactly this [Por.explore] call on the
+   VM. *)
+let tree_arm (c : Checks.t) =
+  let n = c.n in
+  Por.explore ~engine:`Tree ~max_depth:c.max_depth ~max_runs:c.max_runs
+    ~cheap_collect:c.cheap_collect ~faults:c.faults ~n ~setup:(Checks.setup_of c ~n)
+    ~check:(Checks.check_of c ~n) ()
 
 let runs =
   [ { config = "fallback_n2_d28"; clock = Cpu; reps = 5; warmup = true;
@@ -63,7 +72,7 @@ let runs =
           ("counters", arm ~telemetry:(fun () -> Telemetry.create ~domains:1 ()) ());
           ("coverage",
            arm ~telemetry:(fun () -> Telemetry.create ~coverage:true ~domains:1 ()) ());
-          ("tree", arm ~engine:`Tree ()) ] };
+          ("tree", tree_arm) ] };
     (* One ~7s search per arm, no warmup: the jobs floor is coarse. *)
     { config = "fallback_n2_d34"; clock = Wall; reps = 1; warmup = false;
       arms =
@@ -116,10 +125,12 @@ let gates =
        block, timed for the record only (EXPERIMENTS.md). *)
     { name = "coverage"; run = "fallback_n2_d28"; value = overhead "coverage"; unit_ = "%";
       limit = `Info; gated = false };
-    (* Both engines run the identical search, so the ratio isolates the
-       engine and its snapshot discipline under a workload that reaches
-       a leaf every ~2.6 steps; it understates the ~2.4x end-to-end win
-       over the pre-VM driver (EXPERIMENTS.md).  1.4x is headroom under
+    (* Both engines run the identical search and back the store up
+       through the one memory journal, so the ratio isolates the program
+       engine (interning vs closure calls, pc files vs array copies)
+       under a workload that reaches a leaf every ~2.6 steps; it
+       understates the ~2.4x end-to-end win over the pre-VM driver
+       (EXPERIMENTS.md).  1.4x is headroom under
        the 1.7–2.1x measured, so noise does not trip it but an engine
        regression does. *)
     { name = "vm_over_tree"; run = "fallback_n2_d28";

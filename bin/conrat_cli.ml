@@ -462,8 +462,6 @@ let experiment_cmd =
 
 (* Exploration: the one dispatch over the four exploration algorithms. *)
 
-let engine_name = function `Vm -> "vm" | `Tree -> "tree"
-
 type algo = [ `Por | `Naive | `Dpor | `Cross ]
 
 let algo_name = function
@@ -500,14 +498,13 @@ let verdict_ok = function
   | Compared x -> x.Checks.outcomes_agree && x.Checks.engines_agree
   | Violation _ | Shrunk _ -> false
 
-(* Explore [config] under [algo] with the [engine] program engine on
-   [jobs] domains; [max_runs] overrides the config's budget, and
+(* Explore [config] under [algo] on [jobs] domains; [max_runs] overrides the config's budget, and
    [reporter label] is the progress heartbeat for the algorithm named
    [label], if any.  POR goes through [Parallel] (via [Checks.run]),
    which alone picks the sequential or the fleet path from [jobs], and
    alone takes [resume] and [on_checkpoint]; the naive and dpor oracles
    always run sequentially. *)
-let explore ~engine ~jobs ~dedup ~max_runs ~(algo : algo) ?stop
+let explore ~jobs ~dedup ~max_runs ~(algo : algo) ?stop
     ?(reporter = fun _ -> None) ?telemetry ?resume ?on_checkpoint
     (config : Checks.t) =
   let n = config.n and max_depth = config.max_depth in
@@ -554,21 +551,21 @@ let explore ~engine ~jobs ~dedup ~max_runs ~(algo : algo) ?stop
     match algo with
     | `Cross ->
       (match
-         Checks.cross_check ~engine ?stop ~max_runs ~jobs
+         Checks.cross_check ?stop ~max_runs ~jobs
            ?naive_heartbeat:(heartbeat "naive") ?por_heartbeat:(heartbeat "por") config
        with
        | Ok x -> ([ naive_row x.naive; por_row "por" x.por ], Compared x)
        | Error reason -> ([], Violation reason))
     | `Naive ->
       (match
-         Naive.explore ~engine ~max_depth ~max_runs ~cheap_collect ~faults ?stop
+         Naive.explore ~max_depth ~max_runs ~cheap_collect ~faults ?stop
            ?heartbeat:(heartbeat "naive") ~n ~setup ~check ()
        with
        | Ok s -> ([ naive_row s ], Pass)
        | Error (reason, s) -> ([ naive_row s ], Violation reason))
     | `Dpor ->
       (match
-         Por.explore_source ~engine ~max_depth ~max_runs ~cheap_collect ~faults ?stop
+         Por.explore_source ~max_depth ~max_runs ~cheap_collect ~faults ?stop
            ?heartbeat:(heartbeat "dpor")
            ?probe:(Option.map (fun t -> Telemetry.probe t ~domain:0) telemetry)
            ~n ~setup ~check ()
@@ -577,7 +574,7 @@ let explore ~engine ~jobs ~dedup ~max_runs ~(algo : algo) ?stop
        | Error (reason, _path, s) -> ([ por_row "dpor" s ], Violation reason))
     | `Por ->
       (match
-         Checks.run ~engine ?stop ~max_runs ?heartbeat:(heartbeat "por")
+         Checks.run ?stop ~max_runs ?heartbeat:(heartbeat "por")
            ?resume ?on_checkpoint ~jobs ~dedup ?telemetry config
        with
        | Ok s -> ([ por_row "por" s ], Pass)
@@ -588,7 +585,7 @@ let explore ~engine ~jobs ~dedup ~max_runs ~(algo : algo) ?stop
 
 (* check *)
 
-let replay_artifact engine file =
+let replay_artifact file =
   (* A replay must never die with a backtrace on operator input: any
      escape from artifact parsing or re-execution (torn file, stale
      register indices, n larger than the config's inputs, …) is a
@@ -603,20 +600,24 @@ let replay_artifact engine file =
          (match Checks.fits config artifact with
           | Error msg -> die "artifact %s is not replayable: %s" file msg
           | Ok () -> ());
-         (match Checks.replay ~engine config artifact with
-          | Error reason -> Printf.printf "%s: reproduced: %s\n" artifact.checker reason
-          | Ok () ->
-            Printf.printf "%s: did NOT reproduce (checker passed)\n" artifact.checker;
-            quit 1))
+         (* "reproduced" only for the recorded reason along the recorded
+            trace; anything else names the first difference. *)
+         let not_reproduced why =
+           Printf.printf "%s: did NOT reproduce (%s)\n" artifact.checker why;
+           quit 1
+         in
+         (match Checks.replay config artifact with
+          | Artifact.Reproduced ->
+            Printf.printf "%s: reproduced: %s\n" artifact.checker artifact.reason
+          | Passed -> not_reproduced "checker passed"
+          | Differs difference -> not_reproduced difference))
   with e -> die "artifact %s is not replayable: %s" file (Printexc.to_string e)
 
 let check_cmd =
-  let action algo engine jobs dedup max_runs faults budget timeout artifact_dir replay
+  let action algo jobs dedup max_runs faults budget timeout artifact_dir replay
       json trace checkpoint resume no_telemetry progress progress_interval quiet names =
-    if dedup && engine = `Tree then
-      die "--dedup needs the VM engine's state hash (drop --engine tree)";
     match replay with
-    | Some file -> replay_artifact engine file
+    | Some file -> replay_artifact file
     | None ->
       if checkpoint = Some "-" then
         die "--checkpoint needs a file name (it cannot be written to stdout)";
@@ -708,7 +709,8 @@ let check_cmd =
          run — executions explored, machine steps executed, wall clock,
          and (unless --no-telemetry) the schema-v3 telemetry block.
          "engine" is the exploration algorithm; "exec_engine" is the
-         program engine. *)
+         program engine, always the VM (--cross's tree oracle shows in
+         its engines= verdict). *)
       let telemetry_json_on = json <> None && not no_telemetry in
       let any_telemetry = ref false in
       let json_rows = ref [] in
@@ -758,7 +760,7 @@ let check_cmd =
              ([Invalid_argument]); that is a bad-input condition, exit 2. *)
           let rows, verdict =
             try
-              explore ~engine ~jobs ~dedup ~max_runs ~algo ~stop ~reporter:(reporter name)
+              explore ~jobs ~dedup ~max_runs ~algo ~stop ~reporter:(reporter name)
                 ?telemetry ?resume ?on_checkpoint:(on_checkpoint ~name) config
             with Invalid_argument _ when resume_file <> None ->
               die "checkpoint %s does not fit checker %s" (Option.get resume_file) name
@@ -784,8 +786,8 @@ let check_cmd =
              if not quiet then List.iter line rows
            | Compared x ->
              (* AGREE requires both differentials: naive vs POR outcome
-                sets, and the POR search repeated under the other
-                program engine (vm vs tree). *)
+                sets, and the POR search repeated under the tree
+                interpreter. *)
              if not quiet then
                say
                  "%-26s naive=%d/%d por=%d/%d pruned=%d outcomes=%d engines=%s %s \
@@ -827,7 +829,7 @@ let check_cmd =
                   "{\"name\":%s,\"engine\":%s,\"exec_engine\":%s,\"jobs\":%d,\
                    \"executions\":%d,\"complete\":%d,\"truncated\":%d%s,\"steps\":%d,\
                    \"wall_clock_seconds\":%.3f,\"exhausted\":%b,\"ok\":%b%s}"
-                  (Json.string name) (Json.string r.algo) (Json.string (engine_name engine))
+                  (Json.string name) (Json.string r.algo) (Json.string "vm")
                   jobs (r.complete + r.truncated)
                   r.complete r.truncated
                   (match r.pruned with
@@ -866,7 +868,7 @@ let check_cmd =
           $ flag [ "cross" ]
               "Run both exploration algorithms (naive and POR) and compare \
                complete-execution outcome sets; also repeats the POR search \
-               under the other program engine (vm vs tree) and compares."
+               under the tree-interpreter oracle and compares."
           $ flag [ "dpor" ]
               "Use the dynamic (source-set-style) partial-order-reduction \
                engine: backtracking points are added only where executed \
@@ -884,20 +886,6 @@ let check_cmd =
           $ Arg.(value & opt (some float) None & info [ flag_name ] ~docv:"SECONDS" ~doc))
   in
   let file_in names doc = Arg.(value & opt (some string) None & info names ~docv:"FILE" ~doc) in
-  let engine_arg =
-    let parse = function
-      | "vm" -> `Vm
-      | "tree" -> `Tree
-      | other -> die "bad --engine %S (expected 'vm' or 'tree')" other
-    in
-    Term.(const parse
-          $ Arg.(value & opt string "vm"
-                 & info [ "engine" ] ~docv:"ENGINE"
-                     ~doc:"Program engine: 'vm' (compiled flat-instruction VM, the \
-                           default) or 'tree' (the direct Program.t interpreter, kept \
-                           as the differential oracle).  Results are bit-identical \
-                           under either."))
-  in
   let max_runs_arg =
     let check r = if r < 1 then die "bad --max-runs %d (expected at least 1)" r else r in
     Term.(const (Option.map check)
@@ -908,7 +896,7 @@ let check_cmd =
   Cmd.v
     (Cmd.info "check"
        ~doc:"Exhaustively verify named checker configs (POR engine by default)")
-    Term.(const action $ algo_arg $ engine_arg
+    Term.(const action $ algo_arg
           $ jobs_arg
               ~doc:"Workers steal subtree shards of the POR search.  Statistics \
                     and the complete-execution outcome set of an exhaustive run \
@@ -922,8 +910,8 @@ let check_cmd =
               "Prune scheduling states already visited at the same depth and \
                crash budget (hashed VM snapshots: program counters, memory, \
                fault bits).  Preserves the complete-execution outcome set; \
-               execution counts shrink.  VM engine only; excludes \
-               --naive/--cross/--dpor and checkpointing."
+               execution counts shrink.  Excludes --naive/--cross/--dpor \
+               and checkpointing."
           $ max_runs_arg
           $ faults_arg
               ~doc:"Override every requested config's fault model: 'none', \
@@ -947,7 +935,8 @@ let check_cmd =
                                    failure (an existing, writable directory)."))
           $ file_in [ "replay" ]
               "Replay a counterexample artifact instead of exploring; exits 0 \
-               iff the violation reproduces."
+               iff the violation reproduces with the recorded reason and, \
+               when the artifact has one, the recorded trace."
           $ output_opt [ "json" ]
               ~doc:"Write per-config exploration statistics (executions, machine \
                     steps, wall clock) as JSON, each row with its telemetry \

@@ -26,9 +26,10 @@ val bollobas : m:int -> Conrat_objects.Deciding.factory
 val bitvector : m:int -> Conrat_objects.Deciding.factory
 (** §6.2(3): [2⌈lg m⌉ + 1] registers, ≤ [2⌈lg m⌉ + 2] operations. *)
 
-val of_quorum_rec : Conrat_quorum.Quorum.t -> Conrat_objects.Deciding.factory
-(** Crash-recovery hardening of {!of_quorum} (Golab-style recoverable
-    consensus): the announcement pool and the proposal register are
+val binary_rec : unit -> Conrat_objects.Deciding.factory
+(** The recoverable 3-register binary ratifier: crash-recovery hardening
+    of {!of_quorum} on [Quorum.binary] (Golab-style recoverable
+    consensus).  The announcement pool and the proposal register are
     {!Conrat_sim.Memory.mark_persistent}, so the recovery wipe removes
     none of the decision-critical evidence, and the program declares a
     recovery continuation that re-validates — re-announces (idempotent
@@ -39,10 +40,6 @@ val of_quorum_rec : Conrat_quorum.Quorum.t -> Conrat_objects.Deciding.factory
     the last writer of a pool cell shared with a surviving same-value
     process; the wipe erases the survivor's evidence mid-scan).  Same
     space and per-attempt work as {!of_quorum}. *)
-
-val binary_rec : unit -> Conrat_objects.Deciding.factory
-(** [of_quorum_rec Quorum.binary]: the recoverable 3-register binary
-    ratifier. *)
 
 val await_ack : unit -> Conrat_objects.Deciding.factory
 (** KNOWN CRASH-UNSAFE test double (2 registers): process 0 announces

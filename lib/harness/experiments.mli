@@ -36,8 +36,6 @@ type mode =
   | Quick  (** small sweeps, ~seconds; used by tests *)
   | Full   (** the sweeps EXPERIMENTS.md records, ~minutes *)
 
-val mode_name : mode -> string
-
 val all_names : string list
 (** ["E1"; …; "E10"]. *)
 
@@ -57,6 +55,3 @@ val run :
     [BENCH_<name>.json] and its document ({!Report.json_of_run}) to
     write.  [progress] (default false) shows a rate-limited per-trial
     progress line on stderr.  Raises [Not_found] for unknown names. *)
-
-val delta_bound : float
-(** Theorem 7's agreement probability, re-exported for the bench. *)

@@ -1,12 +1,8 @@
 (** The report layer: structured (JSON) rendering of a plan's merged
     results, written as [BENCH_E<k>.json] so every future perf PR has a
     machine-readable baseline.  The schema is documented in README
-    ("Machine-readable results") and versioned by [schema_version]. *)
-
-val schema_version : int
-(** 2 since the observability PR: result objects may carry a
-    ["stage_work"] map (stage → total / max-individual work) when the
-    spec enabled stage collection.  v1 documents are a strict subset. *)
+    ("Machine-readable results") and versioned by the documents'
+    ["schema_version"] field. *)
 
 val info : ('a, unit, string, unit) format4 -> 'a
 (** [info fmt …] prints one human-facing status line to stderr and

@@ -66,8 +66,6 @@ val recovers : counter
 val code_pcs : counter
 
 val ncounters : int
-val name : counter -> string
-val kind : counter -> kind
 
 (** {2 Probes} *)
 

@@ -149,11 +149,18 @@ type 'r t = {
   mutable last_observed : int;
 }
 
-(* Branching classes, shared with [Machine.coin_class]: 0 = forced
-   miss, 1 = forced landed, 2 = coin (0 < p < 1), 3 = weak-register
-   read (forks on freshness).  Weakness is configuration fixed at setup
-   time, so the class is a per-pc constant. *)
-let prob_class p = if p <= 0.0 then 0 else if p >= 1.0 then 1 else 2
+(* Branching classes, shared with the tree engine's
+   [Machine.coin_class]: 0 = forced miss, 1 = forced landed, 2 = coin
+   (0 < p < 1), 3 = weak-register read (forks on freshness).  Weakness
+   is configuration fixed at setup time, so the class is a per-pc
+   constant. *)
+let classify memory (Op.Any op) =
+  match op with
+  | Op.Read loc -> if Memory.is_weak memory loc then 3 else 0
+  | Op.Write _ -> 1
+  | Op.Prob_write (_, _, p) | Op.Prob_write_detect (_, _, p) ->
+    if p <= 0.0 then 0 else if p >= 1.0 then 1 else 2
+  | Op.Collect _ -> 0
 
 let add t instr =
   let cap = Array.length t.code in
@@ -169,7 +176,8 @@ let add t instr =
 
 (* Peel stage labels exactly as the tree interpreter's [settle] does:
    the innermost label becomes the pc's stage; with none, the parent
-   pc's stage is inherited (stages are sticky). *)
+   pc's stage is inherited (stages are sticky).  Both engines peel a
+   protocol's root with it. *)
 let rec peel stage p =
   match p with
   | Program.Label (s, p) -> peel (Some s) p
@@ -198,19 +206,16 @@ let intern t ~stage ~link p =
         Ops.add t.ops any pend;
         pend
     in
-    let coin, op =
+    let op =
       match op with
-      | Op.Read loc ->
-        let coin = if Memory.is_weak t.memory loc then 3 else 0 in
-        (coin, Read { loc; k; obs = [||] })
-      | Op.Write (loc, value) -> (1, Write { loc; value; k; next = -1 })
-      | Op.Prob_write (loc, value, p) ->
-        (prob_class p, Prob { loc; value; k; next = -1 })
-      | Op.Prob_write_detect (loc, value, p) ->
-        (prob_class p, Prob_detect { loc; value; k; hit = -1; miss = -1 })
-      | Op.Collect (loc, len) -> (0, Collect { loc; len; k; succs = [] })
+      | Op.Read loc -> Read { loc; k; obs = [||] }
+      | Op.Write (loc, value) -> Write { loc; value; k; next = -1 }
+      | Op.Prob_write (loc, value, _) -> Prob { loc; value; k; next = -1 }
+      | Op.Prob_write_detect (loc, value, _) ->
+        Prob_detect { loc; value; k; hit = -1; miss = -1 }
+      | Op.Collect (loc, len) -> Collect { loc; len; k; succs = [] }
     in
-    add t { pend; coin; stage; link; op }
+    add t { pend; coin = classify t.memory any; stage; link; op }
 
 let compile ~memory ~n body =
   let t =

@@ -47,6 +47,11 @@ val compile : memory:Memory.t -> n:int -> (pid:int -> 'r Program.t) -> 'r t
     order, running any pure prefix (including register allocation),
     exactly like the tree interpreter's [Machine.create]. *)
 
+val peel : string option -> 'r Program.t -> string option * 'r Program.t
+(** [peel stage p] strips {!Program.Label}s off the front of [p]: the
+    innermost label's stage (or [stage] when there is none) and the
+    program under them.  The root peel of both program engines. *)
+
 val root : 'r t -> int -> int
 (** Entry pc of a process. *)
 
@@ -72,11 +77,16 @@ val stage : 'r t -> int -> string option
 val result : 'r t -> int -> 'r option
 (** [Some r] exactly at halt pcs. *)
 
+val classify : Memory.t -> Op.any -> int
+(** Branching class of an operation on this store, as a nonallocating
+    int: 0 = forced miss (atomic reads, collects, [p <= 0]), 1 = forced
+    landed (plain writes, [p >= 1]), 2 = coin ([0 < p < 1], choice 0 =
+    landed), 3 = read of a register marked weak (choice 0 = fresh).
+    The one classifier behind both engines' [Machine.coin_class]. *)
+
 val coin_class : 'r t -> int -> int
-(** Cached branching class of the pc's operation: 0 = forced miss, 1 =
-    forced landed, 2 = coin ([0 < p < 1]), 3 = weak-register read.
-    Same classification as the tree engine's {!Machine.coin_class}
-    branch, as a nonallocating int. *)
+(** {!classify} of the pc's operation, cached when the pc was
+    interned. *)
 
 val size : 'r t -> int
 (** Number of instructions interned so far. *)

@@ -103,14 +103,6 @@ let rec settle stages pid p =
   | Program.Recoverable { main; _ } -> settle stages pid main
   | p -> p
 
-(* Root peel without stage recording, mirroring [Code.peel]: the stage
-   at the protocol's entry, which is also the stage a declared recover
-   continuation re-enters at. *)
-let rec peel_root stage p =
-  match p with
-  | Program.Label (s, p) -> peel_root (Some s) p
-  | p -> (stage, p)
-
 let create ?(engine = `Vm) ?(cheap_collect = false) ?metrics ?trace ?sink ~n
     ~memory body =
   if n <= 0 then invalid_arg "Machine.create: n must be positive";
@@ -120,11 +112,12 @@ let create ?(engine = `Vm) ?(cheap_collect = false) ?metrics ?trace ?sink ~n
     | `Tree ->
       let stages = Array.make n None in
       (* Evaluated in pid order (pure prefixes, incl. allocation, run
-         here), exactly as before; the root peel splits off a
-         [Recoverable] declaration when present. *)
+         here), exactly as before; the root peel — the VM's, whose stage
+         is also the one a declared recover continuation re-enters at —
+         splits off a [Recoverable] declaration when present. *)
       let parts =
         Array.init n (fun pid ->
-          let stage0, p0 = peel_root None (body ~pid) in
+          let stage0, p0 = Code.peel None (body ~pid) in
           stages.(pid) <- stage0;
           match p0 with
           | Program.Recoverable { main; recover } ->
@@ -214,8 +207,6 @@ let rebuild_enabled t pid =
       t.enabled <- a
     end
 
-let engine t : engine =
-  match t.state with Compiled _ -> `Vm | Tree _ -> `Tree
 let enabled t = t.enabled
 let unsafe_pending t = t.pending
 let pending_op t pid = t.pending.(pid)
@@ -263,23 +254,16 @@ let crashed_pids t =
     tab.(!mask)
   | None -> pids_where t.n (fun pid -> t.crashed.(pid))
 
-(* Branching class of [pid]'s pending operation as a nonallocating
-   int (0 = forced miss, 1 = forced landed, 2 = coin, 3 = weak-register
-   read): the explorers' per-step classification, cached per pc by the
-   VM and recomputed from the descriptor by the tree engine. *)
+(* Branching class of [pid]'s pending operation ([Code.classify]): the
+   explorers' per-step classification, cached per pc by the VM and
+   classified from the descriptor by the tree engine. *)
 let coin_class t pid =
   match t.state with
   | Compiled vm -> Vm.coin_class vm pid
   | Tree _ ->
     (match t.pending.(pid) with
      | None -> raise (Stuck "classified a finished process")
-     | Some (Op.Any op) ->
-       (match op with
-        | Op.Prob_write (_, _, p) | Op.Prob_write_detect (_, _, p) ->
-          if p <= 0.0 then 0 else if p >= 1.0 then 1 else 2
-        | Op.Read l -> if Memory.is_weak t.memory l then 3 else 0
-        | Op.Write _ -> 1
-        | Op.Collect _ -> 0))
+     | Some any -> Code.classify t.memory any)
 
 (* Duplicate-detection hash over the machine's semantic state: the VM
    pc file (pcs determine pending operations, stages and results), the
@@ -481,8 +465,7 @@ let recover t ~pid =
 
 (* Engine half of a snapshot: the VM's is [n] integers (its program
    state is just the pc file; pending descriptors are recomputed from
-   the code store on restore), the tree's is the historical
-   three-array copy. *)
+   the code store on restore), the tree's is a three-array copy. *)
 type 'r engine_snap =
   | Vm_snap of Vm.snapshot
   | Tree_snap of {
@@ -512,21 +495,17 @@ let snapshot t =
   (match t.sink with
    | None -> ()
    | Some s -> s.Sink.on_snapshot ~step:t.steps);
-  (* The two engines pay their own snapshot bills here: the VM copies
-     [n] program counters and takes an O(1) delta mark on the store;
-     the tree oracle keeps its historical cost — three O(n) array
-     copies plus an O(|memory|) full-store backup (delta journaling is
-     never even switched on for a tree machine, so its write path is
-     the historical one too). *)
-  let s_engine, s_memory =
+  (* The engine half is the VM's [n] program counters or the tree's
+     three O(n) array copies; either way the store takes the same O(1)
+     delta mark. *)
+  let s_engine =
     match t.state with
-    | Compiled vm -> (Vm_snap (Vm.snapshot vm), Memory.backup t.memory)
+    | Compiled vm -> Vm_snap (Vm.snapshot vm)
     | Tree { programs; stages; _ } ->
-      ( Tree_snap
-          { programs = Array.copy programs;
-            pending = Array.copy t.pending;
-            stages = Array.copy stages },
-        Memory.full_backup t.memory )
+      Tree_snap
+        { programs = Array.copy programs;
+          pending = Array.copy t.pending;
+          stages = Array.copy stages }
   in
   { s_engine;
     s_crashed = (if t.ever_crashed then Some (Array.copy t.crashed) else None);
@@ -535,7 +514,7 @@ let snapshot t =
     (* Shared, not copied: enabled arrays are rebuilt immutably on
        every change (decide/crash), never updated in place. *)
     s_enabled = t.enabled;
-    s_memory;
+    s_memory = Memory.backup t.memory;
     s_steps = t.steps }
 
 (* Refresh a pooled snapshot in place — semantically [snapshot], minus
@@ -543,8 +522,8 @@ let snapshot t =
    with an int loop and restamps the O(1) memory mark, and the pointer
    fields are stored only when they changed, so a branch point costs
    zero heap words and no [caml_modify] once its pool slot exists.  The
-   tree oracle refreshes by the same historical copies it pays for a
-   fresh snapshot. *)
+   tree oracle refreshes by the same array copies it pays for a fresh
+   snapshot. *)
 let snapshot_into t s =
   (match t.sink with
    | None -> ()

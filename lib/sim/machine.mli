@@ -14,14 +14,20 @@
     (see {!Code} / {!Vm}) and steps through integer dispatch tables
     with zero per-step allocation; [`Tree] is the historical direct
     interpreter over {!Program.t} values, kept as the
-    differential-testing oracle.  Both produce identical traces, sink
-    events, metrics, leaf orders and outcome sets.
+    differential-testing oracle (and the Monte Carlo {!Scheduler}'s
+    straight-line trial engine).  Both produce identical traces, sink
+    events, metrics, leaf orders and outcome sets.  Everything but the
+    program state is engine-independent and exists once: the root peel
+    and the branching classifier are {!Code}'s ({!Code.peel},
+    {!Code.classify}), and both engines back the store up with the same
+    {!Memory.backup} delta mark.
 
-    A machine state can be {!snapshot}ed and later {!restore}d; under
-    the VM a snapshot is [n] integers plus an O(1) memory delta mark,
-    so backtracking costs O(changes undone) rather than O(|memory| +
-    n).  [restore] also rolls back registers allocated since the
-    snapshot (see {!Memory.restore_backup}).
+    A machine state can be {!snapshot}ed and later {!restore}d; a
+    snapshot is the program state ([n] integers under the VM, three
+    O(n) array copies under the tree) plus an O(1) memory delta mark,
+    so memory backtracking costs O(changes undone) rather than
+    O(|memory|).  [restore] also rolls back registers allocated since
+    the snapshot (see {!Memory.restore_backup}).
 
     Under the VM the state that {!step_forced}, {!snapshot_into} and
     {!restore} store into is pointer-free: program counters, crash
@@ -68,9 +74,6 @@ val create :
     and restore is reported to it; without one the instrumentation
     costs a single branch per transition.  [engine] selects the program
     engine (default [`Vm]). *)
-
-val engine : 'r t -> engine
-(** Which program engine this machine runs on. *)
 
 val enabled : 'r t -> int array
 (** Enabled pids, ascending.  The returned array is the machine's own
@@ -130,7 +133,7 @@ val coin_class : 'r t -> int -> int
     int: 0 = forced miss, 1 = forced landed, 2 = coin ([0 < p < 1],
     choice 0 = landed), 3 = weak-register read (choice 0 = fresh).
     Plain writes are forced landed; atomic reads and collects forced
-    miss.  Cached per pc under the VM engine ({!Code.coin_class}).
+    miss ({!Code.classify}; cached per pc under the VM engine).
     Raises {!Stuck} on a finished process under the tree engine. *)
 
 val supports_state_hash : 'r t -> bool
@@ -200,10 +203,9 @@ val step_random : 'r t -> pid:int -> coin:Rng.t -> unit
 type 'r snapshot
 
 val snapshot : 'r t -> 'r snapshot
-(** Capture the machine state.  Under the VM engine this is [n]
-    program-counter integers plus an O(1) memory journal mark; under
-    the tree engine it is the historical O(|memory| + n) copy of the
-    program, pending and stage arrays. *)
+(** Capture the machine state: an O(1) memory journal mark plus, under
+    the VM engine, [n] program-counter integers, and under the tree
+    engine O(n) copies of the program, pending and stage arrays. *)
 
 val snapshot_into : 'r t -> 'r snapshot -> unit
 (** Refresh an existing snapshot of this machine in place —

@@ -93,11 +93,6 @@ let blit_ints (src : int array) (dst : int array) len =
     Array.unsafe_set dst i (Array.unsafe_get src i)
   done
 
-let sub_ints (src : int array) len =
-  let dst = Array.make len 0 in
-  blit_ints src dst len;
-  dst
-
 let grow_ints (a : int array) cap len fill =
   let b = Array.make cap fill in
   blit_ints a b len;
@@ -209,8 +204,7 @@ let is_weak t loc =
 
 (* Bench/test hook: force the weak-register conditionals onto their
    deepest disabled-path evaluation (every write tests its register's
-   weakness, every full backup copies the shadows) without weakening
-   any register, so observable behaviour — and the explored tree — is
+   weakness) without weakening any register, so observable behaviour — and the explored tree — is
    exactly the atomic model.  The "engaged but inert" arm of the
    fault-plane overhead gate (bench/gates.ml), mirroring what
    [Sink.null] is to the observability gate. *)
@@ -262,100 +256,45 @@ let weaken_all t =
 
 let size t = t.len
 
-(* Full-fidelity backup for the exhaustive explorers: a backup captures
-   the cell contents, the stale-read shadow (so stale reads replay
-   identically after backtracking) and, while tracking, ownership.  Two
-   representations coexist:
-
-   [backup] is a pure delta mark — the journal length and the store
-   length.  Taking one is O(1); the first one flips [journaling] on so
-   that subsequent stores push what they overwrite, and restoring pops
-   the journal back to the mark, undoing exactly the stores since the
-   backup.  Restores must follow the explorers' LIFO discipline (a
-   backup is restored only while every journal entry younger than it
-   belongs to stores being undone), which snapshot-and-backtrack search
-   satisfies by construction.
-
-   [full_backup] is the historical O(|memory|) copy, preserved for the
-   tree-interpreter oracle so that differential benchmarks measure the
-   engine the codebase actually shipped before the VM: it copies the
-   live cells (and the writers while tracking, the shadows when any
-   register is weak) and never turns journaling on, leaving the write
-   path untouched.  The two kinds must not be mixed on one store (a
-   store that has ever taken a delta mark journals stores that a full
-   restore would not pop); each [Machine] takes only its own engine's
-   kind.
-
-   Weak flags need no capture either way — they only change via
-   allocation, and truncation plus re-allocation recomputes them. *)
+(* A backup is the delta mark of the header note: the store length and
+   the journal length.  Restores must follow the explorers' LIFO
+   discipline (a backup is restored only while every journal entry
+   younger than it belongs to stores being undone), which
+   snapshot-and-backtrack search satisfies by construction.  Weak flags
+   need no capture — they only change via allocation, and truncation
+   plus re-allocation recomputes them. *)
 type backup = {
-  (* [Some cells] = full backup; [None] = delta mark.  Mutable so the
-     explorers can refresh a pooled backup in place ({!backup_into})
-     instead of allocating one per branch point. *)
-  mutable b_cells : int array option;
-  mutable b_writers : int array option;
-  mutable b_prev : int array option;
+  (* Mutable so the explorers can refresh a pooled backup in place
+     ({!backup_into}) instead of allocating one per branch point. *)
   mutable b_len : int;
   mutable b_undo : int;
 }
 
 let backup t =
   t.journaling <- true;
-  { b_cells = None; b_writers = None; b_prev = None; b_len = t.len;
-    b_undo = t.undo_len }
+  { b_len = t.len; b_undo = t.undo_len }
 
-(* A copy of [src]'s first [len] ints, reusing [into]'s array when it
-   has that length. *)
-let copy_into into (src : int array) len =
-  match into with
-  | Some dst when Array.length dst = len -> blit_ints src dst len; into
-  | Some _ | None -> Some (sub_ints src len)
-
-let copy_full t b =
-  b.b_cells <- copy_into b.b_cells t.cells t.len;
-  if t.track_writers then b.b_writers <- copy_into b.b_writers t.writers t.len;
-  if t.has_weak then b.b_prev <- copy_into b.b_prev t.prev t.len
-
-let full_backup t =
-  let b = { b_cells = None; b_writers = None; b_prev = None; b_len = t.len; b_undo = 0 } in
-  copy_full t b;
-  b
-
-(* Refresh [b] to capture the current state, keeping its kind: a pooled
-   delta mark is two integer stores; a pooled full backup reuses its
-   arrays when the store length hasn't changed. *)
 let backup_into t b =
   b.b_len <- t.len;
-  match b.b_cells with
-  | None -> b.b_undo <- t.undo_len
-  | Some _ -> copy_full t b
-
-let blit_opt src (dst : int array) len =
-  match src with Some src -> blit_ints src dst len | None -> ()
+  b.b_undo <- t.undo_len
 
 let restore_backup t b =
   if b.b_len > t.len then
     invalid_arg "Memory.restore_backup: backup longer than store";
-  (match b.b_cells with
-   | None ->
-     if b.b_undo > t.undo_len then
-       invalid_arg "Memory.restore_backup: journal shorter than at backup time";
-     while t.undo_len > b.b_undo do
-       let n = t.undo_len - 1 in
-       t.undo_len <- n;
-       (* Popping in LIFO order ends each register at its oldest
-          journaled contents — its state as of backup time, however many
-          times it was stored to since. *)
-       let e = t.undo_locs.(n) in
-       let loc = if e < 0 then lnot e else e in
-       t.cells.(loc) <- t.undo_cells.(n);
-       if t.track_writers then t.writers.(loc) <- t.undo_writers.(n);
-       if e < 0 then t.prev.(loc) <- t.undo_prevs.(n)
-     done
-   | Some cells ->
-     blit_ints cells t.cells b.b_len;
-     blit_opt b.b_writers t.writers b.b_len;
-     blit_opt b.b_prev t.prev b.b_len);
+  if b.b_undo > t.undo_len then
+    invalid_arg "Memory.restore_backup: journal shorter than at backup time";
+  while t.undo_len > b.b_undo do
+    let n = t.undo_len - 1 in
+    t.undo_len <- n;
+    (* Popping in LIFO order ends each register at its oldest journaled
+       contents — its state as of backup time, however many times it
+       was stored to since. *)
+    let e = t.undo_locs.(n) in
+    let loc = if e < 0 then lnot e else e in
+    t.cells.(loc) <- t.undo_cells.(n);
+    if t.track_writers then t.writers.(loc) <- t.undo_writers.(n);
+    if e < 0 then t.prev.(loc) <- t.undo_prevs.(n)
+  done;
   (* Registers allocated since the backup are dropped; [alloc] never
      journals (truncation is its undo). *)
   t.len <- b.b_len

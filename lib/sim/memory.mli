@@ -10,13 +10,13 @@
     happens when the scheduler applies an {!Op.t}.
 
     {b Representation.}  The store is pointer-free: cells, stale-read
-    shadows, the undo journal and full backups are [int array]s, with
-    ⊥ encoded as the sentinel {!bot} ([min_int]).  OCaml stores an
-    immediate integer into an [int array] without its write barrier, so
-    a write, a backup and a restore — millions per exhaustive search —
-    neither allocate nor call [caml_modify]; an [int option] cell would
-    box [Some v] on every write and pay the barrier on every store into
-    the major-heap arrays.  {!read} and {!read_stale} build the option
+    shadows and the undo journal are [int array]s, with ⊥ encoded as
+    the sentinel {!bot} ([min_int]).  OCaml stores an immediate integer
+    into an [int array] without its write barrier, so a write, a backup
+    and a restore — millions per exhaustive search — neither allocate
+    nor call [caml_modify]; an [int option] cell would box [Some v] on
+    every write and pay the barrier on every store into the major-heap
+    arrays.  {!read} and {!read_stale} build the option
     at the API edge (the tree engine, adversary views, continuations),
     and {!cell}/{!stale_cell} give the raw encoding to the VM.  The
     sentinel itself cannot be stored: {!write} and {!alloc} raise on
@@ -140,20 +140,11 @@ type backup
 
 val backup : t -> backup
 
-val full_backup : t -> backup
-(** The historical O(|memory|) capture: copies the live cells — and the
-    writers under {!track_writers}, the stale-read shadows when any
-    register is weak — without enabling the journal.  Kept for
-    the tree-interpreter oracle so differential benchmarks charge it
-    the snapshot cost the pre-VM engine actually paid.  Do not mix the
-    two kinds on one store: once {!backup} has enabled journaling, a
-    full restore would leave stale journal entries behind. *)
-
 val backup_into : t -> backup -> unit
-(** Refresh an existing backup (of either kind, keeping its kind) to
-    capture the current state — the explorers' pooled-snapshot path,
-    which avoids allocating a backup per branch point.  The refreshed
-    backup is subject to the same LIFO discipline as a fresh one. *)
+(** Refresh an existing backup to capture the current state — the
+    explorers' pooled-snapshot path, which avoids allocating a backup
+    per branch point.  The refreshed backup is subject to the same LIFO
+    discipline as a fresh one. *)
 
 val restore_backup : t -> backup -> unit
 (** Overwrite the store with the state captured by the backup.

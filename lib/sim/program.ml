@@ -35,11 +35,6 @@ let label s p = Label (s, p)
 
 let recoverable ~recover main = Recoverable { main; recover }
 
-let rec recovery = function
-  | Recoverable { recover; _ } -> Some recover
-  | Label (_, p) -> recovery p
-  | Done _ | Step _ -> None
-
 let rec pending = function
   | Done _ -> None
   | Step (op, _) -> Some (Op.Any op)

@@ -80,10 +80,6 @@ val recoverable : recover:'r t -> 'r t -> 'r t
 (** [recoverable ~recover main] declares a recover continuation on
     [main] (see {!Recoverable}).  Use at the protocol's root only. *)
 
-val recovery : 'r t -> 'r t option
-(** The declared recover continuation, if any (looks through labels) —
-    the engines' peel when restarting a process. *)
-
 val pending : 'r t -> Op.any option
 (** The operation the program is blocked on, if any (looks through
     labels). *)

@@ -99,23 +99,49 @@ let save file a =
 
 let load file = Result.bind (Sexp.load file) of_sexp
 
-let replay ?engine ~setup ~check a =
+(* One recorded execution of [path]: the checker's verdict and the
+   trace. *)
+let execute ?engine ~max_depth ~cheap_collect ~faults ~n ~setup ~check path =
   let r =
-    Explore.run_path ?engine ~max_depth:a.max_depth ~cheap_collect:a.cheap_collect
-      ~faults:a.faults ~n:a.n ~setup a.path
+    Explore.run_path ?engine ~record:true ~max_depth ~cheap_collect ~faults ~n ~setup
+      path
   in
-  check ~complete:r.completed r.outputs
+  (check ~complete:r.completed r.outputs, r.trace)
+
+type verdict = Reproduced | Passed | Differs of string
+
+(* The first event at which the replayed trace leaves the recorded one,
+   compared and shown as the file spells events. *)
+let trace_difference recorded replayed =
+  let show = function
+    | e :: _ -> Sexp.to_string (Trace.event_to_sexp e)
+    | [] -> "nothing"
+  in
+  let rec go i rs ps =
+    match (rs, ps) with
+    | [], [] -> None
+    | _ :: rs', _ :: ps' when show rs = show ps -> go (i + 1) rs' ps'
+    | _ ->
+      Some (Printf.sprintf "trace event %d: recorded %s, replayed %s" i (show rs) (show ps))
+  in
+  go 0 (Trace.events recorded) (Trace.events replayed)
+
+let replay ?engine ~setup ~check a =
+  match
+    execute ?engine ~max_depth:a.max_depth ~cheap_collect:a.cheap_collect
+      ~faults:a.faults ~n:a.n ~setup ~check a.path
+  with
+  | Ok (), _ -> Passed
+  | Error reason, _ when reason <> a.reason ->
+    Differs (Printf.sprintf "reason: recorded %S, replayed %S" a.reason reason)
+  | Error _, replayed ->
+    (match Option.bind a.trace (fun tr -> trace_difference tr (Option.get replayed)) with
+     | Some d -> Differs d
+     | None -> Reproduced)
 
 let of_failure ~checker ~n ~inputs ~max_depth ~cheap_collect
     ?(faults = Fault.none) ~setup ~check path =
-  let r =
-    Explore.run_path ~record:true ~max_depth ~cheap_collect ~faults ~n ~setup
-      path
-  in
-  let reason =
-    match check ~complete:r.completed r.outputs with
-    | Error reason -> reason
-    | Ok () -> invalid_arg "Artifact.of_failure: path does not fail the checker"
-  in
-  { checker; n; inputs; max_depth; cheap_collect; faults; path; reason;
-    trace = r.trace }
+  match execute ~max_depth ~cheap_collect ~faults ~n ~setup ~check path with
+  | Error reason, trace ->
+    { checker; n; inputs; max_depth; cheap_collect; faults; path; reason; trace }
+  | Ok (), _ -> invalid_arg "Artifact.of_failure: path does not fail the checker"

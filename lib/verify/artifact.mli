@@ -44,16 +44,24 @@ val save : string -> t -> unit
 
 val load : string -> (t, string) result
 
+type verdict =
+  | Reproduced        (** the checker failed with the recorded [reason],
+                          along the recorded [trace] when there is one *)
+  | Passed            (** the checker accepted the replayed execution *)
+  | Differs of string (** the checker failed otherwise; names the first
+                          difference: the reason, or a trace event *)
+
 val replay :
   ?engine:Conrat_sim.Machine.engine ->
   setup:(unit -> Conrat_sim.Memory.t * (pid:int -> 'r Conrat_sim.Program.t)) ->
   check:(complete:bool -> 'r option array -> (unit, string) result) ->
   t ->
-  (unit, string) result
-(** Re-run the stored schedule against [setup] and return the checker's
-    verdict: [Error reason] means the violation reproduced.  [engine]
-    selects the program engine (default the compiled VM); replays are
-    bit-identical under either. *)
+  verdict
+(** Re-run the stored schedule against [setup], recording its trace,
+    and compare the checker's verdict with the artifact.  Trace events
+    are compared in their serialized form, the one the artifact stores.
+    [engine] selects the program engine (default the compiled VM);
+    replays are bit-identical under either. *)
 
 val of_failure :
   checker:string ->

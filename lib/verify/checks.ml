@@ -267,11 +267,11 @@ type failure = {
 
 type outcome = (Por.stats, failure) result
 
-let run ?engine ?stop ?max_runs ?heartbeat ?resume ?checkpoint_every
+let run ?stop ?max_runs ?heartbeat ?resume ?checkpoint_every
     ?on_checkpoint ?(jobs = 1) ?dedup ?telemetry config =
   let max_runs = Option.value max_runs ~default:config.max_runs in
   let result =
-    Parallel.explore_por ~jobs ?engine ~max_depth:config.max_depth ~max_runs
+    Parallel.explore_por ~jobs ~max_depth:config.max_depth ~max_runs
       ~cheap_collect:config.cheap_collect ~faults:config.faults ?stop ?heartbeat ?dedup
       ?resume ?checkpoint_every ?on_checkpoint ?telemetry ~n:config.n
       ~setup:(setup_of config ~n:config.n)
@@ -323,7 +323,7 @@ type cross = {
   engines_agree : bool;
 }
 
-let cross_check ?(engine = `Vm) ?stop ?max_runs ?naive_heartbeat ?por_heartbeat
+let cross_check ?stop ?max_runs ?naive_heartbeat ?por_heartbeat
     ?(jobs = 1) config =
   let max_runs = Option.value max_runs ~default:config.max_runs in
   let collect () = Hashtbl.create 64 in
@@ -346,7 +346,7 @@ let cross_check ?(engine = `Vm) ?stop ?max_runs ?naive_heartbeat ?por_heartbeat
   in
   let naive_outcomes = collect () in
   let naive =
-    Naive.explore ~engine ~max_depth:config.max_depth ~max_runs
+    Naive.explore ~max_depth:config.max_depth ~max_runs
       ~cheap_collect:config.cheap_collect ~faults:config.faults ?stop
       ?heartbeat:naive_heartbeat ~n:config.n
       ~setup:(setup_of config ~n:config.n)
@@ -354,21 +354,18 @@ let cross_check ?(engine = `Vm) ?stop ?max_runs ?naive_heartbeat ?por_heartbeat
   in
   let por_outcomes = collect () in
   let por =
-    Parallel.explore_por ~jobs ~engine ~max_depth:config.max_depth ~max_runs
+    Parallel.explore_por ~jobs ~max_depth:config.max_depth ~max_runs
       ~cheap_collect:config.cheap_collect ~faults:config.faults ?stop
       ?heartbeat:por_heartbeat ~n:config.n
       ~setup:(setup_of config ~n:config.n)
       ~check:(noting por_outcomes) ()
   in
-  (* The engine differential: repeat the POR search under the other
-     program engine and demand identical statistics (hence identical
-     leaf order and pruning) and the identical complete-outcome set. *)
-  let other : Conrat_sim.Machine.engine =
-    match engine with `Vm -> `Tree | `Tree -> `Vm
-  in
+  (* The engine differential: repeat the POR search under the tree
+     interpreter and demand identical statistics (hence identical leaf
+     order and pruning) and the identical complete-outcome set. *)
   let oracle_outcomes = collect () in
   let oracle =
-    Por.explore ~engine:other ~max_depth:config.max_depth ~max_runs
+    Por.explore ~engine:`Tree ~max_depth:config.max_depth ~max_runs
       ~cheap_collect:config.cheap_collect ~faults:config.faults ?stop
       ~n:config.n
       ~setup:(setup_of config ~n:config.n)

@@ -7,7 +7,8 @@
     {!Shrink} and freezes it into an {!Artifact}.  [cross_check] runs
     the same config under both the naive enumerator and POR and compares
     their complete-execution outcome sets — the empirical soundness
-    check required of every reduced exploration. *)
+    check required of every reduced exploration — and repeats the POR
+    search under the tree-interpreter oracle. *)
 
 type property =
   | Weak_consensus
@@ -81,7 +82,6 @@ type failure = {
 type outcome = (Por.stats, failure) result
 
 val run :
-  ?engine:Conrat_sim.Machine.engine ->
   ?stop:(unit -> bool) ->
   ?max_runs:int ->
   ?heartbeat:(runs:int -> pruned:int -> steps:int -> depth:int -> unit) ->
@@ -98,26 +98,25 @@ val run :
     straight through (the heartbeat fires per leaf; rate limiting is
     the callback's business).  The config's [faults] model is applied
     to the exploration, the property, the shrinker and the recorded
-    artifact.  [engine] selects the program engine (default the
-    compiled VM); results, checkpoints and artifacts are identical
-    under either.
+    artifact.  The search runs on the compiled VM; {!cross_check}
+    repeats it under the tree-interpreter oracle.
 
     [jobs > 1] runs the fleet — same statistics, outcome set and
     failure artifacts for exhaustive runs; checkpointing is
     unsupported there, the heartbeat switches to fleet-wide totals,
     worker [w] bumps telemetry row [w] and every stolen shard leaves a
     {!section-"obs"}[Telemetry.shard] record.  [dedup] enables duplicate-state
-    suppression (VM engine only; see {!Por.explore}).  A parallel
+    suppression (see {!Por.explore}).  A parallel
     failure is shrunk and frozen exactly like a sequential one — the
     shard's path is a root path.  Shrinking replays after a violation
     are {e not} counted in [telemetry] — it covers the search itself. *)
 
 val replay :
   ?engine:Conrat_sim.Machine.engine ->
-  t -> Artifact.t -> (unit, string) result
+  t -> Artifact.t -> Artifact.verdict
 (** Replay an artifact under this config's factory and property (the
-    artifact's own [n]/[inputs]/bounds are used).  [Error _] means the
-    violation reproduced.  Raises [Invalid_argument] if the artifact
+    artifact's own [n]/[inputs]/bounds are used; see
+    {!Artifact.replay}).  Raises [Invalid_argument] if the artifact
     does not {!fits} the config. *)
 
 val fits : t -> Artifact.t -> (unit, string) result
@@ -132,13 +131,12 @@ type cross = {
   outcomes_agree : bool;    (** complete-execution outcome sets equal *)
   outcome_count : int;      (** distinct complete outcomes (naive) *)
   engines_agree : bool;
-    (** the POR search repeated under the {e other} program engine gave
+    (** the POR search repeated under the tree interpreter gave
         bit-identical statistics and the identical outcome set — the VM
         vs tree differential *)
 }
 
 val cross_check :
-  ?engine:Conrat_sim.Machine.engine ->
   ?stop:(unit -> bool) ->
   ?max_runs:int ->
   ?naive_heartbeat:(runs:int -> pruned:int -> steps:int -> depth:int -> unit) ->
@@ -147,10 +145,9 @@ val cross_check :
   t -> (cross, string) result
 (** [Error _] if either algorithm found a property violation.  The two
     heartbeats report the respective algorithm's progress.  Besides the
-    naive-vs-POR comparison, the POR search is repeated under the other
-    program engine ([engine] names the primary; default [`Vm]) and the
-    results compared — so one cross-check validates both the reduction
-    and the compiler.  The naive sweep always runs sequentially, so the
+    naive-vs-POR comparison, the VM's POR search is repeated under the
+    tree-interpreter oracle and the results compared — so one
+    cross-check validates both the reduction and the compiler.  The naive sweep always runs sequentially, so the
     oracle shares no fleet with the search it checks; [jobs > 1] runs
     only the primary POR sweep under {!Parallel} (its statistics are
     [jobs]-invariant for exhaustive runs, so the differential is

@@ -38,14 +38,14 @@ let probe_of telemetry ~domain =
 (* The work-stealing fleet over {!Por.explore}: [shard_search] with
    [~cut] is a {!Frontier.generate} pass, with [~shard:path] it explores
    exactly the subtree pinned under [path]. *)
-let fleet ~jobs ?engine ?max_depth ~max_runs ?cheap_collect ?faults ~stop ?heartbeat
+let fleet ~jobs ?max_depth ~max_runs ?cheap_collect ?faults ~stop ?heartbeat
     ~dedup ?telemetry ~n ~setup ~check () =
   (match telemetry with
    | Some t when Telemetry.domains t < jobs ->
      invalid_arg "Parallel.explore_por: telemetry registry has fewer domains than jobs"
    | _ -> ());
   let shard_search ?probe ?heartbeat ~stop ~max_runs ?cut ?shard () =
-    Por.explore ?engine ?max_depth ~max_runs ?cheap_collect ?faults ~stop ?probe
+    Por.explore ?max_depth ~max_runs ?cheap_collect ?faults ~stop ?probe
       ?heartbeat ?resume:(Option.map zero_counts shard)
       ?subtree_prefix:(Option.map List.length shard) ?cut
       ~dedup:(dedup && Option.is_none cut) ~n ~setup ~check ()
@@ -158,16 +158,16 @@ let fleet ~jobs ?engine ?max_depth ~max_runs ?cheap_collect ?faults ~stop ?heart
     Array.iter Domain.join domains;
     merge residue results
 
-let explore_por ~jobs ?engine ?max_depth ?(max_runs = 2_000_000) ?cheap_collect ?faults
+let explore_por ~jobs ?max_depth ?(max_runs = 2_000_000) ?cheap_collect ?faults
     ?(stop = fun () -> false) ?heartbeat ?(dedup = false) ?resume ?checkpoint_every
     ?on_checkpoint ?telemetry ?sink ~n ~setup ~check () =
   if jobs <= 1 then
-    Por.explore ?engine ?max_depth ~max_runs ?cheap_collect ?faults ~stop ?sink
+    Por.explore ?max_depth ~max_runs ?cheap_collect ?faults ~stop ?sink
       ?probe:(probe_of telemetry ~domain:0) ?heartbeat ?resume ?checkpoint_every
       ?on_checkpoint ~dedup ~n ~setup ~check ()
   else if Option.is_some sink then
     invalid_arg "Parallel.explore_por: a sink needs jobs <= 1"
   else if Option.is_some resume || Option.is_some on_checkpoint then
     invalid_arg "Parallel.explore_por: checkpointing needs jobs <= 1"
-  else fleet ~jobs ?engine ?max_depth ~max_runs ?cheap_collect ?faults ~stop ?heartbeat
+  else fleet ~jobs ?max_depth ~max_runs ?cheap_collect ?faults ~stop ?heartbeat
       ~dedup ?telemetry ~n ~setup ~check ()

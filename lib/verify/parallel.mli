@@ -56,7 +56,6 @@
 
 val explore_por :
   jobs:int ->
-  ?engine:Conrat_sim.Machine.engine ->
   ?max_depth:int ->
   ?max_runs:int ->
   ?cheap_collect:bool ->
@@ -74,7 +73,7 @@ val explore_por :
   check:(complete:bool -> 'r option array -> (unit, string) result) ->
   unit ->
   (Por.stats, string * int list * Por.stats) result
-(** {!Por.explore} under the fleet.  [~dedup] applies per shard, and
+(** {!Por.explore}, on its default VM engine, under the fleet.  [~dedup] applies per shard, and
     generation passes run without it — duplicate suppression then
     depends on the sharding, so [pruned]/[dedup_hits] counts (unlike
     outcome sets) are only [jobs]-independent with dedup off. *)

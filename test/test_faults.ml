@@ -246,8 +246,10 @@ let test_await_ack_caught_and_shrunk () =
     checkb "artifact records the crash model" true
       (f.Checks.artifact.Artifact.faults = Fault.crash_only 1);
     (match Checks.replay demo f.Checks.artifact with
-     | Error reason -> checkb "shrunk artifact reproduces" true (reason = f.Checks.reason)
-     | Ok () -> Alcotest.fail "shrunk artifact does not reproduce")
+     | Artifact.Reproduced ->
+       checkb "shrunk artifact reproduces" true
+         (f.Checks.artifact.Artifact.reason = f.Checks.reason)
+     | Passed | Differs _ -> Alcotest.fail "shrunk artifact does not reproduce")
 
 let fixture_file name = Filename.concat "fixtures" name
 
@@ -263,20 +265,18 @@ let test_await_ack_fixture_reproduces () =
   checkb "fixture carries the crash model" true
     (a.Artifact.faults = Fault.crash_only 1);
   match Checks.replay (config "ratifier_await_ack") a with
-  | Error reason ->
-    checkb "fixture reproduces its recorded reason" true
-      (reason = a.Artifact.reason)
-  | Ok () -> Alcotest.fail "fixture no longer reproduces"
+  | Artifact.Reproduced -> ()
+  | Passed -> Alcotest.fail "fixture no longer reproduces"
+  | Differs d -> Alcotest.failf "fixture reproduces otherwise: %s" d
 
 let test_weak_read_fixture_reproduces () =
   let a = load_fixture "binary_ratifier_n2_weak.sexp" in
   checkb "fixture carries the weak-read model" true
     (a.Artifact.faults = Fault.model ~weak_reads:true ());
   match Checks.replay (config "binary_ratifier_n2_weak") a with
-  | Error reason ->
-    checkb "fixture reproduces its recorded reason" true
-      (reason = a.Artifact.reason)
-  | Ok () -> Alcotest.fail "weak-read fixture no longer reproduces"
+  | Artifact.Reproduced -> ()
+  | Passed -> Alcotest.fail "weak-read fixture no longer reproduces"
+  | Differs d -> Alcotest.failf "weak-read fixture reproduces otherwise: %s" d
 
 let test_recovery_demo_caught_and_shrunk () =
   (* The stock (volatile-register) binary ratifier must fail coherence
@@ -301,10 +301,9 @@ let test_recovery_demo_caught_and_shrunk () =
        so the invariant is that the artifact reproduces its *own*
        recorded reason, not the original find. *)
     (match Checks.replay demo f.Checks.artifact with
-     | Error reason ->
-       checkb "shrunk artifact reproduces" true
-         (reason = f.Checks.artifact.Artifact.reason)
-     | Ok () -> Alcotest.fail "shrunk artifact does not reproduce")
+     | Artifact.Reproduced -> ()
+     | Passed -> Alcotest.fail "shrunk artifact does not reproduce"
+     | Differs d -> Alcotest.failf "shrunk artifact reproduces otherwise: %s" d)
 
 let test_recovery_fixture_reproduces () =
   let a = load_fixture "binary_ratifier_n3_rec.sexp" in
@@ -320,10 +319,9 @@ let test_recovery_fixture_reproduces () =
          (Trace.events tr)
      | None -> false);
   match Checks.replay (config "binary_ratifier_n3_rec") a with
-  | Error reason ->
-    checkb "fixture reproduces its recorded reason" true
-      (reason = a.Artifact.reason)
-  | Ok () -> Alcotest.fail "recovery fixture no longer reproduces"
+  | Artifact.Reproduced -> ()
+  | Passed -> Alcotest.fail "recovery fixture no longer reproduces"
+  | Differs d -> Alcotest.failf "recovery fixture reproduces otherwise: %s" d
 
 let test_weak_demo_caught () =
   match Checks.run (config "binary_ratifier_n2_weak") with

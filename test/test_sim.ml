@@ -198,11 +198,11 @@ let test_memory_bounds () =
     (Invalid_argument "Memory: address 3 out of bounds (size 1)")
     (fun () -> ignore (Memory.read mem 3))
 
-(* ⊥, a negative value and 2^24 survive a backup and restore of either
-   kind, in the cells, the weak shadows and the writers a recovery wipe
-   keys on: the store encodes ⊥ as a sentinel integer, so a value that
-   collided with it, or a journal that dropped one, would show here. *)
-let test_memory_backup_roundtrip kind () =
+(* ⊥, a negative value and 2^24 survive a backup and restore, in the
+   cells, the weak shadows and the writers a recovery wipe keys on: the
+   store encodes ⊥ as a sentinel integer, so a value that collided with
+   it, or a journal that dropped one, would show here. *)
+let test_memory_backup_roundtrip () =
   let mem = Memory.create () in
   let r = Memory.alloc_n mem 3 in
   Memory.mark_weak mem r.(0);
@@ -212,10 +212,7 @@ let test_memory_backup_roundtrip kind () =
   let view () =
     Array.map (fun l -> (Memory.read mem l, Memory.read_stale mem l)) r
   in
-  let backup () =
-    match kind with `Delta -> Memory.backup mem | `Full -> Memory.full_backup mem
-  in
-  let b0 = backup () in
+  let b0 = Memory.backup mem in
   let v0 = view () in
   Memory.set_actor mem 2;
   Memory.write mem r.(0) (1 lsl 24);
@@ -223,7 +220,7 @@ let test_memory_backup_roundtrip kind () =
   Memory.write mem r.(1) (1 lsl 24);
   Memory.write mem r.(2) (1 lsl 24);
   ignore (Memory.alloc ~init:(-3) mem : Memory.loc);
-  let b1 = backup () in
+  let b1 = Memory.backup mem in
   let v1 = view () in
   check Alcotest.(option int) "stale view of the weak register" (Some (1 lsl 24))
     (Memory.read_stale mem r.(0));
@@ -259,11 +256,8 @@ type mem_model = {
   m_writers : int array;
 }
 
-let qcheck_memory_journal kind =
-  QCheck.Test.make ~count:300
-    ~name:
-      (Printf.sprintf "journal restores deep copies (%s backups)"
-         (match kind with `Delta -> "delta" | `Full -> "full"))
+let qcheck_memory_journal =
+  QCheck.Test.make ~count:300 ~name:"journal restores deep copies (delta backups)"
     QCheck.(
       list_of_size Gen.(int_range 1 80)
         (quad (int_range 0 9) small_nat small_nat (int_range (-3) 3)))
@@ -322,8 +316,7 @@ let qcheck_memory_journal kind =
              let bk =
                match !dead with
                | bk :: rest -> dead := rest; Memory.backup_into mem bk; bk
-               | [] ->
-                 (match kind with `Delta -> Memory.backup mem | `Full -> Memory.full_backup mem)
+               | [] -> Memory.backup mem
              in
              live := (bk, m) :: !live
            end
@@ -1162,10 +1155,8 @@ let () =
           tc "growth" `Quick test_memory_growth;
           tc "alloc_n" `Quick test_memory_alloc_n;
           tc "bounds" `Quick test_memory_bounds;
-          tc "values through delta backups" `Quick (test_memory_backup_roundtrip `Delta);
-          tc "values through full backups" `Quick (test_memory_backup_roundtrip `Full);
-          QCheck_alcotest.to_alcotest (qcheck_memory_journal `Delta);
-          QCheck_alcotest.to_alcotest (qcheck_memory_journal `Full);
+          tc "values through delta backups" `Quick test_memory_backup_roundtrip;
+          QCheck_alcotest.to_alcotest qcheck_memory_journal;
           tc "sentinel write raises" `Quick test_memory_sentinel_raises ] );
       ("op", [ tc "descriptors" `Quick test_op_descriptors ]);
       ( "scheduler",

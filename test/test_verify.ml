@@ -240,8 +240,8 @@ let test_por_finds_planted_bug () =
     checki "shrunk to n=2" 2 a.Artifact.n;
     (* The artifact replays deterministically: same violation. *)
     (match Checks.replay c a with
-     | Error _ -> ()
-     | Ok () -> Alcotest.fail "shrunk artifact does not reproduce");
+     | Artifact.Reproduced -> ()
+     | Passed | Differs _ -> Alcotest.fail "shrunk artifact does not reproduce");
     (* And round-trips through its serialized form. *)
     (match Artifact.of_sexp (Artifact.to_sexp a) with
      | Ok a' ->
@@ -287,10 +287,9 @@ let test_fixture_fails_on_buggy_rule () =
   check Alcotest.string "fixture names the demo config" "fallback_unstaked_n2"
     a.Artifact.checker;
   match Checks.replay (config "fallback_unstaked_n2") a with
-  | Error reason ->
-    checkb "violation is about safety" true
-      (reason = a.Artifact.reason)
-  | Ok () -> Alcotest.fail "fixture no longer reproduces on the buggy rule"
+  | Artifact.Reproduced -> ()
+  | Passed -> Alcotest.fail "fixture no longer reproduces on the buggy rule"
+  | Differs d -> Alcotest.failf "fixture reproduces otherwise on the buggy rule: %s" d
 
 let test_fixture_passes_on_shipped_protocol () =
   let a = load_fixture () in
@@ -299,9 +298,9 @@ let test_fixture_passes_on_shipped_protocol () =
       Checks.factory = Conrat_core.Fallback.racing ~m:2 () }
   in
   match Checks.replay fixed a with
-  | Ok () -> ()
-  | Error reason ->
-    Alcotest.failf "shipped protocol fails the fixture schedule: %s" reason
+  | Artifact.Passed -> ()
+  | Reproduced -> Alcotest.fail "shipped protocol fails the fixture schedule"
+  | Differs d -> Alcotest.failf "shipped protocol fails the fixture schedule: %s" d
 
 (* An artifact that does not fit its named config is rejected naming
    the field, instead of replaying the config's own inputs, raising

@@ -8,10 +8,10 @@
    bit-identical under both.  This file checks that contract
    differentially: every registry config (including the expected-fail
    demos) × random schedules × random fault models, plus the POR and
-   naive enumerators leaf for leaf, the Monte Carlo
-   scheduler under randomized adversaries, cross-engine checkpoint
-   resume, and byte-identity of the committed counterexample
-   fixtures. *)
+   naive enumerators leaf for leaf, the shared memory journal against
+   naive re-execution, the Monte Carlo scheduler under randomized
+   adversaries, cross-engine checkpoint resume, and byte-identity of
+   the committed counterexample fixtures. *)
 
 open Conrat_sim
 open Conrat_verify
@@ -172,7 +172,7 @@ let test_naive_leaf_differential (c : Checks.t) () =
   checkb (c.Checks.name ^ ": naive leaf sequences and stats agree") true (a = b)
 
 (* The built-in triple differential: naive vs POR outcome sets AND the
-   POR search repeated under the other program engine. *)
+   POR search repeated under the tree interpreter. *)
 let test_cross_check_engines name () =
   match Checks.cross_check ~max_runs:100_000 (config name) with
   | Ok x ->
@@ -180,6 +180,56 @@ let test_cross_check_engines name () =
       x.Checks.outcomes_agree;
     checkb (name ^ ": vm and tree engines agree") true x.Checks.engines_agree
   | Error e -> Alcotest.failf "%s: cross_check violation: %s" name e
+
+(* Both program engines back the store up through the one memory
+   journal, so the VM-vs-tree differential cannot see a journal bug.
+   [Naive] re-executes every path on a fresh machine and never restores
+   one, so its complete-outcome set is the journal's oracle: the tree
+   engine's POR search, which backtracks through the journal at every
+   branch point, must reach exactly that set.  The check records and
+   never fails, so a violating config (the weak-read demo) is walked to
+   the end too.  The configs cover weak-register shadows and
+   crash-recovery wipes with writer tracking. *)
+let test_journal_oracle name spec () =
+  let c = config name in
+  let c =
+    match Fault.of_string spec with
+    | Ok faults -> { c with Checks.faults }
+    | Error e -> Alcotest.failf "bad fault spec %s: %s" spec e
+  in
+  let recording () =
+    let seen = Hashtbl.create 64 in
+    ( seen,
+      fun ~complete outputs ->
+        if complete && not (Hashtbl.mem seen outputs) then
+          Hashtbl.replace seen (Array.copy outputs) ();
+        Ok () )
+  in
+  let sorted seen = List.sort compare (Hashtbl.fold (fun k () acc -> k :: acc) seen []) in
+  let naive, check = recording () in
+  let naive_exhausted =
+    match
+      Naive.explore ~max_depth:c.Checks.max_depth ~max_runs:c.Checks.max_runs
+        ~cheap_collect:c.Checks.cheap_collect ~faults:c.Checks.faults ~n:c.Checks.n
+        ~setup:(Checks.setup_of c ~n:c.Checks.n) ~check ()
+    with
+    | Ok s -> s.Naive.exhausted
+    | Error (reason, _) -> Alcotest.failf "naive: %s" reason
+  in
+  let por, check = recording () in
+  let por_exhausted =
+    match
+      Por.explore ~engine:`Tree ~max_depth:c.Checks.max_depth ~max_runs:c.Checks.max_runs
+        ~cheap_collect:c.Checks.cheap_collect ~faults:c.Checks.faults ~n:c.Checks.n
+        ~setup:(Checks.setup_of c ~n:c.Checks.n) ~check ()
+    with
+    | Ok s -> s.Por.exhausted
+    | Error (reason, _, _) -> Alcotest.failf "por: %s" reason
+  in
+  checkb (name ^ ": both searches exhausted") true (naive_exhausted && por_exhausted);
+  checkb (name ^ ": some complete outcome") true (Hashtbl.length naive > 0);
+  checkb (name ^ ": naive and tree-engine por outcome sets agree") true
+    (sorted naive = sorted por)
 
 (* ------------------------------------------------------------------ *)
 (* Monte Carlo scheduler: trace, metrics and work identical (qcheck)   *)
@@ -383,10 +433,9 @@ let test_fixture_replays_both_engines file () =
   List.iter
     (fun engine ->
       match Checks.replay ~engine c a with
-      | Error reason ->
-        checkb (file ^ ": replay reproduces the recorded reason") true
-          (reason = a.Artifact.reason)
-      | Ok () -> Alcotest.failf "%s: fixture did not reproduce" file)
+      | Artifact.Reproduced -> ()
+      | Passed -> Alcotest.failf "%s: fixture did not reproduce" file
+      | Differs d -> Alcotest.failf "%s: fixture reproduced otherwise: %s" file d)
     [ `Vm; `Tree ]
 
 let fixture_files =
@@ -661,6 +710,12 @@ let () =
           (fun name -> tc name `Quick (test_cross_check_engines name))
           [ "binary_ratifier_n2"; "cheap_collect_ratifier_n2";
             "binary_ratifier_n2_f1"; "binary_ratifier_rec_n2_f1" ] );
+      ( "journal",
+        List.map
+          (fun (name, spec) ->
+            tc (name ^ " " ^ spec) `Quick (test_journal_oracle name spec))
+          [ ("binary_ratifier_n2_weak", "weak"); ("conciliator_n2", "weak");
+            ("binary_ratifier_rec_n2_f1", "crash:f=1,recover,weak") ] );
       ( "code store",
         [ tc "reads of ⊥, negatives and 2^24" `Quick test_observation_values;
           tc "allocating write keeps its continuation" `Quick
